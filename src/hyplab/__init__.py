@@ -13,7 +13,6 @@ from .core import (
     HypothesisError,
     Params,
     geodesic_distance,
-    green_gp,
     h_func,
     lambda_p,
     weight_hp,

@@ -173,6 +173,8 @@ def cmd_weights(args) -> int:
     ev = green_weight_for(params)
     radii = np.geomspace(args.r_min, args.r_max, args.points)
     w_vals, w_errs = ev.w_array(radii)
+    # H_p is defined for p >= 2 with p - 1 <= N - 1; elsewhere the column is empty.
+    has_hp = params.p >= 2.0 and params.p - 1.0 <= params.N - 1.0
     rows = []
     for r, w, werr in zip(radii, w_vals, w_errs):
         pt_x1 = float(np.tanh(r))
@@ -182,14 +184,11 @@ def cmd_weights(args) -> int:
                 "r": float(r),
                 "W": float(w),
                 "W_err": float(werr),
-                "Hp": float(weight_hp(params, r)) if params.p >= 2.0 else float("nan"),
+                "Hp": float(weight_hp(params, r)) if has_hp else "",
                 "h": float(h_func(params, r)),
                 "V_geodesic": weight_v(HalfSpacePoint(pt_x1, 0.0, pt_y)),
             }
         )
-    if params.p < 2.0:
-        for row in rows:
-            row["Hp"] = ""
     env = ReportEnvelope("weights", _echo(args), "weight_samples", rows)
     _write(env, args)
     return 0

@@ -17,10 +17,11 @@ from typing import Callable
 import numpy as np
 
 from .quadrature import (
-    QuadResult,
+    _XGK,
     QuadratureError,
+    _panel_estimates,
+    geometric_splits,
     integrate_interval,
-    integrate_semi_infinite,
 )
 
 __all__ = [
@@ -28,7 +29,6 @@ __all__ = [
     "Params",
     "HalfSpacePoint",
     "lambda_p",
-    "green_gp",
     "GreenWeight",
     "green_weight_for",
     "weight_w",
@@ -178,54 +178,6 @@ def acosh1p(z):
 # ---------------------------------------------------------------------------
 
 
-def _geometric_marks(a: float, b: float) -> list[float]:
-    """Dyadic marks a + a, a + 2a, ... and unit marks, commensurate with
-    both the power steepness near small a and the exponential decay."""
-    marks = []
-    w = max(min(a, 1.0), 1e-8)
-    while a + w < b:
-        marks.append(a + w)
-        w *= 2.0
-    return marks
-
-
-def _green_integrand(alpha: float) -> Callable:
-    def f(s):
-        return np.exp(-alpha * log_sinh(s))
-
-    return f
-
-
-def _green_tail_bound(alpha: float) -> Callable[[float], float]:
-    # sinh grows at least exponentially: sinh(s) >= sinh(T) e^{s-T} for
-    # s >= T, hence int_T^inf (sinh s)^-alpha ds <= (sinh T)^-alpha / alpha.
-    def bound(T: float) -> float:
-        return math.exp(-alpha * log_sinh(T)) / alpha
-
-    return bound
-
-
-def green_gp(params: Params, r: float, tol: float = 1e-10) -> QuadResult:
-    """G_p(r) = int_r^inf (sinh s)^(-(N-1)/(p-1)) ds, with error estimate.
-
-    The multiplicative normalization is fixed to 1; only the logarithmic
-    derivative G'/G enters the weight W, so the choice is immaterial
-    (covered by a regression test).
-    """
-    if not (r > 0.0):
-        raise ValueError(f"green_gp requires r > 0, got {r}")
-    alpha = params.sinh_exponent
-    return integrate_semi_infinite(
-        _green_integrand(alpha),
-        r,
-        tol,
-        tail_bound=_green_tail_bound(alpha),
-        initial_width=max(min(1.0, r), 1e-8),
-        vectorized=True,
-        max_subdivisions=20000,
-    )
-
-
 class GreenWeight:
     """Memoized evaluator of the Green's-function weight W for one (N, p).
 
@@ -242,8 +194,14 @@ class GreenWeight:
     large r, where zeta ~ c e^{-2r} and the naive difference of p-th
     powers is pure rounding noise.
 
-    Anchored values of both integrals are cached; a new radius only costs
-    the local segment between it and the nearest anchor.  The cache is
+    Both tail integrals are stored with e^{-alpha r} factored out,
+    J(r) = e^{alpha r} int_r^inf f, so neither underflows at large r (the
+    numerator alone decays like e^{-(alpha+2) r}).  Each call fills all
+    of its new radii at once: every radius is chained onto its successor
+    (the next larger cached or new radius) through
+    J(r) = e^{alpha (r-a)} J(a) + int_r^a e^{alpha r} f, and the gaps are
+    integrated with one vectorized GK15 panel each; only gaps that panel
+    does not settle fall back to the adaptive engine.  The cache is
     guarded by a lock so evaluators can be shared across threads.
     """
 
@@ -251,20 +209,28 @@ class GreenWeight:
         self.params = params
         self.alpha = params.sinh_exponent
         self.node_tol = node_tol
-        self._den_anchors: dict[float, tuple[float, float]] = {}
-        self._num_anchors: dict[float, tuple[float, float]] = {}
+        # Per integral: sorted radii, J at each, and its error bound.
+        empty = (np.empty(0), np.empty(0), np.empty(0))
+        self._anchors = {"num": empty, "den": empty}
         self._lock = threading.Lock()
 
     # -- the two tail integrals ------------------------------------------
-    def _den_integrand(self, s):
-        return np.exp(-self.alpha * log_sinh(s))
+    def _log_integrand(self, which: str, s):
+        if which == "den":
+            return -self.alpha * log_sinh(s)
+        return -(self.alpha + 1.0) * log_sinh(s) - s
 
-    def _num_integrand(self, s):
-        s = np.asarray(s, dtype=float)
-        return np.exp(-(self.alpha + 1.0) * log_sinh(s) - s)
+    def _scaled_integrand(self, which: str, r: float) -> Callable:
+        """s -> e^{alpha r} f(s), the integrand of J(r)."""
+        shift = self.alpha * r
+
+        def f(s):
+            return np.exp(shift + self._log_integrand(which, np.asarray(s, dtype=float)))
+
+        return f
 
     def _tail(self, which: str, r: float) -> tuple[float, float]:
-        """int_r^inf of one of the two integrands, to relative node_tol.
+        """J(r) to relative node_tol, with an absolute error bound.
 
         The truncation point is analytic: the integrand decays at least
         like e^{-alpha s}, so T = r + (log(1/node_tol) + 5)/alpha caps the
@@ -272,82 +238,141 @@ class GreenWeight:
         dropped tail still enters the error estimate.
         """
         alpha = self.alpha
-        if which == "den":
-            f = self._den_integrand
-
-            def bound(T: float) -> float:
-                return math.exp(-alpha * log_sinh(T)) / alpha
-
-        else:
-            f = self._num_integrand
-            a1 = alpha + 1.0
-
-            def bound(T: float) -> float:
-                return math.exp(-a1 * log_sinh(T) - T) / (a1 + 1.0)
-
         T = r + (math.log(1.0 / self.node_tol) + 5.0) / alpha + 1.0
+        # sinh(s) >= sinh(T) e^{s-T} for s >= T bounds the dropped tail.
+        if which == "den":
+            log_bound = -alpha * log_sinh(T) - math.log(alpha)
+        else:
+            log_bound = -(alpha + 1.0) * log_sinh(T) - T - math.log(alpha + 2.0)
         res = integrate_interval(
-            f, r, T, 0.0, rel_tol=self.node_tol, vectorized=True,
-            breakpoints=_geometric_marks(r, T),
+            self._scaled_integrand(which, r), r, T, 0.0, rel_tol=self.node_tol,
+            vectorized=True, breakpoints=geometric_splits(r, T, max(min(r, 1.0), 1e-8)),
             max_subdivisions=20000,
         )
-        return res.value, res.error_estimate + bound(T)
+        return res.value, res.error_estimate + math.exp(alpha * r + log_bound)
 
-    def _cached(self, which: str, r: float) -> tuple[float, float]:
-        anchors = self._den_anchors if which == "den" else self._num_anchors
-        f = self._den_integrand if which == "den" else self._num_integrand
+    def _segments(self, which: str, lo: np.ndarray, hi: np.ndarray):
+        """int_lo^hi e^{alpha lo} f(s) ds per gap, with error bounds.
+
+        A gap no wider than its first geometric mark is one GK15 panel,
+        the seed panel the adaptive engine would start from; all of these
+        are evaluated in one integrand call and accepted on the engine's
+        own test |K15 - G7| <= node_tol |segment|.  The rest go through
+        the engine.
+        """
+        # Geometric marks from lo: commensurate with both the power
+        # steepness near small lo and the exponential decay.
+        scale = np.maximum(np.minimum(lo, 1.0), 1e-8)
+        vals = np.empty(lo.size)
+        errs = np.empty(lo.size)
+        todo = ~(hi <= lo + scale)
+        one = np.flatnonzero(~todo)
+        if one.size:
+            half = 0.5 * (hi[one] - lo[one])
+            nodes = (0.5 * (lo[one] + hi[one]))[:, None] + half[:, None] * _XGK
+            fv = np.exp(self.alpha * lo[one][:, None] + self._log_integrand(which, nodes))
+            if not np.all(np.isfinite(fv)):
+                bad = nodes[~np.isfinite(fv)][0]
+                raise QuadratureError(f"integrand not finite at x={bad!r}")
+            v, e = _panel_estimates(fv, half)
+            vals[one], errs[one] = v, e
+            todo[one[e > self.node_tol * np.abs(v)]] = True
+        for i in np.flatnonzero(todo):
+            a, b = float(lo[i]), float(hi[i])
+            res = integrate_interval(
+                self._scaled_integrand(which, a), a, b, 0.0, rel_tol=self.node_tol,
+                vectorized=True, breakpoints=geometric_splits(a, b, float(scale[i])),
+                max_subdivisions=20000,
+            )
+            vals[i], errs[i] = res.value, res.error_estimate
+        return vals, errs
+
+    def _fill(self, which: str, radii) -> tuple[np.ndarray, np.ndarray]:
+        """J(r) and its error bound at every radius, caching the new ones."""
+        r = np.asarray(radii, dtype=float).ravel()
+        if not np.all((r > 0.0) & np.isfinite(r)):
+            bad = r[~((r > 0.0) & np.isfinite(r))][0]
+            raise ValueError(f"radius must be positive and finite, got {bad}")
         with self._lock:
-            if r in anchors:
-                return anchors[r]
-            larger = [a for a in anchors if a > r]
-            if larger:
-                a0 = min(larger)
-                base, base_err = anchors[a0]
-                seg = integrate_interval(
-                    f, r, a0, 0.0, rel_tol=self.node_tol, vectorized=True,
-                    breakpoints=_geometric_marks(r, a0),
-                    max_subdivisions=20000,
+            keys, vals, errs = self._anchors[which]
+            new = np.unique(r)
+            pos = np.searchsorted(keys, new)
+            nxt = np.append(keys, np.inf)[pos]  # smallest cached radius >= new
+            fresh = nxt != new
+            if fresh.any():
+                new, pos, nxt = new[fresh], pos[fresh], nxt[fresh]
+                j_new, e_new = self._chain(
+                    which, new, nxt, np.append(vals, 0.0)[pos], np.append(errs, 0.0)[pos]
                 )
-                val, err = base + seg.value, base_err + seg.error_estimate
+                keys = np.insert(keys, pos, new)
+                vals = np.insert(vals, pos, j_new)
+                errs = np.insert(errs, pos, e_new)
+                self._anchors[which] = (keys, vals, errs)
+            idx = np.searchsorted(keys, r)
+            return vals[idx], errs[idx]
+
+    def _chain(self, which, new, nxt, nxt_val, nxt_err):
+        """J and its error at the sorted new radii ``new``, given the next
+        cached radius above each (inf if none) and J and its error there."""
+        # The successor of new[i] is new[i+1] unless a cached radius lies
+        # between them; the largest new radius may have none.
+        after = np.append(new[1:], np.inf)
+        succ = np.minimum(nxt, after)
+        has_succ = np.isfinite(succ)
+        seg = np.zeros(new.size)
+        seg_err = np.zeros(new.size)
+        seg[has_succ], seg_err[has_succ] = self._segments(which, new[has_succ], succ[has_succ])
+        decay = np.exp(self.alpha * (new - succ))
+        from_new = (after < nxt).tolist()
+        tail_only = (~has_succ).tolist()
+        seg_l, seg_err_l, decay_l = seg.tolist(), seg_err.tolist(), decay.tolist()
+        nxt_val, nxt_err = nxt_val.tolist(), nxt_err.tolist()
+        j_out, e_out = [0.0] * new.size, [0.0] * new.size
+        base = base_err = 0.0
+        for i in range(new.size - 1, -1, -1):
+            if tail_only[i]:
+                base, base_err = self._tail(which, float(new[i]))
             else:
-                val, err = self._tail(which, r)
-            anchors[r] = (val, err)
-            return anchors[r]
+                if not from_new[i]:
+                    base, base_err = nxt_val[i], nxt_err[i]
+                c = decay_l[i]
+                base, base_err = c * base + seg_l[i], c * base_err + seg_err_l[i]
+            j_out[i], e_out[i] = base, base_err
+        return j_out, e_out
+
+    def _zeta(self, radii) -> tuple[np.ndarray, np.ndarray]:
+        num, num_err = self._fill("num", radii)
+        den, den_err = self._fill("den", radii)
+        z = num / den
+        return z, (num_err + z * den_err) / den
 
     def zeta(self, r: float) -> tuple[float, float]:
         """zeta(r) > 0 and an absolute error bound."""
-        if not (r > 0.0):
-            raise ValueError(f"radius must be positive, got {r}")
-        num, num_err = self._cached("num", r)
-        den, den_err = self._cached("den", r)
-        z = num / den
-        err = (num_err + z * den_err) / den
-        return z, err
+        z, dz = self._zeta([r])
+        return float(z[0]), float(dz[0])
 
     def green(self, r: float) -> tuple[float, float]:
-        """G_p(r) and an absolute error bound (cached)."""
-        return self._cached("den", r)
+        """G_p(r) = int_r^inf (sinh s)^(-alpha) ds and an absolute error bound.
+
+        The normalization is fixed to 1: only G'/G enters the weight W.
+        """
+        j, err = self._fill("den", [r])
+        scale = math.exp(-self.alpha * r)
+        return float(j[0]) * scale, float(err[0]) * scale
 
     def w(self, r: float) -> tuple[float, float]:
         """W(r) and an absolute error bound."""
-        z, dz = self.zeta(r)
-        lam = self.params.lambda_p
-        p = self.params.p
-        val = lam * math.expm1(p * math.log1p(z))
-        deriv = lam * p * (1.0 + z) ** (p - 1.0)
-        return val, deriv * dz
+        val, err = self.w_array([r])
+        return float(val[0]), float(err[0])
 
     def w_array(self, radii) -> tuple[np.ndarray, np.ndarray]:
-        vals, errs = [], []
-        # Seed the cache from the largest radius down so every smaller
-        # radius only pays for a local segment.
-        for r in sorted(set(float(x) for x in radii), reverse=True):
-            self.w(r)
-        for r in radii:
-            v, e = self.w(float(r))
-            vals.append(v)
-            errs.append(e)
-        return np.array(vals), np.array(errs)
+        """W and its absolute error bound at every radius, in one fill."""
+        z, dz = self._zeta(radii)
+        lam = self.params.lambda_p
+        p = self.params.p
+        val = lam * np.expm1(p * np.log1p(z))
+        deriv = lam * p * (1.0 + z) ** (p - 1.0)
+        return val, deriv * dz
 
 
 _WEIGHT_CACHE: dict[tuple[int, float], GreenWeight] = {}

@@ -128,3 +128,14 @@ def test_weights_table(tmp_path):
 def test_invalid_dimension_exit_2(tmp_path):
     rc, _ = run_cli(["constants", "--N", "1", "--p", "3"], tmp_path)
     assert rc == 2
+
+
+def test_weights_table_without_hp(tmp_path):
+    # p - 1 > N - 1: H_p is undefined, W is still tabulated
+    rc, text = run_cli(["weights", "--N", "2", "--p", "3", "--points", "8"],
+                       tmp_path)
+    assert rc == 0
+    payload = parse(text, "csv")["payload"]
+    assert len(payload) == 8
+    assert all(row["W"] > 0 for row in payload)
+    assert all(row["Hp"] == "" for row in payload)

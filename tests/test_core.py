@@ -1,6 +1,8 @@
 """Hyperbolic primitives: parameters, Green's function, weights."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyplab.core import (
+    GreenWeight,
     HalfSpacePoint,
     HypothesisError,
     Params,
     coth_minus_inv,
     geodesic_distance,
-    green_gp,
     green_weight_for,
     h_func,
     hp_base,
@@ -85,27 +87,26 @@ class TestStableHelpers:
 class TestGreenFunction:
     def test_closed_form_oracle_n2_p2(self):
         # G(r) = log(coth(r/2)) for N = 2, p = 2
-        res = green_gp(Params(2, 2.0), 1.0, 1e-12)
+        g, err = green_weight_for(Params(2, 2.0)).green(1.0)
         exact = math.log(1.0 / math.tanh(0.5))
         assert exact == pytest.approx(0.7719368329053048, abs=1e-15)
-        assert abs(res.value - exact) <= res.error_estimate + 1e-13
+        assert abs(g - exact) <= err + 1e-13
 
     def test_strictly_decreasing(self):
-        pr = Params(3, 2.5)
-        vals = [green_gp(pr, r, 1e-11).value for r in (0.5, 1.0, 2.0, 4.0)]
+        ev = green_weight_for(Params(3, 2.5))
+        vals = [ev.green(r)[0] for r in (0.5, 1.0, 2.0, 4.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_upper_bound_chain(self):
         # G_p(r) < (p-1)/(N-1) (sinh r)^(-(N-1)/(p-1))
         for N, p, r in [(3, 2.0, 0.7), (13, 4.0, 1.3), (2, 3.0, 2.0)]:
             pr = Params(N, p)
-            res = green_gp(pr, r, 1e-11)
+            g, _ = green_weight_for(pr).green(r)
             bound = (p - 1.0) / (N - 1) * math.sinh(r) ** (-pr.sinh_exponent)
-            assert res.value < bound
+            assert g < bound
 
     def test_vanishing_tail(self):
-        pr = Params(3, 2.0)
-        assert green_gp(pr, 25.0, 1e-20).value < 1e-9
+        assert green_weight_for(Params(3, 2.0)).green(25.0)[0] < 1e-9
 
 
 class TestWeightW:
@@ -121,9 +122,9 @@ class TestWeightW:
         # same value through the naive |G'/G| route (normalization-free)
         pr = Params(5, 2.0)
         r = 1.0
-        g = green_gp(pr, r, 1e-13)
+        g, _ = green_weight_for(pr).green(r)
         direct = ((pr.p - 1.0) / pr.p) ** pr.p * (
-            math.sinh(r) ** (-pr.sinh_exponent) / g.value
+            math.sinh(r) ** (-pr.sinh_exponent) / g
         ) ** pr.p - pr.lambda_p
         assert weight_w(pr, r) == pytest.approx(direct, rel=1e-9)
 
@@ -144,6 +145,101 @@ class TestWeightW:
         ev1 = green_weight_for(Params(7, 3.0))
         ev2 = green_weight_for(Params(7, 3.0))
         assert ev1 is ev2
+
+    def test_no_underflow_at_large_radius(self):
+        # The numerator tail of zeta is about e^(-8r) here; unscaled it
+        # underflows near r = 94 and W would read 0.
+        mp = pytest.importorskip("mpmath")
+        N, p, r = 4, 1.5, 100.0
+        with mp.workdps(30):
+            alpha = mp.mpf(N - 1) / (mp.mpf(p) - 1)
+
+            def tail(beta, gamma):
+                # int_r^inf (sinh s)^-beta e^((beta-gamma) s) ds = 2^beta e^(-gamma r) tail
+                return mp.quad(
+                    lambda t: mp.exp(-gamma * t) * (-mp.expm1(-2 * (r + t))) ** (-beta),
+                    [0, 1, 4, 16, 64, mp.inf],
+                )
+
+            zeta = 2 * mp.exp(-2 * mp.mpf(r)) * tail(alpha + 1, alpha + 2) / tail(alpha, alpha)
+            ref = float((mp.mpf(N - 1) / p) ** p * mp.expm1(p * mp.log1p(zeta)))
+        w, err = GreenWeight(Params(N, p)).w(r)
+        assert w > 0.0
+        assert abs(w - ref) <= err
+
+    @pytest.mark.parametrize("N,p", [(3, 2.0), (13, 4.0), (4, 1.5), (2, 3.0)])
+    def test_batched_fill_is_order_independent(self, N, p):
+        radii = [0.003, 0.05, 0.4, 0.41, 1.0, 2.5, 7.0, 19.0, 60.0]
+        one_by_one = GreenWeight(Params(N, p))
+        ref = [one_by_one.w(r) for r in radii]
+
+        rng = np.random.default_rng(11)
+        shuffled = rng.permutation(radii + radii[::3])
+        w, err = GreenWeight(Params(N, p)).w_array(shuffled)
+        for r, wi, ei in zip(shuffled, w, err):
+            w0, e0 = ref[radii.index(r)]
+            assert abs(wi - w0) <= ei + e0, (r, wi, w0)
+
+        # new radii interleaved with anchors already cached, plus hits
+        ev = GreenWeight(Params(N, p))
+        ev.w_array(radii[::2])
+        w, err = ev.w_array(radii)
+        for (w0, e0), wi, ei in zip(ref, w, err):
+            assert abs(wi - w0) <= ei + e0
+
+    def test_scalar_calls_share_the_cache(self):
+        ev = GreenWeight(Params(5, 2.0))
+        w_arr, _ = ev.w_array([0.5, 1.0, 2.0])
+        assert ev.w(1.0)[0] == w_arr[1]
+        z, dz = ev.zeta(1.0)
+        assert ev.params.lambda_p * math.expm1(2.0 * math.log1p(z)) == pytest.approx(
+            w_arr[1], rel=1e-15
+        )
+        g, g_err = ev.green(3.0)
+        assert 0.0 < g_err < 1e-9 * g
+
+    @pytest.mark.parametrize("N,p", [(3, 2.0), (5, 2.0), (13, 4.0), (4, 1.5)])
+    def test_weights_table_positive_to_r_100(self, N, p):
+        radii = np.geomspace(0.05, 100.0, 400)
+        w, err = GreenWeight(Params(N, p)).w_array(radii)
+        assert np.all(w > 0.0)
+        assert np.all(err < 1e-6 * w)
+
+    def test_concurrent_fills_agree(self):
+        radii = np.geomspace(0.01, 50.0, 300)
+        ref, ref_err = GreenWeight(Params(5, 2.0)).w_array(radii)
+        ev = GreenWeight(Params(5, 2.0))
+        rng = np.random.default_rng(3)
+        parts = [rng.permutation(radii)[:120] for _ in range(6)]
+        out = [None] * len(parts)
+
+        def work(i):
+            out[i] = ev.w_array(parts[i])
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(parts))]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        for part, (w, err) in zip(parts, out):
+            i = np.searchsorted(radii, part)
+            assert np.all(np.abs(w - ref[i]) <= err + ref_err[i])
+        for which in ("num", "den"):
+            keys = ev._anchors[which][0]
+            assert np.all(np.diff(keys) > 0.0)
+            assert np.isin(np.concatenate(parts), keys).all()
+
+    def test_rejects_nonpositive_radius(self):
+        ev = GreenWeight(Params(3, 2.0))
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                ev.w_array([1.0, bad])
 
 
 class TestWeightHp:
