@@ -43,9 +43,10 @@ from .verify import (
     batch_verify,
     check_ftilde,
     check_pconvexity,
-    halfspace_pair_reports,
+    random_halfspace_product,
     sharpness_scan,
     supersolution_residual,
+    verify,
 )
 
 KIND_TAGS = [k.value for k in InequalityKind]
@@ -175,8 +176,10 @@ def cmd_weights(args) -> int:
     w_vals, w_errs = ev.w_array(radii)
     # H_p is defined for p >= 2 with p - 1 <= N - 1; elsewhere the column is empty.
     has_hp = params.p >= 2.0 and params.p - 1.0 <= params.N - 1.0
+    hp_col = ([float(v) for v in weight_hp(params, radii)] if has_hp
+              else [""] * len(radii))
     rows = []
-    for r, w, werr in zip(radii, w_vals, w_errs):
+    for r, w, werr, hp, h in zip(radii, w_vals, w_errs, hp_col, h_func(params, radii)):
         pt_x1 = float(np.tanh(r))
         pt_y = float(1.0 / np.cosh(r))
         rows.append(
@@ -184,8 +187,8 @@ def cmd_weights(args) -> int:
                 "r": float(r),
                 "W": float(w),
                 "W_err": float(werr),
-                "Hp": float(weight_hp(params, r)) if has_hp else "",
-                "h": float(h_func(params, r)),
+                "Hp": hp,
+                "h": float(h),
                 "V_geodesic": weight_v(HalfSpacePoint(pt_x1, 0.0, pt_y)),
             }
         )
@@ -240,9 +243,15 @@ def cmd_rp_scan(args) -> int:
 def cmd_verify(args) -> int:
     params = Params(args.N, args.p)
     kind = InequalityKind(args.kind)
-    if kind in (InequalityKind.BOUNDED_V, InequalityKind.MAZYA):
-        pairs = halfspace_pair_reports(params, args.trials, args.seed, args.tol)
-        reports = [r_hyp if kind is InequalityKind.BOUNDED_V else r_maz for r_hyp, r_maz in pairs]
+    if kind.admissible_class == "halfspace":
+        # The test functions of halfspace_pair_reports, in one form only.
+        reports = [
+            verify(kind, params,
+                   random_halfspace_product(np.random.default_rng([args.seed, i]),
+                                            params.N),
+                   args.tol)
+            for i in range(args.trials)
+        ]
     else:
         reports = batch_verify(
             kind, [params], args.trials, args.seed, args.tol, l=args.l,

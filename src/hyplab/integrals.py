@@ -302,7 +302,10 @@ def sphere_area(k: int) -> float:
 class HalfSpaceIntegrand:
     """Volume integrand on the half-space, reduced to (x1, rho, y).
 
-    ``func`` must be vectorized.  For compact integrands set ``support``
+    ``func`` (and ``sheared_log``) must be elementwise: the cubature calls
+    them on per-axis node arrays that broadcast against each other, not
+    on full grids, and takes anything that broadcasts to their common
+    shape.  For compact integrands set ``support``
     to the box ((x1_lo, x1_hi), (rho_lo, rho_hi), (y_lo, y_hi)).  For the
     decaying family set ``envelope_sigma``/``envelope_const`` so that
     |func| <= const * (y / A)^sigma / y^N with A = (1+y)^2 + x1^2 + rho^2;

@@ -14,12 +14,16 @@ representable cutoff, so the substitution is mandatory, not cosmetic.
 
 Multidimensional integrals (dimension 2 or 3, used for the half-space
 model) run on tensor Gauss-Kronrod cells with the same embedded error
-estimate per axis and a worst-cell refinement loop.
+estimate per axis and a worst-cell refinement loop.  Cells are evaluated
+in batches: one integrand call on per-axis node arrays and one matmul
+against the tensor weights per batch.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -176,10 +180,9 @@ def _seed_panels(
     a: float,
     b: float,
     singular_left: bool,
-    singular_right: bool,
     breakpoints: Sequence[float],
 ) -> list[tuple[float, float]]:
-    """Initial panelization: split at breakpoints, grade toward flagged ends.
+    """Initial panelization: split at breakpoints, grade toward a flagged left end.
 
     Grading is geometric with ratio 1/2 down to a width of 1e-12 times the
     interval length, per panel-seeding policy; genuinely hard power
@@ -192,22 +195,14 @@ def _seed_panels(
     pts = sorted(set(pts))
     panels = []
     for lo, hi in zip(pts[:-1], pts[1:]):
-        sub = [(lo, hi)]
         if singular_left and lo == pts[0]:
-            sub = _grade(lo, hi, toward_left=True)
-        if singular_right and hi == pts[-1]:
-            graded = []
-            for plo, phi in sub:
-                if phi == pts[-1]:
-                    graded.extend(_grade(plo, phi, toward_left=False))
-                else:
-                    graded.append((plo, phi))
-            sub = graded
-        panels.extend(sub)
+            panels.extend(_grade_left(lo, hi))
+        else:
+            panels.append((lo, hi))
     return panels
 
 
-def _grade(lo: float, hi: float, toward_left: bool) -> list[tuple[float, float]]:
+def _grade_left(lo: float, hi: float) -> list[tuple[float, float]]:
     width = hi - lo
     floor = max(width * 1e-12, 5e-324)
     edges = [width]
@@ -216,13 +211,7 @@ def _grade(lo: float, hi: float, toward_left: bool) -> list[tuple[float, float]]
         w *= 0.5
         edges.append(w)
     edges.append(0.0)
-    out = []
-    for w_hi, w_lo in zip(edges[:-1], edges[1:]):
-        if toward_left:
-            out.append((lo + w_lo, lo + w_hi))
-        else:
-            out.append((hi - w_hi, hi - w_lo))
-    return out
+    return [(lo + w_lo, lo + w_hi) for w_hi, w_lo in zip(edges[:-1], edges[1:])]
 
 
 def integrate_interval(
@@ -231,7 +220,6 @@ def integrate_interval(
     b: float,
     tol: float,
     singular_left: bool = False,
-    singular_right: bool = False,
     breakpoints: Sequence[float] = (),
     vectorized: bool = False,
     max_subdivisions: int = 4000,
@@ -239,7 +227,7 @@ def integrate_interval(
 ) -> QuadResult:
     """Adaptive integral of ``f`` on the finite interval [a, b].
 
-    Flagged singular endpoints get geometrically graded seed panels
+    A flagged singular left endpoint gets geometrically graded seed panels
     (handles integrable power/log endpoints of moderate strength).  The
     returned error estimate is the sum of |K15 - G7| panel differences.
     Refinement stops once the estimate drops below
@@ -251,7 +239,7 @@ def integrate_interval(
     if not (a < b):
         raise ValueError(f"need a < b, got [{a}, {b}]")
     fv = _as_vectorized(f, vectorized)
-    panels = _seed_panels(a, b, singular_left, singular_right, breakpoints)
+    panels = _seed_panels(a, b, singular_left, breakpoints)
     lows = np.array([p[0] for p in panels])
     highs = np.array([p[1] for p in panels])
     heap: list[tuple[float, float, float, float, float]] = []
@@ -406,47 +394,59 @@ def power_singular_integral(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Cell:
-    los: tuple[float, ...]
-    his: tuple[float, ...]
-    value: float = 0.0
-    error: float = 0.0
-    worst_axis: int = 0
-
-    def __lt__(self, other: "_Cell") -> bool:
-        return self.error > other.error  # max-heap behaviour via heapq
+# Tensor nodes per integrand call (9 cells in 3-D, 145 in 2-D, 2184 in 1-D),
+# so the arrays of one batch stay near 256 kB whatever the seed partition.
+_CELL_CHUNK_NODES = 2**15
+# Every finite double is an integer multiple of 2**-1074, so running sums
+# kept as integers in that unit are exact.
+_FIXED_ONE = 1 << 1074
 
 
-def _cell_rule(fv: Callable, los, his):
-    """Tensor GK15 value and embedded per-axis error on one box."""
-    d = len(los)
+def _fixed(x: float) -> int:
+    num, den = x.as_integer_ratio()
+    return num * (_FIXED_ONE // den)
+
+
+@functools.lru_cache(maxsize=3)
+def _cell_weights(d: int) -> np.ndarray:
+    """(15^d, d+1) tensor weights: column 0 is Kronrod on every axis,
+    column 1+j is Gauss on axis j and Kronrod on the others."""
+    gauss = np.zeros(15)
+    gauss[_GAUSS_IDX] = _WG
+    cols = []
+    for gauss_axis in (None,) + tuple(range(d)):
+        w = np.ones(1)
+        for j in range(d):
+            w = np.multiply.outer(w, gauss if j == gauss_axis else _WGK)
+        cols.append(w.ravel())
+    return np.stack(cols, axis=1)
+
+
+def _cell_rule(f: Callable, los: np.ndarray, his: np.ndarray):
+    """Tensor GK15 value, embedded error and worst axis of k boxes.
+
+    ``los`` and ``his`` have shape (k, d).  The integrand is called once
+    with one node array per axis, axis j of shape (k, 1, .., 15, .., 1)
+    with the 15 nodes in position j+1, and its result is broadcast to
+    (k, 15, ..., 15).  A box's error is the sum over axes of
+    |Gauss-on-that-axis - K15|; its worst axis is the largest term.
+    """
+    k, d = los.shape
+    mids = 0.5 * (los + his)
+    halfs = 0.5 * (his - los)
+    nodes = mids[:, :, None] + halfs[:, :, None] * _XGK
     axes = []
-    for lo, hi in zip(los, his):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        axes.append(mid + half * _XGK)
-    grids = np.meshgrid(*axes, indexing="ij")
-    vals = fv(*grids)
+    for j in range(d):
+        shape = [k] + [1] * d
+        shape[j + 1] = 15
+        axes.append(nodes[:, j].reshape(shape))
+    vals = np.asarray(f(*axes), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise QuadratureError("integrand not finite inside a cell")
-    scale = 1.0
-    for lo, hi in zip(los, his):
-        scale *= 0.5 * (hi - lo)
-    full = vals
-    for _ in range(d):
-        full = np.tensordot(full, _WGK, axes=([0], [0]))
-    k_all = float(full) * scale
-    errors = []
-    for axis in range(d):
-        reduced = vals
-        # Gauss weights on `axis`, Kronrod on the others.
-        for j in range(d):
-            w = _WG if j == axis else _WGK
-            take = np.take(reduced, _GAUSS_IDX, axis=0) if j == axis else reduced
-            reduced = np.tensordot(take, w, axes=([0], [0]))
-        errors.append(abs(float(reduced) * scale - k_all))
-    worst = int(np.argmax(errors))
-    return k_all, float(sum(errors)), worst
+    vals = np.broadcast_to(vals, (k,) + (15,) * d).reshape(k, -1)
+    sums = (vals @ _cell_weights(d)) * np.prod(halfs, axis=1)[:, None]
+    errors = np.abs(sums[:, 1:] - sums[:, :1])
+    return sums[:, 0], errors.sum(axis=1), errors.argmax(axis=1)
 
 
 def integrate_cells(
@@ -459,10 +459,14 @@ def integrate_cells(
 ) -> QuadResult:
     """Adaptive tensor-product integration over a d-dimensional box.
 
-    ``f`` must accept d meshgrid arrays and return an array of the same
-    shape.  ``initial_splits`` optionally pre-partitions each axis (used to
-    seed geometric grading along semi-infinite mapped axes).  Refinement
-    stops at error <= tol + rel_tol * |integral|.
+    ``f`` is called on batches of cells with d per-axis node arrays that
+    broadcast against each other (see :func:`_cell_rule`); it must return
+    anything that broadcasts to their common shape, so a factor that
+    depends on one axis only costs 15 evaluations per cell on that axis.
+    ``initial_splits`` optionally pre-partitions each axis (used to seed
+    geometric grading along semi-infinite mapped axes).  Refinement
+    splits the worst cell on its worst axis until
+    error <= tol + rel_tol * |integral|.
     """
     d = len(box)
     if d < 1 or d > 3:
@@ -476,46 +480,52 @@ def integrate_cells(
             cuts.extend(c for c in initial_splits[i] if lo < c < hi)
         edges.append(sorted(set(cuts)))
 
-    heap: list[_Cell] = []
+    # Heap entries: (-error, serial, los, his, value, error, worst axis).
+    heap: list[tuple] = []
+    serials = itertools.count()
+    total = err = 0  # exact sums over the heap, in units of 2**-1074
     n_cells = 0
 
     def push(los, his):
-        nonlocal n_cells
-        val, err, worst = _cell_rule(f, los, his)
-        heapq.heappush(heap, _Cell(tuple(los), tuple(his), val, err, worst))
-        n_cells += 1
+        nonlocal total, err, n_cells
+        values, errors, worst = _cell_rule(f, los, his)
+        for lo, hi, v, e, ax in zip(los.tolist(), his.tolist(), values.tolist(),
+                                    errors.tolist(), worst.tolist()):
+            heapq.heappush(heap, (-e, next(serials), tuple(lo), tuple(hi), v, e, ax))
+            total += _fixed(v)
+            err += _fixed(e)
+        n_cells += len(los)
 
-    def boxes_from_edges(dim, prefix_lo, prefix_hi):
-        if dim == d:
-            push(prefix_lo, prefix_hi)
-            return
-        for lo, hi in zip(edges[dim][:-1], edges[dim][1:]):
-            boxes_from_edges(dim + 1, prefix_lo + [lo], prefix_hi + [hi])
-
-    boxes_from_edges(0, [], [])
+    intervals = [list(zip(cuts[:-1], cuts[1:])) for cuts in edges]
+    seed = np.array(list(itertools.product(*intervals)))  # (cells, d, 2)
+    chunk = _CELL_CHUNK_NODES // 15**d
+    for start in range(0, len(seed), chunk):
+        part = seed[start:start + chunk]
+        push(part[:, :, 0], part[:, :, 1])
     while True:
-        total = sum(c.value for c in heap)
-        err = sum(c.error for c in heap)
-        if err <= tol + rel_tol * abs(total):
-            return QuadResult(total, err, n_cells)
+        value, error = total / _FIXED_ONE, err / _FIXED_ONE
+        if error <= tol + rel_tol * abs(value):
+            return QuadResult(value, error, n_cells)
         if n_cells >= max_cells:
-            best = QuadResult(total, err, n_cells)
+            best = QuadResult(value, error, n_cells)
             raise ToleranceNotAchieved(
-                f"cell budget exhausted: error {err:.3e} > tol {tol:.3e}", best
+                f"cell budget exhausted: error {error:.3e} > tol {tol:.3e}", best
             )
-        cell = heapq.heappop(heap)
-        ax = cell.worst_axis
-        lo, hi = cell.los[ax], cell.his[ax]
+        _, serial, los, his, v, e, ax = heapq.heappop(heap)
+        lo, hi = los[ax], his[ax]
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
-            heapq.heappush(heap, _Cell(cell.los, cell.his, cell.value, 0.0, ax))
+            # Width at rounding floor: keep the cell, drop its error.
+            heapq.heappush(heap, (0.0, serial, los, his, v, 0.0, ax))
+            err -= _fixed(e)
             continue
-        left_his = list(cell.his)
-        left_his[ax] = mid
-        right_los = list(cell.los)
-        right_los[ax] = mid
-        push(list(cell.los), left_his)
-        push(right_los, list(cell.his))
+        total -= _fixed(v)
+        err -= _fixed(e)
+        child_los = np.array([los, los])
+        child_his = np.array([his, his])
+        child_his[0, ax] = mid
+        child_los[1, ax] = mid
+        push(child_los, child_his)
 
 
 def geometric_splits(lo: float, hi: float, scale: float) -> list[float]:

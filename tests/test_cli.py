@@ -2,11 +2,13 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+from hyplab import core
 from hyplab.cli import build_parser, main
-from hyplab.report import parse
+from hyplab.report import ReportEnvelope, compare_golden, parse
 from hyplab.verify import InequalityKind
 
 
@@ -139,3 +141,34 @@ def test_weights_table_without_hp(tmp_path):
     assert len(payload) == 8
     assert all(row["W"] > 0 for row in payload)
     assert all(row["Hp"] == "" for row in payload)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# Generated with this file's commands; see CHANGES.md for the commit.
+GOLDEN_RUNS = {
+    f"verify_{kind}_N{N}_p{p}.json": [
+        "verify", "--kind", kind, "--N", str(N), "--p", str(p),
+        "--trials", "2", "--seed", "11", "--tol", "1e-6",
+    ]
+    for kind in ("bounded-v", "mazya")
+    for N, p in ((3, 2), (2, 3))
+}
+GOLDEN_RUNS["sharpness_pgap_N2_p2.json"] = [
+    "sharpness", "--kind", "pgap", "--N", "2", "--p", "2",
+    "--schedule", "0.1", "0.01",
+]
+GOLDEN_RUNS["weights_N13_p4.json"] = ["weights", "--N", "13", "--p", "4"]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_report_matches_golden(name, tmp_path, monkeypatch):
+    # W_err depends on the anchors cached earlier in the process: start cold,
+    # as a fresh CLI process does.
+    monkeypatch.setattr(core, "_WEIGHT_CACHE", {})
+    rc, text = run_cli(GOLDEN_RUNS[name], tmp_path, fmt="json")
+    assert rc == 0
+    data = parse(text, "json")
+    env = ReportEnvelope(data["command"], data["params_echo"],
+                         data["payload_kind"], data["payload"], seed=data["seed"])
+    assert compare_golden(GOLDEN / name, env, rel_tol=1e-12) == []

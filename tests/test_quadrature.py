@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from hyplab import quadrature
 from hyplab.quadrature import (
     NonIntegrableSingularity,
+    QuadratureError,
     QuadResult,
     ToleranceNotAchieved,
     integrate_cells,
@@ -128,6 +130,37 @@ class TestPowerSingular:
         assert cutoff_mass / (1.0 / delta) > 0.97
 
 
+def _reference_cell(f, los, his):
+    """Per-cell tensor GK15 on meshgrid arrays, contracted one axis at a time."""
+    d = len(los)
+    axes = [0.5 * (lo + hi) + 0.5 * (hi - lo) * quadrature._XGK
+            for lo, hi in zip(los, his)]
+    vals = f(*np.meshgrid(*axes, indexing="ij"))
+    scale = np.prod([0.5 * (hi - lo) for lo, hi in zip(los, his)])
+    full = vals
+    for _ in range(d):
+        full = np.tensordot(full, quadrature._WGK, axes=([0], [0]))
+    k15 = float(full) * scale
+    errors = []
+    for axis in range(d):
+        reduced = vals
+        for j in range(d):
+            if j == axis:
+                take = np.take(reduced, quadrature._GAUSS_IDX, axis=0)
+                reduced = np.tensordot(take, quadrature._WG, axes=([0], [0]))
+            else:
+                reduced = np.tensordot(reduced, quadrature._WGK, axes=([0], [0]))
+        errors.append(abs(float(reduced) * scale - k15))
+    return k15, sum(errors), int(np.argmax(errors))
+
+
+_CELL_INTEGRANDS = {
+    1: lambda x: np.exp(np.sin(3 * x)),
+    2: lambda x, y: np.cos(x * y) * np.exp(x - y * y),
+    3: lambda x, y, z: np.exp(-x * x) / (1.0 + (y - z) ** 2 + x * z),
+}
+
+
 class TestCells:
     def test_2d_product(self):
         r = integrate_cells(
@@ -147,6 +180,69 @@ class TestCells:
     def test_rejects_bad_box(self):
         with pytest.raises(ValueError):
             integrate_cells(lambda x, y: x + y, [(0.0, 1.0), (2.0, 2.0)], 1e-8)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_batched_rule_matches_per_cell_reference(self, d):
+        rng = np.random.default_rng(d)
+        los = rng.uniform(-1.0, 0.5, (7, d))
+        his = los + rng.uniform(0.1, 1.5, (7, d))
+        f = _CELL_INTEGRANDS[d]
+        values, errors, worst = quadrature._cell_rule(f, los, his)
+        for i in range(len(los)):
+            k15, err, ax = _reference_cell(f, los[i], his[i])
+            assert values[i] == pytest.approx(k15, rel=1e-13, abs=0.0)
+            assert errors[i] == pytest.approx(err, rel=1e-9, abs=1e-14 * abs(k15))
+            assert worst[i] == ax
+
+    def test_seed_partition_over_several_chunks(self, monkeypatch):
+        f = lambda x, y, z: 1.0 / (0.02 + (x - 0.3) ** 2 + (y - 1.0) ** 2 + z * z)
+        box = [(0.0, 1.0), (0.0, 2.0), (-1.0, 1.0)]
+        splits = [np.linspace(0, 1, 5)[1:-1], np.linspace(0, 2, 5)[1:-1],
+                  np.linspace(-1, 1, 4)[1:-1]]  # 4 * 4 * 3 = 48 seed cells
+        assert 48 * 15**3 > quadrature._CELL_CHUNK_NODES
+        calls = []
+
+        def counted(*xs):
+            calls.append(xs[0].shape[0])
+            return f(*xs)
+
+        seed_only = integrate_cells(counted, box, 1.0, initial_splits=splits)
+        assert seed_only.subdivisions == 48
+        assert calls == [9, 9, 9, 9, 9, 3]
+        batched = integrate_cells(f, box, 1e-10, initial_splits=splits)
+        monkeypatch.setattr(quadrature, "_CELL_CHUNK_NODES", 15**3)
+        single = integrate_cells(f, box, 1e-10, initial_splits=splits)
+        assert single.subdivisions == batched.subdivisions > 48
+        assert single.value == pytest.approx(batched.value, rel=1e-13)
+        assert single.error_estimate == pytest.approx(batched.error_estimate, rel=1e-9)
+
+    def test_scalar_and_one_axis_integrands(self):
+        r = integrate_cells(lambda x, y, z: 2.0, [(0.0, 1.0), (0.0, 2.0), (0.0, 3.0)],
+                            1e-12)
+        assert r.value == pytest.approx(12.0, rel=1e-14)
+        r = integrate_cells(lambda x, y: np.exp(y), [(0.0, 3.0), (0.0, 1.0)], 1e-12)
+        assert r.value == pytest.approx(3.0 * (math.e - 1.0), rel=1e-13)
+        r = integrate_cells(lambda x, y, z: np.cos(x), [(0.0, 1.0), (0.0, 2.0),
+                                                      (0.0, 0.5)], 1e-12)
+        assert r.value == pytest.approx(math.sin(1.0), rel=1e-13)
+
+    def test_non_finite_value_in_a_batch_raises(self):
+        # one seed cell of 16 holds the pole; all 16 go through one call
+        with pytest.raises(QuadratureError, match="not finite"):
+            integrate_cells(
+                lambda x, y: np.where((x > 0.8) & (y > 0.8), np.inf, x * y),
+                [(0.0, 1.0), (0.0, 1.0)], 1e-8,
+                initial_splits=[[0.25, 0.5, 0.75], [0.25, 0.5, 0.75]],
+            )
+
+    def test_budget_exhaustion_carries_best_value(self):
+        f = lambda x, y: 1.0 / np.sqrt(np.abs(x - 0.31831) + np.abs(y - 0.4142) + 1e-300)
+        with pytest.raises(ToleranceNotAchieved) as exc:
+            integrate_cells(f, [(0.0, 1.0), (0.0, 1.0)], 1e-13, max_cells=30)
+        best = exc.value.result
+        assert best.subdivisions >= 30
+        assert best.error_estimate > 1e-13
+        assert best.value > 0
 
 
 def test_quadresult_validates_error_sign():
