@@ -270,33 +270,20 @@ def cmd_sharpness(args) -> int:
     params = Params(args.N, args.p)
     if args.kind == "pgap":
         rows_in = sharpness_scan(InequalityKind.PGAP, params, args.schedule, args.tol)
-        rows = [
-            {"eps": r["eps"], "delta": "", "quotient": r["quotient"],
-             "quad_error": r["quad_error"], "lower": r["lower"], "upper": r["upper"]}
-            for r in rows_in
-        ]
-        ok = all(
-            r["lower"] - r["quad_error"]
-            <= r["quotient"]
-            <= r["upper"] + r["quad_error"]
-            for r in rows_in
-        )
     else:
         schedule = [(e, args.delta) for e in args.schedule]
         rows_in = sharpness_scan(
             InequalityKind.HARDY1D, params, schedule, args.tol, l=args.l
         )
-        rows = [
-            {"eps": r["eps"], "delta": r["delta"], "quotient": r["quotient"],
-             "quad_error": r["quad_error"], "lower": r["lower"], "upper": r["upper"]}
-            for r in rows_in
-        ]
-        ok = all(
-            r["lower"] - r["quad_error"]
-            <= r["quotient"]
-            <= r["upper"] + r["quad_error"]
-            for r in rows_in
-        )
+    rows = [
+        {"eps": r["eps"], "delta": r.get("delta", ""), "quotient": r["quotient"],
+         "quad_error": r["quad_error"], "lower": r["lower"], "upper": r["upper"]}
+        for r in rows_in
+    ]
+    ok = all(
+        r["lower"] - r["quad_error"] <= r["quotient"] <= r["upper"] + r["quad_error"]
+        for r in rows_in
+    )
     env = ReportEnvelope("sharpness", _echo(args, kind=args.kind),
                          "sharpness_rows", rows)
     _write(env, args)

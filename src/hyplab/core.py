@@ -246,7 +246,7 @@ class GreenWeight:
             log_bound = -(alpha + 1.0) * log_sinh(T) - T - math.log(alpha + 2.0)
         res = integrate_interval(
             self._scaled_integrand(which, r), r, T, 0.0, rel_tol=self.node_tol,
-            vectorized=True, breakpoints=geometric_splits(r, T, max(min(r, 1.0), 1e-8)),
+            breakpoints=geometric_splits(r, T, max(min(r, 1.0), 1e-8)),
             max_subdivisions=20000,
         )
         return res.value, res.error_estimate + math.exp(alpha * r + log_bound)
@@ -281,7 +281,7 @@ class GreenWeight:
             a, b = float(lo[i]), float(hi[i])
             res = integrate_interval(
                 self._scaled_integrand(which, a), a, b, 0.0, rel_tol=self.node_tol,
-                vectorized=True, breakpoints=geometric_splits(a, b, float(scale[i])),
+                breakpoints=geometric_splits(a, b, float(scale[i])),
                 max_subdivisions=20000,
             )
             vals[i], errs[i] = res.value, res.error_estimate

@@ -26,11 +26,12 @@ from .quadrature import (
     NonIntegrableSingularity,
     QuadResult,
     geometric_splits,
+    integrate_cell_components,
     integrate_cells,
     integrate_interval,
     power_singular_integral,
 )
-from .testfun import RadialTestFunction, make_ueps
+from .testfun import RadialTestFunction
 
 __all__ = [
     "radial_energy",
@@ -84,18 +85,18 @@ def radial_energy(
         ep_first = _power_piece(e_int, (lam - 1.0) * p + m, b1, tol / 2)
         mp_first = _power_piece(m_int, lam * p + m, b1, tol / 2)
         ep_rest = integrate_interval(
-            e_int, b1, hi, 0.0, rel_tol=tol / 2, breakpoints=bps, vectorized=True
+            e_int, b1, hi, 0.0, rel_tol=tol / 2, breakpoints=bps
         ) if b1 < hi else QuadResult(0.0, 0.0, 0)
         mp_rest = integrate_interval(
-            m_int, b1, hi, 0.0, rel_tol=tol / 2, breakpoints=bps, vectorized=True
+            m_int, b1, hi, 0.0, rel_tol=tol / 2, breakpoints=bps
         ) if b1 < hi else QuadResult(0.0, 0.0, 0)
         return ep_first + ep_rest, mp_first + mp_rest
     ep = integrate_interval(
-        e_int, lo, hi, 0.0, rel_tol=tol, breakpoints=bps, vectorized=True,
+        e_int, lo, hi, 0.0, rel_tol=tol, breakpoints=bps,
         singular_left=(lo == 0.0),
     )
     mp = integrate_interval(
-        m_int, lo, hi, 0.0, rel_tol=tol, breakpoints=bps, vectorized=True,
+        m_int, lo, hi, 0.0, rel_tol=tol, breakpoints=bps,
     )
     return ep, mp
 
@@ -116,7 +117,7 @@ def _power_piece(f: Callable, total_power: float, b: float, tol: float) -> QuadR
         return np.where(r == 0.0, _origin_limit(f, total_power), vals)
 
     return power_singular_integral(
-        g, total_power + 1.0, b, 0.0, vectorized=True, rel_tol=tol
+        g, total_power + 1.0, b, 0.0, rel_tol=tol
     )
 
 
@@ -192,20 +193,19 @@ def radial_weighted_mass(
             # u vanishes to all orders at 0 (mollifier-type): regular.
             res = integrate_interval(
                 integrand, lo, hi, 0.0, rel_tol=tol, breakpoints=bps,
-                singular_left=True, vectorized=True,
+                singular_left=True,
             )
         else:
             total = lam * p + w_power + m
             b1 = min(u.breakpoints) if u.breakpoints else hi
             first = _power_piece(integrand, total, b1, tol / 2)
             rest = integrate_interval(
-                integrand, b1, hi, 0.0, rel_tol=tol / 2, breakpoints=bps,
-                vectorized=True
+                integrand, b1, hi, 0.0, rel_tol=tol / 2, breakpoints=bps
             ) if b1 < hi else QuadResult(0.0, 0.0, 0)
             res = first + rest
     else:
         res = integrate_interval(
-            integrand, lo, hi, 0.0, rel_tol=tol, breakpoints=bps, vectorized=True
+            integrand, lo, hi, 0.0, rel_tol=tol, breakpoints=bps
         )
     if weight == "W" and max_rel > 0.0:
         res = QuadResult(
@@ -245,12 +245,11 @@ def hardy1d_energy(
         b1 = min(v.breakpoints) if v.breakpoints else hi
         first = _power_piece(integrand, total, b1, tol / 2)
         rest = integrate_interval(
-            integrand, b1, hi, 0.0, rel_tol=tol / 2, breakpoints=bps,
-            vectorized=True
+            integrand, b1, hi, 0.0, rel_tol=tol / 2, breakpoints=bps
         ) if b1 < hi else QuadResult(0.0, 0.0, 0)
         return first + rest
     return integrate_interval(
-        integrand, lo, hi, 0.0, rel_tol=tol, breakpoints=bps, vectorized=True,
+        integrand, lo, hi, 0.0, rel_tol=tol, breakpoints=bps,
         singular_left=(lo == 0.0),
     )
 
@@ -270,7 +269,7 @@ def hardy1d_mass(p: float, v: RadialTestFunction, tol: float = 1e-10) -> QuadRes
                 # vanishes to all orders (mollifier-type): graded panels
                 return integrate_interval(
                     integrand, lo, hi, 0.0, rel_tol=tol, breakpoints=bps,
-                    singular_left=True, vectorized=True,
+                    singular_left=True,
                 )
             raise NonIntegrableSingularity(
                 "1/r^p mass at the origin needs a declared origin power"
@@ -279,12 +278,11 @@ def hardy1d_mass(p: float, v: RadialTestFunction, tol: float = 1e-10) -> QuadRes
         b1 = min(v.breakpoints) if v.breakpoints else hi
         first = _power_piece(integrand, total, b1, tol / 2)
         rest = integrate_interval(
-            integrand, b1, hi, 0.0, rel_tol=tol / 2, breakpoints=bps,
-            vectorized=True
+            integrand, b1, hi, 0.0, rel_tol=tol / 2, breakpoints=bps
         ) if b1 < hi else QuadResult(0.0, 0.0, 0)
         return first + rest
     return integrate_interval(
-        integrand, lo, hi, 0.0, rel_tol=tol, breakpoints=bps, vectorized=True
+        integrand, lo, hi, 0.0, rel_tol=tol, breakpoints=bps
     )
 
 
@@ -300,53 +298,38 @@ def sphere_area(k: int) -> float:
 
 @dataclass(frozen=True)
 class HalfSpaceIntegrand:
-    """Volume integrand on the half-space, reduced to (x1, rho, y).
+    """Compactly supported volume integrand on the half-space, reduced to
+    (x1, rho, y).
 
-    ``func`` (and ``sheared_log``) must be elementwise: the cubature calls
-    them on per-axis node arrays that broadcast against each other, not
-    on full grids, and takes anything that broadcasts to their common
-    shape.  For compact integrands set ``support``
-    to the box ((x1_lo, x1_hi), (rho_lo, rho_hi), (y_lo, y_hi)).  For the
-    decaying family set ``envelope_sigma``/``envelope_const`` so that
-    |func| <= const * (y / A)^sigma / y^N with A = (1+y)^2 + x1^2 + rho^2;
-    the truncation bounds of :func:`halfspace_integral` are derived from
-    that envelope.  ``sheared_log``, when given, evaluates
-    func((1+y) v, (1+y) w, y) * (1+y)^(N-1) * y from (v, w, log y)
-    without forming y-powers that would over/underflow; the enveloped
-    integration path runs on these sheared coordinates, where the
-    envelope separates.  ``depends_reduced`` declares that the function
-    really is a function of (x1, rho, y) only.
+    ``func`` must be elementwise: the cubature calls it on per-axis node
+    arrays that broadcast against each other, not on full grids, and
+    takes anything that broadcasts to their common shape.  ``support`` is
+    the box ((x1_lo, x1_hi), (rho_lo, rho_hi), (y_lo, y_hi)).
+    ``depends_reduced`` declares that the function really is a function of
+    (x1, rho, y) only.
     """
 
     func: Callable
     support: tuple | None = None
-    even_in_x1: bool = False
-    envelope_sigma: float | None = None
-    envelope_const: float = 1.0
-    sheared_log: Callable | None = None
     depends_reduced: bool = True
 
 
 def halfspace_integral(
     params: Params, f: HalfSpaceIntegrand, tol: float = 1e-8
 ) -> QuadResult:
-    """int f(x1, rho, y) * omega_{N-3} rho^(N-3) dx1 drho dy.
+    """int f(x1, rho, y) * omega_{N-3} rho^(N-3) dx1 drho dy over the support.
 
     For N = 2 the rho dimension is absent; for N = 3 the rho integral runs
-    over the two half-lines (factor omega_0 = 2).  Compact supports are
-    integrated directly; integrands with a declared power envelope use the
-    sheared coordinates x = (1+y) v and a logarithmic vertical axis, with
-    analytic tail bounds folded into the error estimate.
+    over the two half-lines (factor omega_0 = 2).  The decaying
+    near-extremal family is integrated by :func:`ueps_energy_mass`.
     """
     if not f.depends_reduced:
         raise ValueError(
             "integrand must depend only on the reduced coordinates (x1, rho, y)"
         )
-    if f.support is not None:
-        return _halfspace_compact(params, f, tol)
-    if f.envelope_sigma is None:
-        raise ValueError("unbounded integrand requires a decay envelope")
-    return _halfspace_enveloped(params, f, tol)
+    if f.support is None:
+        raise ValueError("half-space integrals need a compact support")
+    return _halfspace_compact(params, f, tol)
 
 
 def _halfspace_compact(params: Params, f: HalfSpaceIntegrand, tol: float) -> QuadResult:
@@ -395,85 +378,6 @@ def _angular_splits() -> list[float]:
     return sorted(marks)
 
 
-def _halfspace_enveloped(params: Params, f: HalfSpaceIntegrand, tol: float) -> QuadResult:
-    """Enveloped integration in sheared-angular-logarithmic coordinates.
-
-    x = (1+y) v with v = tan(theta) compactifies the horizontal plane
-    exactly (power tails become cos^(2 sigma - 2) theta near pi/2, no
-    truncation error); the vertical axis splits at y = 1 into two
-    logarithmic branches y = exp(+-tau) whose truncation at analytic
-    tail bounds ~ e^(-eps tau) / e^(-sigma tau) enters the error
-    estimate.  The tolerance ``tol`` is absolute.
-    """
-    N, sigma, C = params.N, f.envelope_sigma, f.envelope_const
-    if N not in (2, 3):
-        raise ValueError("enveloped half-space integration implemented for N in {2, 3}")
-    eps = sigma - (N - 1)
-    if eps <= 0:
-        raise ValueError("envelope must have sigma > N - 1")
-    budget = tol / 4.0
-    vtot = _v_total(N, sigma)
-
-    sheared = f.sheared_log
-    if sheared is None:
-        def sheared(v, w, logy):
-            y = np.exp(logy)
-            s = 1.0 + y
-            return f.func(s * v, s * w, y) * s ** (N - 1) * y
-
-    # vertical truncations (tau = -log y below 1, +log y above 1)
-    T_lo = max(8.0, math.log(max(C * vtot / (eps * budget), 2.0)) / eps)
-    lo_tail = C * vtot * math.exp(-eps * T_lo) / eps
-    T_up = max(8.0, math.log(max(C * vtot / (sigma * budget), 2.0)) / sigma)
-    up_tail = C * vtot * math.exp(-sigma * T_up) / sigma
-
-    mult = 2.0 if f.even_in_x1 else 1.0
-    if N == 3:
-        mult *= sphere_area(0)  # the two rho half-lines
-    half_pi = math.pi / 2.0
-    cell_tol = tol / 4.0  # per branch
-    results = []
-    for sign in (-1.0, +1.0):
-        T = T_lo if sign < 0 else T_up
-        tau_splits = geometric_splits(0.0, T, 1.0)
-
-        if N == 2:
-            def g(th, tau, _sign=sign):
-                v = np.tan(th)
-                return mult * sheared(v, np.zeros_like(v), _sign * tau) / np.cos(th) ** 2
-
-            box = [(0.0 if f.even_in_x1 else -half_pi, half_pi), (0.0, T)]
-            splits = [_angular_splits(), tau_splits]
-        else:
-            def g(th1, th2, tau, _sign=sign):
-                v = np.tan(th1)
-                w = np.tan(th2)
-                return (
-                    mult
-                    * sheared(v, w, _sign * tau)
-                    / (np.cos(th1) ** 2 * np.cos(th2) ** 2)
-                )
-
-            box = [
-                (0.0 if f.even_in_x1 else -half_pi, half_pi),
-                (0.0, half_pi),
-                (0.0, T),
-            ]
-            splits = [_angular_splits(), _angular_splits(), tau_splits]
-        results.append(
-            integrate_cells(g, box, cell_tol, initial_splits=splits,
-                            max_cells=40000)
-        )
-
-    total = results[0] + results[1]
-    return QuadResult(
-        total.value,
-        total.error_estimate + lo_tail + up_tail,
-        total.subdivisions,
-        truncation_point=max(T_lo, T_up),
-    )
-
-
 def _log1p_exp(logy):
     """log(1 + e^logy), stable for any logy."""
     return np.where(logy > 36.0, logy, np.log1p(np.exp(np.minimum(logy, 36.0))))
@@ -486,46 +390,99 @@ def ueps_energy_mass(
 
     Energy integrand |grad u|^p y^(p-N), mass integrand |u|^p y^(-N); both
     are bounded by (k^p resp. 1) times the envelope (y/A)^sigma / y^N with
-    A = (1+y)^2 + |x|^2, so the enveloped half-space path applies to each.
-    In sheared coordinates the mass integrand times the Jacobian is
-    exactly e^(eps log y) (1+y)^(N-1-2 sigma) (1+|v|^2)^(-sigma), and the
-    energy adds the gradient factor (1 - 4y/A)^(p/2) <= 1; both forms are
-    evaluated in log space so the e^(-eps tau) tail (tau up to ~16/eps)
-    never under- or overflows.  ``tol`` is relative to the analytic
-    envelope bound of each integral.
+    A = (1+y)^2 + |x|^2.  They are integrated in sheared-angular-
+    logarithmic coordinates: x = (1+y) v with v = tan(theta) compactifies
+    the horizontal plane exactly (power tails become cos^(2 sigma - 2)
+    theta near pi/2, no truncation error), and the vertical axis splits
+    at y = 1 into two logarithmic branches y = exp(+-tau), truncated where
+    the analytic tail bounds ~ e^(-eps tau) / e^(-sigma tau) fall below
+    the budget; the tails enter the error estimates.
+
+    There the mass integrand times the Jacobian is exactly the product of
+    an angular factor jac (1+|v|^2)^(-sigma) and a vertical factor
+    e^(eps log y) (1+y)^(N-1-2 sigma), and the energy multiplies it by
+    k^p G^(p/2) with the gradient factor G = 1 - 4y/A <= 1, where
+    4y/A = 4y (1+y)^(-2) / (1+|v|^2).  The vertical factors are evaluated
+    in log space, so the e^(-eps tau) tail (tau up to ~16/eps) never
+    under- or overflows.  Each branch is one cubature of both components;
+    the truncations, boxes and seed cells are the same for both because
+    the constant k^p cancels against the energy's scale.  ``tol`` is
+    relative to the analytic envelope bound of each integral.
     """
-    u = make_ueps(params, eps)
     N, p = params.N, params.p
+    if N not in (2, 3):
+        raise ValueError("the near-extremal family is integrated for N in {2, 3}")
+    if not (eps > 0.0):
+        raise ValueError(f"need eps > 0, got {eps}")
     k = (N - 1 + eps) / p
+    kp = k**p
     sigma = N - 1 + eps
+    vtot = _v_total(N, sigma)
+    # absolute tolerances; a quarter of each goes to each tail and branch
+    mass_tol = tol * envelope_total(N, sigma, 1.0)
+    energy_tol = tol * envelope_total(N, sigma, kp)
 
-    def mass_f(x1, rho, y):
-        return u.value(x1, rho, y) ** p / y**N
+    # vertical truncations (tau = -log y below 1, +log y above 1)
+    budget = mass_tol / 4.0
+    T_lo = max(8.0, math.log(max(vtot / (eps * budget), 2.0)) / eps)
+    lo_tail = vtot * math.exp(-eps * T_lo) / eps
+    T_up = max(8.0, math.log(max(vtot / (sigma * budget), 2.0)) / sigma)
+    up_tail = vtot * math.exp(-sigma * T_up) / sigma
 
-    def energy_f(x1, rho, y):
-        return u.gradient_norm(x1, rho, y) ** p * y ** (p - N)
+    # even in x1; for N = 3 also the two rho half-lines
+    mult = 2.0 if N == 2 else 2.0 * sphere_area(0)
+    half_pi = math.pi / 2.0
+    log4 = math.log(4.0)
+    c = kp ** (2.0 / p)  # (c G)^(p/2) = k^p G^(p/2)
+    vert_power = N - 1 - 2 * sigma
+    mass = energy = QuadResult(0.0, 0.0, 0)
+    for sign in (-1.0, +1.0):
+        T = T_lo if sign < 0 else T_up
 
-    def mass_sheared(v, w, logy):
-        S = 1.0 + v * v + w * w
-        return np.exp(eps * logy + (N - 1 - 2 * sigma) * _log1p_exp(logy)) * S**-sigma
+        def g(*axes, _sign=sign):
+            *thetas, tau = axes
+            cells = tau.shape[0]
+            S, jac = 1.0, mult
+            for th in thetas:
+                v = np.tan(th)
+                S = S + v * v
+                jac = jac / np.cos(th) ** 2
+            # angular factors (cells, 15^(N-1)), vertical ones (cells, 15)
+            inv_S = (1.0 / S).reshape(cells, -1)
+            ang = (jac * S**-sigma).reshape(cells, -1)
+            logy = _sign * tau.reshape(cells, 15)
+            log1p_y = _log1p_exp(logy)
+            vert = np.exp(eps * logy + vert_power * log1p_y)
+            # c 4y/(1+y)^2 <= c and 1/S <= 1 keep c G = c - c 4y/A >= 0
+            # in floating point, so no clamp is needed on the full grid
+            c_4y = c * np.minimum(np.exp(log4 + logy - 2.0 * log1p_y), 1.0)
+            m = np.einsum("ka,kb->kab", ang, vert)
+            e = np.einsum("ka,kb->kab", inv_S, c_4y)
+            np.subtract(c, e, out=e)
+            if p == 3.0:  # x^1.5 as x sqrt(x): half the cost of pow
+                e *= np.sqrt(e)
+            elif p != 2.0:
+                np.power(e, p / 2.0, out=e)
+            e *= m
+            full = (cells,) + (15,) * len(axes)
+            # mass first: components refine in order, as when the mass
+            # was integrated before the energy
+            return m.reshape(full), e.reshape(full)
 
-    def energy_sheared(v, w, logy):
-        S = 1.0 + v * v + w * w
-        grad2 = 1.0 - np.exp(math.log(4.0) + logy - 2.0 * _log1p_exp(logy)) / S
-        return k**p * np.maximum(grad2, 0.0) ** (p / 2.0) * mass_sheared(v, w, logy)
+        box = [(0.0, half_pi)] * (N - 1) + [(0.0, T)]
+        splits = [_angular_splits()] * (N - 1) + [geometric_splits(0.0, T, 1.0)]
+        m_res, e_res = integrate_cell_components(
+            g, box, [mass_tol / 4.0, energy_tol / 4.0], initial_splits=splits,
+            max_cells=40000,
+        )
+        mass, energy = mass + m_res, energy + e_res
 
-    mass_scale = envelope_total(N, sigma, 1.0)
-    mass = halfspace_integral(
-        params,
-        HalfSpaceIntegrand(mass_f, even_in_x1=True, envelope_sigma=sigma,
-                           envelope_const=1.0, sheared_log=mass_sheared),
-        tol * mass_scale,
-    )
-    energy_scale = envelope_total(N, sigma, k**p)
-    energy = halfspace_integral(
-        params,
-        HalfSpaceIntegrand(energy_f, even_in_x1=True, envelope_sigma=sigma,
-                           envelope_const=k**p, sheared_log=energy_sheared),
-        tol * energy_scale,
-    )
-    return energy, mass
+    def with_tails(res, const):
+        return QuadResult(
+            res.value,
+            res.error_estimate + const * lo_tail + const * up_tail,
+            res.subdivisions,
+            truncation_point=max(T_lo, T_up),
+        )
+
+    return with_tails(energy, kp), with_tails(mass, 1.0)

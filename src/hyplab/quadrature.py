@@ -16,7 +16,12 @@ Multidimensional integrals (dimension 2 or 3, used for the half-space
 model) run on tensor Gauss-Kronrod cells with the same embedded error
 estimate per axis and a worst-cell refinement loop.  Cells are evaluated
 in batches: one integrand call on per-axis node arrays and one matmul
-against the tensor weights per batch.
+against the tensor weights per batch.  Integrals over the same box share
+one pass: the integrand returns several components, the seed partition is
+evaluated once for all of them and kept in arrays, and only a component
+that misses its tolerance on the seeds builds a heap and refines.
+
+Every integrand is vectorized: it takes node arrays and returns arrays.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -38,6 +44,7 @@ __all__ = [
     "integrate_semi_infinite",
     "power_singular_integral",
     "integrate_cells",
+    "integrate_cell_components",
 ]
 
 
@@ -154,16 +161,6 @@ _WG = np.array(
 _GAUSS_IDX = np.arange(1, 15, 2)
 
 
-def _as_vectorized(f: Callable, vectorized: bool) -> Callable[[np.ndarray], np.ndarray]:
-    if vectorized:
-        return f
-
-    def wrapped(x: np.ndarray) -> np.ndarray:
-        return np.array([f(float(t)) for t in x], dtype=float)
-
-    return wrapped
-
-
 def _panel_estimates(fv: np.ndarray, half_widths: np.ndarray):
     """Kronrod value and |K15-G7| error for a batch of panels.
 
@@ -221,7 +218,6 @@ def integrate_interval(
     tol: float,
     singular_left: bool = False,
     breakpoints: Sequence[float] = (),
-    vectorized: bool = False,
     max_subdivisions: int = 4000,
     rel_tol: float = 0.0,
 ) -> QuadResult:
@@ -238,7 +234,6 @@ def integrate_interval(
     """
     if not (a < b):
         raise ValueError(f"need a < b, got [{a}, {b}]")
-    fv = _as_vectorized(f, vectorized)
     panels = _seed_panels(a, b, singular_left, breakpoints)
     lows = np.array([p[0] for p in panels])
     highs = np.array([p[1] for p in panels])
@@ -250,7 +245,7 @@ def integrate_interval(
         mids = 0.5 * (lo_arr + hi_arr)
         halfs = 0.5 * (hi_arr - lo_arr)
         nodes = mids[:, None] + halfs[:, None] * _XGK[None, :]
-        vals = fv(nodes.ravel()).reshape(nodes.shape)
+        vals = f(nodes.ravel()).reshape(nodes.shape)
         if not np.all(np.isfinite(vals)):
             bad = nodes.ravel()[~np.isfinite(vals.ravel())][0]
             raise QuadratureError(f"integrand not finite at x={bad!r}")
@@ -297,7 +292,6 @@ def integrate_semi_infinite(
     tail_bound: Callable[[float], float],
     initial_width: float = 1.0,
     singular_left: bool = False,
-    vectorized: bool = False,
     max_subdivisions: int = 4000,
     max_truncation: float = 1e6,
 ) -> QuadResult:
@@ -332,7 +326,6 @@ def integrate_semi_infinite(
         0.5 * tol,
         singular_left=singular_left,
         breakpoints=bps,
-        vectorized=vectorized,
         max_subdivisions=max_subdivisions,
     )
     return QuadResult(
@@ -349,7 +342,6 @@ def power_singular_integral(
     b: float,
     tol: float,
     g_at_zero: float | None = None,
-    vectorized: bool = False,
     rel_tol: float = 0.0,
 ) -> QuadResult:
     """Compute ``int_0^b r**(delta-1) g(r) dr`` for 0 < delta, g continuous at 0.
@@ -365,21 +357,19 @@ def power_singular_integral(
         raise NonIntegrableSingularity(f"power exponent delta={delta} must be > 0")
     if b <= 0:
         raise ValueError("b must be positive")
-    gv = _as_vectorized(g, vectorized)
     if g_at_zero is None:
-        g_at_zero = float(gv(np.array([0.0]))[0])
+        g_at_zero = float(g(np.array([0.0]))[0])
     lead = g_at_zero * b**delta / delta
 
     def integrand(t: np.ndarray) -> np.ndarray:
         r = b * np.exp(-t)
-        return b**delta * np.exp(-delta * t) * (gv(r) - g_at_zero)
+        return b**delta * np.exp(-delta * t) * (g(r) - g_at_zero)
 
     # g(r)-g(0) ~ g'(0) r, so the t-integrand decays like e^{-(1+delta)t}:
     # at T=45 the remainder is below 1e-19 of the local scale.
     T = 45.0
     rest = integrate_interval(
-        integrand, 0.0, T, tol + rel_tol * abs(lead), vectorized=True,
-        rel_tol=rel_tol,
+        integrand, 0.0, T, tol + rel_tol * abs(lead), rel_tol=rel_tol,
     )
     tail = abs(float(integrand(np.array([T]))[0])) / (1.0 + delta)
     return QuadResult(
@@ -423,13 +413,14 @@ def _cell_weights(d: int) -> np.ndarray:
 
 
 def _cell_rule(f: Callable, los: np.ndarray, his: np.ndarray):
-    """Tensor GK15 value, embedded error and worst axis of k boxes.
+    """Tensor GK15 values, embedded errors and worst axes of k boxes.
 
     ``los`` and ``his`` have shape (k, d).  The integrand is called once
     with one node array per axis, axis j of shape (k, 1, .., 15, .., 1)
-    with the 15 nodes in position j+1, and its result is broadcast to
-    (k, 15, ..., 15).  A box's error is the sum over axes of
-    |Gauss-on-that-axis - K15|; its worst axis is the largest term.
+    with the 15 nodes in position j+1, and returns a tuple of m
+    components, each broadcast to (k, 15, ..., 15).  A box's error is the
+    sum over axes of |Gauss-on-that-axis - K15|; its worst axis is the
+    largest term.  Returns three (m, k) arrays, one row per component.
     """
     k, d = los.shape
     mids = 0.5 * (los + his)
@@ -440,13 +431,144 @@ def _cell_rule(f: Callable, los: np.ndarray, his: np.ndarray):
         shape = [k] + [1] * d
         shape[j + 1] = 15
         axes.append(nodes[:, j].reshape(shape))
-    vals = np.asarray(f(*axes), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise QuadratureError("integrand not finite inside a cell")
-    vals = np.broadcast_to(vals, (k,) + (15,) * d).reshape(k, -1)
-    sums = (vals @ _cell_weights(d)) * np.prod(halfs, axis=1)[:, None]
-    errors = np.abs(sums[:, 1:] - sums[:, :1])
-    return sums[:, 0], errors.sum(axis=1), errors.argmax(axis=1)
+    outs = f(*axes)
+    full = (k,) + (15,) * d
+    weights = _cell_weights(d)
+    scale = np.prod(halfs, axis=1)[:, None]
+    values = np.empty((len(outs), k))
+    errors = np.empty((len(outs), k))
+    worst = np.empty((len(outs), k), dtype=np.intp)
+    for c, out in enumerate(outs):
+        vals = np.asarray(out, dtype=float)
+        if vals.shape != full:
+            vals = np.broadcast_to(vals, full)
+        # Every Kronrod tensor weight is positive, so a NaN or an infinity
+        # at any node makes that cell's K15 sum non-finite.
+        with np.errstate(invalid="ignore"):
+            sums = (vals.reshape(k, -1) @ weights) * scale
+        if not np.isfinite(sums[:, 0]).all():
+            raise QuadratureError("integrand not finite inside a cell")
+        errs = np.abs(sums[:, 1:] - sums[:, :1])
+        values[c] = sums[:, 0]
+        errors[c] = errs.sum(axis=1)
+        worst[c] = errs.argmax(axis=1)
+    return values, errors, worst
+
+
+def integrate_cell_components(
+    f: Callable,
+    box: Sequence[tuple[float, float]],
+    tols: Sequence[float],
+    initial_splits: Sequence[Sequence[float]] | None = None,
+    max_cells: int = 6000,
+    rel_tols: Sequence[float] | None = None,
+) -> list[QuadResult]:
+    """Adaptive tensor-product integration of m integrands over one box.
+
+    ``f`` is called on batches of cells with d per-axis node arrays that
+    broadcast against each other (see :func:`_cell_rule`) and returns a
+    tuple of m components, one per entry of ``tols``, each anything that
+    broadcasts to the common shape of the node arrays.  A factor that
+    depends on one axis only costs 15 evaluations per cell on that axis,
+    and factors shared by the components are evaluated once.
+    ``initial_splits`` optionally pre-partitions each axis (used to seed
+    geometric grading along semi-infinite mapped axes).
+
+    The seed partition is evaluated once for all components and kept in
+    arrays.  A component whose seed error already meets
+    ``tols[c] + rel_tols[c] * |integral|`` is returned as it stands.  The
+    others are refined one at a time, in order: the worst cell is split on
+    its worst axis (all components are evaluated on the two children, the
+    one being refined is kept) until the component meets its tolerance.
+    Each result is therefore the one a single-component call on the same
+    expression gives.  Raises :class:`ToleranceNotAchieved` for the first
+    component that exhausts ``max_cells``.
+    """
+    d = len(box)
+    if d < 1 or d > 3:
+        raise ValueError("integrate_cells supports dimensions 1..3")
+    if rel_tols is None:
+        rel_tols = [0.0] * len(tols)
+    edges = []
+    for i, (lo, hi) in enumerate(box):
+        if not lo < hi:
+            raise ValueError(f"axis {i}: need lo < hi, got ({lo}, {hi})")
+        cuts = [lo, hi]
+        if initial_splits is not None:
+            cuts.extend(c for c in initial_splits[i] if lo < c < hi)
+        edges.append(sorted(set(cuts)))
+
+    intervals = [list(zip(cuts[:-1], cuts[1:])) for cuts in edges]
+    seed = np.array(list(itertools.product(*intervals)))  # (cells, d, 2)
+    los, his = seed[:, :, 0], seed[:, :, 1]
+    chunk = _CELL_CHUNK_NODES // 15**d
+    parts = [_cell_rule(f, los[s:s + chunk], his[s:s + chunk])
+             for s in range(0, len(seed), chunk)]
+    values, errors, worst = (np.concatenate(a, axis=1) for a in zip(*parts))
+    if len(values) != len(tols):
+        raise ValueError(f"integrand returned {len(values)} components "
+                         f"for {len(tols)} tolerances")
+    results = []
+    for c, (tol, rel_tol) in enumerate(zip(tols, rel_tols)):
+        # fsum is correctly rounded: the exact seed sums, rounded once.
+        value, error = math.fsum(values[c]), math.fsum(errors[c])
+        if error <= tol + rel_tol * abs(value):
+            results.append(QuadResult(value, error, len(seed)))
+        else:
+            results.append(_refine_component(
+                f, c, los, his, values[c], errors[c], worst[c],
+                tol, rel_tol, max_cells,
+            ))
+    return results
+
+
+def _refine_component(f, c, los, his, values, errors, worst, tol, rel_tol,
+                      max_cells) -> QuadResult:
+    """Worst-cell refinement of component ``c`` from its seed arrays."""
+    # Heap entries: (-error, serial, los, his, value, error, worst axis).
+    heap = [(-e, serial, tuple(lo), tuple(hi), v, e, ax)
+            for serial, (lo, hi, v, e, ax) in enumerate(zip(
+                los.tolist(), his.tolist(), values.tolist(), errors.tolist(),
+                worst.tolist()))]
+    heapq.heapify(heap)
+    serials = itertools.count(len(heap))
+    # exact sums over the heap, in units of 2**-1074
+    total = sum(_fixed(item[4]) for item in heap)
+    err = sum(_fixed(item[5]) for item in heap)
+    n_cells = len(heap)
+    while True:
+        value, error = total / _FIXED_ONE, err / _FIXED_ONE
+        if error <= tol + rel_tol * abs(value):
+            return QuadResult(value, error, n_cells)
+        if n_cells >= max_cells:
+            best = QuadResult(value, error, n_cells)
+            raise ToleranceNotAchieved(
+                f"cell budget exhausted: error {error:.3e} > tol {tol:.3e}", best
+            )
+        _, serial, lo_t, hi_t, v, e, ax = heapq.heappop(heap)
+        lo, hi = lo_t[ax], hi_t[ax]
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            # Width at rounding floor: keep the cell, drop its error.
+            heapq.heappush(heap, (0.0, serial, lo_t, hi_t, v, 0.0, ax))
+            err -= _fixed(e)
+            continue
+        total -= _fixed(v)
+        err -= _fixed(e)
+        child_los = np.array([lo_t, lo_t])
+        child_his = np.array([hi_t, hi_t])
+        child_his[0, ax] = mid
+        child_los[1, ax] = mid
+        cv, ce, cw = _cell_rule(f, child_los, child_his)
+        for clo, chi, cval, cerr, cax in zip(
+            child_los.tolist(), child_his.tolist(), cv[c].tolist(),
+            ce[c].tolist(), cw[c].tolist(),
+        ):
+            heapq.heappush(heap, (-cerr, next(serials), tuple(clo), tuple(chi),
+                                  cval, cerr, cax))
+            total += _fixed(cval)
+            err += _fixed(cerr)
+        n_cells += 2
 
 
 def integrate_cells(
@@ -466,66 +588,12 @@ def integrate_cells(
     ``initial_splits`` optionally pre-partitions each axis (used to seed
     geometric grading along semi-infinite mapped axes).  Refinement
     splits the worst cell on its worst axis until
-    error <= tol + rel_tol * |integral|.
+    error <= tol + rel_tol * |integral|.  The single-component case of
+    :func:`integrate_cell_components`.
     """
-    d = len(box)
-    if d < 1 or d > 3:
-        raise ValueError("integrate_cells supports dimensions 1..3")
-    edges = []
-    for i, (lo, hi) in enumerate(box):
-        if not lo < hi:
-            raise ValueError(f"axis {i}: need lo < hi, got ({lo}, {hi})")
-        cuts = [lo, hi]
-        if initial_splits is not None:
-            cuts.extend(c for c in initial_splits[i] if lo < c < hi)
-        edges.append(sorted(set(cuts)))
-
-    # Heap entries: (-error, serial, los, his, value, error, worst axis).
-    heap: list[tuple] = []
-    serials = itertools.count()
-    total = err = 0  # exact sums over the heap, in units of 2**-1074
-    n_cells = 0
-
-    def push(los, his):
-        nonlocal total, err, n_cells
-        values, errors, worst = _cell_rule(f, los, his)
-        for lo, hi, v, e, ax in zip(los.tolist(), his.tolist(), values.tolist(),
-                                    errors.tolist(), worst.tolist()):
-            heapq.heappush(heap, (-e, next(serials), tuple(lo), tuple(hi), v, e, ax))
-            total += _fixed(v)
-            err += _fixed(e)
-        n_cells += len(los)
-
-    intervals = [list(zip(cuts[:-1], cuts[1:])) for cuts in edges]
-    seed = np.array(list(itertools.product(*intervals)))  # (cells, d, 2)
-    chunk = _CELL_CHUNK_NODES // 15**d
-    for start in range(0, len(seed), chunk):
-        part = seed[start:start + chunk]
-        push(part[:, :, 0], part[:, :, 1])
-    while True:
-        value, error = total / _FIXED_ONE, err / _FIXED_ONE
-        if error <= tol + rel_tol * abs(value):
-            return QuadResult(value, error, n_cells)
-        if n_cells >= max_cells:
-            best = QuadResult(value, error, n_cells)
-            raise ToleranceNotAchieved(
-                f"cell budget exhausted: error {error:.3e} > tol {tol:.3e}", best
-            )
-        _, serial, los, his, v, e, ax = heapq.heappop(heap)
-        lo, hi = los[ax], his[ax]
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            # Width at rounding floor: keep the cell, drop its error.
-            heapq.heappush(heap, (0.0, serial, los, his, v, 0.0, ax))
-            err -= _fixed(e)
-            continue
-        total -= _fixed(v)
-        err -= _fixed(e)
-        child_los = np.array([los, los])
-        child_his = np.array([his, his])
-        child_his[0, ax] = mid
-        child_los[1, ax] = mid
-        push(child_los, child_his)
+    return integrate_cell_components(
+        lambda *xs: (f(*xs),), box, [tol], initial_splits, max_cells, [rel_tol]
+    )[0]
 
 
 def geometric_splits(lo: float, hi: float, scale: float) -> list[float]:

@@ -74,17 +74,12 @@ class HalfSpaceFunction:
 
     ``gradient_norm`` is |grad u| in flat coordinates.  ``support`` is a
     compact box ((x1_lo, x1_hi), (rho_lo, rho_hi), (y_lo, y_hi)) or None
-    for functions with unbounded support, in which case ``decay_envelope``
-    = (rate, constant) describes the |u|^p y^{-N} volume-integrand decay
-    e^{-rate * t} along the logarithmic vertical axis t = |log y| used by
-    the tail bounds.
+    for functions with unbounded support.
     """
 
     value: Callable
     gradient_norm: Callable
     support: tuple[tuple[float, float], tuple[float, float], tuple[float, float]] | None
-    decay_envelope: tuple[float, float] | None = None
-    even_in_x1: bool = False
     label: str = "halfspace"
 
     def __call__(self, x1, rho, y):
@@ -252,6 +247,5 @@ def make_ueps(params, eps: float) -> HalfSpaceFunction:
 
     return HalfSpaceFunction(
         value, gradient_norm, support=None,
-        decay_envelope=(eps, 1.0), even_in_x1=True,
         label=f"ueps[N={params.N},p={params.p:g},eps={eps:g}]",
     )

@@ -394,7 +394,7 @@ def _hardy1d_upper(p: float, l: float, eps: float, delta: float) -> float:
             return np.ones_like(r)
         return (2.0 - r) ** (p - l) * coth(r) ** (p - l)
 
-    c = integrate_interval(ramp, 1.0, 2.0, 1e-12, vectorized=True).value
+    c = integrate_interval(ramp, 1.0, 2.0, 1e-12).value
     return ((p - 1.0 + delta) / p) ** l * math.cosh(eps) ** (
         p - l
     ) + c * delta * eps ** (p - 1.0)

@@ -158,6 +158,14 @@ GOLDEN_RUNS["sharpness_pgap_N2_p2.json"] = [
     "sharpness", "--kind", "pgap", "--N", "2", "--p", "2",
     "--schedule", "0.1", "0.01",
 ]
+GOLDEN_RUNS["sharpness_pgap_N3_p3.json"] = [
+    "sharpness", "--kind", "pgap", "--N", "3", "--p", "3",
+    "--schedule", "0.1", "0.01",
+]
+GOLDEN_RUNS["sharpness_hardy1d_N3_p3.json"] = [
+    "sharpness", "--kind", "hardy1d", "--N", "3", "--p", "3", "--l", "2",
+    "--schedule", "0.001", "--delta", "0.001",
+]
 GOLDEN_RUNS["weights_N13_p4.json"] = ["weights", "--N", "13", "--p", "4"]
 
 

@@ -140,7 +140,6 @@ class TestHardy1D:
 
         direct = integrate_interval(
             lambda r: np.abs(v.derivative(r)) ** p, 0.5, 2.0, 0.0, rel_tol=1e-11,
-            vectorized=True,
         )
         assert lhs.value == pytest.approx(direct.value, rel=1e-9)
 
@@ -188,6 +187,11 @@ class TestHalfSpace:
             depends_reduced=False,
         )
         with pytest.raises(ValueError):
+            halfspace_integral(Params(3, 2.0), f, 1e-8)
+
+    def test_unbounded_support_rejected(self):
+        f = HalfSpaceIntegrand(lambda x1, rho, y: np.ones_like(x1))
+        with pytest.raises(ValueError, match="compact support"):
             halfspace_integral(Params(3, 2.0), f, 1e-8)
 
     def test_mass_of_decaying_family_matches_beta_closed_form(self):

@@ -11,6 +11,7 @@ from hyplab.quadrature import (
     QuadratureError,
     QuadResult,
     ToleranceNotAchieved,
+    integrate_cell_components,
     integrate_cells,
     integrate_interval,
     integrate_semi_infinite,
@@ -19,20 +20,20 @@ from hyplab.quadrature import (
 
 
 def test_constant_one():
-    r = integrate_interval(lambda x: np.ones_like(x), 0.0, 1.0, 1e-12, vectorized=True)
+    r = integrate_interval(lambda x: np.ones_like(x), 0.0, 1.0, 1e-12)
     assert abs(r.value - 1.0) <= r.error_estimate + 1e-15
 
 
 def test_inverse_sinh_squared():
     # antiderivative of (sinh s)^-2 is -coth s
-    r = integrate_interval(lambda s: np.sinh(s) ** -2.0, 1.0, 2.0, 1e-12, vectorized=True)
+    r = integrate_interval(lambda s: np.sinh(s) ** -2.0, 1.0, 2.0, 1e-12)
     exact = 1.0 / math.tanh(1.0) - 1.0 / math.tanh(2.0)
     assert exact == pytest.approx(0.2757205647717833, abs=1e-12)
     assert abs(r.value - exact) <= max(r.error_estimate, 1e-14)
 
 
 def test_sinh_volume_element():
-    r = integrate_interval(np.sinh, 0.0, 1.0, 1e-12, vectorized=True)
+    r = integrate_interval(np.sinh, 0.0, 1.0, 1e-12)
     assert abs(r.value - (math.cosh(1.0) - 1.0)) < 1e-13
     assert r.value == pytest.approx(0.5430806348152437, abs=1e-12)
 
@@ -41,10 +42,10 @@ def test_linearity_within_summed_errors():
     f = lambda x: np.exp(-x)
     g = lambda x: np.cos(x)
     a, b = 0.0, 3.0
-    rf = integrate_interval(f, a, b, 1e-11, vectorized=True)
-    rg = integrate_interval(g, a, b, 1e-11, vectorized=True)
+    rf = integrate_interval(f, a, b, 1e-11)
+    rg = integrate_interval(g, a, b, 1e-11)
     rc = integrate_interval(
-        lambda x: 2.5 * f(x) - 1.5 * g(x), a, b, 1e-11, vectorized=True
+        lambda x: 2.5 * f(x) - 1.5 * g(x), a, b, 1e-11
     )
     lhs = rc.value
     rhs = 2.5 * rf.value - 1.5 * rg.value
@@ -54,11 +55,10 @@ def test_linearity_within_summed_errors():
 def test_refinement_tightens_toward_oracle():
     # halving the tolerance never worsens the error beyond the floating floor
     f = lambda x: np.sqrt(x) * np.exp(x)
-    oracle = integrate_interval(f, 0.0, 1.0, 1e-14, singular_left=True,
-                                vectorized=True).value
+    oracle = integrate_interval(f, 0.0, 1.0, 1e-14, singular_left=True).value
     prev = None
     for tol in (1e-4, 1e-6, 1e-8, 1e-10):
-        r = integrate_interval(f, 0.0, 1.0, tol, singular_left=True, vectorized=True)
+        r = integrate_interval(f, 0.0, 1.0, tol, singular_left=True)
         err = abs(r.value - oracle)
         assert err <= r.error_estimate + 1e-14
         if prev is not None:
@@ -68,15 +68,15 @@ def test_refinement_tightens_toward_oracle():
 
 def test_error_estimate_bounds_true_error():
     f = lambda x: np.sin(7 * x) ** 2 / (1 + x * x)
-    exact = integrate_interval(f, 0.0, 4.0, 1e-14, vectorized=True)
-    r = integrate_interval(f, 0.0, 4.0, 1e-6, vectorized=True)
+    exact = integrate_interval(f, 0.0, 4.0, 1e-14)
+    r = integrate_interval(f, 0.0, 4.0, 1e-6)
     assert abs(r.value - exact.value) <= r.error_estimate + 1e-13
 
 
 def test_budget_exhaustion_carries_best_value():
     f = lambda x: 1.0 / np.sqrt(np.abs(x - 0.31831) + 1e-300)
     with pytest.raises(ToleranceNotAchieved) as exc:
-        integrate_interval(f, 0.0, 1.0, 1e-13, vectorized=True, max_subdivisions=40)
+        integrate_interval(f, 0.0, 1.0, 1e-13, max_subdivisions=40)
     best = exc.value.result
     assert best.error_estimate > 1e-13
     assert best.value > 0
@@ -84,7 +84,7 @@ def test_budget_exhaustion_carries_best_value():
 
 def test_breakpoints_split_kinks_exactly():
     f = lambda x: np.abs(x - 0.5)
-    r = integrate_interval(f, 0.0, 1.0, 1e-14, breakpoints=[0.5], vectorized=True)
+    r = integrate_interval(f, 0.0, 1.0, 1e-14, breakpoints=[0.5])
     assert abs(r.value - 0.25) < 1e-14
 
 
@@ -93,7 +93,6 @@ def test_semi_infinite_exponential_tail():
     r = integrate_semi_infinite(
         lambda s: np.exp(-lam * s), 0.5, 1e-12,
         tail_bound=lambda T: math.exp(-lam * T) / lam,
-        vectorized=True,
     )
     exact = math.exp(-lam * 0.5) / lam
     assert abs(r.value - exact) <= r.error_estimate
@@ -106,7 +105,6 @@ class TestPowerSingular:
         for delta in (0.5, 0.05, 1e-3):
             r = power_singular_integral(
                 lambda x: np.ones_like(x), delta, 1.0, 0.0, rel_tol=1e-12,
-                vectorized=True,
             )
             assert r.value == pytest.approx(1.0 / delta, rel=1e-11)
 
@@ -114,13 +112,12 @@ class TestPowerSingular:
         # int_0^1 r^(delta-1) e^r dr via series oracle sum 1/(k!(delta+k))
         delta = 1e-3
         oracle = sum(1.0 / (math.factorial(k) * (delta + k)) for k in range(40))
-        r = power_singular_integral(np.exp, delta, 1.0, 0.0, rel_tol=1e-12,
-                                    vectorized=True)
+        r = power_singular_integral(np.exp, delta, 1.0, 0.0, rel_tol=1e-12)
         assert r.value == pytest.approx(oracle, rel=1e-10)
 
     def test_rejects_nonintegrable(self):
         with pytest.raises(NonIntegrableSingularity):
-            power_singular_integral(np.exp, -0.2, 1.0, 1e-8, vectorized=True)
+            power_singular_integral(np.exp, -0.2, 1.0, 1e-8)
 
     def test_graded_panels_cannot_do_this(self):
         # documents why the substitution exists: with delta = 1e-3 the
@@ -187,7 +184,9 @@ class TestCells:
         los = rng.uniform(-1.0, 0.5, (7, d))
         his = los + rng.uniform(0.1, 1.5, (7, d))
         f = _CELL_INTEGRANDS[d]
-        values, errors, worst = quadrature._cell_rule(f, los, his)
+        values, errors, worst = (
+            a[0] for a in quadrature._cell_rule(lambda *xs: (f(*xs),), los, his)
+        )
         for i in range(len(los)):
             k15, err, ax = _reference_cell(f, los[i], his[i])
             assert values[i] == pytest.approx(k15, rel=1e-13, abs=0.0)
@@ -243,6 +242,117 @@ class TestCells:
         assert best.subdivisions >= 30
         assert best.error_estimate > 1e-13
         assert best.value > 0
+
+    # Two integrands over one seeded box: the first stops on its 4 * 4 * 3
+    # seed cells, the second has a near-pole and must refine.
+    _BOX = [(0.0, 1.0), (0.0, 2.0), (-1.0, 1.0)]
+    _SPLITS = [[0.25, 0.5, 0.75], [0.5, 1.0, 1.5], [-1.0 / 3.0, 1.0 / 3.0]]
+
+    @staticmethod
+    def _smooth(x, y, z):
+        return np.exp(-x * y) * np.cos(z)
+
+    @staticmethod
+    def _peaked(x, y, z):
+        return 1.0 / (0.02 + (x - 0.3) ** 2 + (y - 1.0) ** 2 + z * z)
+
+    def test_components_match_scalar_calls(self):
+        both = lambda *xs: (self._smooth(*xs), self._peaked(*xs))
+        runs = []
+        for tols, rel_tols in (([1e-4, 1e-9], [0.0, 0.0]), ([0.0, 0.0], [1e-6, 1e-10])):
+            results = integrate_cell_components(
+                both, self._BOX, tols, initial_splits=self._SPLITS,
+                rel_tols=rel_tols,
+            )
+            scalars = [
+                integrate_cells(f, self._BOX, tol, initial_splits=self._SPLITS,
+                                rel_tol=rel_tol)
+                for f, tol, rel_tol in zip((self._smooth, self._peaked), tols, rel_tols)
+            ]
+            assert results == scalars  # value, error and cells, bit for bit
+            assert results[0].subdivisions == 48 < results[1].subdivisions
+            runs.append(results)
+        # the order of the components does not matter
+        swapped = integrate_cell_components(
+            lambda *xs: (self._peaked(*xs), self._smooth(*xs)), self._BOX,
+            [1e-9, 1e-4], initial_splits=self._SPLITS,
+        )
+        assert swapped == runs[0][::-1]
+
+    def test_seed_stop_agrees_with_exact_integer_sum(self):
+        # fsum is correctly rounded, so it equals the exact sum in units of
+        # 2**-1074 divided once, even with heavy cancellation
+        rng = np.random.default_rng(5)
+        xs = rng.standard_normal(400) * 10.0 ** rng.integers(-300, 300, 400)
+        xs = np.concatenate([xs, -xs[:200], [1e-300, 5e-324]])
+        exact = sum(quadrature._fixed(x) for x in xs.tolist())
+        assert math.fsum(xs) == exact / quadrature._FIXED_ONE
+        # 400 seed cells of alternating sign that nearly cancel: the result
+        # is the exact sum of the cell values, rounded once
+        wave = lambda x: 1e20 * np.sin(400.0 * np.pi * x) + x
+        cuts = np.linspace(0.0, 1.0, 401)
+        r = integrate_cells(wave, [(0.0, 1.0)], math.inf, initial_splits=[cuts])
+        values, errors, _ = quadrature._cell_rule(
+            lambda x: (wave(x),), cuts[:-1, None], cuts[1:, None])
+        assert r.subdivisions == 400
+        for got, cells in ((r.value, values[0]), (r.error_estimate, errors[0])):
+            exact = sum(quadrature._fixed(v) for v in cells.tolist())
+            assert got == exact / quadrature._FIXED_ONE
+        # a tolerance equal to the seed error stops on the seeds; the next
+        # double below it refines, and the exact sums then decide
+        f = lambda x, y, z: (self._smooth(x, y, z), self._peaked(x, y, z))
+        seed = integrate_cell_components(f, self._BOX, [math.inf, math.inf],
+                                         initial_splits=self._SPLITS)
+        for c, r in enumerate(seed):
+            tols = [math.inf, math.inf]
+            tols[c] = r.error_estimate
+            assert integrate_cell_components(
+                f, self._BOX, tols, initial_splits=self._SPLITS)[c] == r
+            tols[c] = math.nextafter(r.error_estimate, 0.0)
+            try:
+                refined = integrate_cell_components(
+                    f, self._BOX, tols, initial_splits=self._SPLITS,
+                    max_cells=50)[c]
+            except ToleranceNotAchieved as exc:
+                refined = exc.result
+            assert refined.subdivisions == 50
+
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_non_finite_value_in_any_component_raises(self, bad):
+        def f(x, y):
+            good = x * y
+            pole = np.where((x > 0.8) & (y > 0.8), np.nan if bad else np.inf, good)
+            return (pole, good) if bad == 0 else (good, pole)
+
+        with pytest.raises(QuadratureError, match="not finite"):
+            integrate_cell_components(
+                f, [(0.0, 1.0), (0.0, 1.0)], [1.0, 1.0],
+                initial_splits=[[0.25, 0.5, 0.75], [0.25, 0.5, 0.75]],
+            )
+
+    def test_component_count_must_match_tolerances(self):
+        with pytest.raises(ValueError, match="components"):
+            integrate_cell_components(lambda x, y: (x, y), [(0.0, 1.0)] * 2, [1e-8])
+
+    def test_budget_exhaustion_reports_first_exhausted_component(self):
+        hard = lambda x, y: 1.0 / np.sqrt(np.abs(x - 0.31831) + np.abs(y - 0.4142)
+                                          + 1e-300)
+        harder = lambda x, y: hard(x, y) ** 1.5
+        easy = lambda x, y: np.exp(x + y)
+        box = [(0.0, 1.0), (0.0, 1.0)]
+        with pytest.raises(ToleranceNotAchieved) as scalar:
+            integrate_cells(harder, box, 1e-13, max_cells=30)
+        # the first component stops, the second exhausts
+        with pytest.raises(ToleranceNotAchieved) as exc:
+            integrate_cell_components(lambda x, y: (easy(x, y), harder(x, y)),
+                                      box, [1e-6, 1e-13], max_cells=30)
+        assert exc.value.result == scalar.value.result
+        assert exc.value.result.subdivisions >= 30
+        # both would exhaust: the first one in order is reported
+        with pytest.raises(ToleranceNotAchieved) as exc:
+            integrate_cell_components(lambda x, y: (harder(x, y), hard(x, y)),
+                                      box, [1e-13, 1e-13], max_cells=30)
+        assert exc.value.result == scalar.value.result
 
 
 def test_quadresult_validates_error_sign():
