@@ -310,7 +310,7 @@ class HalfSpaceIntegrand:
     """
 
     func: Callable
-    support: tuple | None = None
+    support: tuple
     depends_reduced: bool = True
 
 
@@ -327,8 +327,6 @@ def halfspace_integral(
         raise ValueError(
             "integrand must depend only on the reduced coordinates (x1, rho, y)"
         )
-    if f.support is None:
-        raise ValueError("half-space integrals need a compact support")
     return _halfspace_compact(params, f, tol)
 
 
@@ -439,7 +437,7 @@ def ueps_energy_mass(
     for sign in (-1.0, +1.0):
         T = T_lo if sign < 0 else T_up
 
-        def g(*axes, _sign=sign):
+        def g(*axes, component, _sign=sign):
             *thetas, tau = axes
             cells = tau.shape[0]
             S, jac = 1.0, mult
@@ -453,18 +451,19 @@ def ueps_energy_mass(
             logy = _sign * tau.reshape(cells, 15)
             log1p_y = _log1p_exp(logy)
             vert = np.exp(eps * logy + vert_power * log1p_y)
+            full = (cells,) + (15,) * len(axes)
+            m = np.einsum("ka,kb->kab", ang, vert)
+            if component == 0:
+                return (m.reshape(full),)
             # c 4y/(1+y)^2 <= c and 1/S <= 1 keep c G = c - c 4y/A >= 0
             # in floating point, so no clamp is needed on the full grid
             c_4y = c * np.minimum(np.exp(log4 + logy - 2.0 * log1p_y), 1.0)
-            m = np.einsum("ka,kb->kab", ang, vert)
             e = np.einsum("ka,kb->kab", inv_S, c_4y)
             np.subtract(c, e, out=e)
-            if p == 3.0:  # x^1.5 as x sqrt(x): half the cost of pow
-                e *= np.sqrt(e)
-            elif p != 2.0:
-                np.power(e, p / 2.0, out=e)
+            np.power(e, p / 2.0, out=e)
             e *= m
-            full = (cells,) + (15,) * len(axes)
+            if component == 1:
+                return (e.reshape(full),)
             # mass first: components refine in order, as when the mass
             # was integrated before the energy
             return m.reshape(full), e.reshape(full)

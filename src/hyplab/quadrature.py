@@ -412,15 +412,19 @@ def _cell_weights(d: int) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _cell_rule(f: Callable, los: np.ndarray, his: np.ndarray):
+def _cell_rule(f: Callable, los: np.ndarray, his: np.ndarray,
+               component: int | None = None):
     """Tensor GK15 values, embedded errors and worst axes of k boxes.
 
     ``los`` and ``his`` have shape (k, d).  The integrand is called once
     with one node array per axis, axis j of shape (k, 1, .., 15, .., 1)
-    with the 15 nodes in position j+1, and returns a tuple of m
-    components, each broadcast to (k, 15, ..., 15).  A box's error is the
-    sum over axes of |Gauss-on-that-axis - K15|; its worst axis is the
-    largest term.  Returns three (m, k) arrays, one row per component.
+    with the 15 nodes in position j+1, and the keyword ``component``.  It
+    returns a tuple of components, each broadcast to (k, 15, ..., 15):
+    all m of them for ``component=None``, only component c for
+    ``component=c``.  A box's error is the sum over axes of
+    |Gauss-on-that-axis - K15|; its worst axis is the largest term.
+    Returns three arrays with one row per returned component and one
+    column per box.
     """
     k, d = los.shape
     mids = 0.5 * (los + his)
@@ -431,7 +435,7 @@ def _cell_rule(f: Callable, los: np.ndarray, his: np.ndarray):
         shape = [k] + [1] * d
         shape[j + 1] = 15
         axes.append(nodes[:, j].reshape(shape))
-    outs = f(*axes)
+    outs = f(*axes, component=component)
     full = (k,) + (15,) * d
     weights = _cell_weights(d)
     scale = np.prod(halfs, axis=1)[:, None]
@@ -466,9 +470,11 @@ def integrate_cell_components(
     """Adaptive tensor-product integration of m integrands over one box.
 
     ``f`` is called on batches of cells with d per-axis node arrays that
-    broadcast against each other (see :func:`_cell_rule`) and returns a
-    tuple of m components, one per entry of ``tols``, each anything that
-    broadcasts to the common shape of the node arrays.  A factor that
+    broadcast against each other and the keyword ``component`` (see
+    :func:`_cell_rule`).  For ``component=None`` it returns a tuple of m
+    components, one per entry of ``tols``, each anything that broadcasts
+    to the common shape of the node arrays; for ``component=c`` it
+    returns the 1-tuple of component c.  A factor that
     depends on one axis only costs 15 evaluations per cell on that axis,
     and factors shared by the components are evaluated once.
     ``initial_splits`` optionally pre-partitions each axis (used to seed
@@ -478,8 +484,8 @@ def integrate_cell_components(
     arrays.  A component whose seed error already meets
     ``tols[c] + rel_tols[c] * |integral|`` is returned as it stands.  The
     others are refined one at a time, in order: the worst cell is split on
-    its worst axis (all components are evaluated on the two children, the
-    one being refined is kept) until the component meets its tolerance.
+    its worst axis (only that component is evaluated on the two children)
+    until the component meets its tolerance.
     Each result is therefore the one a single-component call on the same
     expression gives.  Raises :class:`ToleranceNotAchieved` for the first
     component that exhausts ``max_cells``.
@@ -559,10 +565,10 @@ def _refine_component(f, c, los, his, values, errors, worst, tol, rel_tol,
         child_his = np.array([hi_t, hi_t])
         child_his[0, ax] = mid
         child_los[1, ax] = mid
-        cv, ce, cw = _cell_rule(f, child_los, child_his)
+        (cv,), (ce,), (cw,) = _cell_rule(f, child_los, child_his, c)
         for clo, chi, cval, cerr, cax in zip(
-            child_los.tolist(), child_his.tolist(), cv[c].tolist(),
-            ce[c].tolist(), cw[c].tolist(),
+            child_los.tolist(), child_his.tolist(), cv.tolist(), ce.tolist(),
+            cw.tolist(),
         ):
             heapq.heappush(heap, (-cerr, next(serials), tuple(clo), tuple(chi),
                                   cval, cerr, cax))
@@ -592,7 +598,8 @@ def integrate_cells(
     :func:`integrate_cell_components`.
     """
     return integrate_cell_components(
-        lambda *xs: (f(*xs),), box, [tol], initial_splits, max_cells, [rel_tol]
+        lambda *xs, component: (f(*xs),), box, [tol], initial_splits, max_cells,
+        [rel_tol],
     )[0]
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hyplab import integrals
 from hyplab.core import Params
 from hyplab.integrals import (
     HalfSpaceIntegrand,
@@ -16,7 +17,7 @@ from hyplab.integrals import (
     radial_weighted_mass,
     ueps_energy_mass,
 )
-from hyplab.quadrature import NonIntegrableSingularity
+from hyplab.quadrature import NonIntegrableSingularity, integrate_cell_components
 from hyplab.testfun import make_bump, make_veps
 
 
@@ -189,11 +190,6 @@ class TestHalfSpace:
         with pytest.raises(ValueError):
             halfspace_integral(Params(3, 2.0), f, 1e-8)
 
-    def test_unbounded_support_rejected(self):
-        f = HalfSpaceIntegrand(lambda x1, rho, y: np.ones_like(x1))
-        with pytest.raises(ValueError, match="compact support"):
-            halfspace_integral(Params(3, 2.0), f, 1e-8)
-
     def test_mass_of_decaying_family_matches_beta_closed_form(self):
         # int (y/A)^sigma y^-N dx dy has an exact Beta-function value
         for N, p, eps in [(2, 2.0, 0.1), (2, 2.0, 1e-3), (3, 3.0, 1e-2)]:
@@ -208,6 +204,30 @@ class TestHalfSpace:
             exact = xint * yint
             assert mass.value == pytest.approx(exact, rel=3e-5)
             assert abs(mass.value - exact) <= 2.0 * mass.error_estimate
+
+    @pytest.mark.parametrize("eps, tol, counts", [
+        (0.1, 1e-5, [[1521, 1521], [676, 676]]),
+        (0.01, 1e-5, [[2028, 2028], [676, 676]]),
+        (0.001, 1e-5, [[2535, 2535], [676, 676]]),
+        (0.1, 1e-10, [[1619, 1637], [845, 845]]),
+    ])
+    def test_near_extremal_cell_counts(self, monkeypatch, eps, tol, counts):
+        # [mass, energy] cells of the lower (y < 1) and upper vertical
+        # branch at (3, 3), as the separate mass and energy cubatures
+        # subdivided before they shared nodes: 13 * 13 * n seed cells,
+        # refined only in the lower branch at tol 1e-10
+        seen = []
+
+        def recording(*args, **kwargs):
+            results = integrate_cell_components(*args, **kwargs)
+            seen.append([r.subdivisions for r in results])
+            return results
+
+        monkeypatch.setattr(integrals, "integrate_cell_components", recording)
+        energy, mass = ueps_energy_mass(Params(3, 3.0), eps, tol)
+        assert seen == counts
+        assert mass.subdivisions == counts[0][0] + counts[1][0]
+        assert energy.subdivisions == counts[0][1] + counts[1][1]
 
     def test_quotient_matches_radial_oracle(self):
         # the family is radial: quotient = k^p <tanh^p(r/2)> via 1D integrals

@@ -158,6 +158,15 @@ _CELL_INTEGRANDS = {
 }
 
 
+def _components(*fs):
+    """A cell integrand whose components are the scalar integrands ``fs``."""
+    def f(*xs, component):
+        if component is None:
+            return tuple(g(*xs) for g in fs)
+        return (fs[component](*xs),)
+    return f
+
+
 class TestCells:
     def test_2d_product(self):
         r = integrate_cells(
@@ -185,7 +194,7 @@ class TestCells:
         his = los + rng.uniform(0.1, 1.5, (7, d))
         f = _CELL_INTEGRANDS[d]
         values, errors, worst = (
-            a[0] for a in quadrature._cell_rule(lambda *xs: (f(*xs),), los, his)
+            a[0] for a in quadrature._cell_rule(_components(f), los, his)
         )
         for i in range(len(los)):
             k15, err, ax = _reference_cell(f, los[i], his[i])
@@ -257,7 +266,7 @@ class TestCells:
         return 1.0 / (0.02 + (x - 0.3) ** 2 + (y - 1.0) ** 2 + z * z)
 
     def test_components_match_scalar_calls(self):
-        both = lambda *xs: (self._smooth(*xs), self._peaked(*xs))
+        both = _components(self._smooth, self._peaked)
         runs = []
         for tols, rel_tols in (([1e-4, 1e-9], [0.0, 0.0]), ([0.0, 0.0], [1e-6, 1e-10])):
             results = integrate_cell_components(
@@ -274,10 +283,34 @@ class TestCells:
             runs.append(results)
         # the order of the components does not matter
         swapped = integrate_cell_components(
-            lambda *xs: (self._peaked(*xs), self._smooth(*xs)), self._BOX,
+            _components(self._peaked, self._smooth), self._BOX,
             [1e-9, 1e-4], initial_splits=self._SPLITS,
         )
         assert swapped == runs[0][::-1]
+
+    def test_refinement_evaluates_only_the_refined_component(self):
+        calls = []
+        both = _components(self._smooth, self._peaked)
+
+        def f(*xs, component):
+            calls.append(component)
+            return both(*xs, component=component)
+
+        smooth, peaked = integrate_cell_components(
+            f, self._BOX, [1e-4, 1e-9], initial_splits=self._SPLITS)
+        # 48 seed cells in batches of 9, then one call per split of the
+        # refining component
+        assert calls[:6] == [None] * 6
+        assert calls[6:] == [1] * ((peaked.subdivisions - 48) // 2)
+        assert smooth.subdivisions == 48 < peaked.subdivisions
+
+    def test_refinement_cell_counts(self):
+        # pinned: a change in the split order or the stop rule moves them
+        r = integrate_cells(self._peaked, self._BOX, 1e-9, initial_splits=self._SPLITS)
+        assert r.subdivisions == 228
+        r = integrate_cells(lambda x, y, z: np.exp(-x * x - y * y - z * z),
+                            [(-5.5, 5.5)] * 3, 1e-9)
+        assert r.subdivisions == 395
 
     def test_seed_stop_agrees_with_exact_integer_sum(self):
         # fsum is correctly rounded, so it equals the exact sum in units of
@@ -293,14 +326,14 @@ class TestCells:
         cuts = np.linspace(0.0, 1.0, 401)
         r = integrate_cells(wave, [(0.0, 1.0)], math.inf, initial_splits=[cuts])
         values, errors, _ = quadrature._cell_rule(
-            lambda x: (wave(x),), cuts[:-1, None], cuts[1:, None])
+            _components(wave), cuts[:-1, None], cuts[1:, None])
         assert r.subdivisions == 400
         for got, cells in ((r.value, values[0]), (r.error_estimate, errors[0])):
             exact = sum(quadrature._fixed(v) for v in cells.tolist())
             assert got == exact / quadrature._FIXED_ONE
         # a tolerance equal to the seed error stops on the seeds; the next
         # double below it refines, and the exact sums then decide
-        f = lambda x, y, z: (self._smooth(x, y, z), self._peaked(x, y, z))
+        f = _components(self._smooth, self._peaked)
         seed = integrate_cell_components(f, self._BOX, [math.inf, math.inf],
                                          initial_splits=self._SPLITS)
         for c, r in enumerate(seed):
@@ -319,10 +352,10 @@ class TestCells:
 
     @pytest.mark.parametrize("bad", [0, 1])
     def test_non_finite_value_in_any_component_raises(self, bad):
-        def f(x, y):
-            good = x * y
-            pole = np.where((x > 0.8) & (y > 0.8), np.nan if bad else np.inf, good)
-            return (pole, good) if bad == 0 else (good, pole)
+        good = lambda x, y: x * y
+        pole = lambda x, y: np.where((x > 0.8) & (y > 0.8),
+                                     np.nan if bad else np.inf, x * y)
+        f = _components(pole, good) if bad == 0 else _components(good, pole)
 
         with pytest.raises(QuadratureError, match="not finite"):
             integrate_cell_components(
@@ -332,7 +365,8 @@ class TestCells:
 
     def test_component_count_must_match_tolerances(self):
         with pytest.raises(ValueError, match="components"):
-            integrate_cell_components(lambda x, y: (x, y), [(0.0, 1.0)] * 2, [1e-8])
+            integrate_cell_components(_components(lambda x, y: x, lambda x, y: y),
+                                      [(0.0, 1.0)] * 2, [1e-8])
 
     def test_budget_exhaustion_reports_first_exhausted_component(self):
         hard = lambda x, y: 1.0 / np.sqrt(np.abs(x - 0.31831) + np.abs(y - 0.4142)
@@ -344,13 +378,13 @@ class TestCells:
             integrate_cells(harder, box, 1e-13, max_cells=30)
         # the first component stops, the second exhausts
         with pytest.raises(ToleranceNotAchieved) as exc:
-            integrate_cell_components(lambda x, y: (easy(x, y), harder(x, y)),
+            integrate_cell_components(_components(easy, harder),
                                       box, [1e-6, 1e-13], max_cells=30)
         assert exc.value.result == scalar.value.result
         assert exc.value.result.subdivisions >= 30
         # both would exhaust: the first one in order is reported
         with pytest.raises(ToleranceNotAchieved) as exc:
-            integrate_cell_components(lambda x, y: (harder(x, y), hard(x, y)),
+            integrate_cell_components(_components(harder, hard),
                                       box, [1e-13, 1e-13], max_cells=30)
         assert exc.value.result == scalar.value.result
 
