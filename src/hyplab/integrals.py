@@ -16,7 +16,6 @@ meaningless.  Reported error estimates remain absolute bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -38,7 +37,6 @@ __all__ = [
     "radial_weighted_mass",
     "hardy1d_energy",
     "hardy1d_mass",
-    "HalfSpaceIntegrand",
     "halfspace_integral",
     "ueps_energy_mass",
     "WEIGHT_TAGS",
@@ -78,19 +76,10 @@ def radial_energy(
     bps = _interior_breakpoints(u, lo, hi)
     if lo == 0.0 and u.origin_power is not None:
         # |u'|^p ~ r^((lam-1)p); with the volume weight the total power at
-        # the origin is (lam-1)p + N-1, possibly in (-1, 0): split the pure
-        # power off analytically on the first piece.
-        b1 = min(u.breakpoints) if u.breakpoints else hi
+        # the origin is (lam-1)p + N-1, possibly in (-1, 0)
         lam = u.origin_power
-        ep_first = _power_piece(e_int, (lam - 1.0) * p + m, b1, tol / 2)
-        mp_first = _power_piece(m_int, lam * p + m, b1, tol / 2)
-        ep_rest = integrate_interval(
-            e_int, b1, hi, 0.0, rel_tol=tol / 2, breakpoints=bps
-        ) if b1 < hi else QuadResult(0.0, 0.0, 0)
-        mp_rest = integrate_interval(
-            m_int, b1, hi, 0.0, rel_tol=tol / 2, breakpoints=bps
-        ) if b1 < hi else QuadResult(0.0, 0.0, 0)
-        return ep_first + ep_rest, mp_first + mp_rest
+        return (_origin_split(e_int, (lam - 1.0) * p + m, u, hi, bps, tol),
+                _origin_split(m_int, lam * p + m, u, hi, bps, tol))
     ep = integrate_interval(
         e_int, lo, hi, 0.0, rel_tol=tol, breakpoints=bps,
         singular_left=(lo == 0.0),
@@ -101,30 +90,36 @@ def radial_energy(
     return ep, mp
 
 
-def _power_piece(f: Callable, total_power: float, b: float, tol: float) -> QuadResult:
-    """int_0^b f dr when f(r) ~ C r^total_power at the origin."""
+def _origin_split(
+    f: Callable, total_power: float, u: RadialTestFunction, hi: float,
+    bps: tuple, tol: float,
+) -> QuadResult:
+    """int_0^hi f dr when f(r) ~ C r^total_power at the origin.
+
+    On the first piece [0, b1], b1 the smallest breakpoint of ``u``, the
+    pure power is split off analytically with C taken at r = 1e-8; the
+    rest runs on the ordinary panels.  Each piece gets half of the
+    relative ``tol``.
+    """
     if total_power <= -1.0:
         raise NonIntegrableSingularity(
             f"integrand power {total_power} at the origin is not integrable"
         )
 
     def g(r):
-        r = np.asarray(r, dtype=float)
-        rs = np.where(r == 0.0, 1.0, r)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            vals = f(rs) * rs ** (-total_power)
-        # limit value fills r = 0 (f carries the exact power there)
-        return np.where(r == 0.0, _origin_limit(f, total_power), vals)
+            return f(r) * r ** (-total_power)
 
-    return power_singular_integral(
-        g, total_power + 1.0, b, 0.0, rel_tol=tol
+    b1 = min(u.breakpoints) if u.breakpoints else hi
+    first = power_singular_integral(
+        g, total_power + 1.0, b1, 0.0,
+        g_at_zero=float(g(np.array([1e-8]))[0]), rel_tol=tol / 2,
     )
-
-
-def _origin_limit(f: Callable, total_power: float) -> float:
-    r = np.array([1e-8, 1e-7, 1e-6])
-    vals = f(r) * r ** (-total_power)
-    return float(vals[0])
+    if b1 >= hi:
+        return first
+    return first + integrate_interval(
+        f, b1, hi, 0.0, rel_tol=tol / 2, breakpoints=bps
+    )
 
 
 def radial_weighted_mass(
@@ -196,13 +191,7 @@ def radial_weighted_mass(
                 singular_left=True,
             )
         else:
-            total = lam * p + w_power + m
-            b1 = min(u.breakpoints) if u.breakpoints else hi
-            first = _power_piece(integrand, total, b1, tol / 2)
-            rest = integrate_interval(
-                integrand, b1, hi, 0.0, rel_tol=tol / 2, breakpoints=bps
-            ) if b1 < hi else QuadResult(0.0, 0.0, 0)
-            res = first + rest
+            res = _origin_split(integrand, lam * p + w_power + m, u, hi, bps, tol)
     else:
         res = integrate_interval(
             integrand, lo, hi, 0.0, rel_tol=tol, breakpoints=bps
@@ -242,12 +231,7 @@ def hardy1d_energy(
     if lo == 0.0 and v.origin_power is not None:
         lam = v.origin_power
         total = lam * (p - l) - (p - l) + (lam - 1.0) * l  # (r coth r)~1 at 0
-        b1 = min(v.breakpoints) if v.breakpoints else hi
-        first = _power_piece(integrand, total, b1, tol / 2)
-        rest = integrate_interval(
-            integrand, b1, hi, 0.0, rel_tol=tol / 2, breakpoints=bps
-        ) if b1 < hi else QuadResult(0.0, 0.0, 0)
-        return first + rest
+        return _origin_split(integrand, total, v, hi, bps, tol)
     return integrate_interval(
         integrand, lo, hi, 0.0, rel_tol=tol, breakpoints=bps,
         singular_left=(lo == 0.0),
@@ -274,13 +258,7 @@ def hardy1d_mass(p: float, v: RadialTestFunction, tol: float = 1e-10) -> QuadRes
             raise NonIntegrableSingularity(
                 "1/r^p mass at the origin needs a declared origin power"
             )
-        total = lam * p - p
-        b1 = min(v.breakpoints) if v.breakpoints else hi
-        first = _power_piece(integrand, total, b1, tol / 2)
-        rest = integrate_interval(
-            integrand, b1, hi, 0.0, rel_tol=tol / 2, breakpoints=bps
-        ) if b1 < hi else QuadResult(0.0, 0.0, 0)
-        return first + rest
+        return _origin_split(integrand, lam * p - p, v, hi, bps, tol)
     return integrate_interval(
         integrand, lo, hi, 0.0, rel_tol=tol, breakpoints=bps
     )
@@ -296,54 +274,32 @@ def sphere_area(k: int) -> float:
     return 2.0 * math.pi ** ((k + 1) / 2.0) / math.gamma((k + 1) / 2.0)
 
 
-@dataclass(frozen=True)
-class HalfSpaceIntegrand:
-    """Compactly supported volume integrand on the half-space, reduced to
-    (x1, rho, y).
+def halfspace_integral(
+    params: Params, func: Callable, support: tuple, tol: float = 1e-8
+) -> QuadResult:
+    """int func(x1, rho, y) * omega_{N-3} rho^(N-3) dx1 drho dy over the box.
 
     ``func`` must be elementwise: the cubature calls it on per-axis node
     arrays that broadcast against each other, not on full grids, and
     takes anything that broadcasts to their common shape.  ``support`` is
-    the box ((x1_lo, x1_hi), (rho_lo, rho_hi), (y_lo, y_hi)).
-    ``depends_reduced`` declares that the function really is a function of
-    (x1, rho, y) only.
-    """
-
-    func: Callable
-    support: tuple
-    depends_reduced: bool = True
-
-
-def halfspace_integral(
-    params: Params, f: HalfSpaceIntegrand, tol: float = 1e-8
-) -> QuadResult:
-    """int f(x1, rho, y) * omega_{N-3} rho^(N-3) dx1 drho dy over the support.
-
+    the compact box ((x1_lo, x1_hi), (rho_lo, rho_hi), (y_lo, y_hi)).
     For N = 2 the rho dimension is absent; for N = 3 the rho integral runs
     over the two half-lines (factor omega_0 = 2).  The decaying
     near-extremal family is integrated by :func:`ueps_energy_mass`.
     """
-    if not f.depends_reduced:
-        raise ValueError(
-            "integrand must depend only on the reduced coordinates (x1, rho, y)"
-        )
-    return _halfspace_compact(params, f, tol)
-
-
-def _halfspace_compact(params: Params, f: HalfSpaceIntegrand, tol: float) -> QuadResult:
-    (x1l, x1h), (rl, rh), (yl, yh) = f.support
+    (x1l, x1h), (rl, rh), (yl, yh) = support
     if yl <= 0.0:
         raise ValueError("compact support must satisfy y > 0")
     N = params.N
     if N == 2:
         def g(x1, y):
-            return f.func(x1, np.zeros_like(x1), y)
+            return func(x1, np.zeros_like(x1), y)
         return integrate_cells(g, [(x1l, x1h), (yl, yh)], 0.0, rel_tol=tol)
     area = sphere_area(N - 3)
 
     def g(x1, rho, y):
         rr = rho ** (N - 3) if N > 3 else np.ones_like(rho)
-        return f.func(x1, rho, y) * area * rr
+        return func(x1, rho, y) * area * rr
 
     return integrate_cells(
         g, [(x1l, x1h), (max(rl, 0.0), rh), (yl, yh)], 0.0, rel_tol=tol,

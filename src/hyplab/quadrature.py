@@ -2,8 +2,9 @@
 
 One dimensional integration uses a nested Gauss(7)/Kronrod(15) pair per
 panel with local error = |K15 - G7| and a max-heap driven bisection loop.
-Semi-infinite domains are truncated with caller-supplied analytic tail
-bounds; the truncation bound is folded into the reported error estimate.
+Every result is a :class:`QuadResult`, whose arithmetic propagates the
+error estimates to first order, so a quantity assembled from several
+integrals carries its own error budget.
 
 Endpoint singularities of power type ``(r - a)**(delta - 1)`` are handled
 by an exact split: the pure power integrates in closed form and the
@@ -41,7 +42,6 @@ __all__ = [
     "NonIntegrableSingularity",
     "QuadResult",
     "integrate_interval",
-    "integrate_semi_infinite",
     "power_singular_integral",
     "integrate_cells",
     "integrate_cell_components",
@@ -71,6 +71,13 @@ class QuadResult:
     ``error_estimate`` adds the summed panel errors and any analytic
     truncation bound.  ``truncation_point`` is set for semi-infinite
     domains and records where the analytic tail bound took over.
+
+    The operators propagate the error to first order: ``a + b`` and
+    ``a - b`` add the errors, ``c * a`` for a number c scales it by |c|,
+    ``a * b`` gives e_a |v_b| + |v_a| e_b, ``a / b`` gives
+    (e_a + |q| e_b) / |v_b| with q = v_a / v_b, and ``a ** s`` gives
+    |s| |v|^(s-1) e.  Combining two results adds their subdivisions and
+    keeps the larger truncation point.
     """
 
     value: float
@@ -82,18 +89,45 @@ class QuadResult:
         if self.error_estimate < 0:
             raise ValueError("error_estimate must be nonnegative")
 
-    def __add__(self, other: "QuadResult") -> "QuadResult":
+    def _combine(self, other: "QuadResult", value, error) -> "QuadResult":
         return QuadResult(
-            self.value + other.value,
-            self.error_estimate + other.error_estimate,
+            value,
+            error,
             self.subdivisions + other.subdivisions,
             _merge_truncation(self.truncation_point, other.truncation_point),
         )
 
-    def scaled(self, c: float) -> "QuadResult":
+    def __add__(self, other: "QuadResult") -> "QuadResult":
+        return self._combine(other, self.value + other.value,
+                             self.error_estimate + other.error_estimate)
+
+    def __sub__(self, other: "QuadResult") -> "QuadResult":
+        return self._combine(other, self.value - other.value,
+                             self.error_estimate + other.error_estimate)
+
+    def __mul__(self, other) -> "QuadResult":
+        if not isinstance(other, QuadResult):
+            return QuadResult(other * self.value, abs(other) * self.error_estimate,
+                              self.subdivisions, self.truncation_point)
+        return self._combine(
+            other, self.value * other.value,
+            self.error_estimate * abs(other.value)
+            + abs(self.value) * other.error_estimate,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other: "QuadResult") -> "QuadResult":
+        q = self.value / other.value
+        return self._combine(
+            other, q,
+            (self.error_estimate + abs(q) * other.error_estimate) / abs(other.value),
+        )
+
+    def __pow__(self, s: float) -> "QuadResult":
         return QuadResult(
-            c * self.value,
-            abs(c) * self.error_estimate,
+            self.value**s,
+            abs(s) * abs(self.value) ** (s - 1.0) * self.error_estimate,
             self.subdivisions,
             self.truncation_point,
         )
@@ -283,57 +317,6 @@ def integrate_interval(
             err = sum(item[4] for item in heap)
             return QuadResult(total, err, total_panels)
         push_batch(np.array(batch_lo), np.array(batch_hi))
-
-
-def integrate_semi_infinite(
-    f: Callable,
-    a: float,
-    tol: float,
-    tail_bound: Callable[[float], float],
-    initial_width: float = 1.0,
-    singular_left: bool = False,
-    max_subdivisions: int = 4000,
-    max_truncation: float = 1e6,
-) -> QuadResult:
-    """Integral of ``f`` on [a, infinity).
-
-    ``tail_bound(T)`` must bound ``| int_T^inf f |`` analytically.  The
-    truncation point doubles until the bound drops below ``tol / 2``; the
-    finite part then runs through :func:`integrate_interval` with budget
-    ``tol / 2`` and the tail bound is added to the error estimate.
-    """
-    width = initial_width
-    while True:
-        T = a + width
-        bound = tail_bound(T)
-        if bound <= 0.5 * tol or width >= max_truncation:
-            break
-        width *= 2.0
-    if bound > 0.5 * tol:
-        raise QuadratureError(
-            f"tail bound {bound:.3e} still above tol/2 at T={T:.3e}"
-        )
-    # Geometric breakpoints keep seed panels commensurate with the decay.
-    bps = []
-    w = initial_width
-    while a + w < T:
-        bps.append(a + w)
-        w *= 2.0
-    finite = integrate_interval(
-        f,
-        a,
-        T,
-        0.5 * tol,
-        singular_left=singular_left,
-        breakpoints=bps,
-        max_subdivisions=max_subdivisions,
-    )
-    return QuadResult(
-        finite.value,
-        finite.error_estimate + bound,
-        finite.subdivisions,
-        truncation_point=T,
-    )
 
 
 def power_singular_integral(

@@ -28,7 +28,7 @@ __all__ = [
 class RadialTestFunction:
     """Compactly supported (or decaying) radial profile with derivative.
 
-    ``origin_power`` is the exponent lam with u(r) ~ origin_coeff * r^lam
+    ``origin_power`` is the exponent lam with u(r) ~ c r^lam
     as r -> 0+ when the support starts at 0; quadrature against singular
     weights splits that pure power off analytically.
     """
@@ -36,10 +36,8 @@ class RadialTestFunction:
     value: Callable[[np.ndarray], np.ndarray]
     derivative: Callable[[np.ndarray], np.ndarray]
     support: tuple[float, float]
-    smoothness: str  # "piecewise-C1" | "C-inf"
     breakpoints: tuple[float, ...] = ()
     origin_power: float | None = None
-    origin_coeff: float | None = None
     label: str = "radial"
 
     def __call__(self, r):
@@ -152,7 +150,7 @@ def make_bump(r_lo: float, r_hi: float, shape: str = "mollifier") -> RadialTestF
             return out
 
         return RadialTestFunction(
-            value, derivative, (r_lo, r_hi), "C-inf",
+            value, derivative, (r_lo, r_hi),
             breakpoints=(r_lo, r_hi), label=f"mollifier[{r_lo:g},{r_hi:g}]",
         )
 
@@ -168,7 +166,7 @@ def make_bump(r_lo: float, r_hi: float, shape: str = "mollifier") -> RadialTestF
             return np.where(inside, -np.sign(r - mid) / half, 0.0)
 
         return RadialTestFunction(
-            value, derivative, (r_lo, r_hi), "piecewise-C1",
+            value, derivative, (r_lo, r_hi),
             breakpoints=(r_lo, mid, r_hi), label=f"tent[{r_lo:g},{r_hi:g}]",
         )
 
@@ -213,9 +211,9 @@ def make_veps(p: float, eps: float, delta: float) -> RadialTestFunction:
         return out
 
     return RadialTestFunction(
-        value, derivative, (0.0, 2.0), "piecewise-C1",
+        value, derivative, (0.0, 2.0),
         breakpoints=(eps, 1.0, 2.0),
-        origin_power=a, origin_coeff=1.0,
+        origin_power=a,
         label=f"veps[p={p:g},eps={eps:g},delta={delta:g}]",
     )
 

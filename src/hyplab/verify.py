@@ -1,9 +1,11 @@
 """Inequality verifiers.
 
-Each supported inequality gets a fixed LHS/RHS recipe; a report carries
-both sides, the slack, and the accumulated quadrature error.  The pass
-criterion is always ``slack >= -quad_error``: the inequalities are exact
-theorems, so only integration error may push the slack negative.
+Each supported inequality is a fixed LHS/RHS recipe written in
+:class:`~hyplab.quadrature.QuadResult` arithmetic, which carries the
+quadrature error of every term; a report holds both sides, the slack, and
+the error of both sides.  The pass criterion is always
+``slack >= -quad_error``: the inequalities are exact theorems, so only
+integration error may push the slack negative.
 
 Also here: the proof-step checkers (the scalar convexity bound, the
 cosh/sinh positivity profile, the supersolution identities) and the
@@ -24,7 +26,6 @@ import numpy as np
 from .constants import c_np
 from .core import HypothesisError, Params, coth, log_sinh
 from .integrals import (
-    HalfSpaceIntegrand,
     halfspace_integral,
     hardy1d_energy,
     hardy1d_mass,
@@ -169,60 +170,39 @@ def verify(
     return _verify_radial(kind, params, u, tol)
 
 
+def _report(kind, params, u, lhs, rhs, l=None) -> InequalityReport:
+    """Report of lhs >= rhs; the quadrature error is that of both sides."""
+    return InequalityReport(
+        kind, params.N, params.p, u.label, lhs.value, rhs.value,
+        lhs.error_estimate + rhs.error_estimate, l=l,
+    )
+
+
 def _verify_radial(
     kind: InequalityKind, params: Params, u: RadialTestFunction, tol: float
 ) -> InequalityReport:
-    lam = params.lambda_p
-    ep, mp = radial_energy(params, u, tol)
+    lam, p = params.lambda_p, params.p
+    E, M = radial_energy(params, u, tol)
+
+    def mass(weight):
+        return radial_weighted_mass(params, u, weight, tol)
 
     if kind is InequalityKind.PGAP:
-        lhs, rhs = ep.value, lam * mp.value
-        err = ep.error_estimate + lam * mp.error_estimate
+        lhs, rhs = E, lam * M
     elif kind is InequalityKind.GREEN_WEIGHT:
-        wmass = radial_weighted_mass(params, u, "W", tol)
-        lhs = ep.value - lam * mp.value
-        rhs = wmass.value
-        err = ep.error_estimate + lam * mp.error_estimate + wmass.error_estimate
+        lhs, rhs = E - lam * M, mass("W")
     elif kind is InequalityKind.HARDY:
-        hmass = radial_weighted_mass(params, u, "1/r^p", tol)
-        lhs = ep.value - lam * mp.value
-        rhs = hardy_constant(params) * hmass.value
-        err = (
-            ep.error_estimate
-            + lam * mp.error_estimate
-            + hardy_constant(params) * hmass.error_estimate
-        )
+        lhs, rhs = E - lam * M, hardy_constant(params) * mass("1/r^p")
     elif kind is InequalityKind.UNCERTAINTY:
         # product form: (gap) * (r^{p'} mass)^(p/p') >= c * (mass)^p
-        rmass = radial_weighted_mass(params, u, "r^pprime", tol)
-        gap = ep.value - lam * mp.value
-        gap_err = ep.error_estimate + lam * mp.error_estimate
-        expo = params.p / params.p_prime
-        lhs = gap * rmass.value**expo
-        rhs = hardy_constant(params) * mp.value**params.p
-        err = (
-            gap_err * rmass.value**expo
-            + abs(gap) * expo * rmass.value ** (expo - 1.0) * rmass.error_estimate
-            + hardy_constant(params)
-            * params.p
-            * mp.value ** (params.p - 1.0)
-            * mp.error_estimate
-        )
+        lhs = (E - lam * M) * mass("r^pprime") ** (p / params.p_prime)
+        rhs = hardy_constant(params) * M**p
     elif kind is InequalityKind.HP_WEIGHTED:
-        hpmass = radial_weighted_mass(params, u, "Hp", tol)
-        rmass = radial_weighted_mass(params, u, "1/r^p", tol)
-        smass = radial_weighted_mass(params, u, "1/sinh^p", tol)
         c_r, c_sinh = ball_constants(params)
-        lhs = ep.value - lam * hpmass.value
-        rhs = c_r * rmass.value + c_sinh * smass.value
-        err = (
-            ep.error_estimate
-            + lam * hpmass.error_estimate
-            + c_r * rmass.error_estimate
-            + c_sinh * smass.error_estimate
-        )
+        lhs = E - lam * mass("Hp")
+        rhs = c_r * mass("1/r^p") + c_sinh * mass("1/sinh^p")
     elif kind is InequalityKind.BALL:
-        if params.p > 2.0:
+        if p > 2.0:
             rp = solve_rp(params).root
             if not (u.support[1] <= rp):
                 raise SupportViolation(
@@ -230,21 +210,11 @@ def _verify_radial(
                     f"inside the ball of radius r_p = {rp:.6g}"
                 )
         c_r, c_sinh = ball_constants(params)
-        rmass = radial_weighted_mass(params, u, "1/r^p", tol)
-        smass = radial_weighted_mass(params, u, "1/sinh^p", tol)
-        lhs = ep.value - lam * mp.value
-        rhs = c_r * rmass.value + c_sinh * smass.value
-        err = (
-            ep.error_estimate
-            + lam * mp.error_estimate
-            + c_r * rmass.error_estimate
-            + c_sinh * smass.error_estimate
-        )
+        lhs = E - lam * M
+        rhs = c_r * mass("1/r^p") + c_sinh * mass("1/sinh^p")
     else:  # pragma: no cover
         raise ValueError(f"unhandled radial kind {kind}")
-    return InequalityReport(
-        kind, params.N, params.p, u.label, lhs, rhs, err
-    )
+    return _report(kind, params, u, lhs, rhs)
 
 
 def _verify_hardy1d(
@@ -254,15 +224,10 @@ def _verify_hardy1d(
     l_eff = p if l is None else float(l)
     if not (1.0 < l_eff <= p):
         raise HypothesisError(f"hardy1d requires 1 < l <= p, got l={l_eff}")
-    lhs_q = hardy1d_energy(p, l_eff, u, tol)
-    rhs_q = hardy1d_mass(p, u, tol)
     c = ((p - 1.0) / p) ** l_eff
-    return InequalityReport(
-        InequalityKind.HARDY1D, params.N, p, u.label,
-        lhs_q.value, c * rhs_q.value,
-        lhs_q.error_estimate + c * rhs_q.error_estimate,
-        l=l_eff,
-    )
+    return _report(InequalityKind.HARDY1D, params, u,
+                   hardy1d_energy(p, l_eff, u, tol), c * hardy1d_mass(p, u, tol),
+                   l=l_eff)
 
 
 def _verify_halfspace(
@@ -299,18 +264,11 @@ def _verify_halfspace(
                 / (y ** (N - 1) * np.sqrt(y * y + x1 * x1))
             )
 
-    box = u.support
-    energy = halfspace_integral(params, HalfSpaceIntegrand(e_f, support=box), tol)
-    mass = halfspace_integral(params, HalfSpaceIntegrand(m_f, support=box), tol)
-    vmass = halfspace_integral(params, HalfSpaceIntegrand(v_f, support=box), tol)
-    lhs = energy.value - lam * mass.value
-    rhs = const * vmass.value
-    err = (
-        energy.error_estimate
-        + lam * mass.error_estimate
-        + const * vmass.error_estimate
-    )
-    return InequalityReport(kind, N, p, u.label, lhs, rhs, err)
+    def integral(func):
+        return halfspace_integral(params, func, u.support, tol)
+
+    return _report(kind, params, u, integral(e_f) - lam * integral(m_f),
+                   const * integral(v_f))
 
 
 # ---------------------------------------------------------------------------
@@ -342,15 +300,12 @@ def sharpness_scan(
         rows = []
         for eps in eps_list:
             energy, mass = ueps_energy_mass(params, eps, tol)
-            q = energy.value / mass.value
-            qerr = (
-                energy.error_estimate + q * mass.error_estimate
-            ) / mass.value
+            q = energy / mass
             rows.append(
                 {
                     "eps": eps,
-                    "quotient": q,
-                    "quad_error": qerr,
+                    "quotient": q.value,
+                    "quad_error": q.error_estimate,
                     "lower": params.lambda_p,
                     "upper": ((params.N - 1 + eps) / params.p) ** params.p,
                 }
@@ -368,16 +323,13 @@ def sharpness_scan(
         rows = []
         for eps, delta in pairs:
             v = make_veps(p, eps, delta)
-            lhs = hardy1d_energy(p, l_eff, v, tol)
-            rhs = hardy1d_mass(p, v, tol)
-            q = lhs.value / rhs.value
-            qerr = (lhs.error_estimate + q * rhs.error_estimate) / rhs.value
+            q = hardy1d_energy(p, l_eff, v, tol) / hardy1d_mass(p, v, tol)
             rows.append(
                 {
                     "eps": eps,
                     "delta": delta,
-                    "quotient": q,
-                    "quad_error": qerr,
+                    "quotient": q.value,
+                    "quad_error": q.error_estimate,
                     "lower": ((p - 1.0) / p) ** l_eff,
                     "upper": _hardy1d_upper(p, l_eff, eps, delta),
                 }

@@ -167,6 +167,21 @@ GOLDEN_RUNS["sharpness_hardy1d_N3_p3.json"] = [
     "--schedule", "0.001", "--delta", "0.001",
 ]
 GOLDEN_RUNS["weights_N13_p4.json"] = ["weights", "--N", "13", "--p", "4"]
+# One radial verify per kind, at the default tol.
+for kind, N, p, extra in (
+    ("pgap", 3, 2, []),
+    ("green-weight", 5, 2, []),
+    ("hardy", 13, 4, []),
+    ("uncertainty", 8, 2.5, []),
+    ("hp-weighted", 10, 3, []),
+    ("ball", 8, 2.5, []),
+    ("hardy1d", 3, 3, ["--l", "2"]),
+):
+    suffix = "_l2" if extra else ""
+    GOLDEN_RUNS[f"verify_{kind}_N{N}_p{p}{suffix}.json"] = [
+        "verify", "--kind", kind, "--N", str(N), "--p", str(p),
+        "--trials", "3", "--seed", "11", *extra,
+    ]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))

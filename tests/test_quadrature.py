@@ -14,7 +14,6 @@ from hyplab.quadrature import (
     integrate_cell_components,
     integrate_cells,
     integrate_interval,
-    integrate_semi_infinite,
     power_singular_integral,
 )
 
@@ -86,17 +85,6 @@ def test_breakpoints_split_kinks_exactly():
     f = lambda x: np.abs(x - 0.5)
     r = integrate_interval(f, 0.0, 1.0, 1e-14, breakpoints=[0.5])
     assert abs(r.value - 0.25) < 1e-14
-
-
-def test_semi_infinite_exponential_tail():
-    lam = 1.7
-    r = integrate_semi_infinite(
-        lambda s: np.exp(-lam * s), 0.5, 1e-12,
-        tail_bound=lambda T: math.exp(-lam * T) / lam,
-    )
-    exact = math.exp(-lam * 0.5) / lam
-    assert abs(r.value - exact) <= r.error_estimate
-    assert r.truncation_point is not None and r.truncation_point > 0.5
 
 
 class TestPowerSingular:
@@ -392,3 +380,71 @@ class TestCells:
 def test_quadresult_validates_error_sign():
     with pytest.raises(ValueError):
         QuadResult(1.0, -1e-3, 1)
+
+
+class TestQuadResultAlgebra:
+    """Each operator against its explicit first-order error formula."""
+
+    A = QuadResult(-3.0, 0.1, 4)
+    B = QuadResult(2.5, 0.05, 5, truncation_point=7.0)
+
+    @staticmethod
+    def _fields(r):
+        return (r.value, r.error_estimate, r.subdivisions, r.truncation_point)
+
+    def test_sum_and_difference(self):
+        a, b = self.A, self.B
+        assert self._fields(a + b) == (-0.5, 0.1 + 0.05, 9, 7.0)
+        assert self._fields(a - b) == (-5.5, 0.1 + 0.05, 9, 7.0)
+        assert self._fields(b - a) == (5.5, 0.05 + 0.1, 9, 7.0)
+
+    @pytest.mark.parametrize("c", [-2.5, 0.0, 3.0, np.float64(-1.75)])
+    def test_scalar_multiple(self, c):
+        b = self.B
+        expected = (c * 2.5, abs(c) * 0.05, 5, 7.0)
+        assert self._fields(c * b) == expected
+        assert self._fields(b * c) == expected
+        assert isinstance(c * b, QuadResult)
+
+    def test_product(self):
+        a, b = self.A, self.B
+        expected = (-3.0 * 2.5, 0.1 * 2.5 + 3.0 * 0.05, 9, 7.0)
+        assert self._fields(a * b) == expected
+        assert self._fields(b * a) == (-7.5, 0.05 * 3.0 + 2.5 * 0.1, 9, 7.0)
+
+    def test_quotient(self):
+        a, b = self.A, self.B
+        q = -3.0 / 2.5
+        assert self._fields(a / b) == (q, (0.1 + abs(q) * 0.05) / 2.5, 9, 7.0)
+        q = 2.5 / -3.0
+        assert self._fields(b / a) == (q, (0.05 + abs(q) * 0.1) / 3.0, 9, 7.0)
+
+    @pytest.mark.parametrize("s", [0.4, -1.5, 2.0, 3.5])
+    def test_power(self, s):
+        b = self.B
+        expected = (2.5**s, abs(s) * 2.5 ** (s - 1.0) * 0.05, 5, 7.0)
+        assert self._fields(b**s) == expected
+
+    def test_truncation_point_is_the_larger(self):
+        a = QuadResult(1.0, 0.0, 1, truncation_point=3.0)
+        b = QuadResult(1.0, 0.0, 1, truncation_point=9.0)
+        none = QuadResult(1.0, 0.0, 1)
+        for op in (lambda x, y: x + y, lambda x, y: x - y,
+                   lambda x, y: x * y, lambda x, y: x / y):
+            assert op(a, b).truncation_point == 9.0
+            assert op(b, a).truncation_point == 9.0
+            assert op(a, none).truncation_point == 3.0
+            assert op(none, none).truncation_point is None
+
+    def test_first_order_bound(self):
+        # a value moved by its error moves the result by at most the
+        # propagated error, up to second-order terms
+        a, b = QuadResult(1.3, 1e-6, 1), QuadResult(0.8, 2e-6, 1)
+        for f in (lambda x, y: x * y, lambda x, y: x / y,
+                  lambda x, y: x - 2.0 * y, lambda x, y: x**2.5):
+            bound = f(a, b).error_estimate
+            for da in (-1, 1):
+                for db in (-1, 1):
+                    moved = f(QuadResult(1.3 + da * 1e-6, 0.0, 1),
+                              QuadResult(0.8 + db * 2e-6, 0.0, 1)).value
+                    assert abs(moved - f(a, b).value) <= bound * (1 + 1e-5)

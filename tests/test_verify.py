@@ -1,5 +1,6 @@
 """Inequality verifiers, proof-step checkers, sharpness scans."""
 
+import importlib
 import math
 
 import numpy as np
@@ -8,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyplab.core import HypothesisError, Params
+from hyplab.quadrature import QuadResult
 from hyplab.testfun import make_bump
 from hyplab.verify import (
     InequalityKind,
     SupportViolation,
+    ball_constants,
     batch_verify,
     check_ftilde,
     check_pconvexity,
@@ -59,7 +62,6 @@ class TestVerifyRadial:
             value=lambda r: c * u.value(r),
             derivative=lambda r: c * u.derivative(r),
             support=u.support,
-            smoothness=u.smoothness,
             breakpoints=u.breakpoints,
         )
         ep2, mp2 = radial_energy(pr, cu, 1e-12)
@@ -115,6 +117,65 @@ class TestVerifyRadial:
             verify(InequalityKind.PGAP, Params(2, 2.0), u, 1e-9)
         with pytest.raises(TypeError):
             verify(InequalityKind.BOUNDED_V, Params(2, 2.0), make_bump(1.0, 2.0), 1e-9)
+
+
+# the package exports the function verify under the module's name
+verify_module = importlib.import_module("hyplab.verify")
+
+
+class TestRecipesMatchHandPropagation:
+    """The QuadResult recipes against the hand-written error formulas they
+    replaced, on the same integrals.  Both sides are equal; quad_error
+    differs only in how products and sums are associated, which moves it
+    by a few ulps at most."""
+
+    WEIGHTS = ("r^pprime", "Hp", "1/r^p", "1/sinh^p")
+
+    @staticmethod
+    def _term(rng):
+        value = float(np.exp(rng.uniform(-3.0, 12.0)))
+        return QuadResult(value, value * float(np.exp(rng.uniform(-30.0, -12.0))), 7)
+
+    def _cases(self, monkeypatch, kind, params):
+        rng = np.random.default_rng(2024)
+        terms = {}
+        monkeypatch.setattr(verify_module, "radial_energy",
+                            lambda *args: (terms["E"], terms["M"]))
+        monkeypatch.setattr(verify_module, "radial_weighted_mass",
+                            lambda params, u, weight, tol: terms[weight])
+        for _ in range(200):
+            terms.update((name, self._term(rng)) for name in ("E", "M") + self.WEIGHTS)
+            rep = verify(kind, params, make_bump(1.0, 2.0), 1e-10)
+            yield rep, {k: (t.value, t.error_estimate) for k, t in terms.items()}
+
+    @staticmethod
+    def _assert_matches(rep, lhs, rhs, err):
+        assert (rep.lhs, rep.rhs) == (lhs, rhs)
+        assert abs(rep.quad_error - err) <= 4 * math.ulp(err)
+
+    def test_uncertainty(self, monkeypatch):
+        params = Params(8, 2.5)
+        lam, p, c = params.lambda_p, params.p, hardy_constant(params)
+        expo = p / params.p_prime
+        for rep, t in self._cases(monkeypatch, InequalityKind.UNCERTAINTY, params):
+            (ev, ee), (mv, me), (rv, re) = t["E"], t["M"], t["r^pprime"]
+            gap, gap_err = ev - lam * mv, ee + lam * me
+            err = (
+                gap_err * rv**expo
+                + abs(gap) * expo * rv ** (expo - 1.0) * re
+                + c * p * mv ** (p - 1.0) * me
+            )
+            self._assert_matches(rep, gap * rv**expo, c * mv**p, err)
+
+    def test_hp_weighted(self, monkeypatch):
+        params = Params(10, 3.0)
+        lam = params.lambda_p
+        c_r, c_sinh = ball_constants(params)
+        for rep, t in self._cases(monkeypatch, InequalityKind.HP_WEIGHTED, params):
+            (ev, ee), (hv, he) = t["E"], t["Hp"]
+            (rv, re), (sv, se) = t["1/r^p"], t["1/sinh^p"]
+            err = ee + lam * he + c_r * re + c_sinh * se
+            self._assert_matches(rep, ev - lam * hv, c_r * rv + c_sinh * sv, err)
 
 
 class TestVerifyHalfSpace:
