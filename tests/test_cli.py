@@ -182,6 +182,11 @@ for kind, N, p, extra in (
         "verify", "--kind", kind, "--N", str(N), "--p", str(p),
         "--trials", "3", "--seed", "11", *extra,
     ]
+# The 40-trial battery of one kind, a quarter of its supports at the origin.
+GOLDEN_RUNS["verify_hp-weighted_N3_p2_origin.json"] = [
+    "verify", "--kind", "hp-weighted", "--N", "3", "--p", "2",
+    "--trials", "40", "--seed", "11", "--allow-origin",
+]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))

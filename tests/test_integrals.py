@@ -150,6 +150,89 @@ class TestOriginSplit:
                      18.267604024022194, 2.0244728152590312e-12, 47)
 
 
+class TestHardyBatteryPins:
+    """Exact floats of every integral of a 12-trial hardy battery.
+
+    The supports are the draws of ``hyplab verify --kind hardy --N 3 --p 2
+    --trials 12 --seed 7 --allow-origin``; three of them touch the origin,
+    where the energy runs on graded panels.  Each row is the support and
+    (value, error, subdivisions) of the energy, the mass and the 1/r^p
+    mass at tol 1e-10, taken before the battery's integrals shared one
+    pass.
+    """
+
+    P = Params(3, 2.0)
+    PINS = [
+        ((1.7790613846114538, 8.46818668152584),
+         (52504.116388760354, 1.98688815461125e-08, 63),
+         (24825.03198307816, 1.498349092191405e-07, 47),
+         (544.2567221487933, 2.179271618806711e-09, 47)),
+        ((0.0, 3.779498116991762),
+         (16.551538258763575, 2.643600108256724e-12, 121),
+         (5.719774202452553, 8.31174795494301e-12, 47),
+         (0.9955070143265591, 6.123439083620529e-13, 105)),
+        ((0.3597001048292168, 1.5008213751390578),
+         (1.1966369724577568, 7.200304324172693e-14, 63),
+         (0.0966130425794706, 2.796825388838396e-14, 47),
+         (0.10226162363314521, 1.911427252536644e-14, 47)),
+        ((8.9138866539394, 15.280129458845076),
+         (49249765227.68586, 0.01705074383405665, 63),
+         (22816030162.398746, 0.11977839046423054, 47),
+         (122167405.85004143, 0.0005244386757679348, 47)),
+        ((0.2564112340700344, 0.8737554812961645),
+         (0.5717553900660225, 2.873335472149345e-14, 63),
+         (0.015350073434490567, 3.4649881997950723e-15, 47),
+         (0.04583415628405726, 7.865836101257907e-15, 47)),
+        ((0.10914529074779511, 2.822598671565221),
+         (4.571440360314493, 5.112323931481324e-13, 63),
+         (1.180757949308988, 9.225351253870604e-13, 47),
+         (0.40179544066458656, 1.366012358614458e-13, 47)),
+        ((0.9335352712675737, 2.977276807922933),
+         (10.56982793355516, 8.91480910298553e-13, 63),
+         (2.07699384382565, 9.949625968706432e-13, 47),
+         (0.4662380078401648, 1.2995194587404883e-13, 47)),
+        ((0.21721800362126437, 0.5344217180007585),
+         (0.4210998527081345, 1.893024791440683e-14, 63),
+         (0.003203550879513457, 6.2535353055129145e-16, 47),
+         (0.022143083030660378, 3.7215745152332435e-15, 47)),
+        ((0.0, 4.620592889151479),
+         (58.139555988475095, 1.2107709408438166e-11, 121),
+         (22.955390893526744, 5.2431720544087306e-11, 47),
+         (2.4059627657521316, 2.5840988644436673e-12, 105)),
+        ((3.526758640484116, 12.407667434991469),
+         (62951852.442086995, 4.178550293769142e-05, 63),
+         (33021717.837134987, 0.00046562428336475764, 47),
+         (299192.7472023966, 3.1493578248378267e-06, 47)),
+        ((0.0, 5.336759196748777),
+         (175.20263794962932, 4.526571266044069e-11, 121),
+         (74.79806381797327, 2.4457613784997216e-10, 47),
+         (5.440754924868558, 9.04052949722725e-12, 105)),
+        ((0.20773112199473528, 1.5802281734529628),
+         (1.0493698317110158, 7.21699585092018e-14, 63),
+         (0.11045010672565342, 3.858806240105719e-14, 47),
+         (0.12132310720606589, 2.3750698995149452e-14, 47)),
+    ]
+
+    @staticmethod
+    def _fields(res):
+        return (res.value, res.error_estimate, res.subdivisions)
+
+    def test_supports_are_the_battery_draws(self):
+        from hyplab.verify import InequalityKind, _bump_spec_for_trial
+
+        for i, (support, *_) in enumerate(self.PINS):
+            assert _bump_spec_for_trial(
+                InequalityKind.HARDY, self.P, 7, i, True) == support
+
+    def test_one_function_calls(self):
+        for support, e_pin, m_pin, r_pin in self.PINS:
+            u = make_bump(*support)
+            ep, mp = radial_energy(self.P, u, 1e-10)
+            rp = radial_weighted_mass(self.P, u, "1/r^p", 1e-10)
+            assert [self._fields(ep), self._fields(mp), self._fields(rp)] == [
+                e_pin, m_pin, r_pin]
+
+
 class TestHardy1D:
     def test_profile_mass_exact_first_piece(self):
         # int_0^eps r^{delta-1} dr = eps^delta/delta dominates for small eps
