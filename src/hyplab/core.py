@@ -22,6 +22,7 @@ from .quadrature import (
     _panel_estimates,
     geometric_splits,
     integrate_interval,
+    integrate_intervals,
 )
 
 __all__ = [
@@ -258,7 +259,7 @@ class GreenWeight:
         the seed panel the adaptive engine would start from; all of these
         are evaluated in one integrand call and accepted on the engine's
         own test |K15 - G7| <= node_tol |segment|.  The rest go through
-        the engine.
+        one lockstep pass of the engine.
         """
         # Geometric marks from lo: commensurate with both the power
         # steepness near small lo and the exponential decay.
@@ -277,14 +278,18 @@ class GreenWeight:
             v, e = _panel_estimates(fv, half)
             vals[one], errs[one] = v, e
             todo[one[e > self.node_tol * np.abs(v)]] = True
-        for i in np.flatnonzero(todo):
-            a, b = float(lo[i]), float(hi[i])
-            res = integrate_interval(
-                self._scaled_integrand(which, a), a, b, 0.0, rel_tol=self.node_tol,
-                breakpoints=geometric_splits(a, b, float(scale[i])),
-                max_subdivisions=20000,
+        rest = np.flatnonzero(todo)
+        if rest.size:
+            shift = self.alpha * lo[rest]
+            results = integrate_intervals(
+                lambda s, owner: np.exp(shift[owner] + self._log_integrand(which, s)),
+                lo[rest].tolist(), hi[rest].tolist(), 0.0,
+                breakpoints=[geometric_splits(a, b, c) for a, b, c in zip(
+                    lo[rest].tolist(), hi[rest].tolist(), scale[rest].tolist())],
+                max_subdivisions=20000, rel_tol=self.node_tol,
             )
-            vals[i], errs[i] = res.value, res.error_estimate
+            vals[rest] = [res.value for res in results]
+            errs[rest] = [res.error_estimate for res in results]
         return vals, errs
 
     def _fill(self, which: str, radii) -> tuple[np.ndarray, np.ndarray]:

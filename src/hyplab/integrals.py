@@ -28,11 +28,14 @@ from .quadrature import (
     integrate_cell_components,
     integrate_cells,
     integrate_interval,
+    integrate_intervals,
     power_singular_integral,
 )
-from .testfun import RadialTestFunction
+from .testfun import RadialTestFunction, mollifier_derivative, mollifier_value
 
 __all__ = [
+    "RADIAL_TERMS",
+    "radial_battery",
     "radial_energy",
     "radial_weighted_mass",
     "hardy1d_energy",
@@ -56,6 +59,205 @@ def _interior_breakpoints(u: RadialTestFunction, lo: float, hi: float):
     return tuple(b for b in u.breakpoints if lo < b < hi)
 
 
+# Term names of a radial battery: the p-energy E and p-mass M, one
+# weighted mass per weight tag, and the two 1D Hardy pieces.
+RADIAL_TERMS = ("E", "M") + WEIGHT_TAGS + ("hardy1d_energy", "hardy1d_mass")
+
+
+def radial_battery(
+    params: Params,
+    funcs,
+    terms,
+    tol: float = 1e-10,
+    l: float | None = None,
+) -> list[dict[str, QuadResult]]:
+    """The named terms of every profile in ``funcs`` from one pass.
+
+    Terms (see :data:`RADIAL_TERMS`): "E" and "M" as in
+    :func:`radial_energy`, a weight tag as in :func:`radial_weighted_mass`,
+    "hardy1d_energy" with exponent ``l`` and "hardy1d_mass" as in
+    :func:`hardy1d_energy` and :func:`hardy1d_mass`; those two read only
+    p of ``params``.  Each integral is set up, integrated and refined as
+    the one-profile function sets it up, and gives the same result bit for
+    bit, except that the weight W depends on the anchors its evaluator
+    has cached.  A term whose support starts at 0 and whose profile
+    declares an origin power goes through :func:`_origin_split` on its
+    own; every other integral is one integral of a single
+    :func:`~hyplab.quadrature.integrate_intervals` pass.  There the
+    integrals run term by term, so each term's nodes form one slice of
+    every integrand call, and the volume element and each weight are
+    evaluated once per call.  ``tol`` is relative.  Returns one dict per
+    profile, from term name to result.
+    """
+    for name in terms:
+        if name not in RADIAL_TERMS:
+            raise ValueError(f"unknown term {name!r}; expected one of {RADIAL_TERMS}")
+    p, m = params.p, params.N - 1
+    if "hardy1d_energy" in terms and not (l is not None and 1.0 < l <= p):
+        raise ValueError(f"need 1 < l <= p, got l={l}, p={p}")
+    value, derivative = _profile_evaluators(funcs)
+    w_eval = green_weight_for(params) if "W" in terms else None
+    radial = any(name not in ("hardy1d_energy", "hardy1d_mass") for name in terms)
+
+    def term_values(name, r, idx, vol, owner=None, max_rel=None):
+        """Integrand of term ``name`` at nodes r of the profiles idx."""
+        if name == "E":
+            return np.abs(derivative(r, idx)) ** p * vol
+        if name == "hardy1d_energy":
+            dv = np.abs(derivative(r, idx))
+            # (|v| coth r)^(p-l) |v'|^l with 0^0 := 1 when l == p
+            if l == p:
+                return dv**p
+            vv = np.abs(value(r, idx))
+            return (vv * coth(np.maximum(r, 5e-324))) ** (p - l) * dv**l
+        up = np.abs(value(r, idx)) ** p
+        if name == "M":
+            return up * vol
+        if name == "hardy1d_mass":
+            return up * r ** (-p)
+        if name == "W":
+            w, errs = w_eval.w_array(r)
+            np.maximum.at(max_rel, owner, errs / np.maximum(w, 5e-324))
+        else:
+            w = _weight(params, name, r)
+        return up * w * vol
+
+    out = [{} for _ in funcs]
+    lows, highs, flags, bps, where = [], [], [], [], []
+    term_starts = []
+    for name in terms:
+        term_starts.append(len(where))
+        for i, u in enumerate(funcs):
+            lo, hi = _finite_support(u)
+            b = _interior_breakpoints(u, lo, hi)
+            singular, power = _term_setup(params, name, u, lo, l)
+            if power is None:
+                lows.append(lo)
+                highs.append(hi)
+                flags.append(singular)
+                bps.append(b)
+                where.append((i, name))
+                continue
+
+            def f(r, _name=name, _i=i):
+                vol = sinh_pow(r, m) if radial else None
+                return term_values(_name, r, np.full(np.shape(r), _i), vol)
+
+            out[i][name] = _origin_split(f, power, u, hi, b, tol)
+    term_starts.append(len(where))
+    if not where:
+        return out
+    fn_of = np.array([i for i, _ in where])
+    max_rel = np.zeros(len(where))
+
+    def integrand(x, owner):
+        vals = np.empty_like(x)
+        vol = sinh_pow(x, m) if radial else None
+        cuts = np.searchsorted(owner, term_starts).tolist()
+        for name, s, e in zip(terms, cuts[:-1], cuts[1:]):
+            if s < e:
+                vals[s:e] = term_values(
+                    name, x[s:e], fn_of[owner[s:e]],
+                    None if vol is None else vol[s:e], owner[s:e], max_rel,
+                )
+        return vals
+
+    results = integrate_intervals(
+        integrand, lows, highs, 0.0, singular_left=flags, breakpoints=bps,
+        rel_tol=tol,
+    )
+    for k, ((i, name), res) in enumerate(zip(where, results)):
+        if max_rel[k] > 0.0:
+            res = QuadResult(res.value, res.error_estimate + max_rel[k] * abs(res.value),
+                             res.subdivisions, res.truncation_point)
+        out[i][name] = res
+    return out
+
+
+def _profile_evaluators(funcs):
+    """(value, derivative) of the profiles ``funcs`` as functions of
+    (r, idx), idx naming the profile of each node in nondecreasing order.
+
+    Mollifier bumps are evaluated in one call with per-node parameters;
+    other profiles are called once per run of equal idx.
+    """
+    if all(u.bump is not None for u in funcs):
+        mids = np.array([u.bump[0] for u in funcs])
+        halfs = np.array([u.bump[1] for u in funcs])
+        return (lambda r, idx: mollifier_value(r, mids[idx], halfs[idx]),
+                lambda r, idx: mollifier_derivative(r, mids[idx], halfs[idx]))
+
+    def per_profile(attr):
+        def evaluate(r, idx):
+            out = np.empty_like(r)
+            cuts = (np.flatnonzero(np.diff(idx)) + 1).tolist()
+            for s, e in zip([0] + cuts, cuts + [len(r)]):
+                out[s:e] = getattr(funcs[idx[s]], attr)(r[s:e])
+            return out
+        return evaluate
+
+    return per_profile("value"), per_profile("derivative")
+
+
+def _weight(params: Params, tag: str, r):
+    """The weight ``tag`` of :data:`WEIGHT_TAGS` other than W, at r."""
+    p = params.p
+    if tag == "1/r^p":
+        return r ** (-p)
+    if tag == "1/sinh^p":
+        return sinh_pow(r, -p)
+    if tag == "r^pprime":
+        return r ** params.p_prime
+    return weight_hp(params, r)
+
+
+def _weight_power(params: Params, tag: str) -> float:
+    """Power of the weight ``tag`` at the origin."""
+    p = params.p
+    return {"1/r^p": -p, "1/sinh^p": -p, "r^pprime": params.p_prime,
+            "Hp": -(p - 2.0), "W": 0.0}[tag]
+
+
+def _term_setup(params: Params, name: str, u: RadialTestFunction, lo: float,
+                l: float | None) -> tuple[bool, float | None]:
+    """(singular_left, origin power) of one term's integral on [lo, hi].
+
+    The power is None unless the term is split at the origin by
+    :func:`_origin_split`, where it is the power of the whole integrand.
+    """
+    p, m = params.p, params.N - 1
+    lam = u.origin_power if lo == 0.0 else None
+    if name == "E":
+        # |u'|^p ~ r^((lam-1)p); with the volume weight the total power at
+        # the origin is (lam-1)p + N-1, possibly in (-1, 0)
+        return lo == 0.0, None if lam is None else (lam - 1.0) * p + m
+    if name == "M":
+        return False, None if lam is None else lam * p + m
+    if name == "hardy1d_energy":
+        if lam is None:
+            return lo == 0.0, None
+        return False, lam * (p - l) - (p - l) + (lam - 1.0) * l  # (r coth r)~1 at 0
+    if name == "W" and lo <= 0.0:
+        raise NonIntegrableSingularity(
+            "weight W on a support touching the origin is not handled; "
+            "use supports with r_lo > 0"
+        )
+    if lo > 0.0:
+        return False, None
+    if lam is None and float(u.value(np.array([0.0]))[0]) != 0.0:
+        if name == "hardy1d_mass":
+            raise NonIntegrableSingularity(
+                "1/r^p mass at the origin needs a declared origin power"
+            )
+        lam = 0.0
+    if lam is None:
+        # u vanishes to all orders at 0 (mollifier-type): graded panels
+        return True, None
+    if name == "hardy1d_mass":
+        return False, lam * p - p
+    return False, lam * p + _weight_power(params, name) + m
+
+
 def radial_energy(
     params: Params, u: RadialTestFunction, tol: float = 1e-10
 ) -> tuple[QuadResult, QuadResult]:
@@ -64,30 +266,8 @@ def radial_energy(
     E_p = int |u'|^p (sinh r)^(N-1) dr,  M_p = int |u|^p (sinh r)^(N-1) dr
     over the support of u, panels split exactly at the breakpoints.
     """
-    lo, hi = _finite_support(u)
-    p, m = params.p, params.N - 1
-
-    def e_int(r):
-        return np.abs(u.derivative(r)) ** p * sinh_pow(r, m)
-
-    def m_int(r):
-        return np.abs(u.value(r)) ** p * sinh_pow(r, m)
-
-    bps = _interior_breakpoints(u, lo, hi)
-    if lo == 0.0 and u.origin_power is not None:
-        # |u'|^p ~ r^((lam-1)p); with the volume weight the total power at
-        # the origin is (lam-1)p + N-1, possibly in (-1, 0)
-        lam = u.origin_power
-        return (_origin_split(e_int, (lam - 1.0) * p + m, u, hi, bps, tol),
-                _origin_split(m_int, lam * p + m, u, hi, bps, tol))
-    ep = integrate_interval(
-        e_int, lo, hi, 0.0, rel_tol=tol, breakpoints=bps,
-        singular_left=(lo == 0.0),
-    )
-    mp = integrate_interval(
-        m_int, lo, hi, 0.0, rel_tol=tol, breakpoints=bps,
-    )
-    return ep, mp
+    terms = radial_battery(params, [u], ("E", "M"), tol)[0]
+    return terms["E"], terms["M"]
 
 
 def _origin_split(
@@ -138,72 +318,7 @@ def radial_weighted_mass(
     """
     if weight not in WEIGHT_TAGS:
         raise ValueError(f"unknown weight {weight!r}; expected one of {WEIGHT_TAGS}")
-    lo, hi = _finite_support(u)
-    p, m = params.p, params.N - 1
-    extra_rel = 0.0
-
-    if weight == "1/r^p":
-        def w_fun(r):
-            return r ** (-p)
-        w_power = -p
-    elif weight == "1/sinh^p":
-        def w_fun(r):
-            return sinh_pow(r, -p)
-        w_power = -p
-    elif weight == "r^pprime":
-        pp = params.p_prime
-        def w_fun(r):
-            return r ** pp
-        w_power = pp
-    elif weight == "Hp":
-        def w_fun(r):
-            return weight_hp(params, r)
-        w_power = -(p - 2.0)
-    else:  # W
-        if lo <= 0.0:
-            raise NonIntegrableSingularity(
-                "weight W on a support touching the origin is not handled; "
-                "use supports with r_lo > 0"
-            )
-        ev = green_weight_for(params)
-        max_rel = 0.0
-
-        def w_fun(r):
-            nonlocal max_rel
-            vals, errs = ev.w_array(np.atleast_1d(r))
-            max_rel = max(max_rel, float(np.max(errs / np.maximum(vals, 5e-324))))
-            return vals
-
-        w_power = 0.0
-
-    def integrand(r):
-        return np.abs(u.value(r)) ** p * w_fun(r) * sinh_pow(r, m)
-
-    bps = _interior_breakpoints(u, lo, hi)
-    if lo == 0.0:
-        lam = u.origin_power
-        if lam is None:
-            lam = 0.0 if float(u.value(np.array([0.0]))[0]) != 0.0 else None
-        if lam is None:
-            # u vanishes to all orders at 0 (mollifier-type): regular.
-            res = integrate_interval(
-                integrand, lo, hi, 0.0, rel_tol=tol, breakpoints=bps,
-                singular_left=True,
-            )
-        else:
-            res = _origin_split(integrand, lam * p + w_power + m, u, hi, bps, tol)
-    else:
-        res = integrate_interval(
-            integrand, lo, hi, 0.0, rel_tol=tol, breakpoints=bps
-        )
-    if weight == "W" and max_rel > 0.0:
-        res = QuadResult(
-            res.value,
-            res.error_estimate + max_rel * abs(res.value),
-            res.subdivisions,
-            res.truncation_point,
-        )
-    return res
+    return radial_battery(params, [u], (weight,), tol)[0][weight]
 
 
 # ---------------------------------------------------------------------------
@@ -217,51 +332,14 @@ def hardy1d_energy(
     """int |v|^(p-l) (coth r)^(p-l) |v'|^l dr over the support of v."""
     if not (1.0 < l <= p):
         raise ValueError(f"need 1 < l <= p, got l={l}, p={p}")
-    lo, hi = _finite_support(v)
-
-    def integrand(r):
-        vv = np.abs(v.value(r))
-        dv = np.abs(v.derivative(r))
-        # (|v| coth r)^(p-l) |v'|^l with 0^0 := 1 when l == p
-        if l == p:
-            return dv ** p
-        return (vv * coth(np.maximum(r, 5e-324))) ** (p - l) * dv ** l
-
-    bps = _interior_breakpoints(v, lo, hi)
-    if lo == 0.0 and v.origin_power is not None:
-        lam = v.origin_power
-        total = lam * (p - l) - (p - l) + (lam - 1.0) * l  # (r coth r)~1 at 0
-        return _origin_split(integrand, total, v, hi, bps, tol)
-    return integrate_interval(
-        integrand, lo, hi, 0.0, rel_tol=tol, breakpoints=bps,
-        singular_left=(lo == 0.0),
-    )
+    # the 1D pieces read p only; N = 2 is a placeholder
+    return radial_battery(Params(2, p), [v], ("hardy1d_energy",), tol, l)[0][
+        "hardy1d_energy"]
 
 
 def hardy1d_mass(p: float, v: RadialTestFunction, tol: float = 1e-10) -> QuadResult:
     """int |v|^p / r^p dr over the support of v."""
-    lo, hi = _finite_support(v)
-
-    def integrand(r):
-        return np.abs(v.value(r)) ** p * r ** (-p)
-
-    bps = _interior_breakpoints(v, lo, hi)
-    if lo == 0.0:
-        lam = v.origin_power
-        if lam is None:
-            if float(v.value(np.array([0.0]))[0]) == 0.0:
-                # vanishes to all orders (mollifier-type): graded panels
-                return integrate_interval(
-                    integrand, lo, hi, 0.0, rel_tol=tol, breakpoints=bps,
-                    singular_left=True,
-                )
-            raise NonIntegrableSingularity(
-                "1/r^p mass at the origin needs a declared origin power"
-            )
-        return _origin_split(integrand, lam * p - p, v, hi, bps, tol)
-    return integrate_interval(
-        integrand, lo, hi, 0.0, rel_tol=tol, breakpoints=bps
-    )
+    return radial_battery(Params(2, p), [v], ("hardy1d_mass",), tol)[0]["hardy1d_mass"]
 
 
 # ---------------------------------------------------------------------------

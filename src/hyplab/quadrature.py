@@ -1,7 +1,10 @@
 """Adaptive quadrature engines.
 
 One dimensional integration uses a nested Gauss(7)/Kronrod(15) pair per
-panel with local error = |K15 - G7| and a max-heap driven bisection loop.
+panel with local error = |K15 - G7| and max-heap driven bisection.  Many
+independent integrals advance in lockstep rounds, every round's new panels
+evaluated in one integrand call, and each integral refines exactly as it
+would alone.
 Every result is a :class:`QuadResult`, whose arithmetic propagates the
 error estimates to first order, so a quantity assembled from several
 integrals carries its own error budget.
@@ -31,6 +34,7 @@ import functools
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -42,6 +46,7 @@ __all__ = [
     "NonIntegrableSingularity",
     "QuadResult",
     "integrate_interval",
+    "integrate_intervals",
     "power_singular_integral",
     "integrate_cells",
     "integrate_cell_components",
@@ -245,6 +250,160 @@ def _grade_left(lo: float, hi: float) -> list[tuple[float, float]]:
     return [(lo + w_lo, lo + w_hi) for w_hi, w_lo in zip(edges[:-1], edges[1:])]
 
 
+# Nodes per integrand call of the 1-D engine (512 panels): a round of a
+# battery with many integrals keeps each temporary array near 60 kB.
+_INTERVAL_CHUNK_NODES = 15 * 512
+# Integrals in flight at once.  Each holds a heap of its panels, so this
+# bounds the memory of a battery; 64 integrals split up to 512 panels a
+# round, one full integrand call.
+_INTERVAL_WINDOW = 64
+_VALUE = operator.itemgetter(3)
+_ERROR = operator.itemgetter(4)
+
+
+def integrate_intervals(
+    f: Callable,
+    a: Sequence[float],
+    b: Sequence[float],
+    tol: float,
+    singular_left: Sequence[bool] | None = None,
+    breakpoints: Sequence[Sequence[float]] | None = None,
+    max_subdivisions: int = 4000,
+    rel_tol: float = 0.0,
+) -> list[QuadResult]:
+    """K independent adaptive integrals, integral k of ``f`` on [a[k], b[k]].
+
+    ``f(x, owner)`` takes a 1-D node array and an equally long integer
+    array that names the integral of each node, and returns the integrand
+    values.  A flagged singular left endpoint gets geometrically graded
+    seed panels (handles integrable power/log endpoints of moderate
+    strength); the panels also split at the breakpoints of their integral.
+
+    The integrals advance in lockstep rounds.  In each round every
+    integral whose summed |K15 - G7| panel errors exceed
+    ``tol + rel_tol * |integral|`` splits its up to 8 worst panels
+    (largest error first, ties by lower then upper end), and the children
+    of all integrals are evaluated together, in integrand calls of at most
+    ``_INTERVAL_CHUNK_NODES`` nodes; at most ``_INTERVAL_WINDOW``
+    integrals are in flight, the next starting as one finishes.  Each
+    integral keeps its own heap of panels, sums its values and errors in
+    heap order, and contracts its panels with the GK15 weights apart from
+    the other integrals', so every result is bit for bit the one the
+    integral gets alone.
+
+    An integral that exhausts ``max_subdivisions`` panels fails with
+    :class:`ToleranceNotAchieved` (carrying its best result), one whose
+    integrand is not finite with :class:`QuadratureError`; the others
+    run on, and then the failure of the first failing integral is raised.
+    """
+    K = len(a)
+    singular_left = [False] * K if singular_left is None else singular_left
+    breakpoints = [()] * K if breakpoints is None else breakpoints
+    for k in range(K):
+        if not (a[k] < b[k]):
+            raise ValueError(f"need a < b, got [{a[k]}, {b[k]}]")
+    heaps: list[list | None] = [[] for _ in range(K)]
+    panels = [0] * K
+    results: list[QuadResult | None] = [None] * K
+    failures: dict[int, QuadratureError] = {}
+    todo = []  # (integral, lower ends, upper ends) of the panels to evaluate
+    started = live = 0
+    while True:
+        # Integrals start in order, at most _INTERVAL_WINDOW at a time.
+        while live < _INTERVAL_WINDOW and started < K:
+            seed = _seed_panels(a[started], b[started], singular_left[started],
+                                breakpoints[started])
+            todo.append((started, [p[0] for p in seed], [p[1] for p in seed]))
+            started += 1
+            live += 1
+        if not todo:
+            break
+        _push_panels(f, todo, heaps, panels, failures)
+        done = [k for k, _, _ in todo]
+        todo = []
+        for k in done:
+            if k not in failures:
+                heap = heaps[k]
+                total, err = sum(map(_VALUE, heap)), sum(map(_ERROR, heap))
+                if err <= tol + rel_tol * abs(total):
+                    results[k] = QuadResult(total, err, panels[k])
+                elif panels[k] >= max_subdivisions:
+                    failures[k] = ToleranceNotAchieved(
+                        f"error estimate {err:.3e} > tol {tol:.3e} "
+                        f"after {panels[k]} panels on [{a[k]}, {b[k]}]",
+                        QuadResult(total, err, panels[k]),
+                    )
+                else:
+                    lows, highs = _split_worst(heap)
+                    if lows:
+                        todo.append((k, lows, highs))
+                        continue
+                    results[k] = QuadResult(sum(map(_VALUE, heap)),
+                                            sum(map(_ERROR, heap)), panels[k])
+            heaps[k] = None
+            live -= 1
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
+def _split_worst(heap: list) -> tuple[list, list]:
+    """Children of the up to 8 worst panels, popped from the heap."""
+    lows, highs = [], []
+    for _ in range(min(8, len(heap))):
+        _, lo, hi, v, e = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            # Width at rounding floor: keep the panel, accept its error.
+            heapq.heappush(heap, (0.0, lo, hi, v, e))
+            continue
+        lows.extend([lo, mid])
+        highs.extend([mid, hi])
+    return lows, highs
+
+
+def _push_panels(f, todo, heaps, panels, failures) -> None:
+    """Evaluate the listed panels of every integral and push them on its heap."""
+    counts = [len(lows) for _, lows, _ in todo]
+    lows = np.array([x for _, ls, _ in todo for x in ls])
+    highs = np.array([x for _, _, hs in todo for x in hs])
+    mids = 0.5 * (lows + highs)
+    halfs = 0.5 * (highs - lows)
+    nodes = (mids[:, None] + halfs[:, None] * _XGK[None, :]).ravel()
+    node_owner = np.repeat([k for k, _, _ in todo], [15 * n for n in counts])
+    vals = np.empty(nodes.size)
+    for s in range(0, nodes.size, _INTERVAL_CHUNK_NODES):
+        chunk = slice(s, s + _INTERVAL_CHUNK_NODES)
+        vals[chunk] = f(nodes[chunk], node_owner[chunk])
+    vals = vals.reshape(-1, 15)
+    ends = np.cumsum(counts).tolist()
+    spans = [(k, start, end) for (k, _, _), start, end in zip(todo, [0] + ends[:-1], ends)]
+    finite = np.isfinite(vals).all(axis=1)
+    if not finite.all():
+        for k, start, end in spans:
+            if not finite[start:end].all():
+                bad = nodes[15 * start:15 * end][~np.isfinite(vals[start:end].ravel())][0]
+                failures[k] = QuadratureError(f"integrand not finite at x={bad!r}")
+        spans = [span for span in spans if span[0] not in failures]
+    # The GK15 sums of each integral come from its own rows alone, as in
+    # _panel_estimates: the BLAS sum of a row depends on the rows it is
+    # computed with and on their memory layout.
+    k15, g7 = np.zeros(len(lows)), np.zeros(len(lows))
+    for _, start, end in spans:
+        block = vals[start:end]
+        np.matmul(block, _WGK, out=k15[start:end])
+        np.matmul(block[:, _GAUSS_IDX], _WG, out=g7[start:end])
+    values = k15 * halfs
+    errors = np.abs(k15 - g7) * halfs
+    items = list(zip((-errors).tolist(), lows.tolist(), highs.tolist(),
+                     values.tolist(), errors.tolist()))
+    for k, start, end in spans:
+        heap = heaps[k]
+        for item in items[start:end]:
+            heapq.heappush(heap, item)
+        panels[k] += end - start
+
+
 def integrate_interval(
     f: Callable,
     a: float,
@@ -257,66 +416,14 @@ def integrate_interval(
 ) -> QuadResult:
     """Adaptive integral of ``f`` on the finite interval [a, b].
 
-    A flagged singular left endpoint gets geometrically graded seed panels
-    (handles integrable power/log endpoints of moderate strength).  The
-    returned error estimate is the sum of |K15 - G7| panel differences.
-    Refinement stops once the estimate drops below
-    ``tol + rel_tol * |integral|``.
-
-    Raises :class:`ToleranceNotAchieved` (carrying the best result) if the
-    subdivision budget runs out first.
+    The single-integral case of :func:`integrate_intervals`: ``f`` takes
+    the node array alone.  Raises :class:`ToleranceNotAchieved` (carrying
+    the best result) if the subdivision budget runs out first.
     """
-    if not (a < b):
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    panels = _seed_panels(a, b, singular_left, breakpoints)
-    lows = np.array([p[0] for p in panels])
-    highs = np.array([p[1] for p in panels])
-    heap: list[tuple[float, float, float, float, float]] = []
-    total_panels = 0
-
-    def push_batch(lo_arr, hi_arr):
-        nonlocal total_panels
-        mids = 0.5 * (lo_arr + hi_arr)
-        halfs = 0.5 * (hi_arr - lo_arr)
-        nodes = mids[:, None] + halfs[:, None] * _XGK[None, :]
-        vals = f(nodes.ravel()).reshape(nodes.shape)
-        if not np.all(np.isfinite(vals)):
-            bad = nodes.ravel()[~np.isfinite(vals.ravel())][0]
-            raise QuadratureError(f"integrand not finite at x={bad!r}")
-        v, e = _panel_estimates(vals, halfs)
-        for lo, hi, vi, ei in zip(lo_arr, hi_arr, v, e):
-            heapq.heappush(heap, (-ei, lo, hi, vi, ei))
-        total_panels += len(lo_arr)
-
-    push_batch(lows, highs)
-    while True:
-        total = sum(item[3] for item in heap)
-        err = sum(item[4] for item in heap)
-        if err <= tol + rel_tol * abs(total):
-            return QuadResult(total, err, total_panels)
-        if total_panels >= max_subdivisions:
-            best = QuadResult(total, err, total_panels)
-            raise ToleranceNotAchieved(
-                f"error estimate {err:.3e} > tol {tol:.3e} "
-                f"after {total_panels} panels on [{a}, {b}]",
-                best,
-            )
-        # Split the worst panels (up to 8 per round, vectorized evaluation).
-        batch_lo, batch_hi = [], []
-        for _ in range(min(8, len(heap))):
-            _, lo, hi, _, ei = heapq.heappop(heap)
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                # Width at rounding floor: keep the panel, accept its error.
-                heapq.heappush(heap, (0.0, lo, hi, _, ei))
-                continue
-            batch_lo.extend([lo, mid])
-            batch_hi.extend([mid, hi])
-        if not batch_lo:
-            total = sum(item[3] for item in heap)
-            err = sum(item[4] for item in heap)
-            return QuadResult(total, err, total_panels)
-        push_batch(np.array(batch_lo), np.array(batch_hi))
+    return integrate_intervals(
+        lambda x, owner: f(x), [a], [b], tol, [singular_left], [breakpoints],
+        max_subdivisions, rel_tol,
+    )[0]
 
 
 def power_singular_integral(
@@ -511,20 +618,45 @@ def integrate_cell_components(
     return results
 
 
+def _fixed_sum(x: np.ndarray) -> int:
+    """sum(_fixed(v) for v in x) exactly, without a Python loop over x.
+
+    Each v is mant * 2**shift in units of 2**-1074 with an integer mant
+    of at most 53 bits.  Split into 26- and 27-bit halves, the mantissas
+    are summed per shift by bincount in floating point, which is exact
+    while fewer than 2**26 values share a shift.
+    """
+    m, e = np.frexp(x)
+    mant = (m * 2.0**53).astype(np.int64)
+    shift = e.astype(np.int64) + 1021
+    base = int(shift.min()) if x.size else 0
+    high = np.bincount(shift - base, weights=mant >> 27)
+    low = np.bincount(shift - base, weights=mant & ((1 << 27) - 1))
+    total = 0
+    for k in np.flatnonzero((high != 0) | (low != 0)).tolist():
+        v = (int(high[k]) << 27) + int(low[k])
+        # a negative shift comes from subnormals, whose mantissas carry
+        # that many trailing zero bits
+        total += v << (k + base) if k + base >= 0 else v >> -(k + base)
+    return total
+
+
 def _refine_component(f, c, los, his, values, errors, worst, tol, rel_tol,
                       max_cells) -> QuadResult:
-    """Worst-cell refinement of component ``c`` from its seed arrays."""
-    # Heap entries: (-error, serial, los, his, value, error, worst axis).
-    heap = [(-e, serial, tuple(lo), tuple(hi), v, e, ax)
-            for serial, (lo, hi, v, e, ax) in enumerate(zip(
-                los.tolist(), his.tolist(), values.tolist(), errors.tolist(),
-                worst.tolist()))]
-    heapq.heapify(heap)
-    serials = itertools.count(len(heap))
-    # exact sums over the heap, in units of 2**-1074
-    total = sum(_fixed(item[4]) for item in heap)
-    err = sum(_fixed(item[5]) for item in heap)
-    n_cells = len(heap)
+    """Worst-cell refinement of component ``c`` from its seed arrays.
+
+    Cells are split in order of error, largest first, ties by serial
+    number (seed cells first, in seed order, then children in order of
+    creation).  The seeds stay in their arrays, sorted once into that
+    order, and are merged with a heap that holds only the cells created
+    or re-queued here; the totals are exact sums in units of 2**-1074.
+    """
+    seeds = np.argsort(-errors, kind="stable").tolist()
+    next_seed = 0
+    heap: list = []  # (-error, serial, los, his, value, error, worst axis)
+    serials = itertools.count(len(seeds))
+    total, err = _fixed_sum(values), _fixed_sum(errors)
+    n_cells = len(seeds)
     while True:
         value, error = total / _FIXED_ONE, err / _FIXED_ONE
         if error <= tol + rel_tol * abs(value):
@@ -534,7 +666,13 @@ def _refine_component(f, c, los, his, values, errors, worst, tol, rel_tol,
             raise ToleranceNotAchieved(
                 f"cell budget exhausted: error {error:.3e} > tol {tol:.3e}", best
             )
-        _, serial, lo_t, hi_t, v, e, ax = heapq.heappop(heap)
+        s = seeds[next_seed] if next_seed < len(seeds) else None
+        if s is not None and (not heap or (-errors[s], s) < heap[0][:2]):
+            next_seed += 1
+            serial, lo_t, hi_t = s, tuple(los[s].tolist()), tuple(his[s].tolist())
+            v, e, ax = float(values[s]), float(errors[s]), int(worst[s])
+        else:
+            _, serial, lo_t, hi_t, v, e, ax = heapq.heappop(heap)
         lo, hi = lo_t[ax], hi_t[ax]
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:

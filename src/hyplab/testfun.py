@@ -19,6 +19,8 @@ __all__ = [
     "RadialTestFunction",
     "HalfSpaceFunction",
     "make_bump",
+    "mollifier_value",
+    "mollifier_derivative",
     "make_veps",
     "make_ueps",
 ]
@@ -30,7 +32,10 @@ class RadialTestFunction:
 
     ``origin_power`` is the exponent lam with u(r) ~ c r^lam
     as r -> 0+ when the support starts at 0; quadrature against singular
-    weights splits that pure power off analytically.
+    weights splits that pure power off analytically.  ``bump`` is the
+    (center, half-width) of a mollifier bump, whose value and derivative
+    are :func:`mollifier_value` and :func:`mollifier_derivative` at those
+    parameters, so that a battery can evaluate many bumps in one call.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -39,6 +44,7 @@ class RadialTestFunction:
     breakpoints: tuple[float, ...] = ()
     origin_power: float | None = None
     label: str = "radial"
+    bump: tuple[float, float] | None = None
 
     def __call__(self, r):
         return self.value(np.asarray(r, dtype=float))
@@ -116,6 +122,28 @@ class HalfSpaceFunction:
             )
 
 
+def mollifier_value(r, mid, half):
+    """exp(-1/(1-t^2)) inside |t| < 1 and 0 outside, t = (r - mid) / half.
+
+    ``mid`` and ``half`` are numbers or arrays that broadcast against r.
+    """
+    r = np.asarray(r, dtype=float)
+    t = (r - mid) / half
+    inside = np.abs(t) < 1.0
+    ts = np.where(inside, t, 0.0)
+    return np.where(inside, np.exp(-1.0 / (1.0 - ts * ts)), 0.0)
+
+
+def mollifier_derivative(r, mid, half):
+    """d/dr of :func:`mollifier_value`."""
+    r = np.asarray(r, dtype=float)
+    t = (r - mid) / half
+    inside = np.abs(t) < 1.0
+    ts = np.where(inside, t, 0.0)
+    om = 1.0 - ts * ts
+    return np.where(inside, np.exp(-1.0 / om) * (-2.0 * ts / om**2) / half, 0.0)
+
+
 def make_bump(r_lo: float, r_hi: float, shape: str = "mollifier") -> RadialTestFunction:
     """Radial bump supported on [r_lo, r_hi].
 
@@ -129,29 +157,11 @@ def make_bump(r_lo: float, r_hi: float, shape: str = "mollifier") -> RadialTestF
     half = 0.5 * (r_hi - r_lo)
 
     if shape == "mollifier":
-
-        def value(r):
-            r = np.asarray(r, dtype=float)
-            t = (r - mid) / half
-            inside = np.abs(t) < 1.0
-            ts = np.where(inside, t, 0.0)
-            out = np.where(inside, np.exp(-1.0 / (1.0 - ts * ts)), 0.0)
-            return out
-
-        def derivative(r):
-            r = np.asarray(r, dtype=float)
-            t = (r - mid) / half
-            inside = np.abs(t) < 1.0
-            ts = np.where(inside, t, 0.0)
-            om = 1.0 - ts * ts
-            out = np.where(
-                inside, np.exp(-1.0 / om) * (-2.0 * ts / om**2) / half, 0.0
-            )
-            return out
-
         return RadialTestFunction(
-            value, derivative, (r_lo, r_hi),
-            breakpoints=(r_lo, r_hi), label=f"mollifier[{r_lo:g},{r_hi:g}]",
+            lambda r: mollifier_value(r, mid, half),
+            lambda r: mollifier_derivative(r, mid, half),
+            (r_lo, r_hi), breakpoints=(r_lo, r_hi),
+            label=f"mollifier[{r_lo:g},{r_hi:g}]", bump=(mid, half),
         )
 
     if shape == "tent":

@@ -29,6 +29,7 @@ from .integrals import (
     halfspace_integral,
     hardy1d_energy,
     hardy1d_mass,
+    radial_battery,
     radial_energy,
     radial_weighted_mass,
     ueps_energy_mass,
@@ -46,6 +47,7 @@ __all__ = [
     "check_ftilde",
     "supersolution_residual",
     "batch_verify",
+    "radial_reports",
     "random_bump",
     "random_halfspace_product",
     "halfspace_pair_reports",
@@ -181,53 +183,115 @@ def _report(kind, params, u, lhs, rhs, l=None) -> InequalityReport:
 def _verify_radial(
     kind: InequalityKind, params: Params, u: RadialTestFunction, tol: float
 ) -> InequalityReport:
-    lam, p = params.lambda_p, params.p
+    _check_ball_support(kind, params, u, _ball_radius(kind, params))
     E, M = radial_energy(params, u, tol)
-
-    def mass(weight):
-        return radial_weighted_mass(params, u, weight, tol)
-
-    if kind is InequalityKind.PGAP:
-        lhs, rhs = E, lam * M
-    elif kind is InequalityKind.GREEN_WEIGHT:
-        lhs, rhs = E - lam * M, mass("W")
-    elif kind is InequalityKind.HARDY:
-        lhs, rhs = E - lam * M, hardy_constant(params) * mass("1/r^p")
-    elif kind is InequalityKind.UNCERTAINTY:
-        # product form: (gap) * (r^{p'} mass)^(p/p') >= c * (mass)^p
-        lhs = (E - lam * M) * mass("r^pprime") ** (p / params.p_prime)
-        rhs = hardy_constant(params) * M**p
-    elif kind is InequalityKind.HP_WEIGHTED:
-        c_r, c_sinh = ball_constants(params)
-        lhs = E - lam * mass("Hp")
-        rhs = c_r * mass("1/r^p") + c_sinh * mass("1/sinh^p")
-    elif kind is InequalityKind.BALL:
-        if p > 2.0:
-            rp = solve_rp(params).root
-            if not (u.support[1] <= rp):
-                raise SupportViolation(
-                    f"support [{u.support[0]:g}, {u.support[1]:g}] must sit "
-                    f"inside the ball of radius r_p = {rp:.6g}"
-                )
-        c_r, c_sinh = ball_constants(params)
-        lhs = E - lam * M
-        rhs = c_r * mass("1/r^p") + c_sinh * mass("1/sinh^p")
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled radial kind {kind}")
+    lhs, rhs = _radial_sides(
+        kind, params, E, M, lambda weight: radial_weighted_mass(params, u, weight, tol)
+    )
     return _report(kind, params, u, lhs, rhs)
+
+
+# The terms each radial kind reads, in the order the recipes read them.
+_RADIAL_TERMS = {
+    InequalityKind.PGAP: ("E", "M"),
+    InequalityKind.GREEN_WEIGHT: ("E", "M", "W"),
+    InequalityKind.HARDY: ("E", "M", "1/r^p"),
+    InequalityKind.UNCERTAINTY: ("E", "M", "r^pprime"),
+    InequalityKind.HP_WEIGHTED: ("E", "Hp", "1/r^p", "1/sinh^p"),
+    InequalityKind.BALL: ("E", "M", "1/r^p", "1/sinh^p"),
+    InequalityKind.HARDY1D: ("hardy1d_energy", "hardy1d_mass"),
+}
+
+
+def _radial_sides(kind, params, E, M, mass):
+    """(lhs, rhs) of a radial kind from the energy E, the mass M and the
+    weighted masses ``mass(weight)``."""
+    lam, p = params.lambda_p, params.p
+    if kind is InequalityKind.PGAP:
+        return E, lam * M
+    if kind is InequalityKind.GREEN_WEIGHT:
+        return E - lam * M, mass("W")
+    if kind is InequalityKind.HARDY:
+        return E - lam * M, hardy_constant(params) * mass("1/r^p")
+    if kind is InequalityKind.UNCERTAINTY:
+        # product form: (gap) * (r^{p'} mass)^(p/p') >= c * (mass)^p
+        return ((E - lam * M) * mass("r^pprime") ** (p / params.p_prime),
+                hardy_constant(params) * M**p)
+    c_r, c_sinh = ball_constants(params)
+    rhs = c_r * mass("1/r^p") + c_sinh * mass("1/sinh^p")
+    if kind is InequalityKind.HP_WEIGHTED:
+        return E - lam * mass("Hp"), rhs
+    if kind is InequalityKind.BALL:
+        return E - lam * M, rhs
+    raise ValueError(f"unhandled radial kind {kind}")  # pragma: no cover
+
+
+def _ball_radius(kind: InequalityKind, params: Params) -> float | None:
+    """r_p when the kind restricts supports to the critical ball, else None."""
+    if kind is InequalityKind.BALL and params.p > 2.0:
+        return solve_rp(params).root
+    return None
+
+
+def _check_ball_support(kind, params, u, rp: float | None) -> None:
+    if rp is not None and not (u.support[1] <= rp):
+        raise SupportViolation(
+            f"support [{u.support[0]:g}, {u.support[1]:g}] must sit "
+            f"inside the ball of radius r_p = {rp:.6g}"
+        )
+
+
+def _hardy1d_exponent(params: Params, l: float | None) -> float:
+    l_eff = params.p if l is None else float(l)
+    if not (1.0 < l_eff <= params.p):
+        raise HypothesisError(f"hardy1d requires 1 < l <= p, got l={l_eff}")
+    return l_eff
 
 
 def _verify_hardy1d(
     params: Params, u: RadialTestFunction, tol: float, l: float | None
 ) -> InequalityReport:
     p = params.p
-    l_eff = p if l is None else float(l)
-    if not (1.0 < l_eff <= p):
-        raise HypothesisError(f"hardy1d requires 1 < l <= p, got l={l_eff}")
+    l_eff = _hardy1d_exponent(params, l)
     c = ((p - 1.0) / p) ** l_eff
     return _report(InequalityKind.HARDY1D, params, u,
                    hardy1d_energy(p, l_eff, u, tol), c * hardy1d_mass(p, u, tol),
                    l=l_eff)
+
+
+def radial_reports(
+    kind: InequalityKind,
+    params: Params,
+    funcs,
+    tol: float = 1e-9,
+    l: float | None = None,
+    rp: float | None = None,
+) -> list[InequalityReport]:
+    """Reports of one radial or 1D kind for many profiles, in one pass.
+
+    Every term the kind's recipe reads, for every profile, comes from one
+    :func:`~hyplab.integrals.radial_battery` call; the reports equal those
+    of :func:`verify` on each profile, up to the weight W, whose error
+    bound depends on the anchors its evaluator has cached.  ``rp`` is the
+    critical radius r_p of the ball kind if the caller has it.
+    """
+    kind = InequalityKind(kind)
+    _require_hypothesis(kind, params)
+    if kind is InequalityKind.HARDY1D:
+        l_eff = _hardy1d_exponent(params, l)
+        c = ((params.p - 1.0) / params.p) ** l_eff
+        terms = radial_battery(params, funcs, _RADIAL_TERMS[kind], tol, l_eff)
+        return [_report(kind, params, u, t["hardy1d_energy"], c * t["hardy1d_mass"],
+                        l=l_eff)
+                for u, t in zip(funcs, terms)]
+    if rp is None:
+        rp = _ball_radius(kind, params)
+    for u in funcs:
+        _check_ball_support(kind, params, u, rp)
+    terms = radial_battery(params, funcs, _RADIAL_TERMS[kind], tol)
+    return [_report(kind, params, u,
+                    *_radial_sides(kind, params, t["E"], t.get("M"), t.__getitem__))
+            for u, t in zip(funcs, terms)]
 
 
 def _verify_halfspace(
@@ -558,10 +622,14 @@ def _bump_spec_for_trial(
     seed: int,
     index: int,
     allow_origin: bool = False,
+    rp: float | None = None,
 ) -> tuple[float, float]:
+    """Support of trial ``index``; ``rp`` is r_p for the ball kind (solved
+    here when not given)."""
     rng = np.random.default_rng([seed, index])
     if kind is InequalityKind.BALL and params.p > 2.0:
-        rp = solve_rp(params).root
+        if rp is None:
+            rp = solve_rp(params).root
         r_lo = rng.uniform(0.03, 0.4) * rp
         r_hi = r_lo + rng.uniform(0.1, 0.55) * rp
         r_hi = min(r_hi, 0.98 * rp)
@@ -570,12 +638,11 @@ def _bump_spec_for_trial(
     return u.support
 
 
-def _trial_job(args):
-    kind_value, N, p, l, r_lo, r_hi, tol, label_index = args
-    params = Params(N, p)
-    u = make_bump(r_lo, r_hi, "mollifier")
-    rep = verify(InequalityKind(kind_value), params, u, tol, l=l)
-    return label_index, rep
+def _battery_job(args):
+    kind_value, N, p, l, supports, tol, rp = args
+    funcs = [make_bump(r_lo, r_hi, "mollifier") for r_lo, r_hi in supports]
+    return radial_reports(InequalityKind(kind_value), Params(N, p), funcs, tol,
+                          l=l, rp=rp)
 
 
 def batch_verify(
@@ -591,8 +658,11 @@ def batch_verify(
     """Seeded battery of radial/1D verifications, ordered by trial index.
 
     Trials round-robin over ``params_grid``.  Supports are drawn from the
-    per-trial generator default_rng([seed, index]), so results do not
-    depend on the worker count (set via HYPLAB_WORKERS or ``workers``).
+    per-trial generator default_rng([seed, index]), and the trials of one
+    grid point run as one :func:`radial_reports` pass.  With more than one
+    worker (set via HYPLAB_WORKERS or ``workers``) each grid point's trials
+    are cut into contiguous chunks, one pass per chunk; the reports do not
+    depend on the worker count, up to the error bound of the weight W.
     ``allow_origin`` lets a fraction of supports touch r = 0; it is
     rejected for the Green's-function weight, whose node evaluation needs
     r_lo > 0.
@@ -606,20 +676,31 @@ def batch_verify(
             "Green's-function weight battery"
         )
     grid = list(params_grid)
-    jobs = []
-    for i in range(trials):
-        params = grid[i % len(grid)]
-        r_lo, r_hi = _bump_spec_for_trial(kind, params, seed, i, allow_origin)
-        jobs.append((kind.value, params.N, params.p, l, r_lo, r_hi, tol, i))
     if workers is None:
         workers = int(os.environ.get("HYPLAB_WORKERS", "1"))
-    if workers > 1:
+    jobs, order = [], []
+    for g, params in enumerate(grid):
+        indices = list(range(g, trials, len(grid)))
+        if not indices:
+            continue
+        _require_hypothesis(kind, params)
+        rp = _ball_radius(kind, params)
+        supports = [_bump_spec_for_trial(kind, params, seed, i, allow_origin, rp)
+                    for i in indices]
+        size = -(-len(indices) // max(workers, 1))
+        for s in range(0, len(indices), size):
+            jobs.append((kind.value, params.N, params.p, l, supports[s:s + size],
+                         tol, rp))
+            order.extend(indices[s:s + size])
+    if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_trial_job, jobs))
+            chunks = list(pool.map(_battery_job, jobs))
     else:
-        results = [_trial_job(j) for j in jobs]
-    results.sort(key=lambda t: t[0])
-    return [rep for _, rep in results]
+        chunks = [_battery_job(job) for job in jobs]
+    reports = [None] * len(order)
+    for i, rep in zip(order, (rep for chunk in chunks for rep in chunk)):
+        reports[i] = rep
+    return reports
 
 
 def halfspace_pair_reports(

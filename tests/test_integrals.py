@@ -12,6 +12,7 @@ from hyplab.integrals import (
     halfspace_integral,
     hardy1d_energy,
     hardy1d_mass,
+    radial_battery,
     radial_energy,
     radial_weighted_mass,
     ueps_energy_mass,
@@ -231,6 +232,58 @@ class TestHardyBatteryPins:
             rp = radial_weighted_mass(self.P, u, "1/r^p", 1e-10)
             assert [self._fields(ep), self._fields(mp), self._fields(rp)] == [
                 e_pin, m_pin, r_pin]
+
+    def test_one_battery_pass(self):
+        funcs = [make_bump(*support) for support, *_ in self.PINS]
+        terms = radial_battery(self.P, funcs, ("E", "M", "1/r^p"), 1e-10)
+        for t, (_, e_pin, m_pin, r_pin) in zip(terms, self.PINS):
+            assert [self._fields(t["E"]), self._fields(t["M"]),
+                    self._fields(t["1/r^p"])] == [e_pin, m_pin, r_pin]
+
+
+class TestRadialBattery:
+    """A battery pass against the one-function calls, term by term."""
+
+    P = Params(10, 3.0)
+    FUNCS = [
+        make_bump(0.0, 1.7),                # at the origin, graded panels
+        make_veps(3.0, 0.1, 0.05),          # declared origin power: split
+        make_bump(0.4, 2.5, "tent"),        # not a mollifier: called per run
+        make_bump(2.0, 6.5),
+        make_bump(0.3, 0.9),
+    ]
+
+    def test_radial_terms(self):
+        weights = ("1/r^p", "1/sinh^p", "Hp", "r^pprime")
+        terms = radial_battery(self.P, self.FUNCS, ("E", "M") + weights, 1e-10)
+        for u, t in zip(self.FUNCS, terms):
+            assert (t["E"], t["M"]) == radial_energy(self.P, u, 1e-10)
+            for w in weights:
+                assert t[w] == radial_weighted_mass(self.P, u, w, 1e-10)
+
+    def test_bumps_evaluated_together_equal_profiles_called_one_by_one(self):
+        funcs = [self.FUNCS[0], *self.FUNCS[3:]]
+        plain = [type(u)(u.value, u.derivative, u.support, u.breakpoints)
+                 for u in funcs]
+        assert all(u.bump is not None for u in funcs)
+        assert (radial_battery(self.P, plain, ("E", "M"), 1e-10)
+                == radial_battery(self.P, funcs, ("E", "M"), 1e-10))
+
+    @pytest.mark.parametrize("l", [2.0, 3.0])
+    def test_hardy1d_terms(self, l):
+        terms = radial_battery(self.P, self.FUNCS, ("hardy1d_energy", "hardy1d_mass"),
+                               1e-10, l=l)
+        for u, t in zip(self.FUNCS, terms):
+            assert t["hardy1d_energy"] == hardy1d_energy(3.0, l, u, 1e-10)
+            assert t["hardy1d_mass"] == hardy1d_mass(3.0, u, 1e-10)
+
+    def test_rejects_unknown_terms_and_bad_exponent(self):
+        with pytest.raises(ValueError, match="unknown term"):
+            radial_battery(self.P, self.FUNCS, ("E", "energy"), 1e-10)
+        with pytest.raises(ValueError, match="1 < l <= p"):
+            radial_battery(self.P, self.FUNCS, ("hardy1d_energy",), 1e-10, l=3.5)
+        with pytest.raises(NonIntegrableSingularity):
+            radial_battery(self.P, self.FUNCS, ("W",), 1e-10)
 
 
 class TestHardy1D:

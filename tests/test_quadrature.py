@@ -14,6 +14,7 @@ from hyplab.quadrature import (
     integrate_cell_components,
     integrate_cells,
     integrate_interval,
+    integrate_intervals,
     power_singular_integral,
 )
 
@@ -85,6 +86,99 @@ def test_breakpoints_split_kinks_exactly():
     f = lambda x: np.abs(x - 0.5)
     r = integrate_interval(f, 0.0, 1.0, 1e-14, breakpoints=[0.5])
     assert abs(r.value - 0.25) < 1e-14
+
+
+class TestLockstep:
+    """K integrals in one lockstep pass against their one-integral calls."""
+
+    @staticmethod
+    def _family(seed, K):
+        """K random integrands with supports, flags and breakpoints."""
+        rng = np.random.default_rng(seed)
+        lo = np.where(rng.uniform(size=K) < 0.3, 0.0, rng.uniform(0.0, 2.0, K))
+        hi = lo + rng.uniform(0.1, 6.0, K)
+        power = rng.uniform(0.2, 2.5, K)
+        freq = rng.uniform(0.5, 9.0, K)
+        scale = np.exp(rng.uniform(-20.0, 20.0, K))
+        singular = [bool(x == 0.0 and s) for x, s in zip(lo, rng.uniform(size=K) < 0.7)]
+        bps = [tuple(np.sort(rng.uniform(a, b, rng.integers(0, 3))))
+               for a, b in zip(lo, hi)]
+
+        def f(x, owner):
+            return scale[owner] * x ** power[owner] * (2.0 + np.sin(freq[owner] * x))
+
+        def alone(k):
+            return integrate_interval(lambda x: f(x, np.full(x.shape, k)),
+                                      lo[k], hi[k], 0.0, singular_left=singular[k],
+                                      breakpoints=bps[k], rel_tol=1e-11)
+
+        def together(ks):
+            return integrate_intervals(
+                lambda x, owner: f(x, np.asarray(ks)[owner]), lo[ks], hi[ks], 0.0,
+                singular_left=[singular[k] for k in ks],
+                breakpoints=[bps[k] for k in ks], rel_tol=1e-11)
+
+        return alone, together
+
+    def test_each_integral_equals_its_single_call(self, monkeypatch):
+        K = 40
+        alone, together = self._family(1, K)
+        singles = [alone(k) for k in range(K)]
+        assert len({r.subdivisions for r in singles}) > 5  # refined unequally
+        # value, error and subdivisions, bit for bit
+        assert together(list(range(K))) == singles
+        # chunk boundaries inside an integral's panels, a narrow window
+        monkeypatch.setattr(quadrature, "_INTERVAL_CHUNK_NODES", 15 * 7)
+        monkeypatch.setattr(quadrature, "_INTERVAL_WINDOW", 3)
+        assert together(list(range(K))) == singles
+
+    def test_results_do_not_depend_on_batch_mates(self):
+        K = 24
+        alone, together = self._family(2, K)
+        full = together(list(range(K)))
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            ks = rng.permutation(K)[: rng.integers(1, K)].tolist()
+            assert together(ks) == [full[k] for k in ks]
+
+    def test_calls_are_chunked_to_the_node_cap(self):
+        sizes = []
+
+        def f(x, owner):
+            sizes.append(x.size)
+            return np.exp(-x) * (1.0 + owner)
+
+        K = 64
+        res = integrate_intervals(f, [0.0] * K, [1.0] * K, 0.0,
+                                  singular_left=[True] * K, rel_tol=1e-12)
+        assert max(sizes) == quadrature._INTERVAL_CHUNK_NODES
+        assert all(s % 15 == 0 for s in sizes)
+        assert res[5].value == pytest.approx(6.0 * (1.0 - math.exp(-1.0)), rel=1e-13)
+
+    def test_tolerance_not_achieved_carries_failing_integral(self):
+        def pole(x):
+            return 1.0 / np.sqrt(np.abs(x - 0.31831) + 1e-300)
+
+        def f(x, owner):
+            return np.where(owner % 2 == 1, pole(x), np.exp(x))
+
+        with pytest.raises(ToleranceNotAchieved) as alone:
+            integrate_interval(pole, 0.0, 1.0, 1e-13, max_subdivisions=40)
+        with pytest.raises(ToleranceNotAchieved) as together:
+            integrate_intervals(f, [0.0] * 4, [1.0] * 4, 1e-13, max_subdivisions=40)
+        # the first failing integral is reported: index 1 of 1 and 3
+        assert together.value.result == alone.value.result
+        assert str(together.value) == str(alone.value)
+
+    def test_non_finite_integrand_fails_its_integral(self):
+        def f(x, owner):
+            return np.where((owner == 2) & (x > 0.5), np.inf, x)
+
+        with pytest.raises(QuadratureError, match="not finite") as exc:
+            integrate_intervals(f, [0.0] * 4, [1.0] * 4, 1e-12)
+        assert not isinstance(exc.value, ToleranceNotAchieved)
+        with pytest.raises(ValueError, match="a < b"):
+            integrate_intervals(f, [0.0, 1.0], [1.0, 1.0], 1e-12)
 
 
 class TestPowerSingular:
@@ -337,6 +431,15 @@ class TestCells:
             except ToleranceNotAchieved as exc:
                 refined = exc.result
             assert refined.subdivisions == 50
+
+    def test_fixed_sum_matches_per_value_conversion(self):
+        # the vectorized exact sum against the per-value reference
+        rng = np.random.default_rng(8)
+        for n in (0, 1, 7, 400, 3000):
+            xs = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 308, n)
+            xs[: min(n, 4)] = [5e-324, -2.5e-320, 0.0, -0.0][: min(n, 4)]
+            expected = sum(quadrature._fixed(x) for x in xs.tolist())
+            assert quadrature._fixed_sum(xs) == expected
 
     @pytest.mark.parametrize("bad", [0, 1])
     def test_non_finite_value_in_any_component_raises(self, bad):

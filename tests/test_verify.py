@@ -10,16 +10,19 @@ from hypothesis import strategies as st
 
 from hyplab.core import HypothesisError, Params
 from hyplab.quadrature import QuadResult
+from hyplab.report import ReportEnvelope, dumps
 from hyplab.testfun import make_bump
 from hyplab.verify import (
     InequalityKind,
     SupportViolation,
+    _bump_spec_for_trial,
     ball_constants,
     batch_verify,
     check_ftilde,
     check_pconvexity,
     hardy_constant,
     halfspace_pair_reports,
+    radial_reports,
     random_halfspace_product,
     sharpness_scan,
     supersolution_residual,
@@ -207,6 +210,61 @@ class TestBatch:
         grid = [Params(3, 2.0), Params(13, 4.0)]
         reps = batch_verify(InequalityKind.PGAP, grid, 4, seed=1, tol=1e-9)
         assert [r.N for r in reps] == [3, 13, 3, 13]
+
+    @staticmethod
+    def _csv(reports):
+        return dumps(ReportEnvelope("verify", {}, "inequality_reports",
+                                    [r.as_row() for r in reports]), "csv")
+
+    def test_reports_byte_identical_for_any_worker_count(self):
+        grid = [Params(3, 2.0), Params(8, 2.5)]
+        runs = [self._csv(batch_verify(InequalityKind.HP_WEIGHTED, grid, 9, seed=4,
+                                       tol=1e-10, workers=w, allow_origin=True))
+                for w in (1, 2, 3)]
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0].count("mollifier[0,") >= 1  # a support at the origin
+
+    def test_battery_reports_equal_one_trial_verify(self):
+        for kind in (InequalityKind.HARDY, InequalityKind.UNCERTAINTY,
+                     InequalityKind.BALL, InequalityKind.HARDY1D):
+            params = Params(8, 2.5)
+            reps = batch_verify(kind, [params], 5, seed=2, tol=1e-10)
+            funcs = [make_bump(*_bump_spec_for_trial(kind, params, 2, i))
+                     for i in range(5)]
+            assert [verify(kind, params, u, 1e-10) for u in funcs] == reps
+            assert radial_reports(kind, params, funcs, 1e-10) == reps
+
+    def test_ball_radius_solved_once_per_battery(self, monkeypatch):
+        verify_module = importlib.import_module("hyplab.verify")
+        calls = []
+        solve = verify_module.solve_rp
+
+        def counted(params):
+            calls.append(params)
+            return solve(params)
+
+        monkeypatch.setattr(verify_module, "solve_rp", counted)
+        reps = batch_verify(InequalityKind.BALL, [Params(13, 4.0)], 6, seed=5,
+                            tol=1e-10)
+        assert len(calls) == 1 and all(r.passed for r in reps)
+
+    def test_peak_allocation_of_a_40_trial_battery(self):
+        # The battery's integrals are in flight together, each with a heap
+        # of its panels; at most quadrature._INTERVAL_WINDOW at a time.
+        # Measured: 1.44 MiB (0.08 MiB when the integrals ran one at a
+        # time); the 2 MiB bound leaves about 40% for platform differences.
+        import tracemalloc
+
+        batch_verify(InequalityKind.HP_WEIGHTED, [Params(3, 2.0)], 2, seed=11,
+                     tol=1e-10, allow_origin=True)
+        tracemalloc.start()
+        try:
+            batch_verify(InequalityKind.HP_WEIGHTED, [Params(3, 2.0)], 40, seed=11,
+                         tol=1e-10, workers=1, allow_origin=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * 2**20
 
 
 class TestSharpnessScan:
