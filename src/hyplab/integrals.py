@@ -330,8 +330,6 @@ def hardy1d_energy(
     p: float, l: float, v: RadialTestFunction, tol: float = 1e-10
 ) -> QuadResult:
     """int |v|^(p-l) (coth r)^(p-l) |v'|^l dr over the support of v."""
-    if not (1.0 < l <= p):
-        raise ValueError(f"need 1 < l <= p, got l={l}, p={p}")
     # the 1D pieces read p only; N = 2 is a placeholder
     return radial_battery(Params(2, p), [v], ("hardy1d_energy",), tol, l)[0][
         "hardy1d_energy"]

@@ -250,13 +250,14 @@ def _grade_left(lo: float, hi: float) -> list[tuple[float, float]]:
     return [(lo + w_lo, lo + w_hi) for w_hi, w_lo in zip(edges[:-1], edges[1:])]
 
 
-# Nodes per integrand call of the 1-D engine (512 panels): a round of a
-# battery with many integrals keeps each temporary array near 60 kB.
-_INTERVAL_CHUNK_NODES = 15 * 512
+# Nodes per integrand call of the 1-D engine (256 panels), so each
+# temporary array of a battery's integrand stays near 30 kB.
+_INTERVAL_CHUNK_NODES = 15 * 256
 # Integrals in flight at once.  Each holds a heap of its panels, so this
-# bounds the memory of a battery; 64 integrals split up to 512 panels a
-# round, one full integrand call.
-_INTERVAL_WINDOW = 64
+# bounds the memory of a battery; 32 integrals split up to 256 panels a
+# round, one full integrand call.  A window of 64 ran no faster on a
+# radial battery and raised the peak resident memory by twice as much.
+_INTERVAL_WINDOW = 32
 _VALUE = operator.itemgetter(3)
 _ERROR = operator.itemgetter(4)
 
@@ -369,20 +370,24 @@ def _push_panels(f, todo, heaps, panels, failures) -> None:
     highs = np.array([x for _, _, hs in todo for x in hs])
     mids = 0.5 * (lows + highs)
     halfs = 0.5 * (highs - lows)
-    nodes = (mids[:, None] + halfs[:, None] * _XGK[None, :]).ravel()
-    node_owner = np.repeat([k for k, _, _ in todo], [15 * n for n in counts])
-    vals = np.empty(nodes.size)
-    for s in range(0, nodes.size, _INTERVAL_CHUNK_NODES):
-        chunk = slice(s, s + _INTERVAL_CHUNK_NODES)
-        vals[chunk] = f(nodes[chunk], node_owner[chunk])
-    vals = vals.reshape(-1, 15)
+
+    def nodes(rows):
+        return (mids[rows, None] + halfs[rows, None] * _XGK[None, :]).ravel()
+
+    owner = np.repeat([k for k, _, _ in todo], counts)
+    vals = np.empty((len(lows), 15))
+    step = _INTERVAL_CHUNK_NODES // 15
+    for s in range(0, len(lows), step):
+        rows = slice(s, s + step)
+        vals[rows] = f(nodes(rows), np.repeat(owner[rows], 15)).reshape(-1, 15)
     ends = np.cumsum(counts).tolist()
     spans = [(k, start, end) for (k, _, _), start, end in zip(todo, [0] + ends[:-1], ends)]
     finite = np.isfinite(vals).all(axis=1)
     if not finite.all():
         for k, start, end in spans:
             if not finite[start:end].all():
-                bad = nodes[15 * start:15 * end][~np.isfinite(vals[start:end].ravel())][0]
+                rows = slice(start, end)
+                bad = nodes(rows)[~np.isfinite(vals[rows].ravel())][0]
                 failures[k] = QuadratureError(f"integrand not finite at x={bad!r}")
         spans = [span for span in spans if span[0] not in failures]
     # The GK15 sums of each integral come from its own rows alone, as in

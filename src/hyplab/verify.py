@@ -276,6 +276,8 @@ def radial_reports(
     critical radius r_p of the ball kind if the caller has it.
     """
     kind = InequalityKind(kind)
+    if kind.admissible_class == "halfspace":
+        raise ValueError(f"{kind.value} is verified on half-space test functions")
     _require_hypothesis(kind, params)
     if kind is InequalityKind.HARDY1D:
         l_eff = _hardy1d_exponent(params, l)

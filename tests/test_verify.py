@@ -251,8 +251,8 @@ class TestBatch:
     def test_peak_allocation_of_a_40_trial_battery(self):
         # The battery's integrals are in flight together, each with a heap
         # of its panels; at most quadrature._INTERVAL_WINDOW at a time.
-        # Measured: 1.44 MiB (0.08 MiB when the integrals ran one at a
-        # time); the 2 MiB bound leaves about 40% for platform differences.
+        # Measured: 0.75 MiB (0.08 MiB when the integrals ran one at a
+        # time); the 1 MiB bound leaves about 30% for platform differences.
         import tracemalloc
 
         batch_verify(InequalityKind.HP_WEIGHTED, [Params(3, 2.0)], 2, seed=11,
@@ -264,7 +264,7 @@ class TestBatch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.0 * 2**20
+        assert peak <= 2**20
 
 
 class TestSharpnessScan:
