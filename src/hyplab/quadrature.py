@@ -482,6 +482,14 @@ def power_singular_integral(
 # Tensor nodes per integrand call (9 cells in 3-D, 145 in 2-D, 2184 in 1-D),
 # so the arrays of one batch stay near 256 kB whatever the seed partition.
 _CELL_CHUNK_NODES = 2**15
+# glibc serves each block above its mmap threshold (128 kB at start) with a
+# fresh mapping, which every integrand call then page-faults in; freeing a
+# mapped block raises the threshold to that block's size.  Whether some
+# block the interpreter freed while compiling the modules was larger than a
+# cell batch (about 260 kB) decided whether the cubatures ran at full
+# speed: a `sharpness` round took 1.0 or 1.5 s with the same code path.
+# Freeing one 512 kB block here keeps every batch on the heap.
+np.empty(2**16)
 # Every finite double is an integer multiple of 2**-1074, so running sums
 # kept as integers in that unit are exact.
 _FIXED_ONE = 1 << 1074
