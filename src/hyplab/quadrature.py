@@ -485,10 +485,10 @@ _CELL_CHUNK_NODES = 2**15
 # glibc serves each block above its mmap threshold (128 kB at start) with a
 # fresh mapping, which every integrand call then page-faults in; freeing a
 # mapped block raises the threshold to that block's size.  Whether some
-# block the interpreter freed while compiling the modules was larger than a
-# cell batch (about 260 kB) decided whether the cubatures ran at full
-# speed: a `sharpness` round took 1.0 or 1.5 s with the same code path.
-# Freeing one 512 kB block here keeps every batch on the heap.
+# block freed earlier in the process was larger than a cell batch (about
+# 260 kB) decided whether the cubatures ran at full speed: a `sharpness`
+# round took 1.0 or 1.5 s with the same code path.  Freeing one 512 kB
+# block here keeps every batch on the heap.
 np.empty(2**16)
 # Every finite double is an integer multiple of 2**-1074, so running sums
 # kept as integers in that unit are exact.

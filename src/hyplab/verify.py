@@ -191,7 +191,7 @@ def _verify_radial(
     return _report(kind, params, u, lhs, rhs)
 
 
-# The terms each radial kind reads, in the order the recipes read them.
+# The terms each radial kind's recipe reads.
 _RADIAL_TERMS = {
     InequalityKind.PGAP: ("E", "M"),
     InequalityKind.GREEN_WEIGHT: ("E", "M", "W"),
