@@ -167,6 +167,20 @@ GOLDEN_RUNS["sharpness_hardy1d_N3_p3.json"] = [
     "--schedule", "0.001", "--delta", "0.001",
 ]
 GOLDEN_RUNS["weights_N13_p4.json"] = ["weights", "--N", "13", "--p", "4"]
+# The scalar commands, as the benchmark's radial workload runs them.
+GOLDEN_RUNS["constants_N13_p4.json"] = ["constants", "--N", "13", "--p", "4"]
+GOLDEN_RUNS["rp_N13_p4.json"] = ["rp", "--N", "13", "--p", "4"]
+GOLDEN_RUNS["rp-scan_N13_p4_N.json"] = [
+    "rp-scan", "--N", "13", "--p", "4", "--scan-axis", "N", "--N-max", "40",
+]
+GOLDEN_RUNS["rp-scan_N13_p4_p.json"] = [
+    "rp-scan", "--N", "13", "--p", "4", "--scan-axis", "p",
+    "--p-values", "2.5", "3", "3.5", "4",
+]
+GOLDEN_RUNS["figure1_N13_p4.json"] = ["figure1", "--N", "13", "--p", "4", "--points", "1500"]
+GOLDEN_RUNS["proofcheck_N13_p4.json"] = [
+    "proofcheck", "--N", "13", "--p", "4", "--trials", "64", "--seed", "3",
+]
 # One radial verify per kind, at the default tol.
 for kind, N, p, extra in (
     ("pgap", 3, 2, []),

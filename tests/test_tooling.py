@@ -20,3 +20,15 @@ def test_tracing_entry_points_resolve():
         if not callable(obj):
             missing.append(f"{mod_name}.{attr}")
     assert tracing.ENTRY_POINTS and missing == []
+
+
+def test_every_command_has_a_golden():
+    # a command without a golden report can change its output unnoticed
+    from hyplab.cli import _COMMANDS
+
+    spec = importlib.util.spec_from_file_location(
+        "golden_runs", Path(__file__).with_name("test_cli.py"))
+    test_cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(test_cli)
+    covered = {argv[0] for argv in test_cli.GOLDEN_RUNS.values()}
+    assert set(_COMMANDS) - covered == set()
