@@ -300,10 +300,8 @@ def cmd_figure1(args) -> int:
     if rp is not None and 0.0 < rp_val < args.r_max:
         radii.append(rp_val)  # marker row: the crossing H_p(r_p) = 1
     radii.sort()
-    rows = []
-    for r in radii:
-        hp = float(weight_hp(params, r))
-        rows.append({"r": float(r), "Hp": hp, "is_ge_one": bool(hp >= 1.0)})
+    rows = [{"r": float(r), "Hp": hp, "is_ge_one": hp >= 1.0}
+            for r, hp in zip(radii, weight_hp(params, np.array(radii)).tolist())]
     env = ReportEnvelope("figure1", _echo(args, r_p=rp_val), "figure1_curve", rows)
     _write(env, args)
     return 0
