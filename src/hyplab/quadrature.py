@@ -82,7 +82,8 @@ class QuadResult:
     ``a * b`` gives e_a |v_b| + |v_a| e_b, ``a / b`` gives
     (e_a + |q| e_b) / |v_b| with q = v_a / v_b, and ``a ** s`` gives
     |s| |v|^(s-1) e.  Combining two results adds their subdivisions and
-    keeps the larger truncation point.
+    keeps the larger truncation point.  An operation whose value or error
+    is not finite raises :class:`QuadratureError`.
     """
 
     value: float
@@ -95,7 +96,7 @@ class QuadResult:
             raise ValueError("error_estimate must be nonnegative")
 
     def _combine(self, other: "QuadResult", value, error) -> "QuadResult":
-        return QuadResult(
+        return _finite_result(
             value,
             error,
             self.subdivisions + other.subdivisions,
@@ -112,8 +113,8 @@ class QuadResult:
 
     def __mul__(self, other) -> "QuadResult":
         if not isinstance(other, QuadResult):
-            return QuadResult(other * self.value, abs(other) * self.error_estimate,
-                              self.subdivisions, self.truncation_point)
+            return _finite_result(other * self.value, abs(other) * self.error_estimate,
+                                  self.subdivisions, self.truncation_point)
         return self._combine(
             other, self.value * other.value,
             self.error_estimate * abs(other.value)
@@ -130,12 +131,20 @@ class QuadResult:
         )
 
     def __pow__(self, s: float) -> "QuadResult":
-        return QuadResult(
-            self.value**s,
-            abs(s) * abs(self.value) ** (s - 1.0) * self.error_estimate,
-            self.subdivisions,
-            self.truncation_point,
+        try:
+            value = self.value**s
+            error = abs(s) * abs(self.value) ** (s - 1.0) * self.error_estimate
+        except OverflowError:
+            value = error = math.inf
+        return _finite_result(value, error, self.subdivisions, self.truncation_point)
+
+
+def _finite_result(value, error, subdivisions, truncation_point) -> QuadResult:
+    if not (math.isfinite(value) and math.isfinite(error)):
+        raise QuadratureError(
+            f"result not finite: value {value!r}, error estimate {error!r}"
         )
+    return QuadResult(value, error, subdivisions, truncation_point)
 
 
 def _merge_truncation(a, b):

@@ -127,6 +127,15 @@ def test_weights_table(tmp_path):
         assert row["V_geodesic"] == pytest.approx(1.0 / math.cosh(row["r"]), rel=1e-12)
 
 
+def test_overflowing_battery_is_a_verification_failure(tmp_path, capsys):
+    # M^p overflows on a wide support at (13, 4): exit 1 with a message,
+    # not a traceback
+    rc, _ = run_cli(["verify", "--kind", "uncertainty", "--N", "13", "--p", "4",
+                     "--trials", "40", "--seed", "13117039361"], tmp_path)
+    assert rc == 1
+    assert "hyplab: verification failure:" in capsys.readouterr().err
+
+
 def test_invalid_dimension_exit_2(tmp_path):
     rc, _ = run_cli(["constants", "--N", "1", "--p", "3"], tmp_path)
     assert rc == 2

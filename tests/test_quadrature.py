@@ -528,6 +528,14 @@ class TestQuadResultAlgebra:
         expected = (2.5**s, abs(s) * 2.5 ** (s - 1.0) * 0.05, 5, 7.0)
         assert self._fields(b**s) == expected
 
+    def test_overflow_raises_quadrature_error(self):
+        # not a bare OverflowError from float ** and not an inf result
+        big = QuadResult(1e200, 1e190, 1)
+        for op in (lambda: big**2.0, lambda: big * big, lambda: 1e200 * big,
+                   lambda: big / QuadResult(1e-200, 0.0, 1)):
+            with pytest.raises(QuadratureError, match="not finite"):
+                op()
+
     def test_truncation_point_is_the_larger(self):
         a = QuadResult(1.0, 0.0, 1, truncation_point=3.0)
         b = QuadResult(1.0, 0.0, 1, truncation_point=9.0)
