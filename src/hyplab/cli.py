@@ -26,10 +26,10 @@ import numpy as np
 
 from .constants import brute_force_cnp, c_2p, c_2p_direct, c_np, check_ni
 from .core import (
+    GreenWeight,
     HalfSpacePoint,
     HypothesisError,
     Params,
-    green_weight_for,
     h_func,
     weight_hp,
     weight_v,
@@ -171,9 +171,8 @@ def cmd_constants(args) -> int:
 
 def cmd_weights(args) -> int:
     params = Params(args.N, args.p)
-    ev = green_weight_for(params)
     radii = np.geomspace(args.r_min, args.r_max, args.points)
-    w_vals, w_errs = ev.w_array(radii)
+    w_vals, w_errs = GreenWeight(params).w_array(radii)
     # H_p is defined for p >= 2 with p - 1 <= N - 1; elsewhere the column is empty.
     has_hp = params.p >= 2.0 and params.p - 1.0 <= params.N - 1.0
     hp_col = ([float(v) for v in weight_hp(params, radii)] if has_hp

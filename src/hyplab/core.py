@@ -10,20 +10,11 @@ around geodesic radius 20.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .quadrature import (
-    _XGK,
-    QuadratureError,
-    _panel_estimates,
-    geometric_splits,
-    integrate_interval,
-    integrate_intervals,
-)
+from .quadrature import QuadratureError, geometric_splits, integrate_intervals
 
 __all__ = [
     "HypothesisError",
@@ -31,7 +22,6 @@ __all__ = [
     "HalfSpacePoint",
     "lambda_p",
     "GreenWeight",
-    "green_weight_for",
     "weight_w",
     "weight_hp",
     "hp_base",
@@ -179,8 +169,56 @@ def acosh1p(z):
 # ---------------------------------------------------------------------------
 
 
+# Smallest radius whose tail integrals are summed as series; below it they
+# are integrated up to it.  Large alpha raises it (see GreenWeight).
+_R_STAR = 0.1
+# Mean index of the series terms at r*: it bounds the number of terms
+# summed there and keeps every partial sum below e^40.
+_MEAN_TERM = 40.0
+# Series bands [r* 2^j, r* 2^(j+1)), the last one open; a band sums the
+# number of terms its lower end needs.
+_BANDS = 10
+# Truncation bound of each series, relative to its sum.
+_TAIL = 2.0**-64
+# Relative tolerance of the integrals below r*.
+_QUAD_TOL = 1e-13
+_EPS = float(np.finfo(float).eps)
+
+
+def _series_terms(beta: float, x: float) -> int:
+    """Terms n after which sum_{k>=n} (beta)_k/k! y^k/(c+k) is at most
+    _TAIL times the whole sum, for every c > 0 and every 0 <= y <= x.
+
+    (beta)_k/k! x^k (1-x)^beta is the negative binomial law NB(beta, x) of
+    mean mu = beta x/(1-x).  For n > mu the rest is at most
+    P(K >= n) (1-x)^-beta/(c+n) and, by Jensen, the sum at least
+    (1-x)^-beta/(c+mu), so the ratio is at most P(K >= n).  Chernoff's
+    bound P(K >= n) <= ((1-x)(n+beta)/beta)^beta (x(n+beta)/n)^n
+    decreases in n > mu and grows with x and with beta.
+    """
+    if x == 0.0:
+        return 1
+    target = math.log(_TAIL)
+
+    def log_bound(n):
+        return (beta * math.log((1.0 - x) * (n + beta) / beta)
+                + n * math.log(x * (n + beta) / n))
+
+    lo = math.floor(beta * x / (1.0 - x))
+    hi = lo + 1
+    while log_bound(hi) > target:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if log_bound(mid) <= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 class GreenWeight:
-    """Memoized evaluator of the Green's-function weight W for one (N, p).
+    """Evaluator of the Green's-function weight W for one (N, p).
 
     W(r) = ((p-1)/p)^p |G'/G|^p - Lambda_p.  Writing
     Z = (p-1)/(N-1) * |G'|/G = 1 + zeta, the identity
@@ -195,161 +233,116 @@ class GreenWeight:
     large r, where zeta ~ c e^{-2r} and the naive difference of p-th
     powers is pure rounding noise.
 
-    Both tail integrals are stored with e^{-alpha r} factored out,
-    J(r) = e^{alpha r} int_r^inf f, so neither underflows at large r (the
-    numerator alone decays like e^{-(alpha+2) r}).  Each call fills all
-    of its new radii at once: every radius is chained onto its successor
-    (the next larger cached or new radius) through
-    J(r) = e^{alpha (r-a)} J(a) + int_r^a e^{alpha r} f, and the gaps are
-    integrated with one vectorized GK15 panel each; only gaps that panel
-    does not settle fall back to the adaptive engine.  The cache is
-    guarded by a lock so evaluators can be shared across threads.
+    With x = e^{-2r}, both tails are incomplete beta functions, that is
+    series of positive terms (DLMF 8.17.7, 15.2.1):
+
+        J(beta, gamma; r) = 2 e^{alpha r} int_r^inf e^{-gamma s} (1-e^{-2s})^{-beta} ds
+                          = x^{(gamma-alpha)/2} sum_k (beta)_k/k! x^k / (gamma/2 + k),
+
+    the denominator is 2^{alpha-1} e^{-alpha r} J(alpha, alpha), and
+    zeta = 2 J(alpha+1, alpha+2) / J(alpha, alpha).  Nothing underflows at
+    large r, where the bare numerator decays like e^{-(alpha+2) r}.  From
+    r* = max(0.1, log(1 + alpha/40)/2) on, each series is summed by
+    Horner's rule to a number of terms fixed per band of radii; its error
+    bound adds the truncation and the rounding of the positive terms.
+    Below r*, J(r) = e^{alpha (r-r*)} J(r*) plus the integral from r to r*,
+    all of a call's radii in one lockstep pass of the adaptive engine.
+    Every value and error bound is thus a pure function of (N, p, r),
+    bit for bit the same whatever other radii share the call.
     """
 
-    def __init__(self, params: Params, node_tol: float = 1e-12):
+    def __init__(self, params: Params):
         self.params = params
-        self.alpha = params.sinh_exponent
-        self.node_tol = node_tol
-        # Per integral: sorted radii, J at each, and its error bound.
-        empty = (np.empty(0), np.empty(0), np.empty(0))
-        self._anchors = {"num": empty, "den": empty}
-        self._lock = threading.Lock()
+        a = self.alpha = params.sinh_exponent
+        self.r_star = max(_R_STAR, 0.5 * math.log1p(a / _MEAN_TERM))
+        self._edges = self.r_star * 2.0 ** np.arange(_BANDS)
+        # The two series, J(alpha, alpha) and J(alpha+1, alpha+2).  The
+        # second needs at least as many terms, so its count serves both.
+        self._beta = np.array([a, a + 1.0])
+        self._c = np.array([a / 2.0, a / 2.0 + 1.0])
+        self._terms = np.array([_series_terms(a + 1.0, x)
+                                for x in np.exp(-2.0 * self._edges).tolist()])
+        # Term k of both series at r*, (beta)_k/k! x*^k/(c+k): each is at
+        # most the sum J(r*) <= e^40 (1-x*)^-1/c, so none overflows.
+        self._x_star = math.exp(-2.0 * self.r_star)
+        k = np.arange(self._terms[0], dtype=float)[:, None]
+        steps = self._x_star * (self._beta + k[:-1]) / (k[:-1] + 1.0)
+        terms = np.cumprod(np.vstack([np.ones((1, 2)), steps]), axis=0)
+        self._coef = terms / (self._c + k)
 
     # -- the two tail integrals ------------------------------------------
-    def _log_integrand(self, which: str, s):
-        if which == "den":
-            return -self.alpha * log_sinh(s)
-        return -(self.alpha + 1.0) * log_sinh(s) - s
+    def _series(self, r: np.ndarray):
+        """Both rows of J and their error bounds at radii r >= r*.
 
-    def _scaled_integrand(self, which: str, r: float) -> Callable:
-        """s -> e^{alpha r} f(s), the integrand of J(r)."""
-        shift = self.alpha * r
-
-        def f(s):
-            return np.exp(shift + self._log_integrand(which, np.asarray(s, dtype=float)))
-
-        return f
-
-    def _tail(self, which: str, r: float) -> tuple[float, float]:
-        """J(r) to relative node_tol, with an absolute error bound.
-
-        The truncation point is analytic: the integrand decays at least
-        like e^{-alpha s}, so T = r + (log(1/node_tol) + 5)/alpha caps the
-        dropped tail at ~node_tol relative; the analytic bound on the
-        dropped tail still enters the error estimate.
+        Horner's rule in y = x/x* over the terms at r*.  Radius i takes the
+        count n_i of its band, and the loop runs over k = max n_i - 1, ..., 0
+        on the radii with n_i > k, a prefix once they are sorted by count,
+        so each sum is the one the radius gets alone.
         """
-        alpha = self.alpha
-        T = r + (math.log(1.0 / self.node_tol) + 5.0) / alpha + 1.0
-        # sinh(s) >= sinh(T) e^{s-T} for s >= T bounds the dropped tail.
-        if which == "den":
-            log_bound = -alpha * log_sinh(T) - math.log(alpha)
-        else:
-            log_bound = -(alpha + 1.0) * log_sinh(T) - T - math.log(alpha + 2.0)
-        res = integrate_interval(
-            self._scaled_integrand(which, r), r, T, 0.0, rel_tol=self.node_tol,
-            breakpoints=geometric_splits(r, T, max(min(r, 1.0), 1e-8)),
-            max_subdivisions=20000,
+        x = np.exp(-2.0 * r)
+        n = self._terms[np.searchsorted(self._edges, r, side="right") - 1]
+        order = np.argsort(-n, kind="stable")
+        y = (x / self._x_star)[order, None]
+        live = np.searchsorted(-n[order], -np.arange(n.max(initial=0)), side="left")
+        acc = np.zeros((r.size, 2))
+        for k, m in reversed(list(enumerate(live.tolist()))):
+            head = acc[:m]
+            head *= y[:m]
+            head += self._coef[k]
+        s = np.empty((2, r.size))
+        s[:, order] = acc.T
+        # Term k of a sum carries a relative error below (8k + 4) eps, the
+        # rounding of x^k included, and sum_k k t_k/(c+k) = sum_k t_k - c s,
+        # where sum_k t_k <= (1-x)^-beta.
+        beta, c = self._beta[:, None], self._c[:, None]
+        total = np.exp(-beta * np.log1p(-x))
+        err = _EPS * (8.0 * (total - c * s) + 4.0 * s) + _TAIL * s
+        s[1] *= x
+        err[1] = x * err[1] + 3.0 * _EPS * s[1]
+        return s, err
+
+    def _below(self, r: np.ndarray):
+        """Both rows of J and their error bounds at radii r < r*."""
+        a, m = self.alpha, r.size
+        beta = np.repeat(self._beta, m)
+        gamma = np.repeat(2.0 * self._c, m)
+        lows = np.tile(r, 2)
+        shift = a * lows + math.log(2.0)
+
+        def f(s, owner):
+            return np.exp(shift[owner] - gamma[owner] * s
+                          - beta[owner] * np.log(-np.expm1(-2.0 * s)))
+
+        lows = lows.tolist()
+        results = integrate_intervals(
+            f, lows, [self.r_star] * len(lows), 0.0, rel_tol=_QUAD_TOL,
+            breakpoints=[geometric_splits(lo, self.r_star, min(lo, 1.0 / a))
+                         for lo in lows],
         )
-        return res.value, res.error_estimate + math.exp(alpha * r + log_bound)
+        vals = np.array([res.value for res in results]).reshape(2, m)
+        errs = np.array([res.error_estimate for res in results]).reshape(2, m)
+        j_star, err_star = self._series(np.array([self.r_star]))
+        decay = np.exp(a * (r - self.r_star))
+        j = decay * j_star + vals
+        return j, decay * err_star + errs + 2.0 * _EPS * j
 
-    def _segments(self, which: str, lo: np.ndarray, hi: np.ndarray):
-        """int_lo^hi e^{alpha lo} f(s) ds per gap, with error bounds.
-
-        A gap no wider than its first geometric mark is one GK15 panel,
-        the seed panel the adaptive engine would start from; all of these
-        are evaluated in one integrand call and accepted on the engine's
-        own test |K15 - G7| <= node_tol |segment|.  The rest go through
-        one lockstep pass of the engine.
-        """
-        # Geometric marks from lo: commensurate with both the power
-        # steepness near small lo and the exponential decay.
-        scale = np.maximum(np.minimum(lo, 1.0), 1e-8)
-        vals = np.empty(lo.size)
-        errs = np.empty(lo.size)
-        todo = ~(hi <= lo + scale)
-        one = np.flatnonzero(~todo)
-        if one.size:
-            half = 0.5 * (hi[one] - lo[one])
-            nodes = (0.5 * (lo[one] + hi[one]))[:, None] + half[:, None] * _XGK
-            fv = np.exp(self.alpha * lo[one][:, None] + self._log_integrand(which, nodes))
-            if not np.all(np.isfinite(fv)):
-                bad = nodes[~np.isfinite(fv)][0]
-                raise QuadratureError(f"integrand not finite at x={bad!r}")
-            v, e = _panel_estimates(fv, half)
-            vals[one], errs[one] = v, e
-            todo[one[e > self.node_tol * np.abs(v)]] = True
-        rest = np.flatnonzero(todo)
-        if rest.size:
-            shift = self.alpha * lo[rest]
-            results = integrate_intervals(
-                lambda s, owner: np.exp(shift[owner] + self._log_integrand(which, s)),
-                lo[rest].tolist(), hi[rest].tolist(), 0.0,
-                breakpoints=[geometric_splits(a, b, c) for a, b, c in zip(
-                    lo[rest].tolist(), hi[rest].tolist(), scale[rest].tolist())],
-                max_subdivisions=20000, rel_tol=self.node_tol,
-            )
-            vals[rest] = [res.value for res in results]
-            errs[rest] = [res.error_estimate for res in results]
-        return vals, errs
-
-    def _fill(self, which: str, radii) -> tuple[np.ndarray, np.ndarray]:
-        """J(r) and its error bound at every radius, caching the new ones."""
+    def _tails(self, radii):
+        """Both rows of J and their error bounds at every radius."""
         r = np.asarray(radii, dtype=float).ravel()
         if not np.all((r > 0.0) & np.isfinite(r)):
             bad = r[~((r > 0.0) & np.isfinite(r))][0]
             raise ValueError(f"radius must be positive and finite, got {bad}")
-        with self._lock:
-            keys, vals, errs = self._anchors[which]
-            new = np.unique(r)
-            pos = np.searchsorted(keys, new)
-            nxt = np.append(keys, np.inf)[pos]  # smallest cached radius >= new
-            fresh = nxt != new
-            if fresh.any():
-                new, pos, nxt = new[fresh], pos[fresh], nxt[fresh]
-                j_new, e_new = self._chain(
-                    which, new, nxt, np.append(vals, 0.0)[pos], np.append(errs, 0.0)[pos]
-                )
-                keys = np.insert(keys, pos, new)
-                vals = np.insert(vals, pos, j_new)
-                errs = np.insert(errs, pos, e_new)
-                self._anchors[which] = (keys, vals, errs)
-            idx = np.searchsorted(keys, r)
-            return vals[idx], errs[idx]
-
-    def _chain(self, which, new, nxt, nxt_val, nxt_err):
-        """J and its error at the sorted new radii ``new``, given the next
-        cached radius above each (inf if none) and J and its error there."""
-        # The successor of new[i] is new[i+1] unless a cached radius lies
-        # between them; the largest new radius may have none.
-        after = np.append(new[1:], np.inf)
-        succ = np.minimum(nxt, after)
-        has_succ = np.isfinite(succ)
-        seg = np.zeros(new.size)
-        seg_err = np.zeros(new.size)
-        seg[has_succ], seg_err[has_succ] = self._segments(which, new[has_succ], succ[has_succ])
-        decay = np.exp(self.alpha * (new - succ))
-        from_new = (after < nxt).tolist()
-        tail_only = (~has_succ).tolist()
-        seg_l, seg_err_l, decay_l = seg.tolist(), seg_err.tolist(), decay.tolist()
-        nxt_val, nxt_err = nxt_val.tolist(), nxt_err.tolist()
-        j_out, e_out = [0.0] * new.size, [0.0] * new.size
-        base = base_err = 0.0
-        for i in range(new.size - 1, -1, -1):
-            if tail_only[i]:
-                base, base_err = self._tail(which, float(new[i]))
-            else:
-                if not from_new[i]:
-                    base, base_err = nxt_val[i], nxt_err[i]
-                c = decay_l[i]
-                base, base_err = c * base + seg_l[i], c * base_err + seg_err_l[i]
-            j_out[i], e_out[i] = base, base_err
-        return j_out, e_out
+        j, err = np.empty((2, r.size)), np.empty((2, r.size))
+        high = r >= self.r_star
+        j[:, high], err[:, high] = self._series(r[high])
+        if not high.all():
+            j[:, ~high], err[:, ~high] = self._below(r[~high])
+        return j, err
 
     def _zeta(self, radii) -> tuple[np.ndarray, np.ndarray]:
-        num, num_err = self._fill("num", radii)
-        den, den_err = self._fill("den", radii)
-        z = num / den
-        return z, (num_err + z * den_err) / den
+        (den, num), (den_err, num_err) = self._tails(radii)
+        z = 2.0 * num / den
+        return z, (2.0 * num_err + z * den_err) / den + 2.0 * _EPS * z
 
     def zeta(self, r: float) -> tuple[float, float]:
         """zeta(r) > 0 and an absolute error bound."""
@@ -361,9 +354,12 @@ class GreenWeight:
 
         The normalization is fixed to 1: only G'/G enters the weight W.
         """
-        j, err = self._fill("den", [r])
-        scale = math.exp(-self.alpha * r)
-        return float(j[0]) * scale, float(err[0]) * scale
+        j, err = self._tails([r])
+        a = self.alpha
+        scale = math.exp((a - 1.0) * math.log(2.0) - a * r)
+        g = float(j[0, 0]) * scale
+        rounding = _EPS * (2.0 + abs(a - 1.0) * math.log(2.0) + a * r) * g
+        return g, float(err[0, 0]) * scale + rounding
 
     def w(self, r: float) -> tuple[float, float]:
         """W(r) and an absolute error bound."""
@@ -371,33 +367,21 @@ class GreenWeight:
         return float(val[0]), float(err[0])
 
     def w_array(self, radii) -> tuple[np.ndarray, np.ndarray]:
-        """W and its absolute error bound at every radius, in one fill."""
+        """W and its absolute error bound at every radius."""
         z, dz = self._zeta(radii)
         lam = self.params.lambda_p
         p = self.params.p
-        val = lam * np.expm1(p * np.log1p(z))
-        deriv = lam * p * (1.0 + z) ** (p - 1.0)
-        return val, deriv * dz
-
-
-_WEIGHT_CACHE: dict[tuple[int, float], GreenWeight] = {}
-_WEIGHT_CACHE_LOCK = threading.Lock()
-
-
-def green_weight_for(params: Params) -> GreenWeight:
-    """Shared memoized W evaluator for (N, p)."""
-    key = (params.N, params.p)
-    with _WEIGHT_CACHE_LOCK:
-        ev = _WEIGHT_CACHE.get(key)
-        if ev is None:
-            ev = GreenWeight(params)
-            _WEIGHT_CACHE[key] = ev
-        return ev
+        y = p * np.log1p(z)
+        val = lam * np.expm1(y)
+        # the error of zeta times dW/dzeta, plus the rounding of Lambda_p,
+        # log1p, expm1 and the products
+        err = lam * p * (1.0 + z) ** (p - 1.0) * dz + (5.0 + p + 2.0 * y) * _EPS * val
+        return val, err
 
 
 def weight_w(params: Params, r: float, tol: float = 1e-10) -> float:
     """The improved-Poincare weight W(r); strictly positive for r > 0."""
-    val, err = green_weight_for(params).w(r)
+    val, err = GreenWeight(params).w(r)
     if err > tol * max(1.0, abs(val)):
         raise QuadratureError(
             f"W({r}) error bound {err:.3e} exceeds tol {tol:.3e}"

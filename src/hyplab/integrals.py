@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Params, coth, green_weight_for, sinh_pow, weight_hp
+from .core import GreenWeight, Params, coth, sinh_pow, weight_hp
 from .quadrature import (
     NonIntegrableSingularity,
     QuadResult,
@@ -79,8 +79,7 @@ def radial_battery(
     :func:`hardy1d_energy` and :func:`hardy1d_mass`; those two read only
     p of ``params``.  Each integral is set up, integrated and refined as
     the one-profile function sets it up, and gives the same result bit for
-    bit, except that the weight W depends on the anchors its evaluator
-    has cached.  A term whose support starts at 0 and whose profile
+    bit.  A term whose support starts at 0 and whose profile
     declares an origin power goes through :func:`_origin_split` on its
     own; every other integral is one integral of a single
     :func:`~hyplab.quadrature.integrate_intervals` pass.  There the
@@ -96,7 +95,7 @@ def radial_battery(
     if "hardy1d_energy" in terms and not (l is not None and 1.0 < l <= p):
         raise ValueError(f"need 1 < l <= p, got l={l}, p={p}")
     value, derivative = _profile_evaluators(funcs)
-    w_eval = green_weight_for(params) if "W" in terms else None
+    w_eval = GreenWeight(params) if "W" in terms else None
     radial = any(name not in ("hardy1d_energy", "hardy1d_mass") for name in terms)
 
     def term_values(name, r, idx, vol, owner=None, max_rel=None):

@@ -271,9 +271,8 @@ def radial_reports(
 
     Every term the kind's recipe reads, for every profile, comes from one
     :func:`~hyplab.integrals.radial_battery` call; the reports equal those
-    of :func:`verify` on each profile, up to the weight W, whose error
-    bound depends on the anchors its evaluator has cached.  ``rp`` is the
-    critical radius r_p of the ball kind if the caller has it.
+    of :func:`verify` on each profile.  ``rp`` is the critical radius r_p
+    of the ball kind if the caller has it.
     """
     kind = InequalityKind(kind)
     if kind.admissible_class == "halfspace":
@@ -664,7 +663,7 @@ def batch_verify(
     grid point run as one :func:`radial_reports` pass.  With more than one
     worker (set via HYPLAB_WORKERS or ``workers``) each grid point's trials
     are cut into contiguous chunks, one pass per chunk; the reports do not
-    depend on the worker count, up to the error bound of the weight W.
+    depend on the worker count.
     ``allow_origin`` lets a fraction of supports touch r = 0; it is
     rejected for the Green's-function weight, whose node evaluation needs
     r_lo > 0.

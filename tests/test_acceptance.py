@@ -26,7 +26,7 @@ import pytest
 
 from hyplab.cli import main as cli_main
 from hyplab.constants import brute_force_cnp, c_2p, c_np, check_ni
-from hyplab.core import Params, green_weight_for, weight_hp
+from hyplab.core import GreenWeight, Params, weight_hp
 from hyplab.report import parse
 from hyplab.rp import rp_scan_N, rp_scan_p, solve_r0, solve_rp
 from hyplab.verify import (
@@ -197,7 +197,7 @@ def test_c5_n2_tabulated_closed_forms():
 def test_c6_weight_asymptotics_n_gt_p(N, p):
     t0 = time.time()
     pr = Params(N, p)
-    ev = green_weight_for(pr)
+    ev = GreenWeight(pr)
     w_small, _ = ev.w(1e-3)
     target0 = ((N - p) / p) ** p
     assert abs(w_small * (1e-3) ** p - target0) <= 0.01 * target0
@@ -217,7 +217,7 @@ def test_c6_weight_asymptotics_n_lt_p():
     the companion test).
     """
     pr = Params(2, 3.0)
-    ev = green_weight_for(pr)
+    ev = GreenWeight(pr)
     # C(p, N) by quadrature: G evaluated essentially at 0 plus the exact
     # missing head integral int_0^{1e-12} s^(-1/2) ds = 2e-6
     g0 = ev.green(1e-12)[0] + 2.0 * math.sqrt(1e-12)
@@ -233,7 +233,7 @@ def test_c6_weight_asymptotics_n_lt_p():
 def test_c6_weight_n_lt_p_limit_is_correct():
     # companion check: the same scaling does converge, just deeper in
     pr = Params(2, 3.0)
-    ev = green_weight_for(pr)
+    ev = GreenWeight(pr)
     g0 = ev.green(1e-12)[0] + 2.0 * math.sqrt(1e-12)
     C = ((pr.p - 1.0) / pr.p) ** pr.p * g0 ** (-pr.p)
     w, _ = ev.w(1e-5)

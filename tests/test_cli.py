@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-from hyplab import core
 from hyplab.cli import build_parser, main
 from hyplab.report import ReportEnvelope, compare_golden, parse
 from hyplab.verify import InequalityKind
@@ -213,10 +212,7 @@ GOLDEN_RUNS["verify_hp-weighted_N3_p2_origin.json"] = [
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
-def test_report_matches_golden(name, tmp_path, monkeypatch):
-    # W_err depends on the anchors cached earlier in the process: start cold,
-    # as a fresh CLI process does.
-    monkeypatch.setattr(core, "_WEIGHT_CACHE", {})
+def test_report_matches_golden(name, tmp_path):
     rc, text = run_cli(GOLDEN_RUNS[name], tmp_path, fmt="json")
     assert rc == 0
     data = parse(text, "json")

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from hyplab.core import (
     Params,
     coth_minus_inv,
     geodesic_distance,
-    green_weight_for,
     h_func,
     hp_base,
     lambda_p,
@@ -87,13 +87,13 @@ class TestStableHelpers:
 class TestGreenFunction:
     def test_closed_form_oracle_n2_p2(self):
         # G(r) = log(coth(r/2)) for N = 2, p = 2
-        g, err = green_weight_for(Params(2, 2.0)).green(1.0)
+        g, err = GreenWeight(Params(2, 2.0)).green(1.0)
         exact = math.log(1.0 / math.tanh(0.5))
         assert exact == pytest.approx(0.7719368329053048, abs=1e-15)
         assert abs(g - exact) <= err + 1e-13
 
     def test_strictly_decreasing(self):
-        ev = green_weight_for(Params(3, 2.5))
+        ev = GreenWeight(Params(3, 2.5))
         vals = [ev.green(r)[0] for r in (0.5, 1.0, 2.0, 4.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
@@ -101,18 +101,18 @@ class TestGreenFunction:
         # G_p(r) < (p-1)/(N-1) (sinh r)^(-(N-1)/(p-1))
         for N, p, r in [(3, 2.0, 0.7), (13, 4.0, 1.3), (2, 3.0, 2.0)]:
             pr = Params(N, p)
-            g, _ = green_weight_for(pr).green(r)
+            g, _ = GreenWeight(pr).green(r)
             bound = (p - 1.0) / (N - 1) * math.sinh(r) ** (-pr.sinh_exponent)
             assert g < bound
 
     def test_vanishing_tail(self):
-        assert green_weight_for(Params(3, 2.0)).green(25.0)[0] < 1e-9
+        assert GreenWeight(Params(3, 2.0)).green(25.0)[0] < 1e-9
 
 
 class TestWeightW:
     def test_positive_everywhere(self):
         for N, p in [(2, 2.0), (5, 2.0), (13, 4.0), (2, 3.0), (4, 1.5)]:
-            ev = green_weight_for(Params(N, p))
+            ev = GreenWeight(Params(N, p))
             for r in (1e-3, 0.1, 1.0, 5.0, 20.0, 35.0):
                 w, err = ev.w(r)
                 assert w > 0.0, (N, p, r)
@@ -122,7 +122,7 @@ class TestWeightW:
         # same value through the naive |G'/G| route (normalization-free)
         pr = Params(5, 2.0)
         r = 1.0
-        g, _ = green_weight_for(pr).green(r)
+        g, _ = GreenWeight(pr).green(r)
         direct = ((pr.p - 1.0) / pr.p) ** pr.p * (
             math.sinh(r) ** (-pr.sinh_exponent) / g
         ) ** pr.p - pr.lambda_p
@@ -140,11 +140,6 @@ class TestWeightW:
         w = weight_w(pr, 20.0)
         target = pr.lambda_p * 4 * 2 / (2 * (4 + 2))
         assert w * math.sinh(20.0) ** 2 == pytest.approx(target, rel=1e-10)
-
-    def test_shared_evaluator_cache(self):
-        ev1 = green_weight_for(Params(7, 3.0))
-        ev2 = green_weight_for(Params(7, 3.0))
-        assert ev1 is ev2
 
     def test_no_underflow_at_large_radius(self):
         # The numerator tail of zeta is about e^(-8r) here; unscaled it
@@ -167,27 +162,37 @@ class TestWeightW:
         assert w > 0.0
         assert abs(w - ref) <= err
 
+    def test_finite_error_where_the_numerator_underflows(self):
+        # e^(-2r) underflows near r = 372; W is 0 there, its bound not NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, err = GreenWeight(Params(4, 1.5)).w_array([300.0, 400.0])
+        assert w[0] > 0.0 and w[1] == 0.0
+        assert np.all(np.isfinite(err))
+
     @pytest.mark.parametrize("N,p", [(3, 2.0), (13, 4.0), (4, 1.5), (2, 3.0)])
     def test_batched_fill_is_order_independent(self, N, p):
-        radii = [0.003, 0.05, 0.4, 0.41, 1.0, 2.5, 7.0, 19.0, 60.0]
+        # W and W_err are pure functions of (N, p, r): bit for bit the same
+        # alone, in any batch, in any order and from any instance
+        radii = [0.003, 0.05, 0.0999, 0.1, 0.4, 0.41, 1.0, 2.5, 7.0, 19.0, 60.0]
         one_by_one = GreenWeight(Params(N, p))
         ref = [one_by_one.w(r) for r in radii]
 
         rng = np.random.default_rng(11)
         shuffled = rng.permutation(radii + radii[::3])
         w, err = GreenWeight(Params(N, p)).w_array(shuffled)
-        for r, wi, ei in zip(shuffled, w, err):
-            w0, e0 = ref[radii.index(r)]
-            assert abs(wi - w0) <= ei + e0, (r, wi, w0)
+        assert [(wi, ei) for wi, ei in zip(w.tolist(), err.tolist())] == [
+            ref[radii.index(r)] for r in shuffled]
 
-        # new radii interleaved with anchors already cached, plus hits
         ev = GreenWeight(Params(N, p))
         ev.w_array(radii[::2])
         w, err = ev.w_array(radii)
-        for (w0, e0), wi, ei in zip(ref, w, err):
-            assert abs(wi - w0) <= ei + e0
+        assert list(zip(w.tolist(), err.tolist())) == ref
+        for r, (w0, e0) in zip(radii, ref):
+            assert ev.w_array([r, 0.07, 33.0])[0][0] == w0
+            assert ev.w_array([0.07, r, 33.0])[1][1] == e0
 
-    def test_scalar_calls_share_the_cache(self):
+    def test_scalar_calls_equal_the_array_call(self):
         ev = GreenWeight(Params(5, 2.0))
         w_arr, _ = ev.w_array([0.5, 1.0, 2.0])
         assert ev.w(1.0)[0] == w_arr[1]
@@ -229,17 +234,66 @@ class TestWeightW:
         assert not any(t.is_alive() for t in threads)
         for part, (w, err) in zip(parts, out):
             i = np.searchsorted(radii, part)
-            assert np.all(np.abs(w - ref[i]) <= err + ref_err[i])
-        for which in ("num", "den"):
-            keys = ev._anchors[which][0]
-            assert np.all(np.diff(keys) > 0.0)
-            assert np.isin(np.concatenate(parts), keys).all()
+            assert np.array_equal(w, ref[i]) and np.array_equal(err, ref_err[i])
 
     def test_rejects_nonpositive_radius(self):
         ev = GreenWeight(Params(3, 2.0))
         for bad in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError):
                 ev.w_array([1.0, bad])
+
+
+def _w_hypergeometric(N, p, r):
+    """W(r) at 30 digits from mpmath's hyp2f1, apart from the program:
+    zeta = x 2a/(a+2) 2F1(a/2+1, a+1; a/2+2; x) / 2F1(a/2, a; a/2+1; x)
+    with a = (N-1)/(p-1) and x = e^{-2r}."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        a = mp.mpf(N - 1) / (mp.mpf(p) - 1)
+        x = mp.exp(-2 * mp.mpf(r))
+        zeta = (x * 2 * a / (a + 2) * mp.hyp2f1(a / 2 + 1, a + 1, a / 2 + 2, x)
+                / mp.hyp2f1(a / 2, a, a / 2 + 1, x))
+        return (mp.mpf(N - 1) / p) ** p * mp.expm1(p * mp.log1p(zeta))
+
+
+def _w_quadrature(N, p, r):
+    """W(r) at 30 digits from the two tail integrals, by mpmath quadrature."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        a = mp.mpf(N - 1) / (mp.mpf(p) - 1)
+        r = mp.mpf(r)
+
+        def tail(beta, gamma):
+            # e^{gamma r} 2^-beta int_r^inf (sinh s)^-beta e^{(beta-gamma) s} ds
+            return mp.quad(lambda t: mp.exp(-gamma * t) * (-mp.expm1(-2 * (r + t))) ** (-beta),
+                           [0, 1 / gamma, 1, 4, 16, 64, mp.inf])
+
+        zeta = 2 * mp.exp(-2 * r) * tail(a + 1, a + 2) / tail(a, a)
+        return (mp.mpf(N - 1) / p) ** p * mp.expm1(p * mp.log1p(zeta))
+
+
+_ORACLE_RADII = (0.05, 0.1, 0.3, 1.0, 5.0, 40.0, 63.3, 100.0, 250.0)
+
+
+class TestWeightWOracle:
+    """|W - W_mpmath| <= W_err: the reported error is a bound."""
+
+    @pytest.mark.parametrize("N,p,r", [
+        (N, p, r)
+        for N, p in [(3, 2.0), (5, 2.0), (13, 4.0), (2, 3.0), (4, 1.5), (40, 2.0),
+                     (40, 1.1), (2, 1.01)]
+        for r in _ORACLE_RADII
+        if r >= 0.3 or p > 1.1
+    ])
+    def test_error_bounds_the_error(self, N, p, r):
+        w, err = GreenWeight(Params(N, p)).w(r)
+        ref = _w_hypergeometric(N, p, r)
+        assert abs(w - ref) <= err, (float(abs(w - ref) / err), err / w)
+
+    @pytest.mark.parametrize("N,p,r", [(5, 2.0, 0.05), (40, 1.1, 0.3), (2, 3.0, 63.3)])
+    def test_oracles_agree(self, N, p, r):
+        hyp, quad = _w_hypergeometric(N, p, r), _w_quadrature(N, p, r)
+        assert abs(hyp - quad) <= 1e-25 * hyp
 
 
 class TestWeightHp:

@@ -261,6 +261,14 @@ class TestRadialBattery:
             for w in weights:
                 assert t[w] == radial_weighted_mass(self.P, u, w, 1e-10)
 
+    def test_green_weight_term(self):
+        # W is a pure function of the radius, so the W mass of a battery
+        # equals the one-profile call; the first support reaches below r*
+        funcs = [make_bump(0.05, 0.6), *self.FUNCS[2:]]
+        terms = radial_battery(self.P, funcs, ("W",), 1e-10)
+        for u, t in zip(funcs, terms):
+            assert t["W"] == radial_weighted_mass(self.P, u, "W", 1e-10)
+
     def test_bumps_evaluated_together_equal_profiles_called_one_by_one(self):
         funcs = [self.FUNCS[0], *self.FUNCS[3:]]
         plain = [type(u)(u.value, u.derivative, u.support, u.breakpoints)

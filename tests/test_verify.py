@@ -223,6 +223,10 @@ class TestBatch:
                 for w in (1, 2, 3)]
         assert runs[0] == runs[1] == runs[2]
         assert runs[0].count("mollifier[0,") >= 1  # a support at the origin
+        runs = [self._csv(batch_verify(InequalityKind.GREEN_WEIGHT, grid, 9, seed=4,
+                                       tol=1e-10, workers=w))
+                for w in (1, 2, 3)]
+        assert runs[0] == runs[1] == runs[2]
 
     def test_battery_reports_equal_one_trial_verify(self):
         for kind in (InequalityKind.HARDY, InequalityKind.UNCERTAINTY,
