@@ -174,6 +174,10 @@ GOLDEN_RUNS["sharpness_hardy1d_N3_p3.json"] = [
     "sharpness", "--kind", "hardy1d", "--N", "3", "--p", "3", "--l", "2",
     "--schedule", "0.001", "--delta", "0.001",
 ]
+GOLDEN_RUNS["sharpness_hardy1d_N3_p2.5.json"] = [
+    "sharpness", "--kind", "hardy1d", "--N", "3", "--p", "2.5",
+    "--schedule", "0.1", "0.01", "0.001", "--delta", "0.01",
+]
 GOLDEN_RUNS["weights_N13_p4.json"] = ["weights", "--N", "13", "--p", "4"]
 # The scalar commands, as the benchmark's radial workload runs them.
 GOLDEN_RUNS["constants_N13_p4.json"] = ["constants", "--N", "13", "--p", "4"]
