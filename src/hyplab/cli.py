@@ -43,10 +43,8 @@ from .verify import (
     batch_verify,
     check_ftilde,
     check_pconvexity,
-    random_halfspace_product,
     sharpness_scan,
     supersolution_residual,
-    verify,
 )
 
 KIND_TAGS = [k.value for k in InequalityKind]
@@ -241,21 +239,10 @@ def cmd_rp_scan(args) -> int:
 
 def cmd_verify(args) -> int:
     params = Params(args.N, args.p)
-    kind = InequalityKind(args.kind)
-    if kind.admissible_class == "halfspace":
-        # The test functions of halfspace_pair_reports, in one form only.
-        reports = [
-            verify(kind, params,
-                   random_halfspace_product(np.random.default_rng([args.seed, i]),
-                                            params.N),
-                   args.tol)
-            for i in range(args.trials)
-        ]
-    else:
-        reports = batch_verify(
-            kind, [params], args.trials, args.seed, args.tol, l=args.l,
-            workers=args.workers, allow_origin=args.allow_origin,
-        )
+    reports = batch_verify(
+        args.kind, [params], args.trials, args.seed, args.tol,
+        l=args.l, workers=args.workers, allow_origin=args.allow_origin,
+    )
     rows = [r.as_row() for r in reports]
     env = ReportEnvelope(
         "verify", _echo(args, kind=args.kind, trials=args.trials),

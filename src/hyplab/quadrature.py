@@ -209,18 +209,6 @@ _WG = np.array(
 _GAUSS_IDX = np.arange(1, 15, 2)
 
 
-def _panel_estimates(fv: np.ndarray, half_widths: np.ndarray):
-    """Kronrod value and |K15-G7| error for a batch of panels.
-
-    ``fv`` has shape (npanels, 15); returns (values, errors).
-    """
-    k15 = fv @ _WGK
-    g7 = fv[:, _GAUSS_IDX] @ _WG
-    values = k15 * half_widths
-    errors = np.abs(k15 - g7) * half_widths
-    return values, errors
-
-
 def _seed_panels(
     a: float,
     b: float,
@@ -399,9 +387,10 @@ def _push_panels(f, todo, heaps, panels, failures) -> None:
                 bad = nodes(rows)[~np.isfinite(vals[rows].ravel())][0]
                 failures[k] = QuadratureError(f"integrand not finite at x={bad!r}")
         spans = [span for span in spans if span[0] not in failures]
-    # The GK15 sums of each integral come from its own rows alone, as in
-    # _panel_estimates: the BLAS sum of a row depends on the rows it is
-    # computed with and on their memory layout.
+    # The GK15 sums of each integral come from its own rows alone: a BLAS
+    # row sum depends on the other rows in the call and on their memory
+    # layout, so a shared call would tie an integral's result to its
+    # companions.
     k15, g7 = np.zeros(len(lows)), np.zeros(len(lows))
     for _, start, end in spans:
         block = vals[start:end]

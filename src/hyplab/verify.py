@@ -15,6 +15,7 @@ sharpness scans driving the near-extremal families.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import os
 import warnings
@@ -25,15 +26,7 @@ import numpy as np
 
 from .constants import c_np
 from .core import HypothesisError, Params, coth, log_sinh
-from .integrals import (
-    halfspace_integral,
-    hardy1d_energy,
-    hardy1d_mass,
-    radial_battery,
-    radial_energy,
-    radial_weighted_mass,
-    ueps_energy_mass,
-)
+from .integrals import halfspace_integral, radial_battery, ueps_energy_mass
 from .rp import solve_rp
 from .testfun import HalfSpaceFunction, RadialTestFunction, make_bump, make_veps
 
@@ -160,16 +153,13 @@ def verify(
     inequality (defaults to p).
     """
     kind = InequalityKind(kind)
-    _require_hypothesis(kind, params)
     if kind.admissible_class == "halfspace":
         if not isinstance(u, HalfSpaceFunction):
             raise TypeError(f"{kind.value} needs a half-space test function")
         return _verify_halfspace(kind, params, u, tol)
     if not isinstance(u, RadialTestFunction):
         raise TypeError(f"{kind.value} needs a radial test function")
-    if kind is InequalityKind.HARDY1D:
-        return _verify_hardy1d(params, u, tol, l)
-    return _verify_radial(kind, params, u, tol)
+    return radial_reports(kind, params, [u], tol, l)[0]
 
 
 def _report(kind, params, u, lhs, rhs, l=None) -> InequalityReport:
@@ -178,17 +168,6 @@ def _report(kind, params, u, lhs, rhs, l=None) -> InequalityReport:
         kind, params.N, params.p, u.label, lhs.value, rhs.value,
         lhs.error_estimate + rhs.error_estimate, l=l,
     )
-
-
-def _verify_radial(
-    kind: InequalityKind, params: Params, u: RadialTestFunction, tol: float
-) -> InequalityReport:
-    _check_ball_support(kind, params, u, _ball_radius(kind, params))
-    E, M = radial_energy(params, u, tol)
-    lhs, rhs = _radial_sides(
-        kind, params, E, M, lambda weight: radial_weighted_mass(params, u, weight, tol)
-    )
-    return _report(kind, params, u, lhs, rhs)
 
 
 # The terms each radial kind's recipe reads.
@@ -203,24 +182,27 @@ _RADIAL_TERMS = {
 }
 
 
-def _radial_sides(kind, params, E, M, mass):
-    """(lhs, rhs) of a radial kind from the energy E, the mass M and the
-    weighted masses ``mass(weight)``."""
+def _radial_sides(kind, params, t, l):
+    """(lhs, rhs) of a radial or 1D kind from its battery terms ``t``;
+    ``l`` is the exponent of the 1D Hardy kind."""
     lam, p = params.lambda_p, params.p
+    if kind is InequalityKind.HARDY1D:
+        return t["hardy1d_energy"], ((p - 1.0) / p) ** l * t["hardy1d_mass"]
+    E, M = t["E"], t.get("M")
     if kind is InequalityKind.PGAP:
         return E, lam * M
     if kind is InequalityKind.GREEN_WEIGHT:
-        return E - lam * M, mass("W")
+        return E - lam * M, t["W"]
     if kind is InequalityKind.HARDY:
-        return E - lam * M, hardy_constant(params) * mass("1/r^p")
+        return E - lam * M, hardy_constant(params) * t["1/r^p"]
     if kind is InequalityKind.UNCERTAINTY:
         # product form: (gap) * (r^{p'} mass)^(p/p') >= c * (mass)^p
-        return ((E - lam * M) * mass("r^pprime") ** (p / params.p_prime),
+        return ((E - lam * M) * t["r^pprime"] ** (p / params.p_prime),
                 hardy_constant(params) * M**p)
     c_r, c_sinh = ball_constants(params)
-    rhs = c_r * mass("1/r^p") + c_sinh * mass("1/sinh^p")
+    rhs = c_r * t["1/r^p"] + c_sinh * t["1/sinh^p"]
     if kind is InequalityKind.HP_WEIGHTED:
-        return E - lam * mass("Hp"), rhs
+        return E - lam * t["Hp"], rhs
     if kind is InequalityKind.BALL:
         return E - lam * M, rhs
     raise ValueError(f"unhandled radial kind {kind}")  # pragma: no cover
@@ -248,17 +230,6 @@ def _hardy1d_exponent(params: Params, l: float | None) -> float:
     return l_eff
 
 
-def _verify_hardy1d(
-    params: Params, u: RadialTestFunction, tol: float, l: float | None
-) -> InequalityReport:
-    p = params.p
-    l_eff = _hardy1d_exponent(params, l)
-    c = ((p - 1.0) / p) ** l_eff
-    return _report(InequalityKind.HARDY1D, params, u,
-                   hardy1d_energy(p, l_eff, u, tol), c * hardy1d_mass(p, u, tol),
-                   l=l_eff)
-
-
 def radial_reports(
     kind: InequalityKind,
     params: Params,
@@ -270,28 +241,22 @@ def radial_reports(
     """Reports of one radial or 1D kind for many profiles, in one pass.
 
     Every term the kind's recipe reads, for every profile, comes from one
-    :func:`~hyplab.integrals.radial_battery` call; the reports equal those
-    of :func:`verify` on each profile.  ``rp`` is the critical radius r_p
-    of the ball kind if the caller has it.
+    :func:`~hyplab.integrals.radial_battery` call; :func:`verify` is this
+    call on one profile.  ``l`` is the exponent of the 1D Hardy kind
+    (defaults to p; ignored by the other kinds).  ``rp`` is the critical
+    radius r_p of the ball kind if the caller has it.
     """
     kind = InequalityKind(kind)
     if kind.admissible_class == "halfspace":
         raise ValueError(f"{kind.value} is verified on half-space test functions")
     _require_hypothesis(kind, params)
-    if kind is InequalityKind.HARDY1D:
-        l_eff = _hardy1d_exponent(params, l)
-        c = ((params.p - 1.0) / params.p) ** l_eff
-        terms = radial_battery(params, funcs, _RADIAL_TERMS[kind], tol, l_eff)
-        return [_report(kind, params, u, t["hardy1d_energy"], c * t["hardy1d_mass"],
-                        l=l_eff)
-                for u, t in zip(funcs, terms)]
+    l = _hardy1d_exponent(params, l) if kind is InequalityKind.HARDY1D else None
     if rp is None:
         rp = _ball_radius(kind, params)
     for u in funcs:
         _check_ball_support(kind, params, u, rp)
-    terms = radial_battery(params, funcs, _RADIAL_TERMS[kind], tol)
-    return [_report(kind, params, u,
-                    *_radial_sides(kind, params, t["E"], t.get("M"), t.__getitem__))
+    terms = radial_battery(params, funcs, _RADIAL_TERMS[kind], tol, l)
+    return [_report(kind, params, u, *_radial_sides(kind, params, t, l), l=l)
             for u, t in zip(funcs, terms)]
 
 
@@ -378,17 +343,18 @@ def sharpness_scan(
         return rows
     if kind is InequalityKind.HARDY1D:
         p = params.p
-        l_eff = p if l is None else float(l)
+        l_eff = _hardy1d_exponent(params, l)
         pairs = [(float(e), float(d)) for e, d in schedule]
         if any(
             (e2 >= e1 or d2 > d1)
             for (e1, d1), (e2, d2) in zip(pairs, pairs[1:])
         ):
             raise ValueError("schedule must be strictly decreasing")
+        funcs = [make_veps(p, eps, delta) for eps, delta in pairs]
+        terms = radial_battery(params, funcs, _RADIAL_TERMS[kind], tol, l_eff)
         rows = []
-        for eps, delta in pairs:
-            v = make_veps(p, eps, delta)
-            q = hardy1d_energy(p, l_eff, v, tol) / hardy1d_mass(p, v, tol)
+        for (eps, delta), t in zip(pairs, terms):
+            q = t["hardy1d_energy"] / t["hardy1d_mass"]
             rows.append(
                 {
                     "eps": eps,
@@ -656,27 +622,34 @@ def batch_verify(
     workers: int | None = None,
     allow_origin: bool = False,
 ) -> list[InequalityReport]:
-    """Seeded battery of radial/1D verifications, ordered by trial index.
+    """Seeded battery of verifications, ordered by trial index.
 
-    Trials round-robin over ``params_grid``.  Supports are drawn from the
-    per-trial generator default_rng([seed, index]), and the trials of one
-    grid point run as one :func:`radial_reports` pass.  With more than one
-    worker (set via HYPLAB_WORKERS or ``workers``) each grid point's trials
-    are cut into contiguous chunks, one pass per chunk; the reports do not
-    depend on the worker count.
+    Trials round-robin over ``params_grid``, and trial ``index`` draws its
+    test function from default_rng([seed, index]).  The radial and 1D
+    trials of one grid point run as one :func:`radial_reports` pass.  With
+    more than one worker (``workers``, defaulting to HYPLAB_WORKERS) each
+    grid point's trials are cut into contiguous chunks, one pass per
+    chunk; the reports do not depend on the worker count.  The half-space
+    trials run one :func:`verify` each, in this process, whatever the
+    worker count.
     ``allow_origin`` lets a fraction of supports touch r = 0; it is
     rejected for the Green's-function weight, whose node evaluation needs
     r_lo > 0.
     """
     kind = InequalityKind(kind)
-    if kind.admissible_class == "halfspace":
-        raise ValueError("use halfspace_pair_reports for the half-space battery")
     if allow_origin and kind is InequalityKind.GREEN_WEIGHT:
         raise HypothesisError(
             "supports touching the origin are not allowed for the "
             "Green's-function weight battery"
         )
     grid = list(params_grid)
+    if kind.admissible_class == "halfspace":
+        return [
+            verify(kind, params,
+                   random_halfspace_product(np.random.default_rng([seed, i]), params.N),
+                   tol)
+            for i, params in zip(range(trials), itertools.cycle(grid))
+        ]
     if workers is None:
         workers = int(os.environ.get("HYPLAB_WORKERS", "1"))
     jobs, order = [], []
@@ -708,11 +681,7 @@ def halfspace_pair_reports(
     params: Params, trials: int, seed: int, tol: float = 1e-7
 ) -> list[tuple[InequalityReport, InequalityReport]]:
     """Paired (hyperbolic-form, Maz'ya-form) reports per test function."""
-    out = []
-    for i in range(trials):
-        rng = np.random.default_rng([seed, i])
-        u = random_halfspace_product(rng, params.N)
-        r_hyp = verify(InequalityKind.BOUNDED_V, params, u, tol)
-        r_maz = verify(InequalityKind.MAZYA, params, u, tol)
-        out.append((r_hyp, r_maz))
-    return out
+    return list(zip(
+        batch_verify(InequalityKind.BOUNDED_V, [params], trials, seed, tol),
+        batch_verify(InequalityKind.MAZYA, [params], trials, seed, tol),
+    ))

@@ -1,10 +1,13 @@
-"""The benchmark tracer (bench/tracing.py) wraps hyplab entry points by name."""
+"""Repository tooling: the benchmark tracer (bench/tracing.py) wraps hyplab
+entry points by name, every command has a golden, no private name is dead."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def test_tracing_entry_points_resolve():
@@ -32,3 +35,45 @@ def test_every_command_has_a_golden():
     spec.loader.exec_module(test_cli)
     covered = {argv[0] for argv in test_cli.GOLDEN_RUNS.values()}
     assert set(_COMMANDS) - covered == set()
+
+
+def _defined_names(node) -> list[str]:
+    """Names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _referenced_names(node) -> set[str]:
+    """Names, attributes, imported names and dotted string constants in node."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.update(n.name.split("."))
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out.add(n.value.rsplit(".", 1)[-1])  # e.g. a monkeypatch target
+    return out
+
+
+def test_no_unreferenced_private_names():
+    # a module-level _name used nowhere but in its own definition is dead code
+    sources = sorted((ROOT / "src" / "hyplab").glob("*.py"))
+    trees = {path: ast.parse(path.read_text())
+             for path in sources + sorted((ROOT / "tests").glob("*.py"))}
+    private, used = {}, set()
+    for path, tree in trees.items():
+        for stmt in tree.body:
+            own = set(_defined_names(stmt))
+            used |= _referenced_names(stmt) - own
+            if path in sources:
+                private.update((name, path.name) for name in own
+                               if name.startswith("_") and not name.startswith("__"))
+    dead = sorted(f"{module}:{name}" for name, module in private.items()
+                  if name not in used)
+    assert dead == []

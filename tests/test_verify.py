@@ -142,10 +142,9 @@ class TestRecipesMatchHandPropagation:
     def _cases(self, monkeypatch, kind, params):
         rng = np.random.default_rng(2024)
         terms = {}
-        monkeypatch.setattr(verify_module, "radial_energy",
-                            lambda *args: (terms["E"], terms["M"]))
-        monkeypatch.setattr(verify_module, "radial_weighted_mass",
-                            lambda params, u, weight, tol: terms[weight])
+        monkeypatch.setattr(
+            verify_module, "radial_battery",
+            lambda params, funcs, names, tol, l: [{name: terms[name] for name in names}])
         for _ in range(200):
             terms.update((name, self._term(rng)) for name in ("E", "M") + self.WEIGHTS)
             rep = verify(kind, params, make_bump(1.0, 2.0), 1e-10)
@@ -192,6 +191,20 @@ class TestVerifyHalfSpace:
 
 
 class TestBatch:
+    def test_halfspace_battery_equals_one_trial_verify(self):
+        grid = [Params(3, 2.0), Params(2, 3.0)]
+        for kind in (InequalityKind.BOUNDED_V, InequalityKind.MAZYA):
+            reps = batch_verify(kind, grid, 4, seed=9, tol=1e-6)
+            expected = [
+                verify(kind, grid[i % 2],
+                       random_halfspace_product(np.random.default_rng([9, i]),
+                                                grid[i % 2].N),
+                       1e-6)
+                for i in range(4)
+            ]
+            assert [r.N for r in reps] == [3, 2, 3, 2]
+            assert reps == expected
+
     def test_deterministic_under_seed(self):
         a = batch_verify(InequalityKind.PGAP, [Params(3, 2.0)], 6, seed=7, tol=1e-9)
         b = batch_verify(InequalityKind.PGAP, [Params(3, 2.0)], 6, seed=7, tol=1e-9)
