@@ -217,6 +217,12 @@ def _series_terms(beta: float, x: float) -> int:
     return hi
 
 
+def _log1m_exp2(r: np.ndarray) -> np.ndarray:
+    """log(1 - e^{-2r}) for r > 0, to a few ulps of its size."""
+    return np.where(r < 0.5 * math.log(2.0), np.log(-np.expm1(-2.0 * r)),
+                    np.log1p(-np.exp(-2.0 * r)))
+
+
 class GreenWeight:
     """Evaluator of the Green's-function weight W for one (N, p).
 
@@ -246,7 +252,9 @@ class GreenWeight:
     Horner's rule to a number of terms fixed per band of radii; its error
     bound adds the truncation and the rounding of the positive terms.
     Below r*, J(r) = e^{alpha (r-r*)} J(r*) plus the integral from r to r*,
-    all of a call's radii in one lockstep pass of the adaptive engine.
+    all of a call's radii in one lockstep pass of the adaptive engine; both
+    tails are taken there times (1-x)^(alpha+1), which keeps them finite
+    at small r and large alpha and leaves zeta as it is.
     Every value and error bound is thus a pure function of (N, p, r),
     bit for bit the same whatever other radii share the call.
     """
@@ -302,32 +310,47 @@ class GreenWeight:
         return s, err
 
     def _below(self, r: np.ndarray):
-        """Both rows of J and their error bounds at radii r < r*."""
+        """Both rows of (1-x)^(alpha+1) J and their error bounds at radii r < r*.
+
+        J itself passes 1e308 at small r and large alpha.  With x = e^{-2r}
+        and d = s - r, row (beta, gamma) is e^{alpha (r-r*)} (1-x)^(alpha+1)
+        J(r*) plus the integral from r to r* of 2 (1-x)^(alpha+1-beta)
+        e^{(alpha-gamma) r - gamma d} (1 + (1-e^{-2d})/(e^{2r}-1))^(-beta):
+        (1-x) or e^{-2r} times a function falling from 1.
+        """
         a, m = self.alpha, r.size
         beta = np.repeat(self._beta, m)
         gamma = np.repeat(2.0 * self._c, m)
+        log_1mx = _log1m_exp2(r)
+        shift = math.log(2.0) + np.concatenate([log_1mx, -2.0 * r])
         lows = np.tile(r, 2)
-        shift = a * lows + math.log(2.0)
+        inv = np.tile(1.0 / np.expm1(2.0 * r), 2)
 
         def f(s, owner):
-            return np.exp(shift[owner] - gamma[owner] * s
-                          - beta[owner] * np.log(-np.expm1(-2.0 * s)))
+            d = s - lows[owner]
+            return np.exp(shift[owner] - gamma[owner] * d
+                          - beta[owner] * np.log1p(-np.expm1(-2.0 * d) * inv[owner]))
 
-        lows = lows.tolist()
         results = integrate_intervals(
-            f, lows, [self.r_star] * len(lows), 0.0, rel_tol=_QUAD_TOL,
+            f, lows.tolist(), [self.r_star] * lows.size, 0.0, rel_tol=_QUAD_TOL,
             breakpoints=[geometric_splits(lo, self.r_star, min(lo, 1.0 / a))
-                         for lo in lows],
+                         for lo in lows.tolist()],
         )
         vals = np.array([res.value for res in results]).reshape(2, m)
         errs = np.array([res.error_estimate for res in results]).reshape(2, m)
         j_star, err_star = self._series(np.array([self.r_star]))
-        decay = np.exp(a * (r - self.r_star))
-        j = decay * j_star + vals
-        return j, decay * err_star + errs + 2.0 * _EPS * j
+        # Every term of the exponent is negative, each to a few ulps of its
+        # size, so the factor is good to (3 |expo| + 1) ulps.
+        expo = (a + 1.0) * log_1mx + a * (r - self.r_star)
+        lead = np.exp(expo) * j_star
+        k = lead + vals
+        err = (np.exp(expo) * err_star + (3.0 * np.abs(expo) + 1.0) * _EPS * lead
+               + errs + (3.0 * np.abs(shift.reshape(2, m)) + 2.0) * _EPS * vals)
+        return k, err + 2.0 * _EPS * k
 
     def _tails(self, radii):
-        """Both rows of J and their error bounds at every radius."""
+        """Both rows of J and their error bounds at every radius, below r*
+        times (1-x)^(alpha+1), which leaves their ratio as it is."""
         r = np.asarray(radii, dtype=float).ravel()
         if not np.all((r > 0.0) & np.isfinite(r)):
             bad = r[~((r > 0.0) & np.isfinite(r))][0]
@@ -353,13 +376,20 @@ class GreenWeight:
         """G_p(r) = int_r^inf (sinh s)^(-alpha) ds and an absolute error bound.
 
         The normalization is fixed to 1: only G'/G enters the weight W.
+        Raises :class:`QuadratureError` where G exceeds the double range.
         """
         j, err = self._tails([r])
         a = self.alpha
-        scale = math.exp((a - 1.0) * math.log(2.0) - a * r)
+        # the rows below r* carry the factor (1-x)^(alpha+1)
+        log_1mx = float(_log1m_exp2(np.array(r))) if r < self.r_star else 0.0
+        log_scale = (a - 1.0) * math.log(2.0) - a * r - (a + 1.0) * log_1mx
+        try:
+            scale = math.exp(log_scale)
+        except OverflowError:
+            raise QuadratureError(f"G({r}) exceeds the double range") from None
         g = float(j[0, 0]) * scale
-        rounding = _EPS * (2.0 + abs(a - 1.0) * math.log(2.0) + a * r) * g
-        return g, float(err[0, 0]) * scale + rounding
+        size = 2.0 + abs(a - 1.0) * math.log(2.0) + a * r - 3.0 * (a + 1.0) * log_1mx
+        return g, float(err[0, 0]) * scale + _EPS * size * g
 
     def w(self, r: float) -> tuple[float, float]:
         """W(r) and an absolute error bound."""

@@ -26,6 +26,7 @@ from hyplab.core import (
     weight_v,
     weight_w,
 )
+from hyplab.quadrature import QuadratureError
 
 
 class TestParams:
@@ -107,6 +108,14 @@ class TestGreenFunction:
 
     def test_vanishing_tail(self):
         assert GreenWeight(Params(3, 2.0)).green(25.0)[0] < 1e-9
+
+    def test_overflow_raises(self):
+        # G(r) ~ r^(1-alpha) / (alpha-1) with alpha = 20000 exceeds 1e308 at
+        # r = 0.01, while zeta, the ratio W needs, stays finite there
+        ev = GreenWeight(Params(3, 1.0001))
+        with pytest.raises(QuadratureError):
+            ev.green(0.01)
+        assert math.isfinite(ev.zeta(0.01)[0])
 
 
 class TestWeightW:
@@ -239,8 +248,9 @@ def _w_hypergeometric(N, p, r):
     with mp.workdps(30):
         a = mp.mpf(N - 1) / (mp.mpf(p) - 1)
         x = mp.exp(-2 * mp.mpf(r))
-        zeta = (x * 2 * a / (a + 2) * mp.hyp2f1(a / 2 + 1, a + 1, a / 2 + 2, x)
-                / mp.hyp2f1(a / 2, a, a / 2 + 1, x))
+        zeta = (x * 2 * a / (a + 2)
+                * mp.hyp2f1(a / 2 + 1, a + 1, a / 2 + 2, x, maxterms=10**6)
+                / mp.hyp2f1(a / 2, a, a / 2 + 1, x, maxterms=10**6))
         return (mp.mpf(N - 1) / p) ** p * mp.expm1(p * mp.log1p(zeta))
 
 
@@ -271,7 +281,11 @@ class TestWeightWOracle:
         for N, p in [(3, 2.0), (5, 2.0), (13, 4.0), (2, 3.0), (4, 1.5), (40, 2.0),
                      (40, 1.1), (2, 1.01)]
         for r in _ORACLE_RADII
-        if r >= 0.3 or p > 1.1
+    ] + [
+        # large alpha at radii below r*, where the bare tails overflow
+        (40, 1.1, 0.01), (200, 2.0, 0.01), (2, 1.001, 0.01), (2, 1.001, 1.0),
+        (100, 1.01, 0.01), (100, 1.01, 1.5), (3, 1.0001, 0.01), (3, 1.0001, 1.0),
+        (3, 1.0001, 3.0),
     ])
     def test_error_bounds_the_error(self, N, p, r):
         w, err = GreenWeight(Params(N, p)).w(r)
