@@ -3,8 +3,8 @@
 One dimensional integration uses a nested Gauss(7)/Kronrod(15) pair per
 panel with local error = |K15 - G7| and max-heap driven bisection.  Many
 independent integrals advance in lockstep rounds, every round's new panels
-evaluated in one integrand call, and each integral refines exactly as it
-would alone.
+evaluated in one integrand call and contracted in one fixed-order sum per
+panel, and each integral refines exactly as it would alone.
 Every result is a :class:`QuadResult`, whose arithmetic propagates the
 error estimates to first order, so a quantity assembled from several
 integrals carries its own error budget.
@@ -194,19 +194,26 @@ _WGK = np.array(
         0.022935322010529,
     ]
 )
-# Gauss-7 weights sit on the odd Kronrod nodes (indices 1,3,...,13).
+# Gauss-7 weights on the odd Kronrod nodes, zero on the others.
 _WG = np.array(
     [
+        0.0,
         0.129484966168870,
+        0.0,
         0.279705391489277,
+        0.0,
         0.381830050505119,
+        0.0,
         0.417959183673469,
+        0.0,
         0.381830050505119,
+        0.0,
         0.279705391489277,
+        0.0,
         0.129484966168870,
+        0.0,
     ]
 )
-_GAUSS_IDX = np.arange(1, 15, 2)
 
 
 def _seed_panels(
@@ -284,10 +291,11 @@ def integrate_intervals(
     of all integrals are evaluated together, in integrand calls of at most
     ``_INTERVAL_CHUNK_NODES`` nodes; at most ``_INTERVAL_WINDOW``
     integrals are in flight, the next starting as one finishes.  Each
-    integral keeps its own heap of panels, sums its values and errors in
-    heap order, and contracts its panels with the GK15 weights apart from
-    the other integrals', so every result is bit for bit the one the
-    integral gets alone.
+    integral keeps its own heap of panels and sums its values and errors
+    in heap order.  The GK15 sums of a round's panels come from one
+    contraction that sums every panel in one fixed order, whatever the
+    other panels, so every result is bit for bit the one the integral
+    gets alone.
 
     An integral that exhausts ``max_subdivisions`` panels fails with
     :class:`ToleranceNotAchieved` (carrying its best result), one whose
@@ -387,17 +395,14 @@ def _push_panels(f, todo, heaps, panels, failures) -> None:
                 bad = nodes(rows)[~np.isfinite(vals[rows].ravel())][0]
                 failures[k] = QuadratureError(f"integrand not finite at x={bad!r}")
         spans = [span for span in spans if span[0] not in failures]
-    # The GK15 sums of each integral come from its own rows alone: a BLAS
-    # row sum depends on the other rows in the call and on their memory
-    # layout, so a shared call would tie an integral's result to its
-    # companions.
-    k15, g7 = np.zeros(len(lows)), np.zeros(len(lows))
-    for _, start, end in spans:
-        block = vals[start:end]
-        np.matmul(block, _WGK, out=k15[start:end])
-        np.matmul(block[:, _GAUSS_IDX], _WG, out=g7[start:end])
-    values = k15 * halfs
-    errors = np.abs(k15 - g7) * halfs
+    # einsum without BLAS sums every row in one fixed order, so a panel's
+    # sums do not depend on the other rows of the round.
+    # The rows of a failed integral are summed too, and may give NaN.
+    with np.errstate(invalid="ignore"):
+        k15 = np.einsum("ij,j->i", vals, _WGK, optimize=False)
+        g7 = np.einsum("ij,j->i", vals, _WG, optimize=False)
+        values = k15 * halfs
+        errors = np.abs(k15 - g7) * halfs
     items = list(zip((-errors).tolist(), lows.tolist(), highs.tolist(),
                      values.tolist(), errors.tolist()))
     for k, start, end in spans:
@@ -502,13 +507,11 @@ def _fixed(x: float) -> int:
 def _cell_weights(d: int) -> np.ndarray:
     """(15^d, d+1) tensor weights: column 0 is Kronrod on every axis,
     column 1+j is Gauss on axis j and Kronrod on the others."""
-    gauss = np.zeros(15)
-    gauss[_GAUSS_IDX] = _WG
     cols = []
     for gauss_axis in (None,) + tuple(range(d)):
         w = np.ones(1)
         for j in range(d):
-            w = np.multiply.outer(w, gauss if j == gauss_axis else _WGK)
+            w = np.multiply.outer(w, _WG if j == gauss_axis else _WGK)
         cols.append(w.ravel())
     return np.stack(cols, axis=1)
 

@@ -141,6 +141,34 @@ class TestLockstep:
             ks = rng.permutation(K)[: rng.integers(1, K)].tolist()
             assert together(ks) == [full[k] for k in ks]
 
+    def test_panel_sums_do_not_depend_on_the_round(self):
+        # each panel's (value, error), pushed alone as its own integral and
+        # in one round with the panels of 29 other integrals, one of which
+        # is not finite; the scales span e^-20 to e^20
+        rng = np.random.default_rng(4)
+        K, bad = 30, 7
+        scale = np.exp(rng.uniform(-20.0, 20.0, K))
+        freq = rng.uniform(0.5, 9.0, K)
+        lows = [rng.uniform(-2.0, 2.0, n) for n in rng.integers(1, 60, K)]
+        highs = [lo + rng.uniform(1e-3, 3.0, lo.size) for lo in lows]
+
+        def f(x, owner):
+            out = scale[owner] * np.exp(np.sin(freq[owner] * x)) * (1.5 + np.cos(x))
+            return np.where((owner == bad) & (x > 0.0), np.inf, out)
+
+        def push(f, todo):
+            heaps, failures = [[] for _ in todo], {}
+            quadrature._push_panels(f, todo, heaps, [0] * len(todo), failures)
+            return heaps, failures
+
+        heaps, failures = push(f, [(k, lows[k].tolist(), highs[k].tolist())
+                                   for k in range(K)])
+        assert list(failures) == [bad]
+        for k in set(range(K)) - {bad}:
+            alone = [push(lambda x, owner: f(x, owner + k), [(0, [lo], [hi])])[0][0][0]
+                     for lo, hi in zip(lows[k].tolist(), highs[k].tolist())]
+            assert sorted(heaps[k]) == sorted(alone)
+
     def test_calls_are_chunked_to_the_node_cap(self):
         sizes = []
 
@@ -224,11 +252,8 @@ def _reference_cell(f, los, his):
     for axis in range(d):
         reduced = vals
         for j in range(d):
-            if j == axis:
-                take = np.take(reduced, quadrature._GAUSS_IDX, axis=0)
-                reduced = np.tensordot(take, quadrature._WG, axes=([0], [0]))
-            else:
-                reduced = np.tensordot(reduced, quadrature._WGK, axes=([0], [0]))
+            weights = quadrature._WG if j == axis else quadrature._WGK
+            reduced = np.tensordot(reduced, weights, axes=([0], [0]))
         errors.append(abs(float(reduced) * scale - k15))
     return k15, sum(errors), int(np.argmax(errors))
 
