@@ -19,7 +19,6 @@ import itertools
 import math
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,14 @@ from .constants import c_np
 from .core import HypothesisError, Params, coth, log_sinh
 from .integrals import halfspace_integral, radial_battery, ueps_energy_mass
 from .rp import solve_rp
-from .testfun import HalfSpaceFunction, RadialTestFunction, make_bump, make_veps
+from .testfun import (
+    HalfSpaceFunction,
+    RadialTestFunction,
+    make_bump,
+    make_veps,
+    mollifier_derivative,
+    mollifier_value,
+)
 
 __all__ = [
     "InequalityKind",
@@ -553,12 +559,8 @@ def random_halfspace_product(
         px = phi.value(x1 - x_lo)
         dx = phi.derivative(x1 - x_lo)
         if N >= 3:
-            t = rho / rho_hi
-            inside = np.abs(t) < 1.0
-            ts = np.where(inside, t, 0.0)
-            om = 1.0 - ts * ts
-            pr = np.where(inside, np.exp(-1.0 / om), 0.0)
-            dr = np.where(inside, np.exp(-1.0 / om) * (-2.0 * ts / om**2) / rho_hi, 0.0)
+            pr = mollifier_value(rho, 0.0, rho_hi)
+            dr = mollifier_derivative(rho, 0.0, rho_hi)
         else:
             pr = np.ones_like(np.asarray(rho, dtype=float))
             dr = np.zeros_like(pr)
@@ -667,6 +669,9 @@ def batch_verify(
                          tol, rp))
             order.extend(indices[s:s + size])
     if workers > 1 and len(jobs) > 1:
+        # imported here: the pool's modules add about 20 ms to every start
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_battery_job, jobs))
     else:
