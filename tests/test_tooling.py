@@ -10,19 +10,28 @@ ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "bench" / "tracing.py"
 
 
+def _entry_points() -> list[tuple[str, str, str]]:
+    """ENTRY_POINTS of bench/tracing.py, read from its source: importing
+    the benchmark would run its module code."""
+    for stmt in ast.parse(TRACING.read_text()).body:
+        if isinstance(stmt, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "ENTRY_POINTS" for t in stmt.targets):
+            return ast.literal_eval(stmt.value)
+    raise AssertionError("bench/tracing.py defines no ENTRY_POINTS list")
+
+
 def test_tracing_entry_points_resolve():
-    # a rename in hyplab must fail here, not silently in `bench/run.py --trace 1`
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    # a rename or removal in hyplab must fail here, not silently in
+    # `bench/run.py --trace 1`
+    entry_points = _entry_points()
     missing = []
-    for mod_name, attr, _span in tracing.ENTRY_POINTS:
+    for mod_name, attr, _span in entry_points:
         obj = importlib.import_module(mod_name)
         for part in attr.split("."):
             obj = getattr(obj, part, None)
         if not callable(obj):
             missing.append(f"{mod_name}.{attr}")
-    assert tracing.ENTRY_POINTS and missing == []
+    assert entry_points and missing == []
 
 
 def test_every_command_has_a_golden():
