@@ -155,65 +155,20 @@ def _merge_truncation(a, b):
     return max(a, b)
 
 
-# Gauss-Kronrod 7/15 nodes and weights on [-1, 1] (QUADPACK dqk15 values).
-_XGK = np.array(
-    [
-        -0.991455371120813,
-        -0.949107912342759,
-        -0.864864423359769,
-        -0.741531185599394,
-        -0.586087235467691,
-        -0.405845151377397,
-        -0.207784955007898,
-        0.0,
-        0.207784955007898,
-        0.405845151377397,
-        0.586087235467691,
-        0.741531185599394,
-        0.864864423359769,
-        0.949107912342759,
-        0.991455371120813,
-    ]
-)
-_WGK = np.array(
-    [
-        0.022935322010529,
-        0.063092092629979,
-        0.104790010322250,
-        0.140653259715525,
-        0.169004726639267,
-        0.190350578064785,
-        0.204432940075298,
-        0.209482141084728,
-        0.204432940075298,
-        0.190350578064785,
-        0.169004726639267,
-        0.140653259715525,
-        0.104790010322250,
-        0.063092092629979,
-        0.022935322010529,
-    ]
-)
+# Gauss-Kronrod 7/15 nodes and weights on [-1, 1] (QUADPACK dqk15 values),
+# from the left end to the middle; the nodes are odd and the weights even.
+_XGK_LEFT = [-0.991455371120813, -0.949107912342759, -0.864864423359769,
+             -0.741531185599394, -0.586087235467691, -0.405845151377397,
+             -0.207784955007898]
+_WGK_LEFT = [0.022935322010529, 0.063092092629979, 0.104790010322250,
+             0.140653259715525, 0.169004726639267, 0.190350578064785,
+             0.204432940075298, 0.209482141084728]
 # Gauss-7 weights on the odd Kronrod nodes, zero on the others.
-_WG = np.array(
-    [
-        0.0,
-        0.129484966168870,
-        0.0,
-        0.279705391489277,
-        0.0,
-        0.381830050505119,
-        0.0,
-        0.417959183673469,
-        0.0,
-        0.381830050505119,
-        0.0,
-        0.279705391489277,
-        0.0,
-        0.129484966168870,
-        0.0,
-    ]
-)
+_WG_LEFT = [0.0, 0.129484966168870, 0.0, 0.279705391489277, 0.0,
+            0.381830050505119, 0.0, 0.417959183673469]
+_XGK = np.array(_XGK_LEFT + [0.0] + [-x for x in reversed(_XGK_LEFT)])
+_WGK = np.array(_WGK_LEFT + _WGK_LEFT[-2::-1])
+_WG = np.array(_WG_LEFT + _WG_LEFT[-2::-1])
 
 
 def _seed_panels(
@@ -396,8 +351,7 @@ def _push_panels(f, todo, heaps, panels, failures) -> None:
                 failures[k] = QuadratureError(f"integrand not finite at x={bad!r}")
         spans = [span for span in spans if span[0] not in failures]
     # einsum without BLAS sums every row in one fixed order, so a panel's
-    # sums do not depend on the other rows of the round.
-    # The rows of a failed integral are summed too, and may give NaN.
+    # sums do not depend on the other rows (a failed integral's give NaN).
     with np.errstate(invalid="ignore"):
         k15 = np.einsum("ij,j->i", vals, _WGK, optimize=False)
         g7 = np.einsum("ij,j->i", vals, _WG, optimize=False)
