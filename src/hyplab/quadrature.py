@@ -437,7 +437,9 @@ def power_singular_integral(
 
 
 # Tensor nodes per integrand call (9 cells in 3-D, 145 in 2-D, 2184 in 1-D),
-# so the arrays of one batch stay near 256 kB whatever the seed partition.
+# so the arrays of one batch stay near 256 kB whatever the seed partition;
+# a round of refinement evaluates at most one chunk of children (4 splits in
+# 3-D, 72 in 2-D, 1092 in 1-D).
 _CELL_CHUNK_NODES = 2**15
 # glibc serves each block above its mmap threshold (128 kB at start) with a
 # fresh mapping, which every integrand call then page-faults in; freeing a
@@ -541,9 +543,10 @@ def integrate_cell_components(
     The seed partition is evaluated once for all components and kept in
     arrays.  A component whose seed error already meets
     ``tols[c] + rel_tols[c] * |integral|`` is returned as it stands.  The
-    others are refined one at a time, in order: the worst cell is split on
-    its worst axis (only that component is evaluated on the two children)
-    until the component meets its tolerance.
+    others are refined one after the other, in order, by rounds of
+    worst-cell splits (see :func:`_refine_component`; only the component
+    being refined is evaluated on the children) until each meets its
+    tolerance.
     Each result is therefore the one a single-component call on the same
     expression gives.  Raises :class:`ToleranceNotAchieved` for the first
     component that exhausts ``max_cells``.
@@ -611,14 +614,21 @@ def _fixed_sum(x: np.ndarray) -> int:
 
 def _refine_component(f, c, los, his, values, errors, worst, tol, rel_tol,
                       max_cells) -> QuadResult:
-    """Worst-cell refinement of component ``c`` from its seed arrays.
+    """Worst-first refinement of component ``c`` from its seed arrays.
 
-    Cells are split in order of error, largest first, ties by serial
+    Cells are taken in order of error, largest first, ties by serial
     number (seed cells first, in seed order, then children in order of
-    creation).  The seeds stay in their arrays, sorted once into that
-    order, and are merged with a heap that holds only the cells created
-    or re-queued here; the totals are exact sums in units of 2**-1074.
+    creation).  Each round takes, in that order, the fewest cells whose
+    errors cover the excess of the error over ``tol + rel_tol * |value|``
+    (splitting one cell at a time would have to split them all too),
+    stopping early at one chunk of children or at the cell budget, and
+    splits each on its worst axis; all children of a round are evaluated
+    in one integrand call.  The seeds stay in their arrays, sorted once
+    into that order, and are merged with a heap that holds only the cells
+    created or re-queued here; the totals are exact sums in units of
+    2**-1074.
     """
+    per_round = max(1, _CELL_CHUNK_NODES // 15 ** los.shape[1] // 2)
     seeds = np.argsort(-errors, kind="stable").tolist()
     next_seed = 0
     heap: list = []  # (-error, serial, los, his, value, error, worst axis)
@@ -627,33 +637,43 @@ def _refine_component(f, c, los, his, values, errors, worst, tol, rel_tol,
     n_cells = len(seeds)
     while True:
         value, error = total / _FIXED_ONE, err / _FIXED_ONE
-        if error <= tol + rel_tol * abs(value):
+        goal = tol + rel_tol * abs(value)
+        if error <= goal:
             return QuadResult(value, error, n_cells)
         if n_cells >= max_cells:
             best = QuadResult(value, error, n_cells)
             raise ToleranceNotAchieved(
                 f"cell budget exhausted: error {error:.3e} > tol {tol:.3e}", best
             )
-        s = seeds[next_seed] if next_seed < len(seeds) else None
-        if s is not None and (not heap or (-errors[s], s) < heap[0][:2]):
-            next_seed += 1
-            serial, lo_t, hi_t = s, tuple(los[s].tolist()), tuple(his[s].tolist())
-            v, e, ax = float(values[s]), float(errors[s]), int(worst[s])
-        else:
-            _, serial, lo_t, hi_t, v, e, ax = heapq.heappop(heap)
-        lo, hi = lo_t[ax], hi_t[ax]
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            # Width at rounding floor: keep the cell, drop its error.
-            heapq.heappush(heap, (0.0, serial, lo_t, hi_t, v, 0.0, ax))
+        split = []  # (los, his, worst axis, midpoint) of the cells to split
+        # err drops the error of each cell as it is taken, so it is the
+        # error of the cells not taken
+        while (err / _FIXED_ONE > goal and len(split) < per_round
+               and n_cells + 2 * len(split) < max_cells):
+            s = seeds[next_seed] if next_seed < len(seeds) else None
+            if s is not None and (not heap or (-errors[s], s) < heap[0][:2]):
+                next_seed += 1
+                serial, lo_t, hi_t = s, tuple(los[s].tolist()), tuple(his[s].tolist())
+                v, e, ax = float(values[s]), float(errors[s]), int(worst[s])
+            else:
+                _, serial, lo_t, hi_t, v, e, ax = heapq.heappop(heap)
             err -= _fixed(e)
+            lo, hi = lo_t[ax], hi_t[ax]
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                # Width at rounding floor: keep the cell, drop its error.
+                heapq.heappush(heap, (0.0, serial, lo_t, hi_t, v, 0.0, ax))
+                continue
+            total -= _fixed(v)
+            split.append((lo_t, hi_t, ax, mid))
+        if not split:
             continue
-        total -= _fixed(v)
-        err -= _fixed(e)
-        child_los = np.array([lo_t, lo_t])
-        child_his = np.array([hi_t, hi_t])
-        child_his[0, ax] = mid
-        child_los[1, ax] = mid
+        lo_ts, hi_ts, axes, mids = zip(*split)
+        rows = 2 * np.arange(len(split))
+        child_los = np.repeat(np.array(lo_ts), 2, axis=0)
+        child_his = np.repeat(np.array(hi_ts), 2, axis=0)
+        child_his[rows, axes] = mids
+        child_los[rows + 1, axes] = mids
         (cv,), (ce,), (cw,) = _cell_rule(f, child_los, child_his, c)
         for clo, chi, cval, cerr, cax in zip(
             child_los.tolist(), child_his.tolist(), cv.tolist(), ce.tolist(),
@@ -663,7 +683,7 @@ def _refine_component(f, c, los, his, values, errors, worst, tol, rel_tol,
                                   cval, cerr, cax))
             total += _fixed(cval)
             err += _fixed(cerr)
-        n_cells += 2
+        n_cells += len(cv)
 
 
 def integrate_cells(
@@ -682,7 +702,7 @@ def integrate_cells(
     depends on one axis only costs 15 evaluations per cell on that axis.
     ``initial_splits`` optionally pre-partitions each axis (used to seed
     geometric grading along semi-infinite mapped axes).  Refinement
-    splits the worst cell on its worst axis until
+    splits the worst cells on their worst axes, in rounds, until
     error <= tol + rel_tol * |integral|.  The single-component case of
     :func:`integrate_cell_components`.
     """

@@ -400,16 +400,61 @@ class TestCells:
         both = _components(self._smooth, self._peaked)
 
         def f(*xs, component):
-            calls.append(component)
+            calls.append((component, xs[0].shape[0]))
             return both(*xs, component=component)
 
         smooth, peaked = integrate_cell_components(
             f, self._BOX, [1e-4, 1e-9], initial_splits=self._SPLITS)
-        # 48 seed cells in batches of 9, then one call per split of the
-        # refining component
-        assert calls[:6] == [None] * 6
-        assert calls[6:] == [1] * ((peaked.subdivisions - 48) // 2)
+        # 48 seed cells in batches of 9, then one call per round of splits
+        # of the refining component, each evaluating every child once
+        assert [c for c, _ in calls[:6]] == [None] * 6
+        rounds = [k for _, k in calls[6:]]
+        assert [c for c, _ in calls[6:]] == [1] * len(rounds)
+        assert sum(rounds) == peaked.subdivisions - 48
+        assert len(rounds) < (peaked.subdivisions - 48) // 2
         assert smooth.subdivisions == 48 < peaked.subdivisions
+
+    @pytest.mark.parametrize("d, chunk_nodes", [
+        (3, quadrature._CELL_CHUNK_NODES), (2, 11 * 15**2), (1, 7 * 15),
+    ])
+    def test_rounds_fill_at_most_one_chunk(self, monkeypatch, d, chunk_nodes):
+        monkeypatch.setattr(quadrature, "_CELL_CHUNK_NODES", chunk_nodes)
+        chunk = chunk_nodes // 15**d
+        sizes = []
+        peaked = lambda *xs: 1.0 / (0.02 + sum((x - 0.3) ** 2 for x in xs))
+
+        def f(*xs, component):
+            if component is not None:
+                sizes.append(xs[0].shape[0])
+            return (peaked(*xs),)
+
+        r = integrate_cell_components(f, [(0.0, 1.0)] * d, [1e-12])[0]
+        assert sum(sizes) == r.subdivisions - 1
+        # a large excess fills whole rounds: as many pairs of children as
+        # one chunk holds, never more
+        assert max(sizes) == 2 * (chunk // 2)
+
+    @pytest.mark.parametrize("max_cells", [30, 31, 101, 400])
+    def test_budget_bounds_every_round(self, max_cells):
+        f = lambda x, y: 1.0 / np.sqrt(np.abs(x - 0.31831) + np.abs(y - 0.4142) + 1e-300)
+        with pytest.raises(ToleranceNotAchieved) as exc:
+            integrate_cells(f, [(0.0, 1.0), (0.0, 1.0)], 1e-13, max_cells=max_cells)
+        best = exc.value.result
+        # one seed cell, two children per split: the budget is met or
+        # passed by one, never by a whole round
+        assert max_cells <= best.subdivisions <= max_cells + 1
+        assert best.subdivisions % 2 == 1
+        assert math.isfinite(best.value) and best.error_estimate > 1e-13
+
+    def test_cells_at_the_width_floor_end_the_refinement(self):
+        # x spans one ulp, so no split on it moves its midpoint off an end:
+        # each seed cell keeps its value and drops its error
+        box = [(1.0, math.nextafter(1.0, 2.0)), (0.0, 1.0)]
+        step = lambda x, y: np.where(x > 1.0, 1.0 + y * y, y * y)
+        seeds = integrate_cells(step, box, math.inf, initial_splits=[[], [0.5]])
+        assert seeds.error_estimate > 0.0
+        r = integrate_cells(step, box, 0.0, initial_splits=[[], [0.5]])
+        assert r == QuadResult(seeds.value, 0.0, 2)
 
     def test_refinement_cell_counts(self):
         # pinned: a change in the split order or the stop rule moves them
