@@ -21,6 +21,7 @@ __all__ = [
     "make_bump",
     "mollifier_value",
     "mollifier_derivative",
+    "mollifier_value_and_derivative",
     "make_veps",
     "make_ueps",
 ]
@@ -142,6 +143,20 @@ def mollifier_derivative(r, mid, half):
     ts = np.where(inside, t, 0.0)
     om = 1.0 - ts * ts
     return np.where(inside, np.exp(-1.0 / om) * (-2.0 * ts / om**2) / half, 0.0)
+
+
+def mollifier_value_and_derivative(r, mid, half):
+    """(:func:`mollifier_value`, :func:`mollifier_derivative`) at r, bit for
+    bit, from one t, one support mask and one exponential, for callers
+    that need both at the same nodes."""
+    r = np.asarray(r, dtype=float)
+    t = (r - mid) / half
+    inside = np.abs(t) < 1.0
+    ts = np.where(inside, t, 0.0)
+    om = 1.0 - ts * ts
+    e = np.exp(-1.0 / om)
+    return (np.where(inside, e, 0.0),
+            np.where(inside, e * (-2.0 * ts / om**2) / half, 0.0))
 
 
 def make_bump(r_lo: float, r_hi: float, shape: str = "mollifier") -> RadialTestFunction:

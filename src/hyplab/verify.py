@@ -32,8 +32,8 @@ from .testfun import (
     RadialTestFunction,
     make_bump,
     make_veps,
-    mollifier_derivative,
     mollifier_value,
+    mollifier_value_and_derivative,
 )
 
 __all__ = [
@@ -555,25 +555,16 @@ def random_halfspace_product(
     phi = make_bump(0.0, x_hi - x_lo, "mollifier")
     chi = make_bump(y_lo, y_hi, "mollifier")
 
-    def parts(x1, rho, y):
-        px = phi.value(x1 - x_lo)
-        dx = phi.derivative(x1 - x_lo)
-        if N >= 3:
-            pr = mollifier_value(rho, 0.0, rho_hi)
-            dr = mollifier_derivative(rho, 0.0, rho_hi)
-        else:
-            pr = np.ones_like(np.asarray(rho, dtype=float))
-            dr = np.zeros_like(pr)
-        py = chi.value(y)
-        dy = chi.derivative(y)
-        return px, dx, pr, dr, py, dy
-
+    # for N = 2 there is no rho, and psi = 1
     def value(x1, rho, y):
-        px, _, pr, _, py, _ = parts(x1, rho, y)
-        return px * pr * py
+        pr = mollifier_value(rho, 0.0, rho_hi) if N >= 3 else 1.0
+        return phi.value(x1 - x_lo) * pr * chi.value(y)
 
     def gradient_norm(x1, rho, y):
-        px, dx, pr, dr, py, dy = parts(x1, rho, y)
+        px, dx = mollifier_value_and_derivative(x1 - x_lo, *phi.bump)
+        pr, dr = (mollifier_value_and_derivative(rho, 0.0, rho_hi) if N >= 3
+                  else (1.0, 0.0))
+        py, dy = mollifier_value_and_derivative(y, *chi.bump)
         return np.sqrt(
             (dx * pr * py) ** 2 + (px * dr * py) ** 2 + (px * pr * dy) ** 2
         )

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from hyplab.core import Params
-from hyplab.testfun import make_bump, make_ueps, make_veps
+from hyplab.testfun import (
+    make_bump,
+    make_ueps,
+    make_veps,
+    mollifier_derivative,
+    mollifier_value,
+    mollifier_value_and_derivative,
+)
 
 
 class TestMollifierBump:
@@ -28,6 +35,23 @@ class TestMollifierBump:
     def test_fd_consistency(self):
         u = make_bump(0.5, 4.0, "mollifier")
         u.check_derivative(np.random.default_rng(42))
+
+    def test_value_and_derivative_in_one_pass(self):
+        # inside the support, on its ends, one ulp either side of them and
+        # outside, for scalar and per-node (mid, half)
+        ends = [1.0, 3.0]
+        r = np.concatenate([
+            np.linspace(0.0, 4.0, 41), ends,
+            [math.nextafter(e, d) for e in ends for d in (0.0, 4.0)],
+        ])
+        mids = np.full(r.shape, 2.0)
+        halfs = np.where(r < 2.5, 1.0, 0.75)
+        for mid, half in ((2.0, 1.0), (mids, halfs)):
+            value, derivative = mollifier_value_and_derivative(r, mid, half)
+            assert np.array_equal(value, mollifier_value(r, mid, half))
+            assert np.array_equal(derivative, mollifier_derivative(r, mid, half))
+            inside = np.abs((r - mid) / half) < 1.0
+            assert inside.any() and not inside.all()
 
     def test_tent_shape(self):
         u = make_bump(1.0, 3.0, "tent")
