@@ -620,10 +620,14 @@ def _refine_component(f, c, los, his, values, errors, worst, tol, rel_tol,
     number (seed cells first, in seed order, then children in order of
     creation).  Each round takes, in that order, the fewest cells whose
     errors cover the excess of the error over ``tol + rel_tol * |value|``
-    (splitting one cell at a time would have to split them all too),
-    stopping early at one chunk of children or at the cell budget, and
-    splits each on its worst axis; all children of a round are evaluated
-    in one integrand call.  The seeds stay in their arrays, sorted once
+    at the start of the round, stopping early at one chunk of children or
+    at the cell budget, and splits each on its worst axis; all children
+    of a round are evaluated in one integrand call.  Splitting one cell
+    at a time would split the same cells only while no child's error
+    exceeds a cell still queued and while the goal stays fixed: with
+    ``rel_tol > 0`` a |value| that grows within the round lowers the
+    excess, so the one-at-a-time loop could stop sooner and make fewer
+    cells.  The seeds stay in their arrays, sorted once
     into that order, and are merged with a heap that holds only the cells
     created or re-queued here; the totals are exact sums in units of
     2**-1074.

@@ -137,18 +137,13 @@ def mollifier_value(r, mid, half):
 
 def mollifier_derivative(r, mid, half):
     """d/dr of :func:`mollifier_value`."""
-    r = np.asarray(r, dtype=float)
-    t = (r - mid) / half
-    inside = np.abs(t) < 1.0
-    ts = np.where(inside, t, 0.0)
-    om = 1.0 - ts * ts
-    return np.where(inside, np.exp(-1.0 / om) * (-2.0 * ts / om**2) / half, 0.0)
+    return mollifier_value_and_derivative(r, mid, half)[1]
 
 
 def mollifier_value_and_derivative(r, mid, half):
-    """(:func:`mollifier_value`, :func:`mollifier_derivative`) at r, bit for
-    bit, from one t, one support mask and one exponential, for callers
-    that need both at the same nodes."""
+    """(:func:`mollifier_value`, :func:`mollifier_derivative`) at r from one
+    t, one support mask and one exponential, for callers that need both
+    at the same nodes."""
     r = np.asarray(r, dtype=float)
     t = (r - mid) / half
     inside = np.abs(t) < 1.0

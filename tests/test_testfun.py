@@ -50,8 +50,17 @@ class TestMollifierBump:
             value, derivative = mollifier_value_and_derivative(r, mid, half)
             assert np.array_equal(value, mollifier_value(r, mid, half))
             assert np.array_equal(derivative, mollifier_derivative(r, mid, half))
-            inside = np.abs((r - mid) / half) < 1.0
+            t = (r - mid) / half
+            inside = np.abs(t) < 1.0
             assert inside.any() and not inside.all()
+            # d/dr exp(-1/(1-t^2)) = exp(-1/(1-t^2)) (-2t / (1-t^2)^2) / half
+            ti = t[inside]
+            hi = np.broadcast_to(half, r.shape)[inside]
+            expected = (np.exp(-1.0 / (1.0 - ti**2)) * -2.0 * ti
+                        / (1.0 - ti**2) ** 2 / hi)
+            np.testing.assert_allclose(derivative[inside], expected,
+                                       rtol=1e-13, atol=0.0)
+            assert not derivative[~inside].any()
 
     def test_tent_shape(self):
         u = make_bump(1.0, 3.0, "tent")
