@@ -26,7 +26,6 @@ from .quadrature import (
     QuadResult,
     geometric_splits,
     integrate_cell_components,
-    integrate_cells,
     integrate_interval,
     integrate_intervals,
     power_singular_integral,
@@ -350,35 +349,43 @@ def sphere_area(k: int) -> float:
 
 
 def halfspace_integral(
-    params: Params, func: Callable, support: tuple, tol: float = 1e-8
-) -> QuadResult:
-    """int func(x1, rho, y) * omega_{N-3} rho^(N-3) dx1 drho dy over the box.
+    params: Params, funcs, support: tuple, tol: float = 1e-8
+) -> list[QuadResult]:
+    """int f(x1, rho, y) * omega_{N-3} rho^(N-3) dx1 drho dy over the box
+    for each f of ``funcs``, in one cubature pass.
 
-    ``func`` must be elementwise: the cubature calls it on per-axis node
+    Each f must be elementwise: the cubature calls it on per-axis node
     arrays that broadcast against each other, not on full grids, and
     takes anything that broadcasts to their common shape.  ``support`` is
     the compact box ((x1_lo, x1_hi), (rho_lo, rho_hi), (y_lo, y_hi)).
     For N = 2 the rho dimension is absent; for N = 3 the rho integral runs
-    over the two half-lines (factor omega_0 = 2).  The decaying
-    near-extremal family is integrated by :func:`ueps_energy_mass`.
+    over the two half-lines (factor omega_0 = 2).  The seed cells are
+    evaluated once for all of ``funcs``, and each result, refined to the
+    relative ``tol``, is bit for bit that of a call with its f alone.  The
+    decaying near-extremal family is integrated by :func:`ueps_energy_mass`.
     """
     (x1l, x1h), (rl, rh), (yl, yh) = support
     if yl <= 0.0:
         raise ValueError("compact support must satisfy y > 0")
     N = params.N
     if N == 2:
-        def g(x1, y):
-            return func(x1, np.zeros_like(x1), y)
-        return integrate_cells(g, [(x1l, x1h), (yl, yh)], 0.0, rel_tol=tol)
-    area = sphere_area(N - 3)
+        box = [(x1l, x1h), (yl, yh)]
+    else:
+        box = [(x1l, x1h), (max(rl, 0.0), rh), (yl, yh)]
+        area = sphere_area(N - 3)
 
-    def g(x1, rho, y):
+    def g(*axes, component):
+        picked = funcs if component is None else funcs[component:component + 1]
+        if N == 2:
+            x1, y = axes
+            return tuple(f(x1, np.zeros_like(x1), y) for f in picked)
+        x1, rho, y = axes
         rr = rho ** (N - 3) if N > 3 else np.ones_like(rho)
-        return func(x1, rho, y) * area * rr
+        return tuple(f(x1, rho, y) * area * rr for f in picked)
 
-    return integrate_cells(
-        g, [(x1l, x1h), (max(rl, 0.0), rh), (yl, yh)], 0.0, rel_tol=tol,
-        max_cells=20000,
+    return integrate_cell_components(
+        g, box, [0.0] * len(funcs), max_cells=6000 if N == 2 else 20000,
+        rel_tols=[tol] * len(funcs),
     )
 
 

@@ -541,12 +541,10 @@ def integrate_cell_components(
     geometric grading along semi-infinite mapped axes).
 
     The seed partition is evaluated once for all components and kept in
-    arrays.  A component whose seed error already meets
-    ``tols[c] + rel_tols[c] * |integral|`` is returned as it stands.  The
-    others are refined one after the other, in order, by rounds of
-    worst-cell splits (see :func:`_refine_component`; only the component
-    being refined is evaluated on the children) until each meets its
-    tolerance.
+    arrays.  Then each component in turn goes through
+    :func:`_refine_component`, which returns the seeds' result if it meets
+    ``tols[c] + rel_tols[c] * |integral|`` and otherwise splits worst
+    cells in rounds, evaluating only that component on the children.
     Each result is therefore the one a single-component call on the same
     expression gives.  Raises :class:`ToleranceNotAchieved` for the first
     component that exhausts ``max_cells``.
@@ -575,18 +573,11 @@ def integrate_cell_components(
     if len(values) != len(tols):
         raise ValueError(f"integrand returned {len(values)} components "
                          f"for {len(tols)} tolerances")
-    results = []
-    for c, (tol, rel_tol) in enumerate(zip(tols, rel_tols)):
-        # fsum is correctly rounded: the exact seed sums, rounded once.
-        value, error = math.fsum(values[c]), math.fsum(errors[c])
-        if error <= tol + rel_tol * abs(value):
-            results.append(QuadResult(value, error, len(seed)))
-        else:
-            results.append(_refine_component(
-                f, c, los, his, values[c], errors[c], worst[c],
-                tol, rel_tol, max_cells,
-            ))
-    return results
+    return [
+        _refine_component(f, c, los, his, values[c], errors[c], worst[c],
+                          tol, rel_tol, max_cells)
+        for c, (tol, rel_tol) in enumerate(zip(tols, rel_tols))
+    ]
 
 
 def _fixed_sum(x: np.ndarray) -> int:
@@ -627,18 +618,18 @@ def _refine_component(f, c, los, his, values, errors, worst, tol, rel_tol,
     exceeds a cell still queued and while the goal stays fixed: with
     ``rel_tol > 0`` a |value| that grows within the round lowers the
     excess, so the one-at-a-time loop could stop sooner and make fewer
-    cells.  The seeds stay in their arrays, sorted once
-    into that order, and are merged with a heap that holds only the cells
-    created or re-queued here; the totals are exact sums in units of
-    2**-1074.
+    cells.  The seeds stay in their arrays, sorted into that order once a
+    round needs a split, and are merged with a heap that holds only the
+    cells created or re-queued here; the one stop test, made on the seeds
+    too, reads exact sums in units of 2**-1074, rounded once.
     """
     per_round = max(1, _CELL_CHUNK_NODES // 15 ** los.shape[1] // 2)
-    seeds = np.argsort(-errors, kind="stable").tolist()
+    seeds = None
     next_seed = 0
     heap: list = []  # (-error, serial, los, his, value, error, worst axis)
-    serials = itertools.count(len(seeds))
+    serials = itertools.count(len(values))
     total, err = _fixed_sum(values), _fixed_sum(errors)
-    n_cells = len(seeds)
+    n_cells = len(values)
     while True:
         value, error = total / _FIXED_ONE, err / _FIXED_ONE
         goal = tol + rel_tol * abs(value)
@@ -649,6 +640,8 @@ def _refine_component(f, c, los, his, values, errors, worst, tol, rel_tol,
             raise ToleranceNotAchieved(
                 f"cell budget exhausted: error {error:.3e} > tol {tol:.3e}", best
             )
+        if seeds is None:
+            seeds = np.argsort(-errors, kind="stable").tolist()
         split = []  # (los, his, worst axis, midpoint) of the cells to split
         # err drops the error of each cell as it is taken, so it is the
         # error of the cells not taken

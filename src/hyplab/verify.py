@@ -26,6 +26,7 @@ import numpy as np
 from .constants import c_np
 from .core import HypothesisError, Params, coth, log_sinh
 from .integrals import halfspace_integral, radial_battery, ueps_energy_mass
+from .quadrature import integrate_interval
 from .rp import solve_rp
 from .testfun import (
     HalfSpaceFunction,
@@ -300,11 +301,8 @@ def _verify_halfspace(
                 / (y ** (N - 1) * np.sqrt(y * y + x1 * x1))
             )
 
-    def integral(func):
-        return halfspace_integral(params, func, u.support, tol)
-
-    return _report(kind, params, u, integral(e_f) - lam * integral(m_f),
-                   const * integral(v_f))
+    energy, mass, v_mass = halfspace_integral(params, (e_f, m_f, v_f), u.support, tol)
+    return _report(kind, params, u, energy - lam * mass, const * v_mass)
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +356,7 @@ def sharpness_scan(
             raise ValueError("schedule must be strictly decreasing")
         funcs = [make_veps(p, eps, delta) for eps, delta in pairs]
         terms = radial_battery(params, funcs, _RADIAL_TERMS[kind], tol, l_eff)
+        c = _ramp_constant(p, l_eff)
         rows = []
         for (eps, delta), t in zip(pairs, terms):
             q = t["hardy1d_energy"] / t["hardy1d_mass"]
@@ -368,25 +367,23 @@ def sharpness_scan(
                     "quotient": q.value,
                     "quad_error": q.error_estimate,
                     "lower": ((p - 1.0) / p) ** l_eff,
-                    "upper": _hardy1d_upper(p, l_eff, eps, delta),
+                    "upper": ((p - 1.0 + delta) / p) ** l_eff
+                    * math.cosh(eps) ** (p - l_eff) + c * delta * eps ** (p - 1.0),
                 }
             )
         return rows
     raise ValueError(f"sharpness scans exist for pgap and hardy1d, not {kind.value}")
 
 
-def _hardy1d_upper(p: float, l: float, eps: float, delta: float) -> float:
-    from .quadrature import integrate_interval
+def _ramp_constant(p: float, l: float) -> float:
+    """c(p, l) = int_1^2 ((2 - r) coth r)^(p-l) dr of the ramp piece."""
 
     def ramp(r):
         if l == p:
             return np.ones_like(r)
         return (2.0 - r) ** (p - l) * coth(r) ** (p - l)
 
-    c = integrate_interval(ramp, 1.0, 2.0, 1e-12).value
-    return ((p - 1.0 + delta) / p) ** l * math.cosh(eps) ** (
-        p - l
-    ) + c * delta * eps ** (p - 1.0)
+    return integrate_interval(ramp, 1.0, 2.0, 1e-12).value
 
 
 # ---------------------------------------------------------------------------

@@ -334,17 +334,17 @@ class TestHardy1D:
 
 class TestHalfSpace:
     def test_indicator_n2(self):
-        r = halfspace_integral(
-            Params(2, 2.0), lambda x1, rho, y: np.ones_like(x1),
+        [r] = halfspace_integral(
+            Params(2, 2.0), [lambda x1, rho, y: np.ones_like(x1)],
             ((0.0, 1.0), (0.0, 1.0), (1.0, 2.0)), 1e-10,
         )
         assert r.value == pytest.approx(1.0, abs=1e-9)
 
     def test_gaussian_n3_tensor_oracle(self):
         # oracle: product of 1D integrals, pi^(3/2) (1 + erf 1)/2
-        r = halfspace_integral(
+        [r] = halfspace_integral(
             Params(3, 2.0),
-            lambda x1, rho, y: np.exp(-x1 * x1 - rho * rho - (y - 1.0) ** 2),
+            [lambda x1, rho, y: np.exp(-x1 * x1 - rho * rho - (y - 1.0) ** 2)],
             ((-6.0, 6.0), (0.0, 6.0), (1e-9, 8.0)), 1e-8,
         )
         exact = math.pi**1.5 * (1.0 + math.erf(1.0)) / 2.0
@@ -352,11 +352,27 @@ class TestHalfSpace:
 
     def test_rho_factor_n4(self):
         # omega_1 rho integrand: volume of unit box times 2 pi int rho drho
-        r = halfspace_integral(
-            Params(4, 2.0), lambda x1, rho, y: np.ones_like(x1),
+        [r] = halfspace_integral(
+            Params(4, 2.0), [lambda x1, rho, y: np.ones_like(x1)],
             ((0.0, 1.0), (0.0, 1.0), (1.0, 2.0)), 1e-9,
         )
         assert r.value == pytest.approx(2.0 * math.pi * 0.5, rel=1e-8)
+
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_one_pass_equals_one_call_per_integrand(self, N):
+        # the seed cells are shared, each integral refines on its own:
+        # value, error and cell count bit for bit as alone
+        funcs = [
+            lambda x1, rho, y: np.exp(-x1 * x1 - rho * rho) / y**N,
+            lambda x1, rho, y: 1.0 / (0.05 + (x1 - 0.3) ** 2 + (y - 1.2) ** 2),
+            lambda x1, rho, y: np.ones_like(x1),
+        ]
+        box = ((-1.0, 1.5), (0.0, 1.0), (0.5, 2.0))
+        together = halfspace_integral(Params(N, 2.0), funcs, box, 1e-9)
+        alone = [halfspace_integral(Params(N, 2.0), [f], box, 1e-9)[0]
+                 for f in funcs]
+        assert together == alone
+        assert together[2].subdivisions == 1 < together[1].subdivisions
 
     def test_mass_of_decaying_family_matches_beta_closed_form(self):
         # int (y/A)^sigma y^-N dx dy has an exact Beta-function value

@@ -465,8 +465,10 @@ class TestCells:
         assert r.subdivisions == 395
 
     def test_seed_stop_agrees_with_exact_integer_sum(self):
-        # fsum is correctly rounded, so it equals the exact sum in units of
-        # 2**-1074 divided once, even with heavy cancellation
+        # the stop test on the seeds reads the exact sum in units of
+        # 2**-1074, divided once; fsum is correctly rounded too, so it
+        # gives the same double even with heavy cancellation, and a seed
+        # check written with fsum would stop on the same results
         rng = np.random.default_rng(5)
         xs = rng.standard_normal(400) * 10.0 ** rng.integers(-300, 300, 400)
         xs = np.concatenate([xs, -xs[:200], [1e-300, 5e-324]])

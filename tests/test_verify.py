@@ -189,6 +189,22 @@ class TestVerifyHalfSpace:
                 assert r_maz.lhs == pytest.approx(r_hyp.lhs, rel=1e-6)
                 assert r_maz.rhs == pytest.approx(r_hyp.rhs, rel=1e-6)
 
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("kind", [InequalityKind.BOUNDED_V, InequalityKind.MAZYA])
+    def test_one_cubature_pass_per_report(self, monkeypatch, kind, N):
+        # the energy, mass and V-mass share the seed cells of one pass
+        integrals = importlib.import_module("hyplab.integrals")
+        calls = []
+        components = integrals.integrate_cell_components
+
+        def counted(f, box, tols, *args, **kwargs):
+            calls.append(len(tols))
+            return components(f, box, tols, *args, **kwargs)
+
+        monkeypatch.setattr(integrals, "integrate_cell_components", counted)
+        reps = batch_verify(kind, [Params(N, 2.0)], 3, seed=5, tol=1e-6)
+        assert calls == [3, 3, 3] and all(r.passed for r in reps)
+
 
 class TestBatch:
     def test_halfspace_battery_equals_one_trial_verify(self):
