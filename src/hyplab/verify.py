@@ -367,8 +367,8 @@ def sharpness_scan(
                     "quotient": q.value,
                     "quad_error": q.error_estimate,
                     "lower": ((p - 1.0) / p) ** l_eff,
-                    "upper": ((p - 1.0 + delta) / p) ** l_eff
-                    * math.cosh(eps) ** (p - l_eff) + c * delta * eps ** (p - 1.0),
+                    "upper": (((p - 1.0 + delta) / p) ** l_eff * math.cosh(eps) ** (p - l_eff)
+                              + c * delta * eps ** (p - 1.0)),
                 }
             )
         return rows

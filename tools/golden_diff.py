@@ -47,7 +47,7 @@ def run(src: Path, argv: list[str]) -> tuple[bytes, bytes, int]:
 
 def main(argv: list[str]) -> int:
     if len(argv) < 2:
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        print("usage:", __doc__.splitlines()[2].strip(), file=sys.stderr)
         return 2
     old, new = (Path(a).resolve() for a in argv[:2])
     for src in (old, new):
