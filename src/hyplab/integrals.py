@@ -39,6 +39,7 @@ __all__ = [
     "radial_weighted_mass",
     "hardy1d_energy",
     "hardy1d_mass",
+    "factor_integrals",
     "halfspace_integral",
     "ueps_energy_mass",
     "WEIGHT_TAGS",
@@ -185,16 +186,19 @@ def _profile_evaluators(funcs):
         return (lambda r, idx: mollifier_value(r, mids[idx], halfs[idx]),
                 lambda r, idx: mollifier_derivative(r, mids[idx], halfs[idx]))
 
-    def per_profile(attr):
-        def evaluate(r, idx):
-            out = np.empty_like(r)
-            cuts = (np.flatnonzero(np.diff(idx)) + 1).tolist()
-            for s, e in zip([0] + cuts, cuts + [len(r)]):
-                out[s:e] = getattr(funcs[idx[s]], attr)(r[s:e])
-            return out
-        return evaluate
+    values = [u.value for u in funcs]
+    derivatives = [u.derivative for u in funcs]
+    return (lambda r, idx: _per_run(values, r, idx),
+            lambda r, idx: _per_run(derivatives, r, idx))
 
-    return per_profile("value"), per_profile("derivative")
+
+def _per_run(calls, x, idx):
+    """calls[idx[s]](x[s:e]) on every run s:e of equal idx, as one array."""
+    out = np.empty_like(x)
+    cuts = (np.flatnonzero(np.diff(idx)) + 1).tolist()
+    for s, e in zip([0] + cuts, cuts + [len(x)]):
+        out[s:e] = calls[idx[s]](x[s:e])
+    return out
 
 
 def _weight(params: Params, tag: str, r):
@@ -346,6 +350,20 @@ def hardy1d_mass(p: float, v: RadialTestFunction, tol: float = 1e-10) -> QuadRes
 def sphere_area(k: int) -> float:
     """Surface measure of the unit k-sphere in R^(k+1); omega_0 = 2."""
     return 2.0 * math.pi ** ((k + 1) / 2.0) / math.gamma((k + 1) / 2.0)
+
+
+def factor_integrals(funcs, supports, tol: float = 1e-8) -> list[QuadResult]:
+    """int f over [lo, hi] for each f of ``funcs`` and (lo, hi) of
+    ``supports``, to the relative ``tol``, in one lockstep
+    :func:`~hyplab.quadrature.integrate_intervals` pass.
+
+    These are the 1-D factors of separable half-space integrals: each f
+    is elementwise, and every integrand call evaluates each f once, on
+    its own nodes.
+    """
+    lows, highs = zip(*supports)
+    return integrate_intervals(lambda x, owner: _per_run(funcs, x, owner),
+                               lows, highs, 0.0, rel_tol=tol)
 
 
 def halfspace_integral(

@@ -50,28 +50,6 @@ class RadialTestFunction:
     def __call__(self, r):
         return self.value(np.asarray(r, dtype=float))
 
-    def check_derivative(self, rng: np.random.Generator, n: int = 32,
-                         rel_tol: float = 1e-6) -> None:
-        """Central finite-difference consistency check away from kinks."""
-        lo, hi = self.support
-        hi_eff = min(hi, lo + 50.0) if math.isinf(hi) else hi
-        pts = rng.uniform(lo, hi_eff, size=4 * n)
-        guard = 1e-3 * (hi_eff - lo)
-        for b in (lo, hi_eff, *self.breakpoints):
-            pts = pts[np.abs(pts - b) > guard]
-        pts = pts[:n]
-        h = 1e-6 * (hi_eff - lo)
-        fd = (self.value(pts + h) - self.value(pts - h)) / (2.0 * h)
-        an = self.derivative(pts)
-        scale = np.maximum(np.abs(an), 1e-3 * np.max(np.abs(an) + 1e-300))
-        bad = np.abs(fd - an) > rel_tol * np.maximum(scale, 1e-12)
-        if np.any(bad):
-            worst = pts[bad][0]
-            raise AssertionError(
-                f"derivative inconsistent at r={worst}: fd={fd[bad][0]} "
-                f"analytic={an[bad][0]}"
-            )
-
 
 @dataclass(frozen=True)
 class HalfSpaceFunction:
@@ -79,13 +57,18 @@ class HalfSpaceFunction:
 
     ``gradient_norm`` is |grad u| in flat coordinates.  ``support`` is a
     compact box ((x1_lo, x1_hi), (rho_lo, rho_hi), (y_lo, y_hi)) or None
-    for functions with unbounded support.
+    for functions with unbounded support.  ``factors`` declares a product
+    u = phi(x1) psi(rho) chi(y) by its three 1-D profiles (phi, psi, chi),
+    each with its derivative and supported on its side of the box; psi is
+    None when u does not depend on rho (N = 2).
     """
 
     value: Callable
     gradient_norm: Callable
     support: tuple[tuple[float, float], tuple[float, float], tuple[float, float]] | None
     label: str = "halfspace"
+    factors: tuple[RadialTestFunction, RadialTestFunction | None,
+                   RadialTestFunction] | None = None
 
     def __call__(self, x1, rho, y):
         return self.value(
@@ -93,34 +76,6 @@ class HalfSpaceFunction:
             np.asarray(rho, dtype=float),
             np.asarray(y, dtype=float),
         )
-
-    def check_gradient(self, rng: np.random.Generator, n: int = 32,
-                       rel_tol: float = 1e-5) -> None:
-        """FD check of the gradient norm at random points of the support."""
-        if self.support is not None:
-            (x1l, x1h), (rl, rh), (yl, yh) = self.support
-            margin = 0.05
-            x1 = rng.uniform(x1l + margin * (x1h - x1l), x1h - margin * (x1h - x1l), n)
-            rho = rng.uniform(rl + margin * (rh - rl + 1e-9), max(rl + 1e-9, rh - margin * (rh - rl)), n)
-            y = rng.uniform(yl + margin * (yh - yl), yh - margin * (yh - yl), n)
-        else:
-            x1 = rng.uniform(-2.0, 2.0, n)
-            rho = rng.uniform(0.1, 2.0, n)
-            y = rng.uniform(0.3, 3.0, n)
-        h = 1e-6
-        gx = (self(x1 + h, rho, y) - self(x1 - h, rho, y)) / (2 * h)
-        gr = (self(x1, rho + h, y) - self(x1, rho - h, y)) / (2 * h)
-        gy = (self(x1, rho, y + h) - self(x1, rho, y - h)) / (2 * h)
-        fd = np.sqrt(gx**2 + gr**2 + gy**2)
-        an = np.asarray(self.gradient_norm(x1, rho, y), dtype=float)
-        scale = np.maximum(np.abs(an), 1e-6 * (np.max(np.abs(an)) + 1e-300))
-        bad = np.abs(fd - an) > rel_tol * np.maximum(scale, 1e-10)
-        if np.any(bad):
-            i = int(np.argmax(np.abs(fd - an)))
-            raise AssertionError(
-                f"gradient norm inconsistent at ({x1[i]}, {rho[i]}, {y[i]}): "
-                f"fd={fd[i]} analytic={an[i]}"
-            )
 
 
 def mollifier_value(r, mid, half):

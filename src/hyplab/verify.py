@@ -25,14 +25,21 @@ import numpy as np
 
 from .constants import c_np
 from .core import HypothesisError, Params, coth, log_sinh
-from .integrals import halfspace_integral, radial_battery, ueps_energy_mass
-from .quadrature import integrate_interval
+from .integrals import (
+    factor_integrals,
+    halfspace_integral,
+    radial_battery,
+    sphere_area,
+    ueps_energy_mass,
+)
+from .quadrature import QuadResult, integrate_cells, integrate_interval
 from .rp import solve_rp
 from .testfun import (
     HalfSpaceFunction,
     RadialTestFunction,
     make_bump,
     make_veps,
+    mollifier_derivative,
     mollifier_value,
     mollifier_value_and_derivative,
 )
@@ -272,37 +279,100 @@ def _verify_halfspace(
 ) -> InequalityReport:
     if u.support is None:
         raise SupportViolation(f"{kind.value} verification needs compact support")
+    if u.factors is None:
+        raise ValueError(f"{kind.value} verification needs a product with declared factors")
     N, p = params.N, params.p
-    lam = params.lambda_p
     const = ((N - 1) / p) ** (p - 2.0) * c_np(params).value
+    energy, mass, v_mass = _halfspace_terms(kind, params, u, tol)
+    return _report(kind, params, u, energy - params.lambda_p * mass, const * v_mass)
+
+
+def _halfspace_terms(kind, params, u, tol):
+    """(energy, mass, V-mass) of the product u = phi(x1) psi(rho) chi(y) in
+    the kind's assembly, each to the relative ``tol``.
+
+    The mass is a product of 1-D integrals, one per factor, the V-mass an
+    (x1, y) integral times the rho factor, and at p = 2 the energy is a sum
+    of three such products, since |grad u|^2 = phi'^2 psi^2 chi^2
+    + phi^2 psi'^2 chi^2 + phi^2 psi^2 chi'^2.  All 1-D factors come from
+    one :func:`~hyplab.integrals.factor_integrals` pass, each to tol / n
+    with n the number of factors of a product (2 when psi is absent); the
+    (x1, y) integral stands for two of them and gets 2 tol / n.  A
+    product's relative error is the sum of its factors', so every term
+    stays within tol.  Only the energy at p != 2 is a cubature over the
+    whole box, to tol.
+    """
+    N, p = params.N, params.p
+    phi, psi, chi = u.factors
 
     if kind is InequalityKind.BOUNDED_V:
-        # hyperbolic assembly: |grad_H u|^p dv and |u|^p dv
+        # hyperbolic assembly: |grad_H u|^p dv and |u|^p dv, with
+        # |grad_H u| = y |grad u| and dv = y^-N dx
         def e_f(x1, rho, y):
             return (y * u.gradient_norm(x1, rho, y)) ** p * y ** (-N)
 
-        def m_f(x1, rho, y):
-            return np.abs(u.value(x1, rho, y)) ** p * y ** (-N)
+        def chi_mass(y):
+            return np.abs(chi.value(y)) ** p * y ** (-N)
 
-        def v_f(x1, rho, y):
+        def chi_energy(y):  # y factor of the phi' and psi' terms at p = 2
+            return (y * chi.value(y)) ** 2 * y ** (-N)
+
+        def dchi_energy(y):
+            return (y * chi.derivative(y)) ** 2 * y ** (-N)
+
+        def v_f(x1, y):
             v = y / np.sqrt(y * y + x1 * x1)
-            return v * np.abs(u.value(x1, rho, y)) ** p * y ** (-N)
+            return v * np.abs(phi.value(x1)) ** p * chi_mass(y)
 
     else:  # Maz'ya-form assembly
         def e_f(x1, rho, y):
             return u.gradient_norm(x1, rho, y) ** p * y ** (p - N)
 
-        def m_f(x1, rho, y):
-            return np.abs(u.value(x1, rho, y)) ** p / y**N
+        def chi_mass(y):
+            return np.abs(chi.value(y)) ** p / y**N
 
-        def v_f(x1, rho, y):
-            return (
-                np.abs(u.value(x1, rho, y)) ** p
-                / (y ** (N - 1) * np.sqrt(y * y + x1 * x1))
-            )
+        def chi_energy(y):
+            return chi.value(y) ** 2 * y ** (2 - N)
 
-    energy, mass, v_mass = halfspace_integral(params, (e_f, m_f, v_f), u.support, tol)
-    return _report(kind, params, u, energy - lam * mass, const * v_mass)
+        def dchi_energy(y):
+            return chi.derivative(y) ** 2 * y ** (2 - N)
+
+        def v_f(x1, y):
+            return (np.abs(phi.value(x1)) ** p
+                    * (np.abs(chi.value(y)) ** p / y ** (N - 1))
+                    / np.sqrt(y * y + x1 * x1))
+
+    factors = {
+        "phi": (phi.support, lambda x1: np.abs(phi.value(x1)) ** p),
+        "chi": (chi.support, chi_mass),
+    }
+    if psi is not None:
+        area = sphere_area(N - 3)
+        factors["psi"] = (psi.support,
+                          lambda rho: area * rho ** (N - 3) * np.abs(psi.value(rho)) ** p)
+    if p == 2.0:
+        factors["dphi"] = (phi.support, lambda x1: phi.derivative(x1) ** 2)
+        factors["chi_e"] = (chi.support, chi_energy)
+        factors["dchi_e"] = (chi.support, dchi_energy)
+        if psi is not None:
+            factors["dpsi"] = (psi.support,
+                               lambda rho: area * rho ** (N - 3) * psi.derivative(rho) ** 2)
+    n = 2 if psi is None else 3
+    supports, funcs = zip(*factors.values())
+    t = dict(zip(factors, factor_integrals(funcs, supports, tol / n)))
+    # without psi its factor is exactly 1 and its derivative's exactly 0
+    t.setdefault("psi", QuadResult(1.0, 0.0, 0))
+    t.setdefault("dpsi", QuadResult(0.0, 0.0, 0))
+
+    mass = t["phi"] * t["psi"] * t["chi"]
+    v_plane = integrate_cells(v_f, [phi.support, chi.support], 0.0,
+                              rel_tol=2.0 * tol / n)
+    if p == 2.0:
+        energy = (t["dphi"] * t["psi"] * t["chi_e"] + t["phi"] * t["dpsi"] * t["chi_e"]
+                  + t["phi"] * t["psi"] * t["dchi_e"])
+    else:
+        [energy] = halfspace_integral(params, [e_f], u.support, tol)
+    return energy, mass, v_plane * t["psi"]
 
 
 # ---------------------------------------------------------------------------
@@ -543,22 +613,33 @@ def random_bump(
 def random_halfspace_product(
     rng: np.random.Generator, N: int
 ) -> HalfSpaceFunction:
-    """Separable compact product bump phi(x1) psi(rho) chi(y), y-support > 0."""
+    """Separable compact product bump phi(x1) psi(rho) chi(y), y-support > 0,
+    with its factors declared."""
     x_lo = rng.uniform(-3.0, 0.5)
     x_hi = x_lo + rng.uniform(0.8, 3.0)
     y_lo = rng.uniform(0.25, 1.2)
     y_hi = y_lo + rng.uniform(0.6, 2.5)
     rho_hi = rng.uniform(0.8, 2.5) if N >= 3 else 1.0
-    phi = make_bump(0.0, x_hi - x_lo, "mollifier")
+    bump = make_bump(0.0, x_hi - x_lo, "mollifier")
     chi = make_bump(y_lo, y_hi, "mollifier")
+    # phi is the bump on [0, x_hi - x_lo] moved to [x_lo, x_hi]; psi is
+    # even, so its factor runs over rho >= 0; for N = 2 there is no rho
+    phi = RadialTestFunction(
+        lambda x1: bump.value(x1 - x_lo), lambda x1: bump.derivative(x1 - x_lo),
+        (x_lo, x_hi), breakpoints=(x_lo, x_hi), label="phi",
+    )
+    psi = RadialTestFunction(
+        lambda rho: mollifier_value(rho, 0.0, rho_hi),
+        lambda rho: mollifier_derivative(rho, 0.0, rho_hi),
+        (0.0, rho_hi), breakpoints=(0.0, rho_hi), label="psi",
+    ) if N >= 3 else None
 
-    # for N = 2 there is no rho, and psi = 1
     def value(x1, rho, y):
-        pr = mollifier_value(rho, 0.0, rho_hi) if N >= 3 else 1.0
-        return phi.value(x1 - x_lo) * pr * chi.value(y)
+        pr = psi.value(rho) if psi is not None else 1.0
+        return phi.value(x1) * pr * chi.value(y)
 
     def gradient_norm(x1, rho, y):
-        px, dx = mollifier_value_and_derivative(x1 - x_lo, *phi.bump)
+        px, dx = mollifier_value_and_derivative(x1 - x_lo, *bump.bump)
         pr, dr = (mollifier_value_and_derivative(rho, 0.0, rho_hi) if N >= 3
                   else (1.0, 0.0))
         py, dy = mollifier_value_and_derivative(y, *chi.bump)
@@ -570,6 +651,7 @@ def random_halfspace_product(
     return HalfSpaceFunction(
         value, gradient_norm, support=box,
         label=f"product[{x_lo:.3g},{x_hi:.3g}]x[0,{rho_hi:.3g}]x[{y_lo:.3g},{y_hi:.3g}]",
+        factors=(phi, psi, chi),
     )
 
 

@@ -1,5 +1,6 @@
 """Radial and half-space integral assembly against independent oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -414,15 +415,18 @@ class TestHalfSpace:
         assert energy.subdivisions == counts[0][1] + counts[1][1]
 
     def test_quotient_matches_radial_oracle(self):
-        # the family is radial: quotient = k^p <tanh^p(r/2)> via 1D integrals
-        from hyplab.quadrature import integrate_interval
-
-        pr = Params(2, 2.0)
-        eps = 0.01
-        energy, mass = ueps_energy_mass(pr, eps, tol=1e-6)
-        q = energy.value / mass.value
-        # closed form for N = p = 2: quotient = (1 + eps)/4
-        assert q == pytest.approx((1.0 + eps) / 4.0, rel=1e-5)
+        # the family is radial about (0, 1): t = tanh^2(r/2) turns the energy
+        # and the mass into Beta integrals, so with k = (N-1+eps)/p
+        # q = k^p G((N+p)/2) G(N/2+eps) / (G(N/2) G((N+p)/2+eps))
+        for N, p, eps in itertools.product((2, 3), (1.5, 2.0, 3.0, 4.0),
+                                           (0.1, 0.01, 0.001)):
+            energy, mass = ueps_energy_mass(Params(N, p), eps, tol=1e-6)
+            q = energy / mass
+            k = (N - 1 + eps) / p
+            exact = k**p * math.exp(
+                math.lgamma((N + p) / 2) + math.lgamma(N / 2 + eps)
+                - math.lgamma(N / 2) - math.lgamma((N + p) / 2 + eps))
+            assert abs(q.value - exact) <= q.error_estimate, (N, p, eps)
 
     def test_envelope_total_bounds_mass(self):
         pr = Params(3, 2.0)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyplab.core import HypothesisError, Params
+from hyplab.integrals import halfspace_integral
 from hyplab.quadrature import QuadResult
 from hyplab.report import ReportEnvelope, dumps
 from hyplab.testfun import make_bump
@@ -189,21 +190,101 @@ class TestVerifyHalfSpace:
                 assert r_maz.lhs == pytest.approx(r_hyp.lhs, rel=1e-6)
                 assert r_maz.rhs == pytest.approx(r_hyp.rhs, rel=1e-6)
 
-    @pytest.mark.parametrize("N", [2, 3])
+    # (N, p): the (dimension, components) of a report's cell calls: the
+    # V-mass's (x1, y) pass, then the energy's box cubature at p != 2
+    CELL_CALLS = {(2, 2.0): [(2, 1)], (3, 2.0): [(2, 1)],
+                  (2, 3.0): [(2, 1), (2, 1)], (3, 3.0): [(2, 1), (3, 1)]}
+    # 1-D factors of a report's one interval pass: phi, chi's mass factor
+    # and psi for N = 3; at p = 2 also phi', chi's two energy factors and psi'
+    FACTORS = {(2, 2.0): 5, (3, 2.0): 7, (2, 3.0): 2, (3, 3.0): 3}
+
+    @pytest.mark.parametrize("N, p", list(CELL_CALLS))
     @pytest.mark.parametrize("kind", [InequalityKind.BOUNDED_V, InequalityKind.MAZYA])
-    def test_one_cubature_pass_per_report(self, monkeypatch, kind, N):
-        # the energy, mass and V-mass share the seed cells of one pass
+    def test_work_counts_per_report(self, monkeypatch, kind, N, p):
+        quadrature = importlib.import_module("hyplab.quadrature")
         integrals = importlib.import_module("hyplab.integrals")
-        calls = []
-        components = integrals.integrate_cell_components
+        cells, passes = [], []
+        components = quadrature.integrate_cell_components
+        intervals = integrals.integrate_intervals
 
-        def counted(f, box, tols, *args, **kwargs):
-            calls.append(len(tols))
-            return components(f, box, tols, *args, **kwargs)
+        def counted_cells(f, box, tols, *args, **kwargs):
+            results = components(f, box, tols, *args, **kwargs)
+            cells.append((len(box), len(tols), results[0].subdivisions))
+            return results
 
-        monkeypatch.setattr(integrals, "integrate_cell_components", counted)
-        reps = batch_verify(kind, [Params(N, 2.0)], 3, seed=5, tol=1e-6)
-        assert calls == [3, 3, 3] and all(r.passed for r in reps)
+        def counted_intervals(f, a, *args, **kwargs):
+            passes.append(len(a))
+            return intervals(f, a, *args, **kwargs)
+
+        for module in (quadrature, integrals):
+            monkeypatch.setattr(module, "integrate_cell_components", counted_cells)
+        monkeypatch.setattr(integrals, "integrate_intervals", counted_intervals)
+        reps = batch_verify(kind, [Params(N, p)], 3, seed=5, tol=1e-6)
+        assert all(r.passed for r in reps)
+        assert [c[:2] for c in cells] == self.CELL_CALLS[(N, p)] * 3
+        assert passes == [self.FACTORS[(N, p)]] * 3
+        if (N, p) == (3, 3.0):
+            # the energy's cells, as in the former pass of all three terms
+            assert [c[2] for c in cells if c[0] == 3] == [229, 241, 257]
+
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_declared_factors_make_the_product(self, N):
+        # u = phi psi chi and |grad u|^2 = phi'^2 psi^2 chi^2
+        # + phi^2 psi'^2 chi^2 + phi^2 psi^2 chi'^2, as the factored terms use
+        u = random_halfspace_product(np.random.default_rng([16, N]), N)
+        phi, psi, chi = u.factors
+        assert (psi is None) == (N == 2)
+        assert (phi.support, chi.support) == (u.support[0], u.support[2])
+        rng = np.random.default_rng(N)
+        x1, rho, y = (rng.uniform(lo, hi, 200) for lo, hi in u.support)
+        pv, dp = (1.0, 0.0) if psi is None else (psi.value(rho), psi.derivative(rho))
+        assert np.array_equal(u.value(x1, rho, y), phi.value(x1) * pv * chi.value(y))
+        grad2 = ((phi.derivative(x1) * pv * chi.value(y)) ** 2
+                 + (phi.value(x1) * dp * chi.value(y)) ** 2
+                 + (phi.value(x1) * pv * chi.derivative(y)) ** 2)
+        np.testing.assert_allclose(u.gradient_norm(x1, rho, y) ** 2, grad2,
+                                   rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("N", [2, 3, 4, 5])
+    def test_factored_terms_match_box_cubature(self, N, p):
+        # the mass, the V-mass and the p = 2 energy from the factors against
+        # one cubature of the full integrands over the box (2-D at N = 2);
+        # N = 4 and 5 carry the rho^(N-3) factor
+        params = Params(N, p)
+        u = random_halfspace_product(np.random.default_rng([16, N]), N)
+
+        def mass(x1, rho, y):
+            return np.abs(u.value(x1, rho, y)) ** p * y ** (-N)
+
+        def v_mass(x1, rho, y):
+            return y / np.sqrt(y * y + x1 * x1) * mass(x1, rho, y)
+
+        def energy(x1, rho, y):
+            return u.gradient_norm(x1, rho, y) ** 2 * y ** (2 - N)
+
+        funcs = [mass, v_mass] + ([energy] if p == 2.0 else [])
+        box = halfspace_integral(params, funcs, u.support, 1e-7)
+        for kind in (InequalityKind.BOUNDED_V, InequalityKind.MAZYA):
+            e, m, v = verify_module._halfspace_terms(kind, params, u, 1e-7)
+            for ref, term in zip(box, (m, v, e)):
+                assert abs(term.value - ref.value) <= (
+                    term.error_estimate + ref.error_estimate)
+
+    @pytest.mark.parametrize("N, p", [(2, 1.5), (3, 3.0)])
+    def test_energy_off_p2_is_the_box_cubature(self, N, p):
+        # bit for bit the single-component cubature of each form's integrand
+        params = Params(N, p)
+        u = random_halfspace_product(np.random.default_rng([16, N]), N)
+        forms = {
+            InequalityKind.BOUNDED_V:
+                lambda x1, rho, y: (y * u.gradient_norm(x1, rho, y)) ** p * y ** (-N),
+            InequalityKind.MAZYA:
+                lambda x1, rho, y: u.gradient_norm(x1, rho, y) ** p * y ** (p - N),
+        }
+        for kind, e_f in forms.items():
+            [ref] = halfspace_integral(params, [e_f], u.support, 1e-6)
+            assert verify_module._halfspace_terms(kind, params, u, 1e-6)[0] == ref
 
 
 class TestBatch:
