@@ -12,7 +12,7 @@ from hyplab.core import HypothesisError, Params
 from hyplab.integrals import halfspace_integral
 from hyplab.quadrature import QuadResult
 from hyplab.report import ReportEnvelope, dumps
-from hyplab.testfun import make_bump
+from hyplab.testfun import HalfSpaceFunction, make_bump
 from hyplab.verify import (
     InequalityKind,
     SupportViolation,
@@ -226,6 +226,12 @@ class TestVerifyHalfSpace:
         if (N, p) == (3, 3.0):
             # the energy's cells, as in the former pass of all three terms
             assert [c[2] for c in cells if c[0] == 3] == [229, 241, 257]
+
+    def test_product_without_declared_factors_rejected(self):
+        u = random_halfspace_product(np.random.default_rng(0), 3)
+        bare = HalfSpaceFunction(u.value, u.gradient_norm, u.support)
+        with pytest.raises(ValueError, match="declared factors"):
+            verify(InequalityKind.MAZYA, Params(3, 2.0), bare, 1e-6)
 
     @pytest.mark.parametrize("N", [2, 3, 4])
     def test_declared_factors_make_the_product(self, N):
