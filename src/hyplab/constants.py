@@ -199,43 +199,25 @@ def brute_force_cnp(params: Params, grid_size: int = 2000) -> float:
     M = max f(c) on [0, 1], then mu1 is maximized the same way; for p > 2,
     mu2 is maximized directly.  Returns (N-1)/p times the maximum.
     """
-    return (params.N - 1) / params.p * _mu_max(params, grid_size)[1]
+    return (params.N - 1) / params.p * _mu_max(params, grid_size)
 
 
-def brute_force_argmax(params: Params, grid_size: int = 2000) -> float:
-    """Location of the mu maximum on [0, 1] (for the closed-form checks)."""
-    return _mu_max(params, grid_size)[0]
-
-
-def _mu_max(params: Params, grid_size: int) -> tuple[float, float]:
-    """(argmax, max) on [0, 1] of mu1 (M solved first) for p <= 2, of mu2 above."""
+def _mu_max(params: Params, grid_size: int) -> float:
+    """Maximum on [0, 1] of mu1 (M solved first) for p <= 2, of mu2 above."""
     if grid_size < 1000:
         raise ValueError("grid_size must be at least 1000")
     N, p = params.N, params.p
     if p <= 2.0:
-        _, M = _grid_golden_max(lambda c: f_small_p(c, N, p), grid_size)
+        M = _grid_golden_max(lambda c: f_small_p(c, N, p), grid_size)
         return _grid_golden_max(lambda a: mu1(a, N, p, M), grid_size)
     return _grid_golden_max(lambda a: mu2(a, N, p), grid_size)
 
 
-def _grid_golden_max(f, grid_size: int) -> tuple[float, float]:
-    """(argmax, max) of f on [0, 1]: the best grid point, polished by golden section."""
+def _grid_golden_max(f, grid_size: int) -> float:
+    """Maximum of f on [0, 1]: the best grid point, polished by golden section."""
     i = max(range(grid_size + 1), key=lambda j: f(j / grid_size))
     lo = max(0.0, (i - 1) / grid_size)
     hi = min(1.0, (i + 1) / grid_size)
-    x, val = golden_max(f, lo, hi)
+    _, val = golden_max(f, lo, hi)
     # the endpoints can carry the maximum when the polish window clips
-    return x, max(val, f(0.0), f(1.0), f(i / grid_size))
-
-
-def cnp_lower_bound(params: Params) -> float:
-    """The explicit p <= 2 lower bound gamma(1/(2 beta (1+4 delta)))."""
-    N, p = params.N, params.p
-    if p > 2.0:
-        raise ValueError("lower-bound route applies to p <= 2 only")
-    d = delta_small_p(p)
-    return (
-        1.0
-        / (2.0 * p * (1.0 + 4.0 * d))
-        / (1.0 + ((p - 1.0) * (1.0 + 4.0 * d)) ** -0.5)
-    )
+    return max(val, f(0.0), f(1.0), f(i / grid_size))

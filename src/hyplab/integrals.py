@@ -24,8 +24,7 @@ from .core import GreenWeight, Params, coth, sinh_pow, weight_hp
 from .quadrature import (
     NonIntegrableSingularity,
     QuadResult,
-    geometric_splits,
-    integrate_cell_components,
+    integrate_cells,
     integrate_interval,
     integrate_intervals,
     power_singular_integral,
@@ -367,20 +366,18 @@ def factor_integrals(funcs, supports, tol: float = 1e-8) -> list[QuadResult]:
 
 
 def halfspace_integral(
-    params: Params, funcs, support: tuple, tol: float = 1e-8
-) -> list[QuadResult]:
-    """int f(x1, rho, y) * omega_{N-3} rho^(N-3) dx1 drho dy over the box
-    for each f of ``funcs``, in one cubature pass.
+    params: Params, f, support: tuple, tol: float = 1e-8
+) -> QuadResult:
+    """int f(x1, rho, y) * omega_{N-3} rho^(N-3) dx1 drho dy over the box,
+    to the relative ``tol``.
 
-    Each f must be elementwise: the cubature calls it on per-axis node
+    ``f`` must be elementwise: the cubature calls it on per-axis node
     arrays that broadcast against each other, not on full grids, and
     takes anything that broadcasts to their common shape.  ``support`` is
     the compact box ((x1_lo, x1_hi), (rho_lo, rho_hi), (y_lo, y_hi)).
     For N = 2 the rho dimension is absent; for N = 3 the rho integral runs
-    over the two half-lines (factor omega_0 = 2).  The seed cells are
-    evaluated once for all of ``funcs``, and each result, refined to the
-    relative ``tol``, is bit for bit that of a call with its f alone.  The
-    decaying near-extremal family is integrated by :func:`ueps_energy_mass`.
+    over the two half-lines (factor omega_0 = 2).  The decaying
+    near-extremal family is integrated by :func:`ueps_energy_mass`.
     """
     (x1l, x1h), (rl, rh), (yl, yh) = support
     if yl <= 0.0:
@@ -392,49 +389,22 @@ def halfspace_integral(
         box = [(x1l, x1h), (max(rl, 0.0), rh), (yl, yh)]
         area = sphere_area(N - 3)
 
-    def g(*axes, component):
-        picked = funcs if component is None else funcs[component:component + 1]
+    def g(*axes):
         if N == 2:
             x1, y = axes
-            return tuple(f(x1, np.zeros_like(x1), y) for f in picked)
+            return f(x1, np.zeros_like(x1), y)
         x1, rho, y = axes
         rr = rho ** (N - 3) if N > 3 else np.ones_like(rho)
-        return tuple(f(x1, rho, y) * area * rr for f in picked)
+        return f(x1, rho, y) * area * rr
 
-    return integrate_cell_components(
-        g, box, [0.0] * len(funcs), max_cells=6000 if N == 2 else 20000,
-        rel_tols=[tol] * len(funcs),
-    )
+    return integrate_cells(g, box, 0.0, max_cells=6000 if N == 2 else 20000,
+                           rel_tol=tol)
 
 
-def _v_total(N: int, sigma: float) -> float:
-    """Exact integral of (1 + |v|^2)^-sigma over the sheared x-plane."""
-    if N == 2:
-        return math.sqrt(math.pi) * math.gamma(sigma - 0.5) / math.gamma(sigma)
-    return math.pi / (sigma - 1.0)
-
-
-def envelope_total(N: int, sigma: float, const: float) -> float:
-    """Analytic bound on the whole enveloped integral (sets error scales)."""
-    y_total = math.gamma(sigma - (N - 1)) * math.gamma(sigma) / math.gamma(
-        2.0 * sigma - (N - 1)
-    )
-    return const * y_total * _v_total(N, sigma)
-
-
-def _angular_splits() -> list[float]:
-    """Seed marks on [0, pi/2): graded toward the compactified infinity."""
-    marks = [0.4, 0.8, 1.2]
-    gap = 0.2
-    while gap > 1e-6:
-        marks.append(math.pi / 2.0 - gap)
-        gap *= 0.25
-    return sorted(marks)
-
-
-def _log1p_exp(logy):
-    """log(1 + e^logy), stable for any logy."""
-    return np.where(logy > 36.0, logy, np.log1p(np.exp(np.minimum(logy, 36.0))))
+# Relative rounding of the family's closed-form parts, which no quadrature
+# estimate counts: the constant c alone is off by up to 16 ulps against
+# mpmath for N <= 170, and at N = 2 the mass is all closed form.
+_FAMILY_ROUNDING = 64 * 2.0**-52
 
 
 def ueps_energy_mass(
@@ -442,102 +412,28 @@ def ueps_energy_mass(
 ) -> tuple[QuadResult, QuadResult]:
     """Hyperbolic p-energy and p-mass of the near-extremal family.
 
-    Energy integrand |grad u|^p y^(p-N), mass integrand |u|^p y^(-N); both
-    are bounded by (k^p resp. 1) times the envelope (y/A)^sigma / y^N with
-    A = (1+y)^2 + |x|^2.  They are integrated in sheared-angular-
-    logarithmic coordinates: x = (1+y) v with v = tan(theta) compactifies
-    the horizontal plane exactly (power tails become cos^(2 sigma - 2)
-    theta near pi/2, no truncation error), and the vertical axis splits
-    at y = 1 into two logarithmic branches y = exp(+-tau), truncated where
-    the analytic tail bounds ~ e^(-eps tau) / e^(-sigma tau) fall below
-    the budget; the tails enter the error estimates.
-
-    There the mass integrand times the Jacobian is exactly the product of
-    an angular factor jac (1+|v|^2)^(-sigma) and a vertical factor
-    e^(eps log y) (1+y)^(N-1-2 sigma), and the energy multiplies it by
-    k^p G^(p/2) with the gradient factor G = 1 - 4y/A <= 1, where
-    4y/A = 4y (1+y)^(-2) / (1+|v|^2).  The vertical factors are evaluated
-    in log space, so the e^(-eps tau) tail (tau up to ~16/eps) never
-    under- or overflows.  Each branch is one cubature of both components;
-    the truncations, boxes and seed cells are the same for both because
-    the constant k^p cancels against the energy's scale.  ``tol`` is
-    relative to the analytic envelope bound of each integral.
+    The family U = (y/A)^k, with A = (1+y)^2 + |x|^2 and
+    k = (N-1+eps)/p, is radial about (0, 1): with r the geodesic distance
+    to that point, U = (4 cosh^2(r/2))^(-k) and |grad U| = k U tanh(r/2).
+    In t = tanh^2(r/2), with sigma = N-1+eps and
+    c = omega_{N-1} 2^(N-1-2 sigma), the mass is c B(N/2) and the energy
+    c k^p B((N+p)/2), where B(a) = int_0^1 t^(a-1) (1-t)^(eps-1) dt.
+    Each B is one :func:`~hyplab.quadrature.power_singular_integral` in
+    s = 1 - t, which splits the s^(eps-1) endpoint off exactly, so eps
+    down to 1e-3 and below costs no truncation.  ``tol`` is relative, and
+    each error estimate adds :data:`_FAMILY_ROUNDING` relative.
     """
     N, p = params.N, params.p
-    if N not in (2, 3):
-        raise ValueError("the near-extremal family is integrated for N in {2, 3}")
     if not (eps > 0.0):
         raise ValueError(f"need eps > 0, got {eps}")
     k = (N - 1 + eps) / p
-    kp = k**p
     sigma = N - 1 + eps
-    vtot = _v_total(N, sigma)
-    # absolute tolerances; a quarter of each goes to each tail and branch
-    mass_tol = tol * envelope_total(N, sigma, 1.0)
-    energy_tol = tol * envelope_total(N, sigma, kp)
+    c = sphere_area(N - 1) * 2.0 ** (N - 1 - 2 * sigma)
 
-    # vertical truncations (tau = -log y below 1, +log y above 1)
-    budget = mass_tol / 4.0
-    T_lo = max(8.0, math.log(max(vtot / (eps * budget), 2.0)) / eps)
-    lo_tail = vtot * math.exp(-eps * T_lo) / eps
-    T_up = max(8.0, math.log(max(vtot / (sigma * budget), 2.0)) / sigma)
-    up_tail = vtot * math.exp(-sigma * T_up) / sigma
+    def term(const, a):
+        b = power_singular_integral(lambda s: (1.0 - s) ** (a - 1.0), eps, 1.0,
+                                    0.0, g_at_zero=1.0, rel_tol=tol)
+        res = const * b
+        return res + QuadResult(0.0, _FAMILY_ROUNDING * abs(res.value), 0)
 
-    # even in x1; for N = 3 also the two rho half-lines
-    mult = 2.0 if N == 2 else 2.0 * sphere_area(0)
-    half_pi = math.pi / 2.0
-    log4 = math.log(4.0)
-    c = kp ** (2.0 / p)  # (c G)^(p/2) = k^p G^(p/2)
-    vert_power = N - 1 - 2 * sigma
-    mass = energy = QuadResult(0.0, 0.0, 0)
-    for sign in (-1.0, +1.0):
-        T = T_lo if sign < 0 else T_up
-
-        def g(*axes, component, _sign=sign):
-            *thetas, tau = axes
-            cells = tau.shape[0]
-            S, jac = 1.0, mult
-            for th in thetas:
-                v = np.tan(th)
-                S = S + v * v
-                jac = jac / np.cos(th) ** 2
-            # angular factors (cells, 15^(N-1)), vertical ones (cells, 15)
-            inv_S = (1.0 / S).reshape(cells, -1)
-            ang = (jac * S**-sigma).reshape(cells, -1)
-            logy = _sign * tau.reshape(cells, 15)
-            log1p_y = _log1p_exp(logy)
-            vert = np.exp(eps * logy + vert_power * log1p_y)
-            full = (cells,) + (15,) * len(axes)
-            m = np.einsum("ka,kb->kab", ang, vert)
-            if component == 0:
-                return (m.reshape(full),)
-            # c 4y/(1+y)^2 <= c and 1/S <= 1 keep c G = c - c 4y/A >= 0
-            # in floating point, so no clamp is needed on the full grid
-            c_4y = c * np.minimum(np.exp(log4 + logy - 2.0 * log1p_y), 1.0)
-            e = np.einsum("ka,kb->kab", inv_S, c_4y)
-            np.subtract(c, e, out=e)
-            np.power(e, p / 2.0, out=e)
-            e *= m
-            if component == 1:
-                return (e.reshape(full),)
-            # mass first: components refine in order, as when the mass
-            # was integrated before the energy
-            return m.reshape(full), e.reshape(full)
-
-        box = [(0.0, half_pi)] * (N - 1) + [(0.0, T)]
-        splits = [_angular_splits()] * (N - 1) + [geometric_splits(0.0, T, 1.0)]
-        m_res, e_res = integrate_cell_components(
-            g, box, [mass_tol / 4.0, energy_tol / 4.0], initial_splits=splits,
-            max_cells=40000,
-        )
-        mass, energy = mass + m_res, energy + e_res
-
-    def with_tails(res, const):
-        return QuadResult(
-            res.value,
-            res.error_estimate + const * lo_tail + const * up_tail,
-            res.subdivisions,
-            truncation_point=max(T_lo, T_up),
-        )
-
-    return with_tails(energy, kp), with_tails(mass, 1.0)
+    return term(c * k**p, (N + p) / 2.0), term(c, N / 2.0)

@@ -18,12 +18,10 @@ representable cutoff, so the substitution is mandatory, not cosmetic.
 
 Multidimensional integrals (dimension 2 or 3, used for the half-space
 model) run on tensor Gauss-Kronrod cells with the same embedded error
-estimate per axis and a worst-cell refinement loop.  Cells are evaluated
-in batches: one integrand call on per-axis node arrays and one matmul
-against the tensor weights per batch.  Integrals over the same box share
-one pass: the integrand returns several components, the seed partition is
-evaluated once for all of them and kept in arrays, and only a component
-that misses its tolerance on the seeds builds a heap and refines.
+estimate per axis and a worst-cell refinement loop.  Each call integrates
+one integrand over one box, which is the seed cell; every round of splits
+is evaluated in one batch: one integrand call on per-axis node arrays and
+one matmul against the tensor weights.
 
 Every integrand is vectorized: it takes node arrays and returns arrays.
 """
@@ -49,7 +47,6 @@ __all__ = [
     "integrate_intervals",
     "power_singular_integral",
     "integrate_cells",
-    "integrate_cell_components",
 ]
 
 
@@ -436,18 +433,17 @@ def power_singular_integral(
 # ---------------------------------------------------------------------------
 
 
-# Tensor nodes per integrand call (9 cells in 3-D, 145 in 2-D, 2184 in 1-D),
-# so the arrays of one batch stay near 256 kB whatever the seed partition;
-# a round of refinement evaluates at most one chunk of children (4 splits in
-# 3-D, 72 in 2-D, 1092 in 1-D).
+# Tensor nodes per integrand call: a round of refinement evaluates at most
+# one chunk of children (4 splits in 3-D, 72 in 2-D, 1092 in 1-D), so the
+# arrays of one batch stay near 256 kB.
 _CELL_CHUNK_NODES = 2**15
 # glibc serves each block above its mmap threshold (128 kB at start) with a
 # fresh mapping, which every integrand call then page-faults in; freeing a
-# mapped block raises the threshold to that block's size.  Whether some
-# block freed earlier in the process was larger than a cell batch (about
-# 260 kB) decided whether the cubatures ran at full speed: a `sharpness`
-# round took 1.0 or 1.5 s with the same code path.  Freeing one 512 kB
-# block here keeps every batch on the heap.
+# mapped block raises the threshold to that block's size.  Freeing one
+# 512 kB block here keeps every cell batch (about 260 kB) on the heap:
+# the `halfspace` benchmark workload ran 59.7, 50.2 and 56.5 instances/s
+# with this line against 41.2, 48.3 and 37.5/s without it (3 alternating
+# 8 s pairs on a shared 2-vCPU host).
 np.empty(2**16)
 # Every finite double is an integer multiple of 2**-1074, so running sums
 # kept as integers in that unit are exact.
@@ -472,19 +468,15 @@ def _cell_weights(d: int) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _cell_rule(f: Callable, los: np.ndarray, his: np.ndarray,
-               component: int | None = None):
+def _cell_rule(f: Callable, los: np.ndarray, his: np.ndarray):
     """Tensor GK15 values, embedded errors and worst axes of k boxes.
 
     ``los`` and ``his`` have shape (k, d).  The integrand is called once
     with one node array per axis, axis j of shape (k, 1, .., 15, .., 1)
-    with the 15 nodes in position j+1, and the keyword ``component``.  It
-    returns a tuple of components, each broadcast to (k, 15, ..., 15):
-    all m of them for ``component=None``, only component c for
-    ``component=c``.  A box's error is the sum over axes of
+    with the 15 nodes in position j+1, and its result is broadcast to
+    (k, 15, ..., 15).  A box's error is the sum over axes of
     |Gauss-on-that-axis - K15|; its worst axis is the largest term.
-    Returns three arrays with one row per returned component and one
-    column per box.
+    Returns three arrays with one entry per box.
     """
     k, d = los.shape
     mids = 0.5 * (los + his)
@@ -495,199 +487,25 @@ def _cell_rule(f: Callable, los: np.ndarray, his: np.ndarray,
         shape = [k] + [1] * d
         shape[j + 1] = 15
         axes.append(nodes[:, j].reshape(shape))
-    outs = f(*axes, component=component)
     full = (k,) + (15,) * d
-    weights = _cell_weights(d)
+    vals = np.asarray(f(*axes), dtype=float)
+    if vals.shape != full:
+        vals = np.broadcast_to(vals, full)
     scale = np.prod(halfs, axis=1)[:, None]
-    values = np.empty((len(outs), k))
-    errors = np.empty((len(outs), k))
-    worst = np.empty((len(outs), k), dtype=np.intp)
-    for c, out in enumerate(outs):
-        vals = np.asarray(out, dtype=float)
-        if vals.shape != full:
-            vals = np.broadcast_to(vals, full)
-        # Every Kronrod tensor weight is positive, so a NaN or an infinity
-        # at any node makes that cell's K15 sum non-finite.
-        with np.errstate(invalid="ignore"):
-            sums = (vals.reshape(k, -1) @ weights) * scale
-        if not np.isfinite(sums[:, 0]).all():
-            raise QuadratureError("integrand not finite inside a cell")
-        errs = np.abs(sums[:, 1:] - sums[:, :1])
-        values[c] = sums[:, 0]
-        errors[c] = errs.sum(axis=1)
-        worst[c] = errs.argmax(axis=1)
-    return values, errors, worst
-
-
-def integrate_cell_components(
-    f: Callable,
-    box: Sequence[tuple[float, float]],
-    tols: Sequence[float],
-    initial_splits: Sequence[Sequence[float]] | None = None,
-    max_cells: int = 6000,
-    rel_tols: Sequence[float] | None = None,
-) -> list[QuadResult]:
-    """Adaptive tensor-product integration of m integrands over one box.
-
-    ``f`` is called on batches of cells with d per-axis node arrays that
-    broadcast against each other and the keyword ``component`` (see
-    :func:`_cell_rule`).  For ``component=None`` it returns a tuple of m
-    components, one per entry of ``tols``, each anything that broadcasts
-    to the common shape of the node arrays; for ``component=c`` it
-    returns the 1-tuple of component c.  A factor that
-    depends on one axis only costs 15 evaluations per cell on that axis,
-    and factors shared by the components are evaluated once.
-    ``initial_splits`` optionally pre-partitions each axis (used to seed
-    geometric grading along semi-infinite mapped axes).
-
-    The seed partition is evaluated once for all components and kept in
-    arrays.  Then each component in turn goes through
-    :func:`_refine_component`, which returns the seeds' result if it meets
-    ``tols[c] + rel_tols[c] * |integral|`` and otherwise splits worst
-    cells in rounds, evaluating only that component on the children.
-    Each result is therefore the one a single-component call on the same
-    expression gives.  Raises :class:`ToleranceNotAchieved` for the first
-    component that exhausts ``max_cells``.
-    """
-    d = len(box)
-    if d < 1 or d > 3:
-        raise ValueError("integrate_cells supports dimensions 1..3")
-    if rel_tols is None:
-        rel_tols = [0.0] * len(tols)
-    edges = []
-    for i, (lo, hi) in enumerate(box):
-        if not lo < hi:
-            raise ValueError(f"axis {i}: need lo < hi, got ({lo}, {hi})")
-        cuts = [lo, hi]
-        if initial_splits is not None:
-            cuts.extend(c for c in initial_splits[i] if lo < c < hi)
-        edges.append(sorted(set(cuts)))
-
-    intervals = [list(zip(cuts[:-1], cuts[1:])) for cuts in edges]
-    seed = np.array(list(itertools.product(*intervals)))  # (cells, d, 2)
-    los, his = seed[:, :, 0], seed[:, :, 1]
-    chunk = _CELL_CHUNK_NODES // 15**d
-    parts = [_cell_rule(f, los[s:s + chunk], his[s:s + chunk])
-             for s in range(0, len(seed), chunk)]
-    values, errors, worst = (np.concatenate(a, axis=1) for a in zip(*parts))
-    if len(values) != len(tols):
-        raise ValueError(f"integrand returned {len(values)} components "
-                         f"for {len(tols)} tolerances")
-    return [
-        _refine_component(f, c, los, his, values[c], errors[c], worst[c],
-                          tol, rel_tol, max_cells)
-        for c, (tol, rel_tol) in enumerate(zip(tols, rel_tols))
-    ]
-
-
-def _fixed_sum(x: np.ndarray) -> int:
-    """sum(_fixed(v) for v in x) exactly, without a Python loop over x.
-
-    Each v is mant * 2**shift in units of 2**-1074 with an integer mant
-    of at most 53 bits.  Split into 26- and 27-bit halves, the mantissas
-    are summed per shift by bincount in floating point, which is exact
-    while fewer than 2**26 values share a shift.
-    """
-    m, e = np.frexp(x)
-    mant = (m * 2.0**53).astype(np.int64)
-    shift = e.astype(np.int64) + 1021
-    base = int(shift.min()) if x.size else 0
-    high = np.bincount(shift - base, weights=mant >> 27)
-    low = np.bincount(shift - base, weights=mant & ((1 << 27) - 1))
-    total = 0
-    for k in np.flatnonzero((high != 0) | (low != 0)).tolist():
-        v = (int(high[k]) << 27) + int(low[k])
-        # a negative shift comes from subnormals, whose mantissas carry
-        # that many trailing zero bits
-        total += v << (k + base) if k + base >= 0 else v >> -(k + base)
-    return total
-
-
-def _refine_component(f, c, los, his, values, errors, worst, tol, rel_tol,
-                      max_cells) -> QuadResult:
-    """Worst-first refinement of component ``c`` from its seed arrays.
-
-    Cells are taken in order of error, largest first, ties by serial
-    number (seed cells first, in seed order, then children in order of
-    creation).  Each round takes, in that order, the fewest cells whose
-    errors cover the excess of the error over ``tol + rel_tol * |value|``
-    at the start of the round, stopping early at one chunk of children or
-    at the cell budget, and splits each on its worst axis; all children
-    of a round are evaluated in one integrand call.  Splitting one cell
-    at a time would split the same cells only while no child's error
-    exceeds a cell still queued and while the goal stays fixed: with
-    ``rel_tol > 0`` a |value| that grows within the round lowers the
-    excess, so the one-at-a-time loop could stop sooner and make fewer
-    cells.  The seeds stay in their arrays, sorted into that order once a
-    round needs a split, and are merged with a heap that holds only the
-    cells created or re-queued here; the one stop test, made on the seeds
-    too, reads exact sums in units of 2**-1074, rounded once.
-    """
-    per_round = max(1, _CELL_CHUNK_NODES // 15 ** los.shape[1] // 2)
-    seeds = None
-    next_seed = 0
-    heap: list = []  # (-error, serial, los, his, value, error, worst axis)
-    serials = itertools.count(len(values))
-    total, err = _fixed_sum(values), _fixed_sum(errors)
-    n_cells = len(values)
-    while True:
-        value, error = total / _FIXED_ONE, err / _FIXED_ONE
-        goal = tol + rel_tol * abs(value)
-        if error <= goal:
-            return QuadResult(value, error, n_cells)
-        if n_cells >= max_cells:
-            best = QuadResult(value, error, n_cells)
-            raise ToleranceNotAchieved(
-                f"cell budget exhausted: error {error:.3e} > tol {tol:.3e}", best
-            )
-        if seeds is None:
-            seeds = np.argsort(-errors, kind="stable").tolist()
-        split = []  # (los, his, worst axis, midpoint) of the cells to split
-        # err drops the error of each cell as it is taken, so it is the
-        # error of the cells not taken
-        while (err / _FIXED_ONE > goal and len(split) < per_round
-               and n_cells + 2 * len(split) < max_cells):
-            s = seeds[next_seed] if next_seed < len(seeds) else None
-            if s is not None and (not heap or (-errors[s], s) < heap[0][:2]):
-                next_seed += 1
-                serial, lo_t, hi_t = s, tuple(los[s].tolist()), tuple(his[s].tolist())
-                v, e, ax = float(values[s]), float(errors[s]), int(worst[s])
-            else:
-                _, serial, lo_t, hi_t, v, e, ax = heapq.heappop(heap)
-            err -= _fixed(e)
-            lo, hi = lo_t[ax], hi_t[ax]
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                # Width at rounding floor: keep the cell, drop its error.
-                heapq.heappush(heap, (0.0, serial, lo_t, hi_t, v, 0.0, ax))
-                continue
-            total -= _fixed(v)
-            split.append((lo_t, hi_t, ax, mid))
-        if not split:
-            continue
-        lo_ts, hi_ts, axes, mids = zip(*split)
-        rows = 2 * np.arange(len(split))
-        child_los = np.repeat(np.array(lo_ts), 2, axis=0)
-        child_his = np.repeat(np.array(hi_ts), 2, axis=0)
-        child_his[rows, axes] = mids
-        child_los[rows + 1, axes] = mids
-        (cv,), (ce,), (cw,) = _cell_rule(f, child_los, child_his, c)
-        for clo, chi, cval, cerr, cax in zip(
-            child_los.tolist(), child_his.tolist(), cv.tolist(), ce.tolist(),
-            cw.tolist(),
-        ):
-            heapq.heappush(heap, (-cerr, next(serials), tuple(clo), tuple(chi),
-                                  cval, cerr, cax))
-            total += _fixed(cval)
-            err += _fixed(cerr)
-        n_cells += len(cv)
+    # Every Kronrod tensor weight is positive, so a NaN or an infinity at
+    # any node makes that cell's K15 sum non-finite.
+    with np.errstate(invalid="ignore"):
+        sums = (vals.reshape(k, -1) @ _cell_weights(d)) * scale
+    if not np.isfinite(sums[:, 0]).all():
+        raise QuadratureError("integrand not finite inside a cell")
+    errs = np.abs(sums[:, 1:] - sums[:, :1])
+    return sums[:, 0], errs.sum(axis=1), errs.argmax(axis=1)
 
 
 def integrate_cells(
     f: Callable,
     box: Sequence[tuple[float, float]],
     tol: float,
-    initial_splits: Sequence[Sequence[float]] | None = None,
     max_cells: int = 6000,
     rel_tol: float = 0.0,
 ) -> QuadResult:
@@ -697,16 +515,75 @@ def integrate_cells(
     broadcast against each other (see :func:`_cell_rule`); it must return
     anything that broadcasts to their common shape, so a factor that
     depends on one axis only costs 15 evaluations per cell on that axis.
-    ``initial_splits`` optionally pre-partitions each axis (used to seed
-    geometric grading along semi-infinite mapped axes).  Refinement
-    splits the worst cells on their worst axes, in rounds, until
-    error <= tol + rel_tol * |integral|.  The single-component case of
-    :func:`integrate_cell_components`.
+    The box is the one seed cell.  Refinement runs until
+    error <= tol + rel_tol * |integral| and raises
+    :class:`ToleranceNotAchieved` (carrying the best result) once
+    ``max_cells`` cells are made first.
+
+    Cells are taken in order of error, largest first, ties by serial
+    number (the box first, then children in order of creation).  Each
+    round takes, in that order, the fewest cells whose errors cover the
+    excess of the error over the goal at the start of the round, stopping
+    early at one chunk of children or at the cell budget, and splits each
+    on its worst axis; all children of a round are evaluated in one
+    integrand call.  Splitting one cell at a time would split the same
+    cells only while no child's error exceeds a cell still queued and
+    while the goal stays fixed: with ``rel_tol > 0`` a |value| that grows
+    within the round lowers the excess, so the one-at-a-time loop could
+    stop sooner and make fewer cells.  The stop test reads exact sums in
+    units of 2**-1074, rounded once.
     """
-    return integrate_cell_components(
-        lambda *xs, component: (f(*xs),), box, [tol], initial_splits, max_cells,
-        [rel_tol],
-    )[0]
+    d = len(box)
+    if d < 1 or d > 3:
+        raise ValueError("integrate_cells supports dimensions 1..3")
+    for i, (lo, hi) in enumerate(box):
+        if not lo < hi:
+            raise ValueError(f"axis {i}: need lo < hi, got ({lo}, {hi})")
+    per_round = max(1, _CELL_CHUNK_NODES // 15**d // 2)
+    heap: list = []  # (-error, serial, los, his, value, error, worst axis)
+    serials = itertools.count()
+    total = err = n_cells = 0
+    los = np.array([[lo for lo, _ in box]], dtype=float)
+    his = np.array([[hi for _, hi in box]], dtype=float)
+    while True:
+        values, errors, worst = _cell_rule(f, los, his)
+        for lo, hi, v, e, ax in zip(los.tolist(), his.tolist(), values.tolist(),
+                                    errors.tolist(), worst.tolist()):
+            heapq.heappush(heap, (-e, next(serials), tuple(lo), tuple(hi), v, e, ax))
+            total += _fixed(v)
+            err += _fixed(e)
+        n_cells += len(values)
+        split = []  # (los, his, worst axis, midpoint) of the cells to split
+        while not split:
+            value, error = total / _FIXED_ONE, err / _FIXED_ONE
+            goal = tol + rel_tol * abs(value)
+            if error <= goal:
+                return QuadResult(value, error, n_cells)
+            if n_cells >= max_cells:
+                best = QuadResult(value, error, n_cells)
+                raise ToleranceNotAchieved(
+                    f"cell budget exhausted: error {error:.3e} > tol {tol:.3e}", best
+                )
+            # err drops the error of each cell as it is taken, so it is the
+            # error of the cells not taken
+            while (err / _FIXED_ONE > goal and len(split) < per_round
+                   and n_cells + 2 * len(split) < max_cells):
+                _, serial, lo_t, hi_t, v, e, ax = heapq.heappop(heap)
+                err -= _fixed(e)
+                lo, hi = lo_t[ax], hi_t[ax]
+                mid = 0.5 * (lo + hi)
+                if mid <= lo or mid >= hi:
+                    # Width at rounding floor: keep the cell, drop its error.
+                    heapq.heappush(heap, (0.0, serial, lo_t, hi_t, v, 0.0, ax))
+                    continue
+                total -= _fixed(v)
+                split.append((lo_t, hi_t, ax, mid))
+        lo_ts, hi_ts, axes, mids = zip(*split)
+        rows = 2 * np.arange(len(split))
+        los = np.repeat(np.array(lo_ts), 2, axis=0)
+        his = np.repeat(np.array(hi_ts), 2, axis=0)
+        his[rows, axes] = mids
+        los[rows + 1, axes] = mids
 
 
 def geometric_splits(lo: float, hi: float, scale: float) -> list[float]:

@@ -371,7 +371,7 @@ def _halfspace_terms(kind, params, u, tol):
         energy = (t["dphi"] * t["psi"] * t["chi_e"] + t["phi"] * t["dpsi"] * t["chi_e"]
                   + t["phi"] * t["psi"] * t["dchi_e"])
     else:
-        [energy] = halfspace_integral(params, [e_f], u.support, tol)
+        energy = halfspace_integral(params, e_f, u.support, tol)
     return energy, mass, v_plane * t["psi"]
 
 

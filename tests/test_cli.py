@@ -107,6 +107,16 @@ def test_sharpness_pgap_smoke(tmp_path):
     assert rows[0]["quotient"] > rows[1]["quotient"]
 
 
+def test_sharpness_pgap_beyond_n3(tmp_path):
+    # the family is integrated as two 1-D Beta integrals, so any N works
+    rc, text = run_cli(["sharpness", "--kind", "pgap", "--N", "5", "--p", "3",
+                        "--schedule", "0.1", "0.001", "--tol", "1e-8"], tmp_path)
+    assert rc == 0
+    rows = parse(text, "csv")["payload"]
+    assert rows[0]["quotient"] > rows[1]["quotient"] > rows[1]["lower"]
+    assert all(r["quotient"] <= r["upper"] for r in rows)
+
+
 def test_proofcheck_exit_zero(tmp_path):
     rc, text = run_cli(["proofcheck", "--N", "13", "--p", "4", "--trials", "64",
                         "--seed", "3"], tmp_path)

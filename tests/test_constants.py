@@ -7,19 +7,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyplab.constants import (
-    brute_force_argmax,
     brute_force_cnp,
     c_2p,
     c_2p_direct,
     c_np,
     check_ni,
-    cnp_lower_bound,
     delta_small_p,
     f_small_p,
     golden_max,
+    mu1,
+    mu2,
     q_b,
 )
 from hyplab.core import Params
+
+
+def cnp_lower_bound(params):
+    """The explicit p <= 2 lower bound gamma(1/(2 beta (1+4 delta)))."""
+    p = params.p
+    d = delta_small_p(p)
+    return (1.0 / (2.0 * p * (1.0 + 4.0 * d))
+            / (1.0 + ((p - 1.0) * (1.0 + 4.0 * d)) ** -0.5))
 
 
 class TestQb:
@@ -99,15 +107,18 @@ class TestBruteForce:
             assert bf >= cnp_lower_bound(Params(N, p)) - 1e-8
 
     def test_maximizer_locations_match_closed_forms(self):
-        # a0 = sqrt(2(p-1)M/(N-1)) for p <= 2; (1/(N-1)) sqrt(p/2) clipped
+        # a0 = sqrt(2(p-1)M/(N-1)) for p <= 2; (1/(N-1)) sqrt(p/2) clipped;
+        # mu1 and mu2 are unimodal on [0, 1], so golden section finds them
         for N, p in [(2, 1.5), (2, 1.25), (3, 1.7)]:
             M, _ = golden_max(lambda c: f_small_p(c, N, p), 0.0, 1.0)
             M = f_small_p(M, N, p)
             a0 = math.sqrt(2 * (p - 1) * M / (N - 1))
-            assert brute_force_argmax(Params(N, p)) == pytest.approx(a0, abs=1e-6)
+            a, _ = golden_max(lambda a: mu1(a, N, p, M), 0.0, 1.0)
+            assert a == pytest.approx(a0, abs=1e-6)
         for N, p in [(13, 4.0), (2, 3.0)]:
             a0 = min(1.0, math.sqrt(p / 2.0) / (N - 1))
-            assert brute_force_argmax(Params(N, p)) == pytest.approx(a0, abs=1e-6)
+            a, _ = golden_max(lambda a: mu2(a, N, p), 0.0, 1.0)
+            assert a == pytest.approx(a0, abs=1e-6)
 
     def test_m_bound(self):
         # the profile maximum M never exceeds 1/2

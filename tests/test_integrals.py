@@ -9,7 +9,6 @@ import pytest
 from hyplab import integrals
 from hyplab.core import Params
 from hyplab.integrals import (
-    envelope_total,
     halfspace_integral,
     hardy1d_energy,
     hardy1d_mass,
@@ -18,7 +17,7 @@ from hyplab.integrals import (
     radial_weighted_mass,
     ueps_energy_mass,
 )
-from hyplab.quadrature import NonIntegrableSingularity, integrate_cell_components
+from hyplab.quadrature import NonIntegrableSingularity, power_singular_integral
 from hyplab.testfun import make_bump, make_veps
 
 
@@ -335,17 +334,17 @@ class TestHardy1D:
 
 class TestHalfSpace:
     def test_indicator_n2(self):
-        [r] = halfspace_integral(
-            Params(2, 2.0), [lambda x1, rho, y: np.ones_like(x1)],
+        r = halfspace_integral(
+            Params(2, 2.0), lambda x1, rho, y: np.ones_like(x1),
             ((0.0, 1.0), (0.0, 1.0), (1.0, 2.0)), 1e-10,
         )
         assert r.value == pytest.approx(1.0, abs=1e-9)
 
     def test_gaussian_n3_tensor_oracle(self):
         # oracle: product of 1D integrals, pi^(3/2) (1 + erf 1)/2
-        [r] = halfspace_integral(
+        r = halfspace_integral(
             Params(3, 2.0),
-            [lambda x1, rho, y: np.exp(-x1 * x1 - rho * rho - (y - 1.0) ** 2)],
+            lambda x1, rho, y: np.exp(-x1 * x1 - rho * rho - (y - 1.0) ** 2),
             ((-6.0, 6.0), (0.0, 6.0), (1e-9, 8.0)), 1e-8,
         )
         exact = math.pi**1.5 * (1.0 + math.erf(1.0)) / 2.0
@@ -353,27 +352,11 @@ class TestHalfSpace:
 
     def test_rho_factor_n4(self):
         # omega_1 rho integrand: volume of unit box times 2 pi int rho drho
-        [r] = halfspace_integral(
-            Params(4, 2.0), [lambda x1, rho, y: np.ones_like(x1)],
+        r = halfspace_integral(
+            Params(4, 2.0), lambda x1, rho, y: np.ones_like(x1),
             ((0.0, 1.0), (0.0, 1.0), (1.0, 2.0)), 1e-9,
         )
         assert r.value == pytest.approx(2.0 * math.pi * 0.5, rel=1e-8)
-
-    @pytest.mark.parametrize("N", [2, 3, 4])
-    def test_one_pass_equals_one_call_per_integrand(self, N):
-        # the seed cells are shared, each integral refines on its own:
-        # value, error and cell count bit for bit as alone
-        funcs = [
-            lambda x1, rho, y: np.exp(-x1 * x1 - rho * rho) / y**N,
-            lambda x1, rho, y: 1.0 / (0.05 + (x1 - 0.3) ** 2 + (y - 1.2) ** 2),
-            lambda x1, rho, y: np.ones_like(x1),
-        ]
-        box = ((-1.0, 1.5), (0.0, 1.0), (0.5, 2.0))
-        together = halfspace_integral(Params(N, 2.0), funcs, box, 1e-9)
-        alone = [halfspace_integral(Params(N, 2.0), [f], box, 1e-9)[0]
-                 for f in funcs]
-        assert together == alone
-        assert together[2].subdivisions == 1 < together[1].subdivisions
 
     def test_mass_of_decaying_family_matches_beta_closed_form(self):
         # int (y/A)^sigma y^-N dx dy has an exact Beta-function value
@@ -390,46 +373,39 @@ class TestHalfSpace:
             assert mass.value == pytest.approx(exact, rel=3e-5)
             assert abs(mass.value - exact) <= 2.0 * mass.error_estimate
 
-    @pytest.mark.parametrize("eps, tol, counts", [
-        (0.1, 1e-5, [[1521, 1521], [676, 676]]),
-        (0.01, 1e-5, [[2028, 2028], [676, 676]]),
-        (0.001, 1e-5, [[2535, 2535], [676, 676]]),
-        (0.1, 1e-10, [[1619, 1637], [845, 845]]),
+    @pytest.mark.parametrize("eps, tol, panels", [
+        (0.1, 1e-5, [15, 79]),
+        (0.01, 1e-5, [7, 47]),
+        (0.001, 1e-5, [7, 7]),
+        (0.1, 1e-10, [31, 255]),
     ])
-    def test_near_extremal_cell_counts(self, monkeypatch, eps, tol, counts):
-        # [mass, energy] cells of the lower (y < 1) and upper vertical
-        # branch at (3, 3), as the separate mass and energy cubatures
-        # subdivided before they shared nodes: 13 * 13 * n seed cells,
-        # refined only in the lower branch at tol 1e-10
+    def test_near_extremal_panel_counts(self, monkeypatch, eps, tol, panels):
+        # [energy, mass] panels at (3, 3): one power-singular integral each,
+        # B(3) for the energy and B(3/2) for the mass; the mass's
+        # (1 - s)^(1/2) endpoint takes the refinement
         seen = []
 
         def recording(*args, **kwargs):
-            results = integrate_cell_components(*args, **kwargs)
-            seen.append([r.subdivisions for r in results])
-            return results
+            result = power_singular_integral(*args, **kwargs)
+            seen.append(result.subdivisions)
+            return result
 
-        monkeypatch.setattr(integrals, "integrate_cell_components", recording)
+        monkeypatch.setattr(integrals, "power_singular_integral", recording)
         energy, mass = ueps_energy_mass(Params(3, 3.0), eps, tol)
-        assert seen == counts
-        assert mass.subdivisions == counts[0][0] + counts[1][0]
-        assert energy.subdivisions == counts[0][1] + counts[1][1]
+        assert seen == panels
+        assert [energy.subdivisions, mass.subdivisions] == panels
 
     def test_quotient_matches_radial_oracle(self):
         # the family is radial about (0, 1): t = tanh^2(r/2) turns the energy
         # and the mass into Beta integrals, so with k = (N-1+eps)/p
         # q = k^p G((N+p)/2) G(N/2+eps) / (G(N/2) G((N+p)/2+eps))
-        for N, p, eps in itertools.product((2, 3), (1.5, 2.0, 3.0, 4.0),
-                                           (0.1, 0.01, 0.001)):
-            energy, mass = ueps_energy_mass(Params(N, p), eps, tol=1e-6)
+        for N, p, eps, tol in itertools.product(
+                (2, 3, 4, 7, 13), (1.5, 2.0, 3.0, 4.0), (0.1, 0.01, 0.001),
+                (1e-5, 1e-10)):
+            energy, mass = ueps_energy_mass(Params(N, p), eps, tol)
             q = energy / mass
             k = (N - 1 + eps) / p
             exact = k**p * math.exp(
                 math.lgamma((N + p) / 2) + math.lgamma(N / 2 + eps)
                 - math.lgamma(N / 2) - math.lgamma((N + p) / 2 + eps))
-            assert abs(q.value - exact) <= q.error_estimate, (N, p, eps)
-
-    def test_envelope_total_bounds_mass(self):
-        pr = Params(3, 2.0)
-        eps = 0.05
-        _, mass = ueps_energy_mass(pr, eps, tol=1e-5)
-        assert mass.value <= envelope_total(3, 2 + eps, 1.0)
+            assert abs(q.value - exact) <= q.error_estimate, (N, p, eps, tol)

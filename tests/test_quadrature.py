@@ -11,7 +11,6 @@ from hyplab.quadrature import (
     QuadratureError,
     QuadResult,
     ToleranceNotAchieved,
-    integrate_cell_components,
     integrate_cells,
     integrate_interval,
     integrate_intervals,
@@ -265,15 +264,6 @@ _CELL_INTEGRANDS = {
 }
 
 
-def _components(*fs):
-    """A cell integrand whose components are the scalar integrands ``fs``."""
-    def f(*xs, component):
-        if component is None:
-            return tuple(g(*xs) for g in fs)
-        return (fs[component](*xs),)
-    return f
-
-
 class TestCells:
     def test_2d_product(self):
         r = integrate_cells(
@@ -300,36 +290,12 @@ class TestCells:
         los = rng.uniform(-1.0, 0.5, (7, d))
         his = los + rng.uniform(0.1, 1.5, (7, d))
         f = _CELL_INTEGRANDS[d]
-        values, errors, worst = (
-            a[0] for a in quadrature._cell_rule(_components(f), los, his)
-        )
+        values, errors, worst = quadrature._cell_rule(f, los, his)
         for i in range(len(los)):
             k15, err, ax = _reference_cell(f, los[i], his[i])
             assert values[i] == pytest.approx(k15, rel=1e-13, abs=0.0)
             assert errors[i] == pytest.approx(err, rel=1e-9, abs=1e-14 * abs(k15))
             assert worst[i] == ax
-
-    def test_seed_partition_over_several_chunks(self, monkeypatch):
-        f = lambda x, y, z: 1.0 / (0.02 + (x - 0.3) ** 2 + (y - 1.0) ** 2 + z * z)
-        box = [(0.0, 1.0), (0.0, 2.0), (-1.0, 1.0)]
-        splits = [np.linspace(0, 1, 5)[1:-1], np.linspace(0, 2, 5)[1:-1],
-                  np.linspace(-1, 1, 4)[1:-1]]  # 4 * 4 * 3 = 48 seed cells
-        assert 48 * 15**3 > quadrature._CELL_CHUNK_NODES
-        calls = []
-
-        def counted(*xs):
-            calls.append(xs[0].shape[0])
-            return f(*xs)
-
-        seed_only = integrate_cells(counted, box, 1.0, initial_splits=splits)
-        assert seed_only.subdivisions == 48
-        assert calls == [9, 9, 9, 9, 9, 3]
-        batched = integrate_cells(f, box, 1e-10, initial_splits=splits)
-        monkeypatch.setattr(quadrature, "_CELL_CHUNK_NODES", 15**3)
-        single = integrate_cells(f, box, 1e-10, initial_splits=splits)
-        assert single.subdivisions == batched.subdivisions > 48
-        assert single.value == pytest.approx(batched.value, rel=1e-13)
-        assert single.error_estimate == pytest.approx(batched.error_estimate, rel=1e-9)
 
     def test_scalar_and_one_axis_integrands(self):
         r = integrate_cells(lambda x, y, z: 2.0, [(0.0, 1.0), (0.0, 2.0), (0.0, 3.0)],
@@ -342,13 +308,19 @@ class TestCells:
         assert r.value == pytest.approx(math.sin(1.0), rel=1e-13)
 
     def test_non_finite_value_in_a_batch_raises(self):
-        # one seed cell of 16 holds the pole; all 16 go through one call
-        with pytest.raises(QuadratureError, match="not finite"):
-            integrate_cells(
-                lambda x, y: np.where((x > 0.8) & (y > 0.8), np.inf, x * y),
-                [(0.0, 1.0), (0.0, 1.0)], 1e-8,
-                initial_splits=[[0.25, 0.5, 0.75], [0.25, 0.5, 0.75]],
-            )
+        # the pole lies beyond every node of the box, so it is met in a
+        # round of several children, and the whole round fails
+        for bad in (np.inf, np.nan):
+            sizes = []
+
+            def f(x, y):
+                sizes.append(x.shape[0])
+                peak = 1.0 / (1e-3 + (1.0 - x) ** 2 + (1.0 - y) ** 2)
+                return np.where((x > 0.999) & (y > 0.999), bad, peak)
+
+            with pytest.raises(QuadratureError, match="not finite"):
+                integrate_cells(f, [(0.0, 1.0), (0.0, 1.0)], 1e-8)
+            assert sizes[0] == 1 and sizes[-1] > 2
 
     def test_budget_exhaustion_carries_best_value(self):
         f = lambda x, y: 1.0 / np.sqrt(np.abs(x - 0.31831) + np.abs(y - 0.4142) + 1e-300)
@@ -359,10 +331,7 @@ class TestCells:
         assert best.error_estimate > 1e-13
         assert best.value > 0
 
-    # Two integrands over one seeded box: the first stops on its 4 * 4 * 3
-    # seed cells, the second has a near-pole and must refine.
     _BOX = [(0.0, 1.0), (0.0, 2.0), (-1.0, 1.0)]
-    _SPLITS = [[0.25, 0.5, 0.75], [0.5, 1.0, 1.5], [-1.0 / 3.0, 1.0 / 3.0]]
 
     @staticmethod
     def _smooth(x, y, z):
@@ -371,48 +340,6 @@ class TestCells:
     @staticmethod
     def _peaked(x, y, z):
         return 1.0 / (0.02 + (x - 0.3) ** 2 + (y - 1.0) ** 2 + z * z)
-
-    def test_components_match_scalar_calls(self):
-        both = _components(self._smooth, self._peaked)
-        runs = []
-        for tols, rel_tols in (([1e-4, 1e-9], [0.0, 0.0]), ([0.0, 0.0], [1e-6, 1e-10])):
-            results = integrate_cell_components(
-                both, self._BOX, tols, initial_splits=self._SPLITS,
-                rel_tols=rel_tols,
-            )
-            scalars = [
-                integrate_cells(f, self._BOX, tol, initial_splits=self._SPLITS,
-                                rel_tol=rel_tol)
-                for f, tol, rel_tol in zip((self._smooth, self._peaked), tols, rel_tols)
-            ]
-            assert results == scalars  # value, error and cells, bit for bit
-            assert results[0].subdivisions == 48 < results[1].subdivisions
-            runs.append(results)
-        # the order of the components does not matter
-        swapped = integrate_cell_components(
-            _components(self._peaked, self._smooth), self._BOX,
-            [1e-9, 1e-4], initial_splits=self._SPLITS,
-        )
-        assert swapped == runs[0][::-1]
-
-    def test_refinement_evaluates_only_the_refined_component(self):
-        calls = []
-        both = _components(self._smooth, self._peaked)
-
-        def f(*xs, component):
-            calls.append((component, xs[0].shape[0]))
-            return both(*xs, component=component)
-
-        smooth, peaked = integrate_cell_components(
-            f, self._BOX, [1e-4, 1e-9], initial_splits=self._SPLITS)
-        # 48 seed cells in batches of 9, then one call per round of splits
-        # of the refining component, each evaluating every child once
-        assert [c for c, _ in calls[:6]] == [None] * 6
-        rounds = [k for _, k in calls[6:]]
-        assert [c for c, _ in calls[6:]] == [1] * len(rounds)
-        assert sum(rounds) == peaked.subdivisions - 48
-        assert len(rounds) < (peaked.subdivisions - 48) // 2
-        assert smooth.subdivisions == 48 < peaked.subdivisions
 
     @pytest.mark.parametrize("d, chunk_nodes", [
         (3, quadrature._CELL_CHUNK_NODES), (2, 11 * 15**2), (1, 7 * 15),
@@ -423,12 +350,14 @@ class TestCells:
         sizes = []
         peaked = lambda *xs: 1.0 / (0.02 + sum((x - 0.3) ** 2 for x in xs))
 
-        def f(*xs, component):
-            if component is not None:
-                sizes.append(xs[0].shape[0])
-            return (peaked(*xs),)
+        def f(*xs):
+            sizes.append(xs[0].shape[0])
+            return peaked(*xs)
 
-        r = integrate_cell_components(f, [(0.0, 1.0)] * d, [1e-12])[0]
+        r = integrate_cells(f, [(0.0, 1.0)] * d, 1e-12)
+        # the box, then one call per round, each evaluating every child once
+        assert sizes[0] == 1
+        sizes = sizes[1:]
         assert sum(sizes) == r.subdivisions - 1
         # a large excess fills whole rounds: as many pairs of children as
         # one chunk holds, never more
@@ -448,108 +377,71 @@ class TestCells:
 
     def test_cells_at_the_width_floor_end_the_refinement(self):
         # x spans one ulp, so no split on it moves its midpoint off an end:
-        # each seed cell keeps its value and drops its error
+        # the box keeps its value and drops its error
         box = [(1.0, math.nextafter(1.0, 2.0)), (0.0, 1.0)]
-        step = lambda x, y: np.where(x > 1.0, 1.0 + y * y, y * y)
-        seeds = integrate_cells(step, box, math.inf, initial_splits=[[], [0.5]])
-        assert seeds.error_estimate > 0.0
-        r = integrate_cells(step, box, 0.0, initial_splits=[[], [0.5]])
-        assert r == QuadResult(seeds.value, 0.0, 2)
+        step = lambda x, y: np.where(x >= 1.0, 1.0 + y * y, y * y)
+        seed = integrate_cells(step, box, math.inf)
+        assert seed.error_estimate > 0.0
+        r = integrate_cells(step, box, 0.0)
+        assert r == QuadResult(seed.value, 0.0, 1)
 
     def test_refinement_cell_counts(self):
         # pinned: a change in the split order or the stop rule moves them
-        r = integrate_cells(self._peaked, self._BOX, 1e-9, initial_splits=self._SPLITS)
-        assert r.subdivisions == 228
+        r = integrate_cells(self._peaked, self._BOX, 1e-9)
+        assert r.subdivisions == 235
         r = integrate_cells(lambda x, y, z: np.exp(-x * x - y * y - z * z),
                             [(-5.5, 5.5)] * 3, 1e-9)
         assert r.subdivisions == 395
 
-    def test_seed_stop_agrees_with_exact_integer_sum(self):
-        # the stop test on the seeds reads the exact sum in units of
-        # 2**-1074, divided once; fsum is correctly rounded too, so it
-        # gives the same double even with heavy cancellation, and a seed
-        # check written with fsum would stop on the same results
+    def test_seed_stop_agrees_with_exact_integer_sum(self, monkeypatch):
+        # the stop test reads the exact sum in units of 2**-1074, divided
+        # once; fsum is correctly rounded too, so it gives the same double
+        # even with heavy cancellation
         rng = np.random.default_rng(5)
         xs = rng.standard_normal(400) * 10.0 ** rng.integers(-300, 300, 400)
         xs = np.concatenate([xs, -xs[:200], [1e-300, 5e-324]])
         exact = sum(quadrature._fixed(x) for x in xs.tolist())
         assert math.fsum(xs) == exact / quadrature._FIXED_ONE
-        # 400 seed cells of alternating sign that nearly cancel: the result
-        # is the exact sum of the cell values, rounded once
+        # cell values of both signs, up to 1.5e17, that nearly cancel: the
+        # result is the exact sum over the unsplit cells, rounded once
+        cells = []
+        rule = quadrature._cell_rule
+
+        def recording(f, los, his):
+            out = rule(f, los, his)
+            cells.extend(zip(los[:, 0].tolist(), his[:, 0].tolist(),
+                             out[0].tolist(), out[1].tolist()))
+            return out
+
+        monkeypatch.setattr(quadrature, "_cell_rule", recording)
         wave = lambda x: 1e20 * np.sin(400.0 * np.pi * x) + x
-        cuts = np.linspace(0.0, 1.0, 401)
-        r = integrate_cells(wave, [(0.0, 1.0)], math.inf, initial_splits=[cuts])
-        values, errors, _ = quadrature._cell_rule(
-            _components(wave), cuts[:-1, None], cuts[1:, None])
-        assert r.subdivisions == 400
-        for got, cells in ((r.value, values[0]), (r.error_estimate, errors[0])):
-            exact = sum(quadrature._fixed(v) for v in cells.tolist())
+        with pytest.raises(ToleranceNotAchieved) as exc:
+            integrate_cells(wave, [(0.0, 1.0)], 0.0, max_cells=1001)
+        r = exc.value.result
+        split = {(lo, hi) for lo, hi, _, _ in cells
+                 for lo2, hi2, _, _ in cells
+                 if (lo2, hi2) != (lo, hi) and lo <= lo2 and hi2 <= hi}
+        leaves = [c for c in cells if c[:2] not in split]
+        # every cell made is counted, and each split makes two
+        assert len(cells) == r.subdivisions == 2 * len(leaves) - 1
+        for got, k in ((r.value, 2), (r.error_estimate, 3)):
+            exact = sum(quadrature._fixed(c[k]) for c in leaves)
             assert got == exact / quadrature._FIXED_ONE
-        # a tolerance equal to the seed error stops on the seeds; the next
-        # double below it refines, and the exact sums then decide
-        f = _components(self._smooth, self._peaked)
-        seed = integrate_cell_components(f, self._BOX, [math.inf, math.inf],
-                                         initial_splits=self._SPLITS)
-        for c, r in enumerate(seed):
-            tols = [math.inf, math.inf]
-            tols[c] = r.error_estimate
-            assert integrate_cell_components(
-                f, self._BOX, tols, initial_splits=self._SPLITS)[c] == r
-            tols[c] = math.nextafter(r.error_estimate, 0.0)
+        assert abs(r.value - 0.5) <= r.error_estimate
+        monkeypatch.undo()
+        # a tolerance equal to the box's error stops on the box; the next
+        # double below it splits
+        for f in (self._smooth, self._peaked):
+            seed = integrate_cells(f, self._BOX, math.inf)
+            assert seed.subdivisions == 1
+            assert integrate_cells(f, self._BOX, seed.error_estimate) == seed
             try:
-                refined = integrate_cell_components(
-                    f, self._BOX, tols, initial_splits=self._SPLITS,
-                    max_cells=50)[c]
+                refined = integrate_cells(
+                    f, self._BOX, math.nextafter(seed.error_estimate, 0.0),
+                    max_cells=3)
             except ToleranceNotAchieved as exc:
                 refined = exc.result
-            assert refined.subdivisions == 50
-
-    def test_fixed_sum_matches_per_value_conversion(self):
-        # the vectorized exact sum against the per-value reference
-        rng = np.random.default_rng(8)
-        for n in (0, 1, 7, 400, 3000):
-            xs = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 308, n)
-            xs[: min(n, 4)] = [5e-324, -2.5e-320, 0.0, -0.0][: min(n, 4)]
-            expected = sum(quadrature._fixed(x) for x in xs.tolist())
-            assert quadrature._fixed_sum(xs) == expected
-
-    @pytest.mark.parametrize("bad", [0, 1])
-    def test_non_finite_value_in_any_component_raises(self, bad):
-        good = lambda x, y: x * y
-        pole = lambda x, y: np.where((x > 0.8) & (y > 0.8),
-                                     np.nan if bad else np.inf, x * y)
-        f = _components(pole, good) if bad == 0 else _components(good, pole)
-
-        with pytest.raises(QuadratureError, match="not finite"):
-            integrate_cell_components(
-                f, [(0.0, 1.0), (0.0, 1.0)], [1.0, 1.0],
-                initial_splits=[[0.25, 0.5, 0.75], [0.25, 0.5, 0.75]],
-            )
-
-    def test_component_count_must_match_tolerances(self):
-        with pytest.raises(ValueError, match="components"):
-            integrate_cell_components(_components(lambda x, y: x, lambda x, y: y),
-                                      [(0.0, 1.0)] * 2, [1e-8])
-
-    def test_budget_exhaustion_reports_first_exhausted_component(self):
-        hard = lambda x, y: 1.0 / np.sqrt(np.abs(x - 0.31831) + np.abs(y - 0.4142)
-                                          + 1e-300)
-        harder = lambda x, y: hard(x, y) ** 1.5
-        easy = lambda x, y: np.exp(x + y)
-        box = [(0.0, 1.0), (0.0, 1.0)]
-        with pytest.raises(ToleranceNotAchieved) as scalar:
-            integrate_cells(harder, box, 1e-13, max_cells=30)
-        # the first component stops, the second exhausts
-        with pytest.raises(ToleranceNotAchieved) as exc:
-            integrate_cell_components(_components(easy, harder),
-                                      box, [1e-6, 1e-13], max_cells=30)
-        assert exc.value.result == scalar.value.result
-        assert exc.value.result.subdivisions >= 30
-        # both would exhaust: the first one in order is reported
-        with pytest.raises(ToleranceNotAchieved) as exc:
-            integrate_cell_components(_components(harder, hard),
-                                      box, [1e-13, 1e-13], max_cells=30)
-        assert exc.value.result == scalar.value.result
+            assert refined.subdivisions == 3
 
 
 def test_quadresult_validates_error_sign():

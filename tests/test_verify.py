@@ -190,10 +190,9 @@ class TestVerifyHalfSpace:
                 assert r_maz.lhs == pytest.approx(r_hyp.lhs, rel=1e-6)
                 assert r_maz.rhs == pytest.approx(r_hyp.rhs, rel=1e-6)
 
-    # (N, p): the (dimension, components) of a report's cell calls: the
-    # V-mass's (x1, y) pass, then the energy's box cubature at p != 2
-    CELL_CALLS = {(2, 2.0): [(2, 1)], (3, 2.0): [(2, 1)],
-                  (2, 3.0): [(2, 1), (2, 1)], (3, 3.0): [(2, 1), (3, 1)]}
+    # (N, p): the dimension of each of a report's cell calls: the V-mass's
+    # (x1, y) pass, then the energy's box cubature at p != 2
+    CELL_CALLS = {(2, 2.0): [2], (3, 2.0): [2], (2, 3.0): [2, 2], (3, 3.0): [2, 3]}
     # 1-D factors of a report's one interval pass: phi, chi's mass factor
     # and psi for N = 3; at p = 2 also phi', chi's two energy factors and psi'
     FACTORS = {(2, 2.0): 5, (3, 2.0): 7, (2, 3.0): 2, (3, 3.0): 3}
@@ -201,31 +200,30 @@ class TestVerifyHalfSpace:
     @pytest.mark.parametrize("N, p", list(CELL_CALLS))
     @pytest.mark.parametrize("kind", [InequalityKind.BOUNDED_V, InequalityKind.MAZYA])
     def test_work_counts_per_report(self, monkeypatch, kind, N, p):
-        quadrature = importlib.import_module("hyplab.quadrature")
         integrals = importlib.import_module("hyplab.integrals")
         cells, passes = [], []
-        components = quadrature.integrate_cell_components
+        cubature = integrals.integrate_cells
         intervals = integrals.integrate_intervals
 
-        def counted_cells(f, box, tols, *args, **kwargs):
-            results = components(f, box, tols, *args, **kwargs)
-            cells.append((len(box), len(tols), results[0].subdivisions))
-            return results
+        def counted_cells(f, box, *args, **kwargs):
+            result = cubature(f, box, *args, **kwargs)
+            cells.append((len(box), result.subdivisions))
+            return result
 
         def counted_intervals(f, a, *args, **kwargs):
             passes.append(len(a))
             return intervals(f, a, *args, **kwargs)
 
-        for module in (quadrature, integrals):
-            monkeypatch.setattr(module, "integrate_cell_components", counted_cells)
+        for module in (integrals, verify_module):
+            monkeypatch.setattr(module, "integrate_cells", counted_cells)
         monkeypatch.setattr(integrals, "integrate_intervals", counted_intervals)
         reps = batch_verify(kind, [Params(N, p)], 3, seed=5, tol=1e-6)
         assert all(r.passed for r in reps)
-        assert [c[:2] for c in cells] == self.CELL_CALLS[(N, p)] * 3
+        assert [d for d, _ in cells] == self.CELL_CALLS[(N, p)] * 3
         assert passes == [self.FACTORS[(N, p)]] * 3
         if (N, p) == (3, 3.0):
             # the energy's cells, as in the former pass of all three terms
-            assert [c[2] for c in cells if c[0] == 3] == [229, 241, 257]
+            assert [n for d, n in cells if d == 3] == [229, 241, 257]
 
     def test_product_without_declared_factors_rejected(self):
         u = random_halfspace_product(np.random.default_rng(0), 3)
@@ -270,7 +268,7 @@ class TestVerifyHalfSpace:
             return u.gradient_norm(x1, rho, y) ** 2 * y ** (2 - N)
 
         funcs = [mass, v_mass] + ([energy] if p == 2.0 else [])
-        box = halfspace_integral(params, funcs, u.support, 1e-7)
+        box = [halfspace_integral(params, f, u.support, 1e-7) for f in funcs]
         for kind in (InequalityKind.BOUNDED_V, InequalityKind.MAZYA):
             e, m, v = verify_module._halfspace_terms(kind, params, u, 1e-7)
             for ref, term in zip(box, (m, v, e)):
@@ -279,7 +277,7 @@ class TestVerifyHalfSpace:
 
     @pytest.mark.parametrize("N, p", [(2, 1.5), (3, 3.0)])
     def test_energy_off_p2_is_the_box_cubature(self, N, p):
-        # bit for bit the single-component cubature of each form's integrand
+        # bit for bit the cubature of each form's integrand
         params = Params(N, p)
         u = random_halfspace_product(np.random.default_rng([16, N]), N)
         forms = {
@@ -289,7 +287,7 @@ class TestVerifyHalfSpace:
                 lambda x1, rho, y: u.gradient_norm(x1, rho, y) ** p * y ** (p - N),
         }
         for kind, e_f in forms.items():
-            [ref] = halfspace_integral(params, [e_f], u.support, 1e-6)
+            ref = halfspace_integral(params, e_f, u.support, 1e-6)
             assert verify_module._halfspace_terms(kind, params, u, 1e-6)[0] == ref
 
 
