@@ -322,6 +322,17 @@ class TestCells:
                 integrate_cells(f, [(0.0, 1.0), (0.0, 1.0)], 1e-8)
             assert sizes[0] == 1 and sizes[-1] > 2
 
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_non_finite_value_in_any_component_raises(self, bad):
+        # the integrand is a product of two one-axis components, returned
+        # unbroadcast; a pole in either one must fail the call
+        good = lambda t: 1.0 + t
+        pole = lambda t: np.where(t > 0.8, np.nan if bad else np.inf, t)
+        fx, fy = (pole, good) if bad == 0 else (good, pole)
+
+        with pytest.raises(QuadratureError, match="not finite"):
+            integrate_cells(lambda x, y: fx(x) * fy(y), [(0.0, 1.0), (0.0, 1.0)], 1e-8)
+
     def test_budget_exhaustion_carries_best_value(self):
         f = lambda x, y: 1.0 / np.sqrt(np.abs(x - 0.31831) + np.abs(y - 0.4142) + 1e-300)
         with pytest.raises(ToleranceNotAchieved) as exc:
