@@ -20,6 +20,7 @@ hypothesis violations or invalid parameter combinations.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -121,6 +122,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on its first call.
+
+    Parsing leaves the parser unchanged, so one parser serves every call
+    of a process; importing this module builds none.
+    """
+    return build_parser()
+
+
 def _echo(args, **extra) -> dict:
     d = {"N": args.N, "p": args.p, "tol": args.tol}
     d.update(extra)
@@ -173,22 +184,18 @@ def cmd_weights(args) -> int:
     w_vals, w_errs = GreenWeight(params).w_array(radii)
     # H_p is defined for p >= 2 with p - 1 <= N - 1; elsewhere the column is empty.
     has_hp = params.p >= 2.0 and params.p - 1.0 <= params.N - 1.0
-    hp_col = ([float(v) for v in weight_hp(params, radii)] if has_hp
+    hp_col = (weight_hp(params, radii).tolist() if has_hp
               else [""] * len(radii))
-    rows = []
-    for r, w, werr, hp, h in zip(radii, w_vals, w_errs, hp_col, h_func(params, radii)):
-        pt_x1 = float(np.tanh(r))
-        pt_y = float(1.0 / np.cosh(r))
-        rows.append(
-            {
-                "r": float(r),
-                "W": float(w),
-                "W_err": float(werr),
-                "Hp": hp,
-                "h": float(h),
-                "V_geodesic": weight_v(HalfSpacePoint(pt_x1, 0.0, pt_y)),
-            }
-        )
+    h_col = h_func(params, radii).tolist()
+    # the geodesic ray (tanh r, sech r) in the vertical plane through (0, 1)
+    x1s = np.tanh(radii).tolist()
+    ys = (1.0 / np.cosh(radii)).tolist()
+    rows = [
+        {"r": r, "W": w, "W_err": werr, "Hp": hp, "h": h,
+         "V_geodesic": weight_v(HalfSpacePoint(x1, 0.0, y))}
+        for r, w, werr, hp, h, x1, y in zip(
+            radii.tolist(), w_vals.tolist(), w_errs.tolist(), hp_col, h_col, x1s, ys)
+    ]
     env = ReportEnvelope("weights", _echo(args), "weight_samples", rows)
     _write(env, args)
     return 0
@@ -352,7 +359,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (HypothesisError, SupportViolation, ValueError) as exc:

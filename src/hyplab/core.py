@@ -463,9 +463,13 @@ def weight_hp(params: Params, r):
 
 
 def h_func(params: Params, r):
-    """h(r) = -(N-1) r^2 + (p-1) sinh^2 r (sign gives the slope of H_p)."""
+    """h(r) = -(N-1) r^2 + (p-1) sinh^2 r (sign gives the slope of H_p).
+
+    Once sinh^2 r overflows, h is +inf: only its sign carries meaning.
+    """
     r = np.asarray(r, dtype=float)
-    out = -(params.N - 1) * r * r + (params.p - 1.0) * np.sinh(r) ** 2
+    with np.errstate(over="ignore"):
+        out = -(params.N - 1) * r * r + (params.p - 1.0) * np.sinh(r) ** 2
     return out if out.ndim else float(out)
 
 

@@ -24,10 +24,12 @@ from .core import GreenWeight, Params, coth, sinh_pow, weight_hp
 from .quadrature import (
     NonIntegrableSingularity,
     QuadResult,
+    _per_run,
     integrate_cells,
     integrate_interval,
     integrate_intervals,
     power_singular_integral,
+    power_singular_integrals,
 )
 from .testfun import RadialTestFunction, mollifier_derivative, mollifier_value
 
@@ -41,6 +43,7 @@ __all__ = [
     "factor_integrals",
     "halfspace_integral",
     "ueps_energy_mass",
+    "ueps_energy_masses",
     "WEIGHT_TAGS",
 ]
 
@@ -189,15 +192,6 @@ def _profile_evaluators(funcs):
     derivatives = [u.derivative for u in funcs]
     return (lambda r, idx: _per_run(values, r, idx),
             lambda r, idx: _per_run(derivatives, r, idx))
-
-
-def _per_run(calls, x, idx):
-    """calls[idx[s]](x[s:e]) on every run s:e of equal idx, as one array."""
-    out = np.empty_like(x)
-    cuts = (np.flatnonzero(np.diff(idx)) + 1).tolist()
-    for s, e in zip([0] + cuts, cuts + [len(x)]):
-        out[s:e] = calls[idx[s]](x[s:e])
-    return out
 
 
 def _weight(params: Params, tag: str, r):
@@ -418,22 +412,40 @@ def ueps_energy_mass(
     In t = tanh^2(r/2), with sigma = N-1+eps and
     c = omega_{N-1} 2^(N-1-2 sigma), the mass is c B(N/2) and the energy
     c k^p B((N+p)/2), where B(a) = int_0^1 t^(a-1) (1-t)^(eps-1) dt.
-    Each B is one :func:`~hyplab.quadrature.power_singular_integral` in
-    s = 1 - t, which splits the s^(eps-1) endpoint off exactly, so eps
-    down to 1e-3 and below costs no truncation.  ``tol`` is relative, and
-    each error estimate adds :data:`_FAMILY_ROUNDING` relative.
+    Each B is one power-singular integral in s = 1 - t, which splits the
+    s^(eps-1) endpoint off exactly, so eps down to 1e-3 and below costs no
+    truncation.  ``tol`` is relative, and each error estimate adds
+    :data:`_FAMILY_ROUNDING` relative.  The one-eps case of
+    :func:`ueps_energy_masses`.
+    """
+    return ueps_energy_masses(params, [eps], tol)[0]
+
+
+def ueps_energy_masses(
+    params: Params, schedule, tol: float = 1e-6
+) -> list[tuple[QuadResult, QuadResult]]:
+    """(energy, mass) of :func:`ueps_energy_mass` for every eps of
+    ``schedule``, its 2 len(schedule) Beta integrals in one
+    :func:`~hyplab.quadrature.power_singular_integrals` pass; each pair is
+    bit for bit the one-eps result.
     """
     N, p = params.N, params.p
-    if not (eps > 0.0):
-        raise ValueError(f"need eps > 0, got {eps}")
-    k = (N - 1 + eps) / p
-    sigma = N - 1 + eps
-    c = sphere_area(N - 1) * 2.0 ** (N - 1 - 2 * sigma)
-
-    def term(const, a):
-        b = power_singular_integral(lambda s: (1.0 - s) ** (a - 1.0), eps, 1.0,
-                                    0.0, g_at_zero=1.0, rel_tol=tol)
+    for eps in schedule:
+        if not (eps > 0.0):
+            raise ValueError(f"need eps > 0, got {eps}")
+    consts, gs, deltas = [], [], []
+    for eps in schedule:
+        k = (N - 1 + eps) / p
+        sigma = N - 1 + eps
+        c = sphere_area(N - 1) * 2.0 ** (N - 1 - 2 * sigma)
+        for const, a in ((c * k**p, (N + p) / 2.0), (c, N / 2.0)):
+            consts.append(const)
+            gs.append(lambda s, _a=a: (1.0 - s) ** (_a - 1.0))
+            deltas.append(eps)
+    betas = power_singular_integrals(gs, deltas, [1.0] * len(gs), 0.0,
+                                     [1.0] * len(gs), rel_tol=tol)
+    terms = []
+    for const, b in zip(consts, betas):
         res = const * b
-        return res + QuadResult(0.0, _FAMILY_ROUNDING * abs(res.value), 0)
-
-    return term(c * k**p, (N + p) / 2.0), term(c, N / 2.0)
+        terms.append(res + QuadResult(0.0, _FAMILY_ROUNDING * abs(res.value), 0))
+    return list(zip(terms[::2], terms[1::2]))

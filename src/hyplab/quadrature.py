@@ -46,6 +46,7 @@ __all__ = [
     "integrate_interval",
     "integrate_intervals",
     "power_singular_integral",
+    "power_singular_integrals",
     "integrate_cells",
 ]
 
@@ -222,7 +223,7 @@ def integrate_intervals(
     f: Callable,
     a: Sequence[float],
     b: Sequence[float],
-    tol: float,
+    tol: float | Sequence[float],
     singular_left: Sequence[bool] | None = None,
     breakpoints: Sequence[Sequence[float]] | None = None,
     max_subdivisions: int = 4000,
@@ -238,7 +239,8 @@ def integrate_intervals(
 
     The integrals advance in lockstep rounds.  In each round every
     integral whose summed |K15 - G7| panel errors exceed
-    ``tol + rel_tol * |integral|`` splits its up to 8 worst panels
+    ``tol + rel_tol * |integral|`` (``tol`` one number for all, or one
+    per integral) splits its up to 8 worst panels
     (largest error first, ties by lower then upper end), and the children
     of all integrals are evaluated together, in integrand calls of at most
     ``_INTERVAL_CHUNK_NODES`` nodes; at most ``_INTERVAL_WINDOW``
@@ -255,6 +257,7 @@ def integrate_intervals(
     run on, and then the failure of the first failing integral is raised.
     """
     K = len(a)
+    tols = [tol] * K if np.ndim(tol) == 0 else list(tol)
     singular_left = [False] * K if singular_left is None else singular_left
     breakpoints = [()] * K if breakpoints is None else breakpoints
     for k in range(K):
@@ -283,11 +286,11 @@ def integrate_intervals(
             if k not in failures:
                 heap = heaps[k]
                 total, err = sum(map(_VALUE, heap)), sum(map(_ERROR, heap))
-                if err <= tol + rel_tol * abs(total):
+                if err <= tols[k] + rel_tol * abs(total):
                     results[k] = QuadResult(total, err, panels[k])
                 elif panels[k] >= max_subdivisions:
                     failures[k] = ToleranceNotAchieved(
-                        f"error estimate {err:.3e} > tol {tol:.3e} "
+                        f"error estimate {err:.3e} > tol {tols[k]:.3e} "
                         f"after {panels[k]} panels on [{a[k]}, {b[k]}]",
                         QuadResult(total, err, panels[k]),
                     )
@@ -303,6 +306,21 @@ def integrate_intervals(
     if failures:
         raise failures[min(failures)]
     return results
+
+
+def _per_run(calls, x, idx):
+    """calls[idx[s]](x[s:e]) on every run s:e of equal idx, as one array.
+
+    Each call sees only its own nodes, so a callable with scalar
+    parameters keeps numpy's scalar fast paths (``x ** 2`` squares,
+    ``x ** 0.5`` takes the square root) and gives the values it gives
+    alone, bit for bit.
+    """
+    out = np.empty_like(x)
+    cuts = (np.flatnonzero(np.diff(idx)) + 1).tolist()
+    for s, e in zip([0] + cuts, cuts + [len(x)]):
+        out[s:e] = calls[idx[s]](x[s:e])
+    return out
 
 
 def _split_worst(heap: list) -> tuple[list, list]:
@@ -400,32 +418,60 @@ def power_singular_integral(
     the integrand is ``b**delta e^{-delta t}(g(b e^{-t}) - g(0))`` and
     decays at least one exponential order faster than the pure power.
     Works uniformly down to delta ~ 1e-3 and far beyond, where graded
-    panels in r-space would silently drop nearly all of the mass.
+    panels in r-space would silently drop nearly all of the mass.  The
+    one-integral case of :func:`power_singular_integrals`.
     """
-    if delta <= 0:
-        raise NonIntegrableSingularity(f"power exponent delta={delta} must be > 0")
-    if b <= 0:
-        raise ValueError("b must be positive")
-    if g_at_zero is None:
-        g_at_zero = float(g(np.array([0.0]))[0])
-    lead = g_at_zero * b**delta / delta
+    return power_singular_integrals([g], [delta], [b], tol, [g_at_zero], rel_tol)[0]
 
-    def integrand(t: np.ndarray) -> np.ndarray:
+
+def power_singular_integrals(
+    gs: Sequence[Callable],
+    deltas: Sequence[float],
+    bs: Sequence[float],
+    tol: float,
+    g_at_zero: Sequence[float | None] | None = None,
+    rel_tol: float = 0.0,
+) -> list[QuadResult]:
+    """``int_0^b r**(delta-1) g(r) dr`` for every (g, delta, b) of the
+    sequences, as :func:`power_singular_integral` computes each one, in
+    one :func:`integrate_intervals` pass.
+
+    Each remainder's tolerance is ``tol + rel_tol * |g(0) b**delta / delta|``
+    of its own lead term.  Every integrand call evaluates each g once, on
+    its own nodes and with its own scalars, so each result is bit for bit
+    the one-integral result.
+    """
+    K = len(gs)
+    g0s = [None] * K if g_at_zero is None else list(g_at_zero)
+    for k in range(K):
+        if deltas[k] <= 0:
+            raise NonIntegrableSingularity(
+                f"power exponent delta={deltas[k]} must be > 0")
+        if bs[k] <= 0:
+            raise ValueError("b must be positive")
+        if g0s[k] is None:
+            g0s[k] = float(gs[k](np.array([0.0]))[0])
+    leads = [g0 * b**delta / delta for g0, b, delta in zip(g0s, bs, deltas)]
+
+    def remainder(k: int, t: np.ndarray) -> np.ndarray:
+        b, delta = bs[k], deltas[k]
         r = b * np.exp(-t)
-        return b**delta * np.exp(-delta * t) * (g(r) - g_at_zero)
+        return b**delta * np.exp(-delta * t) * (gs[k](r) - g0s[k])
 
+    remainders = [functools.partial(remainder, k) for k in range(K)]
     # g(r)-g(0) ~ g'(0) r, so the t-integrand decays like e^{-(1+delta)t}:
     # at T=45 the remainder is below 1e-19 of the local scale.
     T = 45.0
-    rest = integrate_interval(
-        integrand, 0.0, T, tol + rel_tol * abs(lead), rel_tol=rel_tol,
+    rests = integrate_intervals(
+        lambda t, owner: _per_run(remainders, t, owner), [0.0] * K, [T] * K,
+        [tol + rel_tol * abs(lead) for lead in leads], rel_tol=rel_tol,
     )
-    tail = abs(float(integrand(np.array([T]))[0])) / (1.0 + delta)
-    return QuadResult(
-        lead + rest.value,
-        rest.error_estimate + tail,
-        rest.subdivisions,
-    )
+    out = []
+    for rem, delta, lead, rest in zip(remainders, deltas, leads, rests):
+        tail = abs(float(rem(np.array([T]))[0])) / (1.0 + delta)
+        out.append(QuadResult(lead + rest.value, rest.error_estimate + tail,
+                              rest.subdivisions))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -119,12 +119,17 @@ def dumps(env: ReportEnvelope, fmt: str = "json") -> str:
         writer = csv.writer(buf, lineterminator="\r\n")
         writer.writerow(cols)
         for row in env.payload:
-            writer.writerow([_csv_cell(_sentinel(row[c])) for c in cols])
+            writer.writerow([_csv_cell(row[c]) for c in cols])
         return buf.getvalue()
     raise ValueError(f"unknown format {fmt!r}")
 
 
 def _csv_cell(x):
+    """One CSV cell: shortest round-trip floats, true/false, sentinels."""
+    # Only the exact type: np.float64 subclasses float, and its repr differs.
+    if type(x) is float and math.isfinite(x):
+        return repr(x)
+    x = _sentinel(x)
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):

@@ -30,7 +30,7 @@ from .integrals import (
     halfspace_integral,
     radial_battery,
     sphere_area,
-    ueps_energy_mass,
+    ueps_energy_masses,
 )
 from .quadrature import QuadResult, integrate_cells, integrate_interval
 from .rp import solve_rp
@@ -402,8 +402,8 @@ def sharpness_scan(
         if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
             raise ValueError("schedule must be strictly decreasing")
         rows = []
-        for eps in eps_list:
-            energy, mass = ueps_energy_mass(params, eps, tol)
+        for eps, (energy, mass) in zip(eps_list,
+                                       ueps_energy_masses(params, eps_list, tol)):
             q = energy / mass
             rows.append(
                 {

@@ -2,10 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
+import hyplab
+from hyplab import cli
 from hyplab.cli import build_parser, main
 from hyplab.report import ReportEnvelope, compare_golden, parse
 from hyplab.verify import InequalityKind
@@ -159,6 +165,82 @@ def test_weights_table_without_hp(tmp_path):
     assert len(payload) == 8
     assert all(row["W"] > 0 for row in payload)
     assert all(row["Hp"] == "" for row in payload)
+
+
+def test_weights_overflowing_h_is_silent_inf(capsys):
+    # sinh^2 r overflows beyond r ~ 355: h reads +inf, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["weights", "--N", "2", "--p", "3", "--r-min", "300",
+                   "--r-max", "400", "--points", "5"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.err == ""
+    rows = [line.split(",") for line in captured.out.splitlines()]
+    h = rows[0].index("h")
+    assert [row[h] for row in rows[1:]][-2:] == ["+inf", "+inf"]
+    assert all(row[h] != "+inf" for row in rows[1:-2])
+
+
+def _fresh_run(argv):
+    """stdout and exit code of one command in a new interpreter."""
+    src = str(Path(hyplab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "hyplab.cli", *argv],
+                          env=env, capture_output=True, check=False)
+    return done.stdout.decode(), done.returncode
+
+
+def test_import_builds_no_parser():
+    src = str(Path(hyplab.__file__).parents[1])
+    code = ("import hyplab.cli as c; "
+            "assert c._parser.cache_info().currsize == 0; "
+            "c.main(['rp', '--N', '8', '--p', '2.5']); "
+            "c.main(['rp', '--N', '8', '--p', '3']); "
+            "info = c._parser.cache_info(); "
+            "assert (info.misses, info.currsize) == (1, 1), info")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=False)
+    assert done.returncode == 0, done.stderr
+
+
+def test_one_parser_serves_every_call(capsys):
+    # one process, several subcommands and a repeated sharpness call, which
+    # reads the shared --schedule default; each as a fresh run prints it
+    commands = [
+        ["sharpness", "--kind", "pgap", "--N", "2", "--p", "2", "--tol", "1e-5"],
+        ["weights", "--N", "5", "--p", "2", "--points", "8"],
+        ["rp", "--N", "8", "--p", "2.5"],
+        ["sharpness", "--kind", "hardy1d", "--N", "3", "--p", "3", "--l", "2",
+         "--delta", "0.01", "--tol", "1e-8"],
+        ["sharpness", "--kind", "pgap", "--N", "2", "--p", "2", "--tol", "1e-5"],
+        ["constants", "--N", "5", "--p", "1.5", "--format", "json"],
+    ]
+    here = []
+    for argv in commands:
+        rc = main(argv)
+        here.append((capsys.readouterr().out, rc))
+    assert here[0] == here[4]
+    assert here == [_fresh_run(argv) for argv in commands]
+    assert cli._parser().parse_args(commands[0]).schedule == [1e-1, 1e-2, 1e-3]
+
+
+def test_help_and_argument_errors_exit_as_before(capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["sharpness", "--help"])
+        assert exc.value.code == 0
+        assert "--schedule" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["sharpness", "--kind", "nope", "--N", "2", "--p", "2"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main([])
+        assert exc.value.code == 2
+        assert "required: command" in capsys.readouterr().err
+    assert main(["rp", "--N", "8", "--p", "2.5"]) == 0
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -16,8 +16,9 @@ from hyplab.integrals import (
     radial_energy,
     radial_weighted_mass,
     ueps_energy_mass,
+    ueps_energy_masses,
 )
-from hyplab.quadrature import NonIntegrableSingularity, power_singular_integral
+from hyplab.quadrature import NonIntegrableSingularity, power_singular_integrals
 from hyplab.testfun import make_bump, make_veps
 
 
@@ -381,19 +382,28 @@ class TestHalfSpace:
     ])
     def test_near_extremal_panel_counts(self, monkeypatch, eps, tol, panels):
         # [energy, mass] panels at (3, 3): one power-singular integral each,
-        # B(3) for the energy and B(3/2) for the mass; the mass's
-        # (1 - s)^(1/2) endpoint takes the refinement
+        # B(3) for the energy and B(3/2) for the mass, in one batched call;
+        # the mass's (1 - s)^(1/2) endpoint takes the refinement
         seen = []
 
         def recording(*args, **kwargs):
-            result = power_singular_integral(*args, **kwargs)
-            seen.append(result.subdivisions)
-            return result
+            results = power_singular_integrals(*args, **kwargs)
+            seen.append([r.subdivisions for r in results])
+            return results
 
-        monkeypatch.setattr(integrals, "power_singular_integral", recording)
+        monkeypatch.setattr(integrals, "power_singular_integrals", recording)
         energy, mass = ueps_energy_mass(Params(3, 3.0), eps, tol)
-        assert seen == panels
+        assert seen == [panels]
         assert [energy.subdivisions, mass.subdivisions] == panels
+
+    @pytest.mark.parametrize("N, p, tol", [(2, 2.0, 1e-5), (3, 3.0, 1e-10),
+                                           (7, 1.5, 1e-8), (13, 4.0, 1e-5)])
+    def test_schedule_equals_its_single_eps_calls(self, N, p, tol):
+        # value, error and subdivisions, bit for bit
+        schedule = [0.3, 0.1, 0.01, 0.001]
+        singles = [ueps_energy_mass(Params(N, p), eps, tol) for eps in schedule]
+        assert ueps_energy_masses(Params(N, p), schedule, tol) == singles
+        assert ueps_energy_masses(Params(N, p), schedule[::-1], tol) == singles[::-1]
 
     def test_quotient_matches_radial_oracle(self):
         # the family is radial about (0, 1): t = tanh^2(r/2) turns the energy

@@ -15,6 +15,7 @@ from hyplab.quadrature import (
     integrate_interval,
     integrate_intervals,
     power_singular_integral,
+    power_singular_integrals,
 )
 
 
@@ -140,6 +141,26 @@ class TestLockstep:
             ks = rng.permutation(K)[: rng.integers(1, K)].tolist()
             assert together(ks) == [full[k] for k in ks]
 
+    def test_per_integral_tol(self):
+        # one absolute tol per integral, each met as in its single call
+        K = 12
+        rng = np.random.default_rng(5)
+        freq = rng.uniform(0.5, 9.0, K)
+        tols = (10.0 ** rng.uniform(-13.0, -3.0, K)).tolist()
+
+        def f(x, owner):
+            return np.exp(np.sin(freq[owner] * x))
+
+        singles = [integrate_interval(lambda x, k=k: f(x, np.full(x.shape, k)),
+                                      0.0, 5.0, tols[k]) for k in range(K)]
+        assert len({r.subdivisions for r in singles}) > 3
+        together = integrate_intervals(f, [0.0] * K, [5.0] * K, tols)
+        assert together == singles
+        assert all(r.error_estimate <= t for r, t in zip(together, tols))
+        # a number is the same tol for every integral
+        assert integrate_intervals(f, [0.0] * K, [5.0] * K, tols[0]) == \
+            integrate_intervals(f, [0.0] * K, [5.0] * K, [tols[0]] * K)
+
     def test_panel_sums_do_not_depend_on_the_round(self):
         # each panel's (value, error), pushed alone as its own integral and
         # in one round with the panels of 29 other integrals, one of which
@@ -227,6 +248,37 @@ class TestPowerSingular:
     def test_rejects_nonintegrable(self):
         with pytest.raises(NonIntegrableSingularity):
             power_singular_integral(np.exp, -0.2, 1.0, 1e-8)
+
+    @staticmethod
+    def _split_alone(g, delta, b, tol, g0, rel_tol):
+        # the exact split of power_singular_integral through integrate_interval
+        g0 = float(g(np.array([0.0]))[0]) if g0 is None else g0
+        lead = g0 * b**delta / delta
+
+        def rest(t):
+            return b**delta * np.exp(-delta * t) * (g(b * np.exp(-t)) - g0)
+
+        r = integrate_interval(rest, 0.0, 45.0, tol + rel_tol * abs(lead),
+                               rel_tol=rel_tol)
+        tail = abs(float(rest(np.array([45.0]))[0])) / (1.0 + delta)
+        return QuadResult(lead + r.value, r.error_estimate + tail, r.subdivisions)
+
+    def test_batch_equals_single_calls(self):
+        # scalar exponents 0.5 and 2 take numpy's sqrt and square paths,
+        # which a batch keeps by calling each g on its own nodes
+        cases = [
+            (lambda s: (1.0 - s) ** 0.5, 0.1, 1.0, 1.0),
+            (lambda s: (1.0 - s) ** 2.0, 1e-3, 1.0, 1.0),
+            (np.exp, 0.3, 2.0, None),
+            (lambda s: np.cos(s) ** 1.5, 0.7, 0.5, None),
+        ]
+        gs, deltas, bs, g0s = map(list, zip(*cases))
+        for tol, rel_tol in ((0.0, 1e-11), (1e-9, 0.0), (1e-6, 1e-6)):
+            singles = [self._split_alone(g, d, b, tol, g0, rel_tol)
+                       for g, d, b, g0 in cases]
+            assert [power_singular_integral(g, d, b, tol, g0, rel_tol)
+                    for g, d, b, g0 in cases] == singles
+            assert power_singular_integrals(gs, deltas, bs, tol, g0s, rel_tol) == singles
 
     def test_graded_panels_cannot_do_this(self):
         # documents why the substitution exists: with delta = 1e-3 the

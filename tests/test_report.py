@@ -3,8 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from hyplab import report
 from hyplab.report import (
     ReportEnvelope,
     SchemaMismatch,
@@ -158,3 +160,37 @@ class TestGolden:
         )
         with pytest.raises(SchemaMismatch):
             compare_golden(path, other, 1e-12)
+
+
+def _two_step_cell(x):
+    """The CSV cell formatter before its float fast path: sentinel, then format."""
+    x = report._sentinel(x)
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, float):
+        return repr(x)
+    return x
+
+
+class TestCsvCell:
+    CASES = [
+        0.0, -0.0, 1.0, -2.5, 0.1, 1e300, 5e-324, 2.2250738585072014e-308 / 3,
+        math.inf, -math.inf,
+        np.float64(0.1), np.float64(-0.0), np.float64(5e-324), np.float64(math.inf),
+        np.float64(-math.inf), np.int64(7), np.int64(-3), np.bool_(True),
+        np.bool_(False), True, False, 0, 3, -12, "pgap", "",
+    ]
+
+    @pytest.mark.parametrize("x", CASES, ids=repr)
+    def test_fast_path_matches_two_step_formatter(self, x):
+        cell = report._csv_cell(x)
+        old = _two_step_cell(x)
+        assert type(cell) is type(old) and cell == old
+
+    def test_infinities_and_nan(self):
+        assert report._csv_cell(math.inf) == "+inf"
+        assert report._csv_cell(-math.inf) == "-inf"
+        assert report._csv_cell(np.float64(-math.inf)) == "-inf"
+        for nan in (math.nan, np.float64(math.nan)):
+            with pytest.raises(ValueError, match="NaN"):
+                report._csv_cell(nan)

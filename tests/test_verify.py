@@ -407,6 +407,26 @@ class TestSharpnessScan:
             assert row["quotient"] <= row["upper"] + row["quad_error"]
         assert rows[0]["quotient"] > rows[1]["quotient"]
 
+    def test_pgap_scan_is_one_pass_of_its_single_eps_calls(self, monkeypatch):
+        integrals = importlib.import_module("hyplab.integrals")
+        quadrature = importlib.import_module("hyplab.quadrature")
+        pr, schedule, tol = Params(3, 3.0), [1e-1, 1e-2, 1e-3], 1e-5
+        singles = [integrals.ueps_energy_mass(pr, eps, tol) for eps in schedule]
+        calls = []
+        intervals = quadrature.integrate_intervals
+
+        def counted(f, a, *args, **kwargs):
+            calls.append(len(a))
+            return intervals(f, a, *args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "integrate_intervals", counted)
+        rows = sharpness_scan(InequalityKind.PGAP, pr, schedule, tol)
+        assert calls == [2 * len(schedule)]
+        for row, (energy, mass) in zip(rows, singles):
+            q = energy / mass
+            assert (row["quotient"], row["quad_error"]) == (q.value, q.error_estimate)
+        assert integrals.ueps_energy_masses(pr, schedule, tol) == singles
+
     def test_rejects_nondecreasing_schedule(self):
         with pytest.raises(ValueError):
             sharpness_scan(InequalityKind.PGAP, Params(2, 2.0), [1e-2, 1e-1], 1e-4)

@@ -5,10 +5,11 @@
 OLD_SRC and NEW_SRC are directories that hold a ``hyplab`` package, such
 as the ``src`` directories of two checkouts.  Every ``GOLDEN_RUNS``
 command of ``tests/test_cli.py``, and each extra command given as one
-quoted string, runs with ``--format json`` in a fresh interpreter with
-that tree first on PYTHONPATH.  The names whose stdout, stderr or exit
-code differ between the trees are listed; the exit code is 1 if any
-differ, else 0.  The goldens compare numbers to 1e-12 relative, while this
+quoted string, runs twice, with ``--format csv`` and with
+``--format json``, each in a fresh interpreter with that tree first on
+PYTHONPATH.  The names and formats whose stdout, stderr or exit code
+differ between the trees are listed; the exit code is 1 if any differ,
+else 0.  The goldens compare numbers to 1e-12 relative, while this
 compares bytes, so it checks a change meant to keep every report
 byte-identical.  Some cell reports depend on the host, so run both trees
 on one host.
@@ -36,10 +37,13 @@ def golden_runs() -> dict[str, list[str]]:
     return test_cli.GOLDEN_RUNS
 
 
-def run(src: Path, argv: list[str]) -> tuple[bytes, bytes, int]:
+FORMATS = ("csv", "json")
+
+
+def run(src: Path, argv: list[str], fmt: str) -> tuple[bytes, bytes, int]:
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run(
-        [sys.executable, "-m", "hyplab.cli", *argv, "--format", "json"],
+        [sys.executable, "-m", "hyplab.cli", *argv, "--format", fmt],
         env=env, capture_output=True, check=False,
     )
     return done.stdout, done.stderr, done.returncode
@@ -56,15 +60,18 @@ def main(argv: list[str]) -> int:
             return 2
     commands = dict(golden_runs())
     commands.update((extra, shlex.split(extra)) for extra in argv[2:])
-    differ = []
+    differ = set()
     for name, args in commands.items():
-        parts = [part for part, a, b in zip(("stdout", "stderr", "exit code"),
-                                             run(old, args), run(new, args))
-                 if a != b]
-        if parts:
-            differ.append(name)
-            print(f"{name}: {', '.join(parts)} differ")
-    print(f"{len(differ)} of {len(commands)} commands differ")
+        for fmt in FORMATS:
+            parts = [part for part, a, b in zip(("stdout", "stderr", "exit code"),
+                                                 run(old, args, fmt),
+                                                 run(new, args, fmt))
+                     if a != b]
+            if parts:
+                differ.add(name)
+                print(f"{name} [{fmt}]: {', '.join(parts)} differ")
+    print(f"{len(differ)} of {len(commands)} commands differ "
+          f"(each run as {' and '.join(FORMATS)})")
     return 1 if differ else 0
 
 
