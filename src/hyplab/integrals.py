@@ -430,11 +430,10 @@ def ueps_energy_masses(
     bit for bit the one-eps result.
     """
     N, p = params.N, params.p
+    consts, gs, deltas = [], [], []
     for eps in schedule:
         if not (eps > 0.0):
             raise ValueError(f"need eps > 0, got {eps}")
-    consts, gs, deltas = [], [], []
-    for eps in schedule:
         k = (N - 1 + eps) / p
         sigma = N - 1 + eps
         c = sphere_area(N - 1) * 2.0 ** (N - 1 - 2 * sigma)

@@ -401,9 +401,9 @@ def sharpness_scan(
         eps_list = [float(e) for e in schedule]
         if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
             raise ValueError("schedule must be strictly decreasing")
+        terms = ueps_energy_masses(params, eps_list, tol)
         rows = []
-        for eps, (energy, mass) in zip(eps_list,
-                                       ueps_energy_masses(params, eps_list, tol)):
+        for eps, (energy, mass) in zip(eps_list, terms):
             q = energy / mass
             rows.append(
                 {
