@@ -252,7 +252,7 @@ GOLDEN_RUNS = {
         "--trials", "2", "--seed", "11", "--tol", "1e-6",
     ]
     for kind in ("bounded-v", "mazya")
-    for N, p in ((3, 2), (2, 3))
+    for N, p in ((3, 2), (2, 3), (3, 3))
 }
 GOLDEN_RUNS["sharpness_pgap_N2_p2.json"] = [
     "sharpness", "--kind", "pgap", "--N", "2", "--p", "2",
