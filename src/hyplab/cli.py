@@ -187,12 +187,14 @@ def cmd_weights(args) -> int:
     hp_col = (weight_hp(params, radii).tolist() if has_hp
               else [""] * len(radii))
     h_col = h_func(params, radii).tolist()
-    # the geodesic ray (tanh r, sech r) in the vertical plane through (0, 1)
+    # the geodesic ray (tanh r, sech r) in the vertical plane through (0, 1);
+    # beyond r ~ 710 cosh r overflows, sech r is 0 and so is V's limit there
     x1s = np.tanh(radii).tolist()
-    ys = (1.0 / np.cosh(radii)).tolist()
+    with np.errstate(over="ignore"):
+        ys = (1.0 / np.cosh(radii)).tolist()
     rows = [
         {"r": r, "W": w, "W_err": werr, "Hp": hp, "h": h,
-         "V_geodesic": weight_v(HalfSpacePoint(x1, 0.0, y))}
+         "V_geodesic": weight_v(HalfSpacePoint(x1, 0.0, y)) if y > 0.0 else 0.0}
         for r, w, werr, hp, h, x1, y in zip(
             radii.tolist(), w_vals.tolist(), w_errs.tolist(), hp_col, h_col, x1s, ys)
     ]

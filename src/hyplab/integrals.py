@@ -388,8 +388,8 @@ def halfspace_integral(
             x1, y = axes
             return f(x1, np.zeros_like(x1), y)
         x1, rho, y = axes
-        rr = rho ** (N - 3) if N > 3 else np.ones_like(rho)
-        return f(x1, rho, y) * area * rr
+        # one multiply of f's result, which may be shared or read-only
+        return f(x1, rho, y) * (area * rho ** (N - 3) if N > 3 else area)
 
     return integrate_cells(g, box, 0.0, max_cells=6000 if N == 2 else 20000,
                            rel_tol=tol)

@@ -586,7 +586,9 @@ def integrate_cells(
         if not lo < hi:
             raise ValueError(f"axis {i}: need lo < hi, got ({lo}, {hi})")
     per_round = max(1, _CELL_CHUNK_NODES // 15**d // 2)
-    heap: list = []  # (-error, serial, los, his, value, error, worst axis)
+    # (-error, serial, los, his, value, error, worst axis), value and error
+    # in units of 2**-1074, so a split subtracts what was added
+    heap: list = []
     serials = itertools.count()
     total = err = n_cells = 0
     los = np.array([[lo for lo, _ in box]], dtype=float)
@@ -595,9 +597,10 @@ def integrate_cells(
         values, errors, worst = _cell_rule(f, los, his)
         for lo, hi, v, e, ax in zip(los.tolist(), his.tolist(), values.tolist(),
                                     errors.tolist(), worst.tolist()):
-            heapq.heappush(heap, (-e, next(serials), tuple(lo), tuple(hi), v, e, ax))
-            total += _fixed(v)
-            err += _fixed(e)
+            fv, fe = _fixed(v), _fixed(e)
+            heapq.heappush(heap, (-e, next(serials), tuple(lo), tuple(hi), fv, fe, ax))
+            total += fv
+            err += fe
         n_cells += len(values)
         split = []  # (los, his, worst axis, midpoint) of the cells to split
         while not split:
@@ -614,15 +617,15 @@ def integrate_cells(
             # error of the cells not taken
             while (err / _FIXED_ONE > goal and len(split) < per_round
                    and n_cells + 2 * len(split) < max_cells):
-                _, serial, lo_t, hi_t, v, e, ax = heapq.heappop(heap)
-                err -= _fixed(e)
+                _, serial, lo_t, hi_t, fv, fe, ax = heapq.heappop(heap)
+                err -= fe
                 lo, hi = lo_t[ax], hi_t[ax]
                 mid = 0.5 * (lo + hi)
                 if mid <= lo or mid >= hi:
                     # Width at rounding floor: keep the cell, drop its error.
-                    heapq.heappush(heap, (0.0, serial, lo_t, hi_t, v, 0.0, ax))
+                    heapq.heappush(heap, (0.0, serial, lo_t, hi_t, fv, 0, ax))
                     continue
-                total -= _fixed(v)
+                total -= fv
                 split.append((lo_t, hi_t, ax, mid))
         lo_ts, hi_ts, axes, mids = zip(*split)
         rows = 2 * np.arange(len(split))

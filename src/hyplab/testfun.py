@@ -37,6 +37,9 @@ class RadialTestFunction:
     (center, half-width) of a mollifier bump, whose value and derivative
     are :func:`mollifier_value` and :func:`mollifier_derivative` at those
     parameters, so that a battery can evaluate many bumps in one call.
+    ``value_and_derivative``, when given, returns (value, derivative) at r
+    from one evaluation, equal to the two separate calls, for callers
+    that need both at the same nodes.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -46,6 +49,7 @@ class RadialTestFunction:
     origin_power: float | None = None
     label: str = "radial"
     bump: tuple[float, float] | None = None
+    value_and_derivative: Callable[[np.ndarray], tuple] | None = None
 
     def __call__(self, r):
         return self.value(np.asarray(r, dtype=float))
@@ -127,6 +131,7 @@ def make_bump(r_lo: float, r_hi: float, shape: str = "mollifier") -> RadialTestF
             lambda r: mollifier_derivative(r, mid, half),
             (r_lo, r_hi), breakpoints=(r_lo, r_hi),
             label=f"mollifier[{r_lo:g},{r_hi:g}]", bump=(mid, half),
+            value_and_derivative=lambda r: mollifier_value_and_derivative(r, mid, half),
         )
 
     if shape == "tent":

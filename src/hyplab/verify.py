@@ -300,7 +300,8 @@ def _halfspace_terms(kind, params, u, tol):
     (x1, y) integral stands for two of them and gets 2 tol / n.  A
     product's relative error is the sum of its factors', so every term
     stays within tol.  Only the energy at p != 2 is a cubature over the
-    whole box, to tol.
+    whole box, to tol; its integrand takes |grad u|^2 from the same three
+    terms, each factor's value and derivative evaluated once per axis.
     """
     N, p = params.N, params.p
     phi, psi, chi = u.factors
@@ -308,8 +309,9 @@ def _halfspace_terms(kind, params, u, tol):
     if kind is InequalityKind.BOUNDED_V:
         # hyperbolic assembly: |grad_H u|^p dv and |u|^p dv, with
         # |grad_H u| = y |grad u| and dv = y^-N dx
-        def e_f(x1, rho, y):
-            return (y * u.gradient_norm(x1, rho, y)) ** p * y ** (-N)
+        def chi_squares(y):  # (y chi)^2, (y chi')^2 and the weight at p != 2
+            py, dy = _value_and_derivative(chi, y)
+            return (y * py) ** 2, (y * dy) ** 2, y ** (-N)
 
         def chi_mass(y):
             return np.abs(chi.value(y)) ** p * y ** (-N)
@@ -325,8 +327,9 @@ def _halfspace_terms(kind, params, u, tol):
             return v * np.abs(phi.value(x1)) ** p * chi_mass(y)
 
     else:  # Maz'ya-form assembly
-        def e_f(x1, rho, y):
-            return u.gradient_norm(x1, rho, y) ** p * y ** (p - N)
+        def chi_squares(y):
+            py, dy = _value_and_derivative(chi, y)
+            return py * py, dy * dy, y ** (p - N)
 
         def chi_mass(y):
             return np.abs(chi.value(y)) ** p / y**N
@@ -371,8 +374,35 @@ def _halfspace_terms(kind, params, u, tol):
         energy = (t["dphi"] * t["psi"] * t["chi_e"] + t["phi"] * t["dpsi"] * t["chi_e"]
                   + t["phi"] * t["psi"] * t["dchi_e"])
     else:
+        def e_f(x1, rho, y):
+            # |grad u|^2 = (phi'^2 psi^2 + phi^2 psi'^2) chi^2 + phi^2 psi^2 chi'^2
+            # from each factor's squares on its own axis; only the last two
+            # products, the sum, the power and the weight run on every node
+            px, dx = _value_and_derivative(phi, x1)
+            px2, dx2 = px * px, dx * dx
+            if psi is None:
+                a, b = dx2, px2
+            else:
+                pr, dr = _value_and_derivative(psi, rho)
+                pr2 = pr * pr
+                a, b = dx2 * pr2 + px2 * (dr * dr), px2 * pr2
+            c2, dc2, weight = chi_squares(y)
+            s = a * c2
+            s += b * dc2
+            s **= 0.5 * p
+            s *= weight
+            return s
+
         energy = halfspace_integral(params, e_f, u.support, tol)
     return energy, mass, v_plane * t["psi"]
+
+
+def _value_and_derivative(f: RadialTestFunction, x):
+    """(value, derivative) of the factor f at x, from one evaluation where f
+    declares one."""
+    if f.value_and_derivative is not None:
+        return f.value_and_derivative(x)
+    return f.value(x), f.derivative(x)
 
 
 # ---------------------------------------------------------------------------
@@ -627,11 +657,13 @@ def random_halfspace_product(
     phi = RadialTestFunction(
         lambda x1: bump.value(x1 - x_lo), lambda x1: bump.derivative(x1 - x_lo),
         (x_lo, x_hi), breakpoints=(x_lo, x_hi), label="phi",
+        value_and_derivative=lambda x1: bump.value_and_derivative(x1 - x_lo),
     )
     psi = RadialTestFunction(
         lambda rho: mollifier_value(rho, 0.0, rho_hi),
         lambda rho: mollifier_derivative(rho, 0.0, rho_hi),
         (0.0, rho_hi), breakpoints=(0.0, rho_hi), label="psi",
+        value_and_derivative=lambda rho: mollifier_value_and_derivative(rho, 0.0, rho_hi),
     ) if N >= 3 else None
 
     def value(x1, rho, y):
@@ -639,10 +671,9 @@ def random_halfspace_product(
         return phi.value(x1) * pr * chi.value(y)
 
     def gradient_norm(x1, rho, y):
-        px, dx = mollifier_value_and_derivative(x1 - x_lo, *bump.bump)
-        pr, dr = (mollifier_value_and_derivative(rho, 0.0, rho_hi) if N >= 3
-                  else (1.0, 0.0))
-        py, dy = mollifier_value_and_derivative(y, *chi.bump)
+        px, dx = phi.value_and_derivative(x1)
+        pr, dr = psi.value_and_derivative(rho) if psi is not None else (1.0, 0.0)
+        py, dy = chi.value_and_derivative(y)
         return np.sqrt(
             (dx * pr * py) ** 2 + (px * dr * py) ** 2 + (px * pr * dy) ** 2
         )

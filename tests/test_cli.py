@@ -8,11 +8,13 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hyplab
 from hyplab import cli
 from hyplab.cli import build_parser, main
+from hyplab.core import HalfSpacePoint, weight_v
 from hyplab.report import ReportEnvelope, compare_golden, parse
 from hyplab.verify import InequalityKind
 
@@ -180,6 +182,26 @@ def test_weights_overflowing_h_is_silent_inf(capsys):
     h = rows[0].index("h")
     assert [row[h] for row in rows[1:]][-2:] == ["+inf", "+inf"]
     assert all(row[h] != "+inf" for row in rows[1:-2])
+
+
+def test_weights_beyond_cosh_overflow(capsys):
+    # cosh r overflows beyond r ~ 710, so sech r is 0 and V_geodesic reads
+    # its limit 0; below that every V cell is the point's weight as before
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["weights", "--N", "3", "--p", "2", "--r-min", "1",
+                   "--r-max", "800", "--points", "9"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.err == ""
+    header, *rows = [line.split(",") for line in captured.out.splitlines()]
+    r_col, v_col = header.index("r"), header.index("V_geodesic")
+    radii = np.array([float(row[r_col]) for row in rows])
+    assert (radii <= 710.0).sum() == 8
+    for row, r in zip(rows, radii):
+        expected = (weight_v(HalfSpacePoint(float(np.tanh(r)), 0.0, float(1.0 / np.cosh(r))))
+                    if r <= 710.0 else 0.0)
+        assert row[v_col] == repr(expected)
 
 
 def _fresh_run(argv):

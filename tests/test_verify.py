@@ -1,5 +1,6 @@
 """Inequality verifiers, proof-step checkers, sharpness scans."""
 
+import dataclasses
 import importlib
 import math
 
@@ -275,20 +276,62 @@ class TestVerifyHalfSpace:
                 assert abs(term.value - ref.value) <= (
                     term.error_estimate + ref.error_estimate)
 
-    @pytest.mark.parametrize("N, p", [(2, 1.5), (3, 3.0)])
-    def test_energy_off_p2_is_the_box_cubature(self, N, p):
-        # bit for bit the cubature of each form's integrand
-        params = Params(N, p)
-        u = random_halfspace_product(np.random.default_rng([16, N]), N)
-        forms = {
+    @staticmethod
+    def _energy_forms(u, N, p):
+        # each form's energy integrand through u.gradient_norm
+        return {
             InequalityKind.BOUNDED_V:
                 lambda x1, rho, y: (y * u.gradient_norm(x1, rho, y)) ** p * y ** (-N),
             InequalityKind.MAZYA:
                 lambda x1, rho, y: u.gradient_norm(x1, rho, y) ** p * y ** (p - N),
         }
-        for kind, e_f in forms.items():
+
+    @pytest.mark.parametrize("p", [1.5, 2.5, 3.0])
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_energy_off_p2_is_the_box_cubature(self, N, p):
+        # the factored integrand refines the same cells as the cubature of
+        # each form's gradient_norm integrand; they differ only by rounding
+        params = Params(N, p)
+        u = random_halfspace_product(np.random.default_rng([16, N]), N)
+        for kind, e_f in self._energy_forms(u, N, p).items():
             ref = halfspace_integral(params, e_f, u.support, 1e-6)
-            assert verify_module._halfspace_terms(kind, params, u, 1e-6)[0] == ref
+            energy = verify_module._halfspace_terms(kind, params, u, 1e-6)[0]
+            assert energy.subdivisions == ref.subdivisions
+            assert abs(energy.value - ref.value) <= 1e-15 * abs(ref.value)
+            assert abs(energy.error_estimate - ref.error_estimate) <= (
+                1e-9 * ref.error_estimate)
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_factors_without_joint_evaluation(self, N):
+        # factors that declare no value_and_derivative give the same energy,
+        # bit for bit, from their separate value and derivative calls
+        params = Params(N, 2.5)
+        u = random_halfspace_product(np.random.default_rng([16, N]), N)
+        bare = dataclasses.replace(u, factors=tuple(
+            f and dataclasses.replace(f, value_and_derivative=None) for f in u.factors))
+        for kind in (InequalityKind.BOUNDED_V, InequalityKind.MAZYA):
+            assert (verify_module._halfspace_terms(kind, params, bare, 1e-6)
+                    == verify_module._halfspace_terms(kind, params, u, 1e-6))
+
+    @pytest.mark.parametrize("p", [1.5, 2.5, 3.0])
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_energy_integrand_at_nodes(self, monkeypatch, N, p):
+        # the integrand the energy cubature receives, at random nodes of the
+        # box, against (y |grad u|)^p y^-N and |grad u|^p y^(p-N)
+        params = Params(N, p)
+        u = random_halfspace_product(np.random.default_rng([19, N]), N)
+        rng = np.random.default_rng([N, int(2 * p)])
+        x1, rho, y = (rng.uniform(lo, hi, 40) for lo, hi in u.support)
+        for kind, e_f in self._energy_forms(u, N, p).items():
+            seen = []
+            monkeypatch.setattr(verify_module, "halfspace_integral",
+                                lambda params, f, support, tol: seen.append(f))
+            verify_module._halfspace_terms(kind, params, u, 1e-6)
+            got = seen[0](x1[:, None, None], rho[None, :, None], y[None, None, :])
+            ref = e_f(x1[:, None, None], rho[None, :, None], y[None, None, :])
+            assert ref.shape == got.shape and (ref > 0.0).any()
+            # a subnormal value near the support's edge has no relative precision
+            np.testing.assert_allclose(got, ref, rtol=1e-14, atol=np.finfo(float).tiny)
 
 
 class TestBatch:
