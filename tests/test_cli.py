@@ -199,9 +199,10 @@ def test_weights_beyond_cosh_overflow(capsys):
     radii = np.array([float(row[r_col]) for row in rows])
     assert (radii <= 710.0).sum() == 8
     for row, r in zip(rows, radii):
-        expected = (weight_v(HalfSpacePoint(float(np.tanh(r)), 0.0, float(1.0 / np.cosh(r))))
-                    if r <= 710.0 else 0.0)
-        assert row[v_col] == repr(expected)
+        v = 0.0
+        if r <= 710.0:
+            v = weight_v(HalfSpacePoint(float(np.tanh(r)), 0.0, float(1.0 / np.cosh(r))))
+        assert row[v_col] == repr(v)
 
 
 def _fresh_run(argv):
