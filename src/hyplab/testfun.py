@@ -63,8 +63,9 @@ class HalfSpaceFunction:
     compact box ((x1_lo, x1_hi), (rho_lo, rho_hi), (y_lo, y_hi)) or None
     for functions with unbounded support.  ``factors`` declares a product
     u = phi(x1) psi(rho) chi(y) by its three 1-D profiles (phi, psi, chi),
-    each with its derivative and supported on its side of the box; psi is
-    None when u does not depend on rho (N = 2).
+    each with its derivative and its ``value_and_derivative`` and supported
+    on its side of the box; psi is None when u does not depend on rho
+    (N = 2).
     """
 
     value: Callable

@@ -310,7 +310,7 @@ def _halfspace_terms(kind, params, u, tol):
         # hyperbolic assembly: |grad_H u|^p dv and |u|^p dv, with
         # |grad_H u| = y |grad u| and dv = y^-N dx
         def chi_squares(y):  # (y chi)^2, (y chi')^2 and the weight at p != 2
-            py, dy = _value_and_derivative(chi, y)
+            py, dy = chi.value_and_derivative(y)
             return (y * py) ** 2, (y * dy) ** 2, y ** (-N)
 
         def chi_mass(y):
@@ -328,7 +328,7 @@ def _halfspace_terms(kind, params, u, tol):
 
     else:  # Maz'ya-form assembly
         def chi_squares(y):
-            py, dy = _value_and_derivative(chi, y)
+            py, dy = chi.value_and_derivative(y)
             return py * py, dy * dy, y ** (p - N)
 
         def chi_mass(y):
@@ -378,12 +378,12 @@ def _halfspace_terms(kind, params, u, tol):
             # |grad u|^2 = (phi'^2 psi^2 + phi^2 psi'^2) chi^2 + phi^2 psi^2 chi'^2
             # from each factor's squares on its own axis; only the last two
             # products, the sum, the power and the weight run on every node
-            px, dx = _value_and_derivative(phi, x1)
+            px, dx = phi.value_and_derivative(x1)
             px2, dx2 = px * px, dx * dx
             if psi is None:
                 a, b = dx2, px2
             else:
-                pr, dr = _value_and_derivative(psi, rho)
+                pr, dr = psi.value_and_derivative(rho)
                 pr2 = pr * pr
                 a, b = dx2 * pr2 + px2 * (dr * dr), px2 * pr2
             c2, dc2, weight = chi_squares(y)
@@ -395,14 +395,6 @@ def _halfspace_terms(kind, params, u, tol):
 
         energy = halfspace_integral(params, e_f, u.support, tol)
     return energy, mass, v_plane * t["psi"]
-
-
-def _value_and_derivative(f: RadialTestFunction, x):
-    """(value, derivative) of the factor f at x, from one evaluation where f
-    declares one."""
-    if f.value_and_derivative is not None:
-        return f.value_and_derivative(x)
-    return f.value(x), f.derivative(x)
 
 
 # ---------------------------------------------------------------------------

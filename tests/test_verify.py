@@ -1,6 +1,5 @@
 """Inequality verifiers, proof-step checkers, sharpness scans."""
 
-import dataclasses
 import importlib
 import math
 
@@ -300,18 +299,6 @@ class TestVerifyHalfSpace:
             assert abs(energy.value - ref.value) <= 1e-15 * abs(ref.value)
             assert abs(energy.error_estimate - ref.error_estimate) <= (
                 1e-9 * ref.error_estimate)
-
-    @pytest.mark.parametrize("N", [2, 3])
-    def test_factors_without_joint_evaluation(self, N):
-        # factors that declare no value_and_derivative give the same energy,
-        # bit for bit, from their separate value and derivative calls
-        params = Params(N, 2.5)
-        u = random_halfspace_product(np.random.default_rng([16, N]), N)
-        bare = dataclasses.replace(u, factors=tuple(
-            f and dataclasses.replace(f, value_and_derivative=None) for f in u.factors))
-        for kind in (InequalityKind.BOUNDED_V, InequalityKind.MAZYA):
-            assert (verify_module._halfspace_terms(kind, params, bare, 1e-6)
-                    == verify_module._halfspace_terms(kind, params, u, 1e-6))
 
     @pytest.mark.parametrize("p", [1.5, 2.5, 3.0])
     @pytest.mark.parametrize("N", [2, 3, 4])
