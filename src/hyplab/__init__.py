@@ -14,10 +14,8 @@ from .core import (
     Params,
     geodesic_distance,
     h_func,
-    lambda_p,
     weight_hp,
     weight_v,
-    weight_w,
 )
 from .integrals import halfspace_integral, radial_energy, radial_weighted_mass
 from .quadrature import (
@@ -28,7 +26,7 @@ from .quadrature import (
 )
 from .report import ReportEnvelope, compare_golden, emit
 from .rp import RootResult, rp_scan_N, rp_scan_p, solve_r0, solve_rp
-from .testfun import HalfSpaceFunction, RadialTestFunction, make_bump, make_ueps, make_veps
+from .testfun import HalfSpaceFunction, RadialTestFunction, make_bump, make_veps
 from .verify import (
     InequalityKind,
     InequalityReport,

@@ -103,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--allow-origin", action="store_true",
         help="allow supports touching r = 0 (origin-integrable weights only)",
     )
-    sp.add_argument("--workers", type=int, default=None)
 
     sp = sub.add_parser("sharpness", help="near-extremal quotient schedules")
     _add_common(sp)
@@ -250,7 +249,7 @@ def cmd_verify(args) -> int:
     params = Params(args.N, args.p)
     reports = batch_verify(
         args.kind, [params], args.trials, args.seed, args.tol,
-        l=args.l, workers=args.workers, allow_origin=args.allow_origin,
+        l=args.l, allow_origin=args.allow_origin,
     )
     rows = [r.as_row() for r in reports]
     env = ReportEnvelope(

@@ -2,7 +2,7 @@
 
 Everything is a pure function of its arguments.  The Green's-function
 weight ``W`` is evaluated through a cancellation-free reformulation (see
-:func:`weight_w`): the naive difference of p-th powers loses all digits
+:class:`GreenWeight`): the naive difference of p-th powers loses all digits
 once the two terms agree to within machine epsilon, which already happens
 around geodesic radius 20.
 """
@@ -20,9 +20,7 @@ __all__ = [
     "HypothesisError",
     "Params",
     "HalfSpacePoint",
-    "lambda_p",
     "GreenWeight",
-    "weight_w",
     "weight_hp",
     "hp_base",
     "weight_v",
@@ -93,11 +91,6 @@ class HalfSpacePoint:
             raise ValueError(f"y must be positive, got {self.y}")
         if self.rho < 0.0:
             raise ValueError(f"rho must be nonnegative, got {self.rho}")
-
-
-def lambda_p(params: Params) -> float:
-    """Sharp Poincare constant ((N-1)/p)**p."""
-    return params.lambda_p
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +176,11 @@ _TAIL = 2.0**-64
 # Relative tolerance of the integrals below r*.
 _QUAD_TOL = 1e-13
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+# Smallest radius whose tails are retaken with one factor (1-x) less when
+# the scaled denominator leaves the normal range (near r = 1e-154); that
+# integrand peaks near 1/r, which overflows below r = 5.6e-309.
+_R_LIFT = 1e-307
 
 
 def _series_terms(beta: float, x: float) -> int:
@@ -219,8 +217,19 @@ def _series_terms(beta: float, x: float) -> int:
 
 def _log1m_exp2(r: np.ndarray) -> np.ndarray:
     """log(1 - e^{-2r}) for r > 0, to a few ulps of its size."""
-    return np.where(r < 0.5 * math.log(2.0), np.log(-np.expm1(-2.0 * r)),
-                    np.log1p(-np.exp(-2.0 * r)))
+    # the unused branch reads log1p(-1) = -inf below r ~ 1e-17
+    with np.errstate(divide="ignore"):
+        return np.where(r < 0.5 * math.log(2.0), np.log(-np.expm1(-2.0 * r)),
+                        np.log1p(-np.exp(-2.0 * r)))
+
+
+def _radii(radii) -> np.ndarray:
+    """The radii as a 1-D float array; each must be positive and finite."""
+    r = np.asarray(radii, dtype=float).ravel()
+    if not np.all((r > 0.0) & np.isfinite(r)):
+        bad = r[~((r > 0.0) & np.isfinite(r))][0]
+        raise ValueError(f"radius must be positive and finite, got {bad}")
+    return r
 
 
 class GreenWeight:
@@ -309,20 +318,24 @@ class GreenWeight:
         err[1] = x * err[1] + 3.0 * _EPS * s[1]
         return s, err
 
-    def _below(self, r: np.ndarray):
+    def _below(self, r: np.ndarray, lift: bool = False):
         """Both rows of (1-x)^(alpha+1) J and their error bounds at radii r < r*.
 
         J itself passes 1e308 at small r and large alpha.  With x = e^{-2r}
         and d = s - r, row (beta, gamma) is e^{alpha (r-r*)} (1-x)^(alpha+1)
         J(r*) plus the integral from r to r* of 2 (1-x)^(alpha+1-beta)
         e^{(alpha-gamma) r - gamma d} (1 + (1-e^{-2d})/(e^{2r}-1))^(-beta):
-        (1-x) or e^{-2r} times a function falling from 1.
+        (1-x) or e^{-2r} times a function falling from 1.  With ``lift``
+        both rows carry (1-x)^alpha instead, one factor (1-x) ~ 2r less,
+        which keeps the first row normal where the scaled one underflows.
         """
         a, m = self.alpha, r.size
         beta = np.repeat(self._beta, m)
         gamma = np.repeat(2.0 * self._c, m)
         log_1mx = _log1m_exp2(r)
-        shift = math.log(2.0) + np.concatenate([log_1mx, -2.0 * r])
+        e = 0.0 if lift else 1.0
+        shift = math.log(2.0) + np.concatenate([e * log_1mx,
+                                                (e - 1.0) * log_1mx - 2.0 * r])
         lows = np.tile(r, 2)
         inv = np.tile(1.0 / np.expm1(2.0 * r), 2)
 
@@ -341,20 +354,17 @@ class GreenWeight:
         j_star, err_star = self._series(np.array([self.r_star]))
         # Every term of the exponent is negative, each to a few ulps of its
         # size, so the factor is good to (3 |expo| + 1) ulps.
-        expo = (a + 1.0) * log_1mx + a * (r - self.r_star)
+        expo = (a + e) * log_1mx + a * (r - self.r_star)
         lead = np.exp(expo) * j_star
         k = lead + vals
         err = (np.exp(expo) * err_star + (3.0 * np.abs(expo) + 1.0) * _EPS * lead
                + errs + (3.0 * np.abs(shift.reshape(2, m)) + 2.0) * _EPS * vals)
         return k, err + 2.0 * _EPS * k
 
-    def _tails(self, radii):
-        """Both rows of J and their error bounds at every radius, below r*
-        times (1-x)^(alpha+1), which leaves their ratio as it is."""
-        r = np.asarray(radii, dtype=float).ravel()
-        if not np.all((r > 0.0) & np.isfinite(r)):
-            bad = r[~((r > 0.0) & np.isfinite(r))][0]
-            raise ValueError(f"radius must be positive and finite, got {bad}")
+    def _tails(self, r: np.ndarray):
+        """Both rows of J and their error bounds at the radii r (see
+        :func:`_radii`), below r* times (1-x)^(alpha+1), which leaves their
+        ratio as it is."""
         j, err = np.empty((2, r.size)), np.empty((2, r.size))
         high = r >= self.r_star
         j[:, high], err[:, high] = self._series(r[high])
@@ -363,9 +373,26 @@ class GreenWeight:
         return j, err
 
     def _zeta(self, radii) -> tuple[np.ndarray, np.ndarray]:
-        (den, num), (den_err, num_err) = self._tails(radii)
-        z = 2.0 * num / den
-        return z, (2.0 * num_err + z * den_err) / den + 2.0 * _EPS * z
+        """zeta and its error bound at every radius.
+
+        Both are +inf below r = _R_LIFT and wherever the lifted denominator
+        (about r / alpha) underflows too.  zeta ~ 1/r, so W exceeds the
+        double range there, except for p below about 1.01, whose large
+        alpha makes a few radii below 1e-300 read +inf with W still finite.
+        """
+        r = _radii(radii)
+        z, dz = np.full(r.size, np.inf), np.full(r.size, np.inf)
+        live = np.flatnonzero(r >= _R_LIFT)
+        (den, num), (den_err, num_err) = self._tails(r[live])
+        low = den < _TINY
+        if low.any():
+            (den[low], num[low]), (den_err[low], num_err[low]) = self._below(
+                r[live[low]], lift=True)
+        ok = den >= _TINY
+        zk = 2.0 * num[ok] / den[ok]
+        z[live[ok]] = zk
+        dz[live[ok]] = (2.0 * num_err[ok] + zk * den_err[ok]) / den[ok] + 2.0 * _EPS * zk
+        return z, dz
 
     def zeta(self, r: float) -> tuple[float, float]:
         """zeta(r) > 0 and an absolute error bound."""
@@ -378,7 +405,7 @@ class GreenWeight:
         The normalization is fixed to 1: only G'/G enters the weight W.
         Raises :class:`QuadratureError` where G exceeds the double range.
         """
-        j, err = self._tails([r])
+        j, err = self._tails(_radii([r]))
         a = self.alpha
         # the rows below r* carry the factor (1-x)^(alpha+1)
         log_1mx = float(_log1m_exp2(np.array(r))) if r < self.r_star else 0.0
@@ -397,26 +424,18 @@ class GreenWeight:
         return float(val[0]), float(err[0])
 
     def w_array(self, radii) -> tuple[np.ndarray, np.ndarray]:
-        """W and its absolute error bound at every radius."""
+        """W and its absolute error bound at every radius; both +inf where
+        W exceeds the double range."""
         z, dz = self._zeta(radii)
         lam = self.params.lambda_p
         p = self.params.p
         y = p * np.log1p(z)
-        val = lam * np.expm1(y)
-        # the error of zeta times dW/dzeta, plus the rounding of Lambda_p,
-        # log1p, expm1 and the products
-        err = lam * p * (1.0 + z) ** (p - 1.0) * dz + (5.0 + p + 2.0 * y) * _EPS * val
+        with np.errstate(over="ignore"):
+            val = lam * np.expm1(y)
+            # the error of zeta times dW/dzeta, plus the rounding of Lambda_p,
+            # log1p, expm1 and the products
+            err = lam * p * (1.0 + z) ** (p - 1.0) * dz + (5.0 + p + 2.0 * y) * _EPS * val
         return val, err
-
-
-def weight_w(params: Params, r: float, tol: float = 1e-10) -> float:
-    """The improved-Poincare weight W(r); strictly positive for r > 0."""
-    val, err = GreenWeight(params).w(r)
-    if err > tol * max(1.0, abs(val)):
-        raise QuadratureError(
-            f"W({r}) error bound {err:.3e} exceeds tol {tol:.3e}"
-        )
-    return val
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ meaningless.  Reported error estimates remain absolute bounds.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -26,9 +25,7 @@ from .quadrature import (
     QuadResult,
     _per_run,
     integrate_cells,
-    integrate_interval,
     integrate_intervals,
-    power_singular_integral,
     power_singular_integrals,
 )
 from .testfun import RadialTestFunction, mollifier_derivative, mollifier_value
@@ -81,10 +78,14 @@ def radial_battery(
     :func:`hardy1d_energy` and :func:`hardy1d_mass`; those two read only
     p of ``params``.  Each integral is set up, integrated and refined as
     the one-profile function sets it up, and gives the same result bit for
-    bit.  A term whose support starts at 0 and whose profile
-    declares an origin power goes through :func:`_origin_split` on its
-    own; every other integral is one integral of a single
-    :func:`~hyplab.quadrature.integrate_intervals` pass.  There the
+    bit.  A term whose support starts at 0 and whose profile declares an
+    origin power f ~ C r^s is split at b1, the profile's smallest
+    breakpoint: on [0, b1] the pure power is split off analytically, with
+    C taken at r = 1e-8, and the rest runs on the ordinary panels of
+    [b1, hi]; each piece gets half of ``tol``.  The heads of all such
+    terms are one :func:`~hyplab.quadrature.power_singular_integrals`
+    call; every other integral, tails included, is one integral of a
+    single :func:`~hyplab.quadrature.integrate_intervals` pass.  There the
     integrals run term by term, so each term's nodes form one slice of
     every integrand call, and the volume element and each weight are
     evaluated once per call.  ``tol`` is relative.  Returns one dict per
@@ -123,8 +124,19 @@ def radial_battery(
             w = _weight(params, name, r)
         return up * w * vol
 
+    def origin_factor(name, i, power):
+        """r^-power times the integrand of term ``name`` of profile i."""
+
+        def g(r):
+            vol = sinh_pow(r, m) if radial else None
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                return term_values(name, r, np.full(np.shape(r), i), vol) * r ** (-power)
+
+        return g
+
     out = [{} for _ in funcs]
-    lows, highs, flags, bps, where = [], [], [], [], []
+    heads = {}  # (i, name) -> (g, power, b1) of the terms split at the origin
+    lows, highs, flags, bps, rel_tols, where = [], [], [], [], [], []
     term_starts = []
     for name in terms:
         term_starts.append(len(where))
@@ -132,20 +144,32 @@ def radial_battery(
             lo, hi = _finite_support(u)
             b = _interior_breakpoints(u, lo, hi)
             singular, power = _term_setup(params, name, u, lo, l)
-            if power is None:
-                lows.append(lo)
-                highs.append(hi)
-                flags.append(singular)
-                bps.append(b)
-                where.append((i, name))
-                continue
-
-            def f(r, _name=name, _i=i):
-                vol = sinh_pow(r, m) if radial else None
-                return term_values(_name, r, np.full(np.shape(r), _i), vol)
-
-            out[i][name] = _origin_split(f, power, u, hi, b, tol)
+            rel_tol = tol
+            if power is not None:
+                if power <= -1.0:
+                    raise NonIntegrableSingularity(
+                        f"integrand power {power} at the origin is not integrable"
+                    )
+                lo = min(u.breakpoints) if u.breakpoints else hi
+                heads[i, name] = (origin_factor(name, i, power), power, lo)
+                if lo >= hi:
+                    continue
+                singular, rel_tol = False, tol / 2
+            lows.append(lo)
+            highs.append(hi)
+            flags.append(singular)
+            bps.append(b)
+            rel_tols.append(rel_tol)
+            where.append((i, name))
     term_starts.append(len(where))
+    if heads:
+        gs, powers, b1s = zip(*heads.values())
+        firsts = power_singular_integrals(
+            gs, [s + 1.0 for s in powers], b1s, 0.0,
+            [float(g(np.array([1e-8]))[0]) for g in gs], rel_tol=tol / 2,
+        )
+        for (i, name), first in zip(heads, firsts):
+            out[i][name] = first
     if not where:
         return out
     fn_of = np.array([i for i, _ in where])
@@ -165,13 +189,14 @@ def radial_battery(
 
     results = integrate_intervals(
         integrand, lows, highs, 0.0, singular_left=flags, breakpoints=bps,
-        rel_tol=tol,
+        rel_tol=rel_tols,
     )
     for k, ((i, name), res) in enumerate(zip(where, results)):
         if max_rel[k] > 0.0:
             res = QuadResult(res.value, res.error_estimate + max_rel[k] * abs(res.value),
                              res.subdivisions, res.truncation_point)
-        out[i][name] = res
+        # a tail adds to its origin head
+        out[i][name] = out[i][name] + res if (i, name) in heads else res
     return out
 
 
@@ -217,8 +242,8 @@ def _term_setup(params: Params, name: str, u: RadialTestFunction, lo: float,
                 l: float | None) -> tuple[bool, float | None]:
     """(singular_left, origin power) of one term's integral on [lo, hi].
 
-    The power is None unless the term is split at the origin by
-    :func:`_origin_split`, where it is the power of the whole integrand.
+    The power is None unless the term is split at the origin (see
+    :func:`radial_battery`), where it is the power of the whole integrand.
     """
     p, m = params.p, params.N - 1
     lam = u.origin_power if lo == 0.0 else None
@@ -263,38 +288,6 @@ def radial_energy(
     """
     terms = radial_battery(params, [u], ("E", "M"), tol)[0]
     return terms["E"], terms["M"]
-
-
-def _origin_split(
-    f: Callable, total_power: float, u: RadialTestFunction, hi: float,
-    bps: tuple, tol: float,
-) -> QuadResult:
-    """int_0^hi f dr when f(r) ~ C r^total_power at the origin.
-
-    On the first piece [0, b1], b1 the smallest breakpoint of ``u``, the
-    pure power is split off analytically with C taken at r = 1e-8; the
-    rest runs on the ordinary panels.  Each piece gets half of the
-    relative ``tol``.
-    """
-    if total_power <= -1.0:
-        raise NonIntegrableSingularity(
-            f"integrand power {total_power} at the origin is not integrable"
-        )
-
-    def g(r):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return f(r) * r ** (-total_power)
-
-    b1 = min(u.breakpoints) if u.breakpoints else hi
-    first = power_singular_integral(
-        g, total_power + 1.0, b1, 0.0,
-        g_at_zero=float(g(np.array([1e-8]))[0]), rel_tol=tol / 2,
-    )
-    if b1 >= hi:
-        return first
-    return first + integrate_interval(
-        f, b1, hi, 0.0, rel_tol=tol / 2, breakpoints=bps
-    )
 
 
 def radial_weighted_mass(

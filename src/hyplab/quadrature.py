@@ -227,7 +227,7 @@ def integrate_intervals(
     singular_left: Sequence[bool] | None = None,
     breakpoints: Sequence[Sequence[float]] | None = None,
     max_subdivisions: int = 4000,
-    rel_tol: float = 0.0,
+    rel_tol: float | Sequence[float] = 0.0,
 ) -> list[QuadResult]:
     """K independent adaptive integrals, integral k of ``f`` on [a[k], b[k]].
 
@@ -239,8 +239,8 @@ def integrate_intervals(
 
     The integrals advance in lockstep rounds.  In each round every
     integral whose summed |K15 - G7| panel errors exceed
-    ``tol + rel_tol * |integral|`` (``tol`` one number for all, or one
-    per integral) splits its up to 8 worst panels
+    ``tol + rel_tol * |integral|`` (``tol`` and ``rel_tol`` each one
+    number for all, or one per integral) splits its up to 8 worst panels
     (largest error first, ties by lower then upper end), and the children
     of all integrals are evaluated together, in integrand calls of at most
     ``_INTERVAL_CHUNK_NODES`` nodes; at most ``_INTERVAL_WINDOW``
@@ -258,6 +258,7 @@ def integrate_intervals(
     """
     K = len(a)
     tols = [tol] * K if np.ndim(tol) == 0 else list(tol)
+    rel_tols = [rel_tol] * K if np.ndim(rel_tol) == 0 else list(rel_tol)
     singular_left = [False] * K if singular_left is None else singular_left
     breakpoints = [()] * K if breakpoints is None else breakpoints
     for k in range(K):
@@ -286,7 +287,7 @@ def integrate_intervals(
             if k not in failures:
                 heap = heaps[k]
                 total, err = sum(map(_VALUE, heap)), sum(map(_ERROR, heap))
-                if err <= tols[k] + rel_tol * abs(total):
+                if err <= tols[k] + rel_tols[k] * abs(total):
                     results[k] = QuadResult(total, err, panels[k])
                 elif panels[k] >= max_subdivisions:
                     failures[k] = ToleranceNotAchieved(

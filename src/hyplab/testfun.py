@@ -1,5 +1,5 @@
 """Test-function families: radial bumps, the 1D Hardy extremal profiles,
-and the half-space near-extremal family for the Poincare quotient.
+and the half-space functions that carry their declared product factors.
 
 All constructors return immutable function objects carrying analytic
 derivatives, their breakpoint list (so quadrature panels can split there
@@ -23,7 +23,6 @@ __all__ = [
     "mollifier_derivative",
     "mollifier_value_and_derivative",
     "make_veps",
-    "make_ueps",
 ]
 
 
@@ -196,35 +195,4 @@ def make_veps(p: float, eps: float, delta: float) -> RadialTestFunction:
         breakpoints=(eps, 1.0, 2.0),
         origin_power=a,
         label=f"veps[p={p:g},eps={eps:g},delta={delta:g}]",
-    )
-
-
-def make_ueps(params, eps: float) -> HalfSpaceFunction:
-    """Near-extremal family for the hyperbolic Poincare quotient.
-
-    U(x, y) = (y / ((1+y)^2 + |x|^2))^k with k = (N-1+eps)/p and
-    |x|^2 = x1^2 + rho^2.  The flat gradient norm is
-    k U sqrt((1-y^2+|x|^2)^2 + 4 y^2 |x|^2) / (y A) with
-    A = (1+y)^2 + |x|^2; the algebraic identity A^2 - (...) = 4 y A makes
-    the bracket equal to A^2 (1 - 4y/A), so the gradient factor
-    sqrt(1 - 4y/A) is manifestly <= 1 and the energy-to-mass quotient is
-    at most k^p.  The |u|^p volume integrand decays like y^{eps-1} at the
-    bottom, which is rate eps on the logarithmic vertical axis.
-    """
-    if not (eps > 0.0):
-        raise ValueError(f"need eps > 0, got {eps}")
-    k = (params.N - 1 + eps) / params.p
-
-    def value(x1, rho, y):
-        A = (1.0 + y) ** 2 + x1 * x1 + rho * rho
-        return (y / A) ** k
-
-    def gradient_norm(x1, rho, y):
-        A = (1.0 + y) ** 2 + x1 * x1 + rho * rho
-        factor = np.sqrt(np.maximum(0.0, 1.0 - 4.0 * y / A))
-        return k * (y / A) ** k * factor / y
-
-    return HalfSpaceFunction(
-        value, gradient_norm, support=None,
-        label=f"ueps[N={params.N},p={params.p:g},eps={eps:g}]",
     )

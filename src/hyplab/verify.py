@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -678,16 +677,16 @@ def random_halfspace_product(
     )
 
 
-def _bump_spec_for_trial(
+def _trial_function(
     kind: InequalityKind,
     params: Params,
     seed: int,
     index: int,
     allow_origin: bool = False,
     rp: float | None = None,
-) -> tuple[float, float]:
-    """Support of trial ``index``; ``rp`` is r_p for the ball kind (solved
-    here when not given)."""
+) -> RadialTestFunction:
+    """Test function of trial ``index``; ``rp`` is r_p for the ball kind
+    (solved here when not given)."""
     rng = np.random.default_rng([seed, index])
     if kind is InequalityKind.BALL and params.p > 2.0:
         if rp is None:
@@ -695,16 +694,8 @@ def _bump_spec_for_trial(
         r_lo = rng.uniform(0.03, 0.4) * rp
         r_hi = r_lo + rng.uniform(0.1, 0.55) * rp
         r_hi = min(r_hi, 0.98 * rp)
-        return r_lo, r_hi
-    u = random_bump(rng, allow_origin=allow_origin)
-    return u.support
-
-
-def _battery_job(args):
-    kind_value, N, p, l, supports, tol, rp = args
-    funcs = [make_bump(r_lo, r_hi, "mollifier") for r_lo, r_hi in supports]
-    return radial_reports(InequalityKind(kind_value), Params(N, p), funcs, tol,
-                          l=l, rp=rp)
+        return make_bump(r_lo, r_hi, "mollifier")
+    return random_bump(rng, allow_origin=allow_origin)
 
 
 def batch_verify(
@@ -714,19 +705,14 @@ def batch_verify(
     seed: int,
     tol: float = 1e-9,
     l: float | None = None,
-    workers: int | None = None,
     allow_origin: bool = False,
 ) -> list[InequalityReport]:
     """Seeded battery of verifications, ordered by trial index.
 
     Trials round-robin over ``params_grid``, and trial ``index`` draws its
     test function from default_rng([seed, index]).  The radial and 1D
-    trials of one grid point run as one :func:`radial_reports` pass.  With
-    more than one worker (``workers``, defaulting to HYPLAB_WORKERS) each
-    grid point's trials are cut into contiguous chunks, one pass per
-    chunk; the reports do not depend on the worker count.  The half-space
-    trials run one :func:`verify` each, in this process, whatever the
-    worker count.
+    trials of one grid point run as one :func:`radial_reports` pass; the
+    half-space trials run one :func:`verify` each.
     ``allow_origin`` lets a fraction of supports touch r = 0; it is
     rejected for the Green's-function weight, whose node evaluation needs
     r_lo > 0.
@@ -745,33 +731,16 @@ def batch_verify(
                    tol)
             for i, params in zip(range(trials), itertools.cycle(grid))
         ]
-    if workers is None:
-        workers = int(os.environ.get("HYPLAB_WORKERS", "1"))
-    jobs, order = [], []
+    reports = [None] * trials
     for g, params in enumerate(grid):
-        indices = list(range(g, trials, len(grid)))
+        indices = range(g, trials, len(grid))
         if not indices:
             continue
         _require_hypothesis(kind, params)
         rp = _ball_radius(kind, params)
-        supports = [_bump_spec_for_trial(kind, params, seed, i, allow_origin, rp)
-                    for i in indices]
-        size = -(-len(indices) // max(workers, 1))
-        for s in range(0, len(indices), size):
-            jobs.append((kind.value, params.N, params.p, l, supports[s:s + size],
-                         tol, rp))
-            order.extend(indices[s:s + size])
-    if workers > 1 and len(jobs) > 1:
-        # imported here: the pool's modules add about 20 ms to every start
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_battery_job, jobs))
-    else:
-        chunks = [_battery_job(job) for job in jobs]
-    reports = [None] * len(order)
-    for i, rep in zip(order, (rep for chunk in chunks for rep in chunk)):
-        reports[i] = rep
+        funcs = [_trial_function(kind, params, seed, i, allow_origin, rp)
+                 for i in indices]
+        reports[g::len(grid)] = radial_reports(kind, params, funcs, tol, l=l, rp=rp)
     return reports
 
 

@@ -205,6 +205,23 @@ def test_weights_beyond_cosh_overflow(capsys):
         assert row[v_col] == repr(v)
 
 
+def test_weights_at_tiny_radii(capsys):
+    # W ~ 1/(4 r^2) at (3, 2) exceeds the double range below r ~ 1e-154:
+    # W and W_err read +inf there, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["weights", "--N", "3", "--p", "2", "--r-min", "1e-300",
+                   "--r-max", "1", "--points", "4"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.err == ""
+    header, *rows = [line.split(",") for line in captured.out.splitlines()]
+    w_col, err_col = header.index("W"), header.index("W_err")
+    assert [(row[w_col], row[err_col]) for row in rows[:2]] == [("+inf", "+inf")] * 2
+    w, err = float(rows[2][w_col]), float(rows[2][err_col])
+    assert abs(w - 2.5e199) <= err < 1e-12 * w
+
+
 def _fresh_run(argv):
     """stdout and exit code of one command in a new interpreter."""
     src = str(Path(hyplab.__file__).parents[1])

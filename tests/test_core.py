@@ -19,12 +19,10 @@ from hyplab.core import (
     geodesic_distance,
     h_func,
     hp_base,
-    lambda_p,
     log_sinh,
     sinh_pow,
     weight_hp,
     weight_v,
-    weight_w,
 )
 from hyplab.quadrature import QuadratureError
 
@@ -53,9 +51,9 @@ class TestParams:
 
 class TestLambdaP:
     def test_examples(self):
-        assert lambda_p(Params(4, 3.0)) == pytest.approx(1.0, abs=0)
-        assert lambda_p(Params(13, 4.0)) == pytest.approx(81.0, abs=1e-12)
-        assert lambda_p(Params(2, 2.0)) == pytest.approx(0.25, abs=0)
+        assert Params(4, 3.0).lambda_p == pytest.approx(1.0, abs=0)
+        assert Params(13, 4.0).lambda_p == pytest.approx(81.0, abs=1e-12)
+        assert Params(2, 2.0).lambda_p == pytest.approx(0.25, abs=0)
 
 
 class TestStableHelpers:
@@ -135,18 +133,22 @@ class TestWeightW:
         direct = ((pr.p - 1.0) / pr.p) ** pr.p * (
             math.sinh(r) ** (-pr.sinh_exponent) / g
         ) ** pr.p - pr.lambda_p
-        assert weight_w(pr, r) == pytest.approx(direct, rel=1e-9)
+        w, err = GreenWeight(pr).w(r)
+        assert err <= 1e-10 * max(1.0, w)
+        assert w == pytest.approx(direct, rel=1e-9)
 
     def test_small_r_power_regime(self):
         # W(r) r^p -> ((N-p)/p)^p for N > p
         pr = Params(5, 2.0)
-        w = weight_w(pr, 1e-4)
+        w, err = GreenWeight(pr).w(1e-4)
+        assert err <= 1e-10 * max(1.0, w)
         assert w * 1e-8 == pytest.approx(2.25, rel=1e-4)
 
     def test_large_r_regime(self):
         # W(r) sinh^2 r -> Lambda_p (N-1) p / (2 (N-1+2(p-1)))
         pr = Params(5, 2.0)
-        w = weight_w(pr, 20.0)
+        w, err = GreenWeight(pr).w(20.0)
+        assert err <= 1e-10 * max(1.0, w)
         target = pr.lambda_p * 4 * 2 / (2 * (4 + 2))
         assert w * math.sinh(20.0) ** 2 == pytest.approx(target, rel=1e-10)
 
@@ -166,6 +168,24 @@ class TestWeightW:
             w, err = GreenWeight(Params(4, 1.5)).w_array([300.0, 400.0])
         assert w[0] > 0.0 and w[1] >= 0.0
         assert np.all(np.isfinite(err))
+
+    @pytest.mark.parametrize("N,p", [(2, 1.5), (3, 2.0), (40, 1.1), (13, 4.0)])
+    def test_power_law_down_to_the_double_range(self, N, p):
+        # W r^p -> ((N-p)/p)^p as r -> 0, exact to rounding below 1e-150;
+        # the scaled denominator underflows below r ~ 1e-154 and is
+        # retaken there, and where W exceeds the double range W and W_err
+        # read +inf, with no warning
+        radii = [1e-150, 1e-160, 1e-200, 1e-250, 1e-290, 1e-306, 1e-310, 5e-324]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, err = GreenWeight(Params(N, p)).w_array(radii)
+        for r, wi, ei in zip(radii, w.tolist(), err.tolist()):
+            log_w = p * math.log((N - p) / p) - p * math.log(r)
+            if log_w > math.log(sys.float_info.max):
+                assert wi == ei == math.inf
+            else:
+                law = math.exp(log_w)
+                assert abs(wi - law) <= ei + 4e-16 * law and ei < 1e-12 * wi
 
     @pytest.mark.parametrize("N,p", [(3, 2.0), (13, 4.0), (4, 1.5), (2, 3.0)])
     def test_batched_fill_is_order_independent(self, N, p):

@@ -223,11 +223,11 @@ class TestHardyBatteryPins:
         return (res.value, res.error_estimate, res.subdivisions)
 
     def test_supports_are_the_battery_draws(self):
-        from hyplab.verify import InequalityKind, _bump_spec_for_trial
+        from hyplab.verify import InequalityKind, _trial_function
 
         for i, (support, *_) in enumerate(self.PINS):
-            assert _bump_spec_for_trial(
-                InequalityKind.HARDY, self.P, 7, i, True) == support
+            assert _trial_function(
+                InequalityKind.HARDY, self.P, 7, i, True).support == support
 
     def test_one_function_calls(self):
         for support, e_pin, m_pin, r_pin in self.PINS:

@@ -160,6 +160,17 @@ class TestLockstep:
         # a number is the same tol for every integral
         assert integrate_intervals(f, [0.0] * K, [5.0] * K, tols[0]) == \
             integrate_intervals(f, [0.0] * K, [5.0] * K, [tols[0]] * K)
+        # and one rel_tol per integral likewise
+        rel_tols = (10.0 ** rng.uniform(-13.0, -3.0, K)).tolist()
+        singles = [integrate_interval(lambda x, k=k: f(x, np.full(x.shape, k)),
+                                      0.0, 5.0, 0.0, rel_tol=rel_tols[k])
+                   for k in range(K)]
+        assert len({r.subdivisions for r in singles}) > 3
+        together = integrate_intervals(f, [0.0] * K, [5.0] * K, 0.0, rel_tol=rel_tols)
+        assert together == singles
+        assert all(r.error_estimate <= t * abs(r.value) for r, t in zip(together, rel_tols))
+        assert integrate_intervals(f, [0.0] * K, [5.0] * K, 0.0, rel_tol=rel_tols[0]) == \
+            integrate_intervals(f, [0.0] * K, [5.0] * K, 0.0, rel_tol=[rel_tols[0]] * K)
 
     def test_panel_sums_do_not_depend_on_the_round(self):
         # each panel's (value, error), pushed alone as its own integral and

@@ -7,8 +7,8 @@ import pytest
 
 from hyplab.core import Params
 from hyplab.testfun import (
+    HalfSpaceFunction,
     make_bump,
-    make_ueps,
     make_veps,
     mollifier_derivative,
     mollifier_value,
@@ -169,21 +169,33 @@ class TestHardyProfile:
 
 
 class TestPoincareFamily:
-    def test_value_at_base(self):
-        pr = Params(3, 2.0)
-        eps = 0.1
-        u = make_ueps(pr, eps)
+    """The near-extremal family U = (y/A)^k, A = (1+y)^2 + |x|^2,
+    k = (N-1+eps)/p, that the pgap scan integrates in closed form, and its
+    flat gradient norm k U sqrt(1 - 4y/A) / y."""
+
+    @staticmethod
+    def family(pr, eps):
         k = (pr.N - 1 + eps) / pr.p
+
+        def value(x1, rho, y):
+            return (y / ((1.0 + y) ** 2 + x1 * x1 + rho * rho)) ** k
+
+        def gradient_norm(x1, rho, y):
+            A = (1.0 + y) ** 2 + x1 * x1 + rho * rho
+            return k * value(x1, rho, y) * np.sqrt(np.maximum(0.0, 1.0 - 4.0 * y / A)) / y
+
+        return HalfSpaceFunction(value, gradient_norm, support=None), k
+
+    def test_value_at_base(self):
+        u, k = self.family(Params(3, 2.0), 0.1)
         assert float(u(0.0, 0.0, 1.0)) == pytest.approx(0.25**k, rel=1e-15)
 
     def test_gradient_fd_consistency(self):
-        u = make_ueps(Params(3, 3.0), 0.05)
+        u, _ = self.family(Params(3, 3.0), 0.05)
         check_gradient(u, np.random.default_rng(3))
 
     def test_gradient_factor_at_most_one(self):
-        pr = Params(2, 2.0)
-        u = make_ueps(pr, 0.2)
-        k = (pr.N - 1 + 0.2) / pr.p
+        u, k = self.family(Params(2, 2.0), 0.2)
         rng = np.random.default_rng(11)
         x1 = rng.uniform(-5, 5, 100)
         y = rng.uniform(0.05, 5, 100)
@@ -194,10 +206,7 @@ class TestPoincareFamily:
     def test_radial_identity(self):
         # U depends on the point only through the geodesic distance:
         # U = (4 cosh^2(r/2))^(-k) = (2 (1 + cosh r))^(-k)
-        pr = Params(3, 2.5)
-        eps = 0.3
-        u = make_ueps(pr, eps)
-        k = (pr.N - 1 + eps) / pr.p
+        u, k = self.family(Params(3, 2.5), 0.3)
         from hyplab.core import HalfSpacePoint, geodesic_distance
 
         rng = np.random.default_rng(5)
@@ -210,5 +219,7 @@ class TestPoincareFamily:
             assert float(u(x1, rho, y)) == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_nonpositive_eps(self):
+        from hyplab.integrals import ueps_energy_mass
+
         with pytest.raises(ValueError):
-            make_ueps(Params(2, 2.0), 0.0)
+            ueps_energy_mass(Params(2, 2.0), 0.0)

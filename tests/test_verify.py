@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 from hyplab.core import HypothesisError, Params
 from hyplab.integrals import halfspace_integral
 from hyplab.quadrature import QuadResult
-from hyplab.report import ReportEnvelope, dumps
 from hyplab.testfun import HalfSpaceFunction, make_bump
 from hyplab.verify import (
     InequalityKind,
     SupportViolation,
-    _bump_spec_for_trial,
+    _trial_function,
     ball_constants,
     batch_verify,
     check_ftilde,
@@ -343,42 +342,17 @@ class TestBatch:
         c = batch_verify(InequalityKind.PGAP, [Params(3, 2.0)], 6, seed=8, tol=1e-9)
         assert [r.lhs for r in a] != [r.lhs for r in c]
 
-    def test_worker_pool_matches_serial(self):
-        serial = batch_verify(InequalityKind.PGAP, [Params(3, 2.0)], 4, seed=3,
-                              tol=1e-9, workers=1)
-        pooled = batch_verify(InequalityKind.PGAP, [Params(3, 2.0)], 4, seed=3,
-                              tol=1e-9, workers=2)
-        assert [r.lhs for r in serial] == [r.lhs for r in pooled]
-
     def test_round_robin_over_grid(self):
         grid = [Params(3, 2.0), Params(13, 4.0)]
         reps = batch_verify(InequalityKind.PGAP, grid, 4, seed=1, tol=1e-9)
         assert [r.N for r in reps] == [3, 13, 3, 13]
-
-    @staticmethod
-    def _csv(reports):
-        return dumps(ReportEnvelope("verify", {}, "inequality_reports",
-                                    [r.as_row() for r in reports]), "csv")
-
-    def test_reports_byte_identical_for_any_worker_count(self):
-        grid = [Params(3, 2.0), Params(8, 2.5)]
-        runs = [self._csv(batch_verify(InequalityKind.HP_WEIGHTED, grid, 9, seed=4,
-                                       tol=1e-10, workers=w, allow_origin=True))
-                for w in (1, 2, 3)]
-        assert runs[0] == runs[1] == runs[2]
-        assert runs[0].count("mollifier[0,") >= 1  # a support at the origin
-        runs = [self._csv(batch_verify(InequalityKind.GREEN_WEIGHT, grid, 9, seed=4,
-                                       tol=1e-10, workers=w))
-                for w in (1, 2, 3)]
-        assert runs[0] == runs[1] == runs[2]
 
     def test_battery_reports_equal_one_trial_verify(self):
         for kind in (InequalityKind.HARDY, InequalityKind.UNCERTAINTY,
                      InequalityKind.BALL, InequalityKind.HARDY1D):
             params = Params(8, 2.5)
             reps = batch_verify(kind, [params], 5, seed=2, tol=1e-10)
-            funcs = [make_bump(*_bump_spec_for_trial(kind, params, 2, i))
-                     for i in range(5)]
+            funcs = [_trial_function(kind, params, 2, i) for i in range(5)]
             assert [verify(kind, params, u, 1e-10) for u in funcs] == reps
             assert radial_reports(kind, params, funcs, 1e-10) == reps
 
@@ -408,7 +382,7 @@ class TestBatch:
         tracemalloc.start()
         try:
             batch_verify(InequalityKind.HP_WEIGHTED, [Params(3, 2.0)], 40, seed=11,
-                         tol=1e-10, workers=1, allow_origin=True)
+                         tol=1e-10, allow_origin=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -456,6 +430,27 @@ class TestSharpnessScan:
             q = energy / mass
             assert (row["quotient"], row["quad_error"]) == (q.value, q.error_estimate)
         assert integrals.ueps_energy_masses(pr, schedule, tol) == singles
+
+    @pytest.mark.parametrize("schedule", [
+        [(1e-1, 1e-3)], [(0.3, 1e-3), (1e-1, 1e-3), (1e-2, 1e-3)]], ids=["1", "3"])
+    def test_hardy1d_scan_is_three_passes(self, monkeypatch, schedule):
+        # the origin-power heads of every entry's two terms in one pass,
+        # their tails on [eps, 2] in the battery's one pass, then the
+        # ramp constant
+        integrals = importlib.import_module("hyplab.integrals")
+        quadrature = importlib.import_module("hyplab.quadrature")
+        calls = []
+        intervals = quadrature.integrate_intervals
+
+        def counted(f, a, *args, **kwargs):
+            calls.append(len(a))
+            return intervals(f, a, *args, **kwargs)
+
+        for module in (quadrature, integrals):
+            monkeypatch.setattr(module, "integrate_intervals", counted)
+        rows = sharpness_scan(InequalityKind.HARDY1D, Params(13, 4.0), schedule, 1e-10)
+        assert len(rows) == len(schedule)
+        assert calls == [2 * len(schedule), 2 * len(schedule), 1]
 
     def test_rejects_nondecreasing_schedule(self):
         with pytest.raises(ValueError):
