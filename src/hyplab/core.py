@@ -394,11 +394,6 @@ class GreenWeight:
         dz[live[ok]] = (2.0 * num_err[ok] + zk * den_err[ok]) / den[ok] + 2.0 * _EPS * zk
         return z, dz
 
-    def zeta(self, r: float) -> tuple[float, float]:
-        """zeta(r) > 0 and an absolute error bound."""
-        z, dz = self._zeta([r])
-        return float(z[0]), float(dz[0])
-
     def green(self, r: float) -> tuple[float, float]:
         """G_p(r) = int_r^inf (sinh s)^(-alpha) ds and an absolute error bound.
 

@@ -194,7 +194,7 @@ def radial_battery(
     for k, ((i, name), res) in enumerate(zip(where, results)):
         if max_rel[k] > 0.0:
             res = QuadResult(res.value, res.error_estimate + max_rel[k] * abs(res.value),
-                             res.subdivisions, res.truncation_point)
+                             res.subdivisions)
         # a tail adds to its origin head
         out[i][name] = out[i][name] + res if (i, name) in heads else res
     return out

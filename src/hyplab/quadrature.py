@@ -72,34 +72,27 @@ class QuadResult:
     """Integral value with a rigorous-in-spirit error estimate.
 
     ``error_estimate`` adds the summed panel errors and any analytic
-    truncation bound.  ``truncation_point`` is set for semi-infinite
-    domains and records where the analytic tail bound took over.
+    truncation bound.
 
     The operators propagate the error to first order: ``a + b`` and
     ``a - b`` add the errors, ``c * a`` for a number c scales it by |c|,
     ``a * b`` gives e_a |v_b| + |v_a| e_b, ``a / b`` gives
     (e_a + |q| e_b) / |v_b| with q = v_a / v_b, and ``a ** s`` gives
-    |s| |v|^(s-1) e.  Combining two results adds their subdivisions and
-    keeps the larger truncation point.  An operation whose value or error
-    is not finite raises :class:`QuadratureError`.
+    |s| |v|^(s-1) e.  Combining two results adds their subdivisions.  An
+    operation whose value or error is not finite raises
+    :class:`QuadratureError`.
     """
 
     value: float
     error_estimate: float
     subdivisions: int
-    truncation_point: float | None = None
 
     def __post_init__(self):
         if self.error_estimate < 0:
             raise ValueError("error_estimate must be nonnegative")
 
     def _combine(self, other: "QuadResult", value, error) -> "QuadResult":
-        return _finite_result(
-            value,
-            error,
-            self.subdivisions + other.subdivisions,
-            _merge_truncation(self.truncation_point, other.truncation_point),
-        )
+        return _finite_result(value, error, self.subdivisions + other.subdivisions)
 
     def __add__(self, other: "QuadResult") -> "QuadResult":
         return self._combine(other, self.value + other.value,
@@ -112,7 +105,7 @@ class QuadResult:
     def __mul__(self, other) -> "QuadResult":
         if not isinstance(other, QuadResult):
             return _finite_result(other * self.value, abs(other) * self.error_estimate,
-                                  self.subdivisions, self.truncation_point)
+                                  self.subdivisions)
         return self._combine(
             other, self.value * other.value,
             self.error_estimate * abs(other.value)
@@ -134,23 +127,15 @@ class QuadResult:
             error = abs(s) * abs(self.value) ** (s - 1.0) * self.error_estimate
         except OverflowError:
             value = error = math.inf
-        return _finite_result(value, error, self.subdivisions, self.truncation_point)
+        return _finite_result(value, error, self.subdivisions)
 
 
-def _finite_result(value, error, subdivisions, truncation_point) -> QuadResult:
+def _finite_result(value, error, subdivisions) -> QuadResult:
     if not (math.isfinite(value) and math.isfinite(error)):
         raise QuadratureError(
             f"result not finite: value {value!r}, error estimate {error!r}"
         )
-    return QuadResult(value, error, subdivisions, truncation_point)
-
-
-def _merge_truncation(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return max(a, b)
+    return QuadResult(value, error, subdivisions)
 
 
 # Gauss-Kronrod 7/15 nodes and weights on [-1, 1] (QUADPACK dqk15 values),

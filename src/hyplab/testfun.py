@@ -1,5 +1,5 @@
 """Test-function families: radial bumps, the 1D Hardy extremal profiles,
-and the half-space functions that carry their declared product factors.
+and the half-space products of three 1-D profiles.
 
 All constructors return immutable function objects carrying analytic
 derivatives, their breakpoint list (so quadrature panels can split there
@@ -56,29 +56,38 @@ class RadialTestFunction:
 
 @dataclass(frozen=True)
 class HalfSpaceFunction:
-    """Function on the upper half-space reduced to (x1, rho, y).
+    """Product u = phi(x1) psi(rho) chi(y) on the upper half-space reduced
+    to (x1, rho, y).
 
-    ``gradient_norm`` is |grad u| in flat coordinates.  ``support`` is a
-    compact box ((x1_lo, x1_hi), (rho_lo, rho_hi), (y_lo, y_hi)) or None
-    for functions with unbounded support.  ``factors`` declares a product
-    u = phi(x1) psi(rho) chi(y) by its three 1-D profiles (phi, psi, chi),
-    each with its derivative and its ``value_and_derivative`` and supported
-    on its side of the box; psi is None when u does not depend on rho
+    Each factor is a 1-D profile with its derivative and its
+    ``value_and_derivative``; psi is None when u does not depend on rho
     (N = 2).
     """
 
-    value: Callable
-    gradient_norm: Callable
-    support: tuple[tuple[float, float], tuple[float, float], tuple[float, float]] | None
+    phi: RadialTestFunction
+    psi: RadialTestFunction | None
+    chi: RadialTestFunction
     label: str = "halfspace"
-    factors: tuple[RadialTestFunction, RadialTestFunction | None,
-                   RadialTestFunction] | None = None
 
-    def __call__(self, x1, rho, y):
-        return self.value(
-            np.asarray(x1, dtype=float),
-            np.asarray(rho, dtype=float),
-            np.asarray(y, dtype=float),
+    @property
+    def support(self) -> tuple[tuple[float, float], tuple[float, float], tuple[float, float]]:
+        """The box ((x1_lo, x1_hi), (rho_lo, rho_hi), (y_lo, y_hi)) of the
+        factors' supports, with rho in [0, 1] when there is no psi."""
+        rho = (0.0, 1.0) if self.psi is None else self.psi.support
+        return self.phi.support, rho, self.chi.support
+
+    def value(self, x1, rho, y):
+        """u(x1, rho, y)."""
+        pr = self.psi.value(rho) if self.psi is not None else 1.0
+        return self.phi.value(x1) * pr * self.chi.value(y)
+
+    def gradient_norm(self, x1, rho, y):
+        """|grad u| in flat coordinates."""
+        px, dx = self.phi.value_and_derivative(x1)
+        pr, dr = self.psi.value_and_derivative(rho) if self.psi is not None else (1.0, 0.0)
+        py, dy = self.chi.value_and_derivative(y)
+        return np.sqrt(
+            (dx * pr * py) ** 2 + (px * dr * py) ** 2 + (px * pr * dy) ** 2
         )
 
 

@@ -56,7 +56,6 @@ __all__ = [
     "radial_reports",
     "random_bump",
     "random_halfspace_product",
-    "halfspace_pair_reports",
 ]
 
 
@@ -161,9 +160,9 @@ def verify(
     """Assemble and check one inequality instance.
 
     ``u`` is a :class:`RadialTestFunction` for the radial kinds and the 1D
-    Hardy kind, a :class:`HalfSpaceFunction` with compact support for the
-    half-space kinds.  ``l`` selects the mixed exponent of the 1D Hardy
-    inequality (defaults to p).
+    Hardy kind, a :class:`HalfSpaceFunction` for the half-space kinds.
+    ``l`` selects the mixed exponent of the 1D Hardy inequality (defaults
+    to p).
     """
     kind = InequalityKind(kind)
     if kind.admissible_class == "halfspace":
@@ -228,7 +227,7 @@ def _ball_radius(kind: InequalityKind, params: Params) -> float | None:
     return None
 
 
-def _check_ball_support(kind, params, u, rp: float | None) -> None:
+def _check_ball_support(u, rp: float | None) -> None:
     if rp is not None and not (u.support[1] <= rp):
         raise SupportViolation(
             f"support [{u.support[0]:g}, {u.support[1]:g}] must sit "
@@ -267,7 +266,7 @@ def radial_reports(
     if rp is None:
         rp = _ball_radius(kind, params)
     for u in funcs:
-        _check_ball_support(kind, params, u, rp)
+        _check_ball_support(u, rp)
     terms = radial_battery(params, funcs, _RADIAL_TERMS[kind], tol, l)
     return [_report(kind, params, u, *_radial_sides(kind, params, t, l), l=l)
             for u, t in zip(funcs, terms)]
@@ -276,10 +275,6 @@ def radial_reports(
 def _verify_halfspace(
     kind: InequalityKind, params: Params, u: HalfSpaceFunction, tol: float
 ) -> InequalityReport:
-    if u.support is None:
-        raise SupportViolation(f"{kind.value} verification needs compact support")
-    if u.factors is None:
-        raise ValueError(f"{kind.value} verification needs a product with declared factors")
     N, p = params.N, params.p
     const = ((N - 1) / p) ** (p - 2.0) * c_np(params).value
     energy, mass, v_mass = _halfspace_terms(kind, params, u, tol)
@@ -301,25 +296,23 @@ def _halfspace_terms(kind, params, u, tol):
     stays within tol.  Only the energy at p != 2 is a cubature over the
     whole box, to tol; its integrand takes |grad u|^2 from the same three
     terms, each factor's value and derivative evaluated once per axis.
+
+    Each form declares only chi's squares (chi^2, chi'^2 and its weight),
+    chi's mass integrand and the (x1, y) V integrand; chi's two energy
+    factors at p = 2 are the first and second square times the weight.
     """
     N, p = params.N, params.p
-    phi, psi, chi = u.factors
+    phi, psi, chi = u.phi, u.psi, u.chi
 
     if kind is InequalityKind.BOUNDED_V:
         # hyperbolic assembly: |grad_H u|^p dv and |u|^p dv, with
         # |grad_H u| = y |grad u| and dv = y^-N dx
-        def chi_squares(y):  # (y chi)^2, (y chi')^2 and the weight at p != 2
+        def chi_squares(y):  # (y chi)^2, (y chi')^2 and the weight
             py, dy = chi.value_and_derivative(y)
             return (y * py) ** 2, (y * dy) ** 2, y ** (-N)
 
         def chi_mass(y):
             return np.abs(chi.value(y)) ** p * y ** (-N)
-
-        def chi_energy(y):  # y factor of the phi' and psi' terms at p = 2
-            return (y * chi.value(y)) ** 2 * y ** (-N)
-
-        def dchi_energy(y):
-            return (y * chi.derivative(y)) ** 2 * y ** (-N)
 
         def v_f(x1, y):
             v = y / np.sqrt(y * y + x1 * x1)
@@ -332,12 +325,6 @@ def _halfspace_terms(kind, params, u, tol):
 
         def chi_mass(y):
             return np.abs(chi.value(y)) ** p / y**N
-
-        def chi_energy(y):
-            return chi.value(y) ** 2 * y ** (2 - N)
-
-        def dchi_energy(y):
-            return chi.derivative(y) ** 2 * y ** (2 - N)
 
         def v_f(x1, y):
             return (np.abs(phi.value(x1)) ** p
@@ -353,9 +340,17 @@ def _halfspace_terms(kind, params, u, tol):
         factors["psi"] = (psi.support,
                           lambda rho: area * rho ** (N - 3) * np.abs(psi.value(rho)) ** p)
     if p == 2.0:
+        def chi_e(y):  # y factor of the phi' and psi' terms
+            c2, _, weight = chi_squares(y)
+            return c2 * weight
+
+        def dchi_e(y):
+            _, dc2, weight = chi_squares(y)
+            return dc2 * weight
+
         factors["dphi"] = (phi.support, lambda x1: phi.derivative(x1) ** 2)
-        factors["chi_e"] = (chi.support, chi_energy)
-        factors["dchi_e"] = (chi.support, dchi_energy)
+        factors["chi_e"] = (chi.support, chi_e)
+        factors["dchi_e"] = (chi.support, dchi_e)
         if psi is not None:
             factors["dpsi"] = (psi.support,
                                lambda rho: area * rho ** (N - 3) * psi.derivative(rho) ** 2)
@@ -634,8 +629,7 @@ def random_bump(
 def random_halfspace_product(
     rng: np.random.Generator, N: int
 ) -> HalfSpaceFunction:
-    """Separable compact product bump phi(x1) psi(rho) chi(y), y-support > 0,
-    with its factors declared."""
+    """Separable compact product bump phi(x1) psi(rho) chi(y), y-support > 0."""
     x_lo = rng.uniform(-3.0, 0.5)
     x_hi = x_lo + rng.uniform(0.8, 3.0)
     y_lo = rng.uniform(0.25, 1.2)
@@ -656,24 +650,9 @@ def random_halfspace_product(
         (0.0, rho_hi), breakpoints=(0.0, rho_hi), label="psi",
         value_and_derivative=lambda rho: mollifier_value_and_derivative(rho, 0.0, rho_hi),
     ) if N >= 3 else None
-
-    def value(x1, rho, y):
-        pr = psi.value(rho) if psi is not None else 1.0
-        return phi.value(x1) * pr * chi.value(y)
-
-    def gradient_norm(x1, rho, y):
-        px, dx = phi.value_and_derivative(x1)
-        pr, dr = psi.value_and_derivative(rho) if psi is not None else (1.0, 0.0)
-        py, dy = chi.value_and_derivative(y)
-        return np.sqrt(
-            (dx * pr * py) ** 2 + (px * dr * py) ** 2 + (px * pr * dy) ** 2
-        )
-
-    box = ((x_lo, x_hi), (0.0, rho_hi), (y_lo, y_hi))
     return HalfSpaceFunction(
-        value, gradient_norm, support=box,
+        phi, psi, chi,
         label=f"product[{x_lo:.3g},{x_hi:.3g}]x[0,{rho_hi:.3g}]x[{y_lo:.3g},{y_hi:.3g}]",
-        factors=(phi, psi, chi),
     )
 
 
@@ -742,13 +721,3 @@ def batch_verify(
                  for i in indices]
         reports[g::len(grid)] = radial_reports(kind, params, funcs, tol, l=l, rp=rp)
     return reports
-
-
-def halfspace_pair_reports(
-    params: Params, trials: int, seed: int, tol: float = 1e-7
-) -> list[tuple[InequalityReport, InequalityReport]]:
-    """Paired (hyperbolic-form, Maz'ya-form) reports per test function."""
-    return list(zip(
-        batch_verify(InequalityKind.BOUNDED_V, [params], trials, seed, tol),
-        batch_verify(InequalityKind.MAZYA, [params], trials, seed, tol),
-    ))

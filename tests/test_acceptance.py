@@ -34,7 +34,6 @@ from hyplab.verify import (
     batch_verify,
     check_ftilde,
     check_pconvexity,
-    halfspace_pair_reports,
     sharpness_scan,
     supersolution_residual,
 )
@@ -130,8 +129,9 @@ def test_c4_halfspace_battery():
     t0 = time.time()
     for N in (2, 3):
         for p in (1.5, 2.0, 3.0):
-            pairs = halfspace_pair_reports(Params(N, p), 25, seed=99, tol=1e-6)
-            for r_hyp, r_maz in pairs:
+            hyp, maz = (batch_verify(kind, [Params(N, p)], 25, seed=99, tol=1e-6)
+                        for kind in (InequalityKind.BOUNDED_V, InequalityKind.MAZYA))
+            for r_hyp, r_maz in zip(hyp, maz):
                 assert r_hyp.passed and r_maz.passed, (N, p)
                 assert abs(r_hyp.lhs - r_maz.lhs) <= 1e-6 * abs(r_hyp.lhs)
                 assert abs(r_hyp.rhs - r_maz.rhs) <= 1e-6 * abs(r_hyp.rhs)

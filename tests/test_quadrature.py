@@ -527,43 +527,43 @@ class TestQuadResultAlgebra:
     """Each operator against its explicit first-order error formula."""
 
     A = QuadResult(-3.0, 0.1, 4)
-    B = QuadResult(2.5, 0.05, 5, truncation_point=7.0)
+    B = QuadResult(2.5, 0.05, 5)
 
     @staticmethod
     def _fields(r):
-        return (r.value, r.error_estimate, r.subdivisions, r.truncation_point)
+        return (r.value, r.error_estimate, r.subdivisions)
 
     def test_sum_and_difference(self):
         a, b = self.A, self.B
-        assert self._fields(a + b) == (-0.5, 0.1 + 0.05, 9, 7.0)
-        assert self._fields(a - b) == (-5.5, 0.1 + 0.05, 9, 7.0)
-        assert self._fields(b - a) == (5.5, 0.05 + 0.1, 9, 7.0)
+        assert self._fields(a + b) == (-0.5, 0.1 + 0.05, 9)
+        assert self._fields(a - b) == (-5.5, 0.1 + 0.05, 9)
+        assert self._fields(b - a) == (5.5, 0.05 + 0.1, 9)
 
     @pytest.mark.parametrize("c", [-2.5, 0.0, 3.0, np.float64(-1.75)])
     def test_scalar_multiple(self, c):
         b = self.B
-        expected = (c * 2.5, abs(c) * 0.05, 5, 7.0)
+        expected = (c * 2.5, abs(c) * 0.05, 5)
         assert self._fields(c * b) == expected
         assert self._fields(b * c) == expected
         assert isinstance(c * b, QuadResult)
 
     def test_product(self):
         a, b = self.A, self.B
-        expected = (-3.0 * 2.5, 0.1 * 2.5 + 3.0 * 0.05, 9, 7.0)
+        expected = (-3.0 * 2.5, 0.1 * 2.5 + 3.0 * 0.05, 9)
         assert self._fields(a * b) == expected
-        assert self._fields(b * a) == (-7.5, 0.05 * 3.0 + 2.5 * 0.1, 9, 7.0)
+        assert self._fields(b * a) == (-7.5, 0.05 * 3.0 + 2.5 * 0.1, 9)
 
     def test_quotient(self):
         a, b = self.A, self.B
         q = -3.0 / 2.5
-        assert self._fields(a / b) == (q, (0.1 + abs(q) * 0.05) / 2.5, 9, 7.0)
+        assert self._fields(a / b) == (q, (0.1 + abs(q) * 0.05) / 2.5, 9)
         q = 2.5 / -3.0
-        assert self._fields(b / a) == (q, (0.05 + abs(q) * 0.1) / 3.0, 9, 7.0)
+        assert self._fields(b / a) == (q, (0.05 + abs(q) * 0.1) / 3.0, 9)
 
     @pytest.mark.parametrize("s", [0.4, -1.5, 2.0, 3.5])
     def test_power(self, s):
         b = self.B
-        expected = (2.5**s, abs(s) * 2.5 ** (s - 1.0) * 0.05, 5, 7.0)
+        expected = (2.5**s, abs(s) * 2.5 ** (s - 1.0) * 0.05, 5)
         assert self._fields(b**s) == expected
 
     def test_overflow_raises_quadrature_error(self):
@@ -573,17 +573,6 @@ class TestQuadResultAlgebra:
                    lambda: big / QuadResult(1e-200, 0.0, 1)):
             with pytest.raises(QuadratureError, match="not finite"):
                 op()
-
-    def test_truncation_point_is_the_larger(self):
-        a = QuadResult(1.0, 0.0, 1, truncation_point=3.0)
-        b = QuadResult(1.0, 0.0, 1, truncation_point=9.0)
-        none = QuadResult(1.0, 0.0, 1)
-        for op in (lambda x, y: x + y, lambda x, y: x - y,
-                   lambda x, y: x * y, lambda x, y: x / y):
-            assert op(a, b).truncation_point == 9.0
-            assert op(b, a).truncation_point == 9.0
-            assert op(a, none).truncation_point == 3.0
-            assert op(none, none).truncation_point is None
 
     def test_first_order_bound(self):
         # a value moved by its error moves the result by at most the

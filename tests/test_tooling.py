@@ -1,9 +1,11 @@
 """Repository tooling: the benchmark tracer (bench/tracing.py) wraps hyplab
-entry points by name, every command has a golden, no private name is dead."""
+entry points by name, every command has a golden, no private name is dead
+and every public name has a caller."""
 
 import ast
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,18 +57,19 @@ def _defined_names(node) -> list[str]:
     return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
 
 
-def _referenced_names(node) -> set[str]:
-    """Names, attributes, imported names and dotted string constants in node."""
-    out = set()
+def _name_uses(node) -> Counter:
+    """Uses of names, attributes, imported names and dotted string constants
+    in node, counted."""
+    out = Counter()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
-            out.add(n.id)
+            out[n.id] += 1
         elif isinstance(n, ast.Attribute):
-            out.add(n.attr)
+            out[n.attr] += 1
         elif isinstance(n, ast.alias):
             out.update(n.name.split("."))
         elif isinstance(n, ast.Constant) and isinstance(n.value, str):
-            out.add(n.value.rsplit(".", 1)[-1])  # e.g. a monkeypatch target
+            out[n.value.rsplit(".", 1)[-1]] += 1  # e.g. a monkeypatch target
     return out
 
 
@@ -79,10 +82,63 @@ def test_no_unreferenced_private_names():
     for path, tree in trees.items():
         for stmt in tree.body:
             own = set(_defined_names(stmt))
-            used |= _referenced_names(stmt) - own
+            used |= _name_uses(stmt).keys() - own
             if path in sources:
                 private.update((name, path.name) for name in own
                                if name.startswith("_") and not name.startswith("__"))
     dead = sorted(f"{module}:{name}" for name, module in private.items()
                   if name not in used)
     assert dead == []
+
+
+# Public names kept without a caller in src/hyplab, each for its reason.
+_UNCALLED_PUBLIC_NAMES = {
+    "GreenWeight.green": "acceptance criterion c6 reads G_p",
+    "geodesic_distance": "reference of the half-space family test (ROADMAP item 9)",
+    "compare_golden": "the golden tests' comparison",
+    "HalfSpaceFunction.gradient_norm": "reference integrand of the half-space tests",
+}
+
+
+def _public_definitions(tree):
+    """(qualified name, name, node) of the public module-level functions and
+    classes and of the public methods of module-level classes."""
+    for stmt in tree.body:
+        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not stmt.name.startswith("_"):
+            yield stmt.name, stmt.name, stmt
+        if isinstance(stmt, ast.ClassDef):
+            for m in stmt.body:
+                if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"):
+                    yield f"{stmt.name}.{m.name}", m.name, m
+
+
+def _is_all(stmt) -> bool:
+    return isinstance(stmt, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+
+
+def test_every_public_name_has_a_caller():
+    # a public name that only tests, __all__ or __init__ reach is dead code
+    # unless the benchmark's tracer wraps it or the allowlist says why
+    sources = [path for path in sorted((ROOT / "src" / "hyplab").glob("*.py"))
+               if path.name != "__init__.py"]
+    trees = {path: ast.parse(path.read_text()) for path in sources}
+    uses = Counter()
+    for tree in trees.values():
+        for stmt in tree.body:
+            if not _is_all(stmt):
+                uses += _name_uses(stmt)
+    traced = {(module, attr) for module, attr, _span in _entry_points()}
+    uncalled = {}
+    for path, tree in trees.items():
+        module = f"hyplab.{path.stem}"
+        for qualname, name, node in _public_definitions(tree):
+            # uses inside its own definition (recursion) are not callers
+            if uses[name] == _name_uses(node)[name] and (module, qualname) not in traced:
+                uncalled[qualname] = module
+    assert sorted(f"{uncalled[q]}:{q}"
+                  for q in uncalled.keys() - _UNCALLED_PUBLIC_NAMES.keys()) == []
+    # an allowlisted name that gained a caller or went away leaves the list
+    assert _UNCALLED_PUBLIC_NAMES.keys() - uncalled.keys() == set()

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hyplab.core import HypothesisError, Params
 from hyplab.integrals import halfspace_integral
 from hyplab.quadrature import QuadResult
-from hyplab.testfun import HalfSpaceFunction, make_bump
+from hyplab.testfun import make_bump
 from hyplab.verify import (
     InequalityKind,
     SupportViolation,
@@ -21,7 +21,6 @@ from hyplab.verify import (
     check_ftilde,
     check_pconvexity,
     hardy_constant,
-    halfspace_pair_reports,
     radial_reports,
     random_halfspace_product,
     sharpness_scan,
@@ -183,8 +182,9 @@ class TestRecipesMatchHandPropagation:
 class TestVerifyHalfSpace:
     def test_pair_agreement(self):
         for N, p in [(2, 1.5), (3, 3.0)]:
-            pairs = halfspace_pair_reports(Params(N, p), 3, seed=5, tol=1e-6)
-            for r_hyp, r_maz in pairs:
+            hyp, maz = (batch_verify(kind, [Params(N, p)], 3, seed=5, tol=1e-6)
+                        for kind in (InequalityKind.BOUNDED_V, InequalityKind.MAZYA))
+            for r_hyp, r_maz in zip(hyp, maz):
                 assert r_hyp.passed and r_maz.passed
                 assert r_maz.lhs == pytest.approx(r_hyp.lhs, rel=1e-6)
                 assert r_maz.rhs == pytest.approx(r_hyp.rhs, rel=1e-6)
@@ -224,18 +224,12 @@ class TestVerifyHalfSpace:
             # the energy's cells, as in the former pass of all three terms
             assert [n for d, n in cells if d == 3] == [229, 241, 257]
 
-    def test_product_without_declared_factors_rejected(self):
-        u = random_halfspace_product(np.random.default_rng(0), 3)
-        bare = HalfSpaceFunction(u.value, u.gradient_norm, u.support)
-        with pytest.raises(ValueError, match="declared factors"):
-            verify(InequalityKind.MAZYA, Params(3, 2.0), bare, 1e-6)
-
     @pytest.mark.parametrize("N", [2, 3, 4])
     def test_declared_factors_make_the_product(self, N):
         # u = phi psi chi and |grad u|^2 = phi'^2 psi^2 chi^2
         # + phi^2 psi'^2 chi^2 + phi^2 psi^2 chi'^2, as the factored terms use
         u = random_halfspace_product(np.random.default_rng([16, N]), N)
-        phi, psi, chi = u.factors
+        phi, psi, chi = u.phi, u.psi, u.chi
         assert (psi is None) == (N == 2)
         assert (phi.support, chi.support) == (u.support[0], u.support[2])
         rng = np.random.default_rng(N)
