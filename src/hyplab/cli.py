@@ -37,7 +37,7 @@ from .core import (
 )
 from .quadrature import QuadratureError
 from .report import ReportEnvelope, emit
-from .rp import rp_scan_N, rp_scan_p, solve_r0, solve_rp
+from .rp import RootResult, rp_scan_N, rp_scan_p, solve_r0, solve_rp
 from .verify import (
     InequalityKind,
     SupportViolation,
@@ -131,20 +131,11 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _echo(args, **extra) -> dict:
-    d = {"N": args.N, "p": args.p, "tol": args.tol}
-    d.update(extra)
-    return d
+# Each command returns (payload kind, rows, params echo beyond N, p and tol,
+# exit code); main wraps the rows in the command's one report envelope.
 
 
-def _write(env: ReportEnvelope, args) -> None:
-    if args.output == "-":
-        emit(env, args.format, sys.stdout)
-    else:
-        emit(env, args.format, args.output)
-
-
-def cmd_constants(args) -> int:
+def cmd_constants(args):
     params = Params(args.N, args.p)
     rows = [
         {"name": "lambda_p", "value": params.lambda_p, "kind": "exact",
@@ -159,7 +150,6 @@ def cmd_constants(args) -> int:
     bf = brute_force_cnp(params)
     rows.append({"name": "brute_force_cnp", "value": bf, "kind": "numeric",
                  "case_label": "", "optimizer_arg": ""})
-    ok = True
     if params.p > 2.0:
         ok = abs(bf - cr.value) <= 1e-8
     else:
@@ -172,12 +162,10 @@ def cmd_constants(args) -> int:
         rows.append({"name": "C_2p_direct", "value": direct.value, "kind": "exact",
                      "case_label": direct.case_label,
                      "optimizer_arg": direct.optimizer_arg})
-    env = ReportEnvelope("constants", _echo(args), "constant_table", rows)
-    _write(env, args)
-    return 0 if ok else 1
+    return "constant_table", rows, {}, 0 if ok else 1
 
 
-def cmd_weights(args) -> int:
+def cmd_weights(args):
     params = Params(args.N, args.p)
     radii = np.geomspace(args.r_min, args.r_max, args.points)
     w_vals, w_errs = GreenWeight(params).w_array(radii)
@@ -197,33 +185,30 @@ def cmd_weights(args) -> int:
         for r, w, werr, hp, h, x1, y in zip(
             radii.tolist(), w_vals.tolist(), w_errs.tolist(), hp_col, h_col, x1s, ys)
     ]
-    env = ReportEnvelope("weights", _echo(args), "weight_samples", rows)
-    _write(env, args)
-    return 0
+    return "weight_samples", rows, {}, 0
 
 
-def cmd_rp(args) -> int:
+def _root_row(name: str, root: RootResult) -> dict:
+    return {"name": name, "root": root.root, "residual": root.residual,
+            "iterations": root.iterations, "bracket_lo": root.bracket[0],
+            "bracket_hi": root.bracket[1]}
+
+
+def cmd_rp(args):
     params = Params(args.N, args.p)
     rows = []
     if params.p > 2.0:
-        r0 = solve_r0(params)
-        rows.append({"name": "r0", "root": r0.root, "residual": r0.residual,
-                     "iterations": r0.iterations, "bracket_lo": r0.bracket[0],
-                     "bracket_hi": r0.bracket[1]})
+        rows.append(_root_row("r0", solve_r0(params)))
     rp = solve_rp(params)
     if rp is None:
         rows.append({"name": "r_p", "root": float("inf"), "residual": 0.0,
                      "iterations": 0, "bracket_lo": 0.0, "bracket_hi": float("inf")})
     else:
-        rows.append({"name": "r_p", "root": rp.root, "residual": rp.residual,
-                     "iterations": rp.iterations, "bracket_lo": rp.bracket[0],
-                     "bracket_hi": rp.bracket[1]})
-    env = ReportEnvelope("rp", _echo(args), "root_table", rows)
-    _write(env, args)
-    return 0
+        rows.append(_root_row("r_p", rp))
+    return "root_table", rows, {}, 0
 
 
-def cmd_rp_scan(args) -> int:
+def cmd_rp_scan(args):
     if args.scan_axis == "N":
         rows_in = rp_scan_N(args.p, args.N, args.N_max)
         rows = [
@@ -239,52 +224,37 @@ def cmd_rp_scan(args) -> int:
              "slope_formula": r["d_rp_dp"]}
             for r in rows_in
         ]
-    env = ReportEnvelope("rp-scan", _echo(args, scan_axis=args.scan_axis),
-                         "scan_table", rows)
-    _write(env, args)
-    return 0
+    return "scan_table", rows, {"scan_axis": args.scan_axis}, 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     params = Params(args.N, args.p)
     reports = batch_verify(
         args.kind, [params], args.trials, args.seed, args.tol,
         l=args.l, allow_origin=args.allow_origin,
     )
     rows = [r.as_row() for r in reports]
-    env = ReportEnvelope(
-        "verify", _echo(args, kind=args.kind, trials=args.trials),
-        "inequality_reports", rows, seed=args.seed,
-    )
-    _write(env, args)
-    return 0 if all(r.passed for r in reports) else 1
+    return ("inequality_reports", rows, {"kind": args.kind, "trials": args.trials},
+            0 if all(r.passed for r in reports) else 1)
 
 
-def cmd_sharpness(args) -> int:
+def cmd_sharpness(args):
     params = Params(args.N, args.p)
     if args.kind == "pgap":
-        rows_in = sharpness_scan(InequalityKind.PGAP, params, args.schedule, args.tol)
+        rows = sharpness_scan(InequalityKind.PGAP, params, args.schedule, args.tol)
     else:
         schedule = [(e, args.delta) for e in args.schedule]
-        rows_in = sharpness_scan(
+        rows = sharpness_scan(
             InequalityKind.HARDY1D, params, schedule, args.tol, l=args.l
         )
-    rows = [
-        {"eps": r["eps"], "delta": r.get("delta", ""), "quotient": r["quotient"],
-         "quad_error": r["quad_error"], "lower": r["lower"], "upper": r["upper"]}
-        for r in rows_in
-    ]
     ok = all(
         r["lower"] - r["quad_error"] <= r["quotient"] <= r["upper"] + r["quad_error"]
-        for r in rows_in
+        for r in rows
     )
-    env = ReportEnvelope("sharpness", _echo(args, kind=args.kind),
-                         "sharpness_rows", rows)
-    _write(env, args)
-    return 0 if ok else 1
+    return "sharpness_rows", rows, {"kind": args.kind}, 0 if ok else 1
 
 
-def cmd_figure1(args) -> int:
+def cmd_figure1(args):
     params = Params(args.N, args.p)
     if params.p < 2.0:
         raise HypothesisError("figure1 needs p >= 2")
@@ -296,16 +266,13 @@ def cmd_figure1(args) -> int:
     radii.sort()
     rows = [{"r": float(r), "Hp": hp, "is_ge_one": hp >= 1.0}
             for r, hp in zip(radii, weight_hp(params, np.array(radii)).tolist())]
-    env = ReportEnvelope("figure1", _echo(args, r_p=rp_val), "figure1_curve", rows)
-    _write(env, args)
-    return 0
+    return "figure1_curve", rows, {"r_p": rp_val}, 0
 
 
-def cmd_proofcheck(args) -> int:
+def cmd_proofcheck(args):
     params = Params(args.N, args.p)
     rng = np.random.default_rng(args.seed)
     rows = []
-    ok = True
 
     n = max(10, args.trials)
     bs = rng.uniform(1e-3, 10.0, n)
@@ -340,11 +307,7 @@ def cmd_proofcheck(args) -> int:
     rows.append({"check": "supersolution_residuals", "detail": "16 radii",
                  "value": worst, "threshold": 1e-6, "passed": worst < 1e-6})
 
-    ok = all(r["passed"] for r in rows)
-    env = ReportEnvelope("proofcheck", _echo(args), "proofcheck_rows", rows,
-                         seed=args.seed)
-    _write(env, args)
-    return 0 if ok else 1
+    return "proofcheck_rows", rows, {}, 0 if all(r["passed"] for r in rows) else 1
 
 
 _COMMANDS = {
@@ -362,7 +325,13 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        payload_kind, rows, extra, code = _COMMANDS[args.command](args)
+        echo = {"N": args.N, "p": args.p, "tol": args.tol, **extra}
+        # only verify and proofcheck define --seed
+        env = ReportEnvelope(args.command, echo, payload_kind, rows,
+                             seed=getattr(args, "seed", None))
+        emit(env, args.format, sys.stdout if args.output == "-" else args.output)
+        return code
     except (HypothesisError, SupportViolation, ValueError) as exc:
         print(f"hyplab: parameter error: {exc}", file=sys.stderr)
         return 2

@@ -89,13 +89,13 @@ def mu2(a: float, N: int, p: float) -> float:
     return a / (1.0 + 2.0 * (N - 1) * a * (1.0 + (N - 1) * a / p))
 
 
-def golden_max(f, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, float]:
-    """Golden-section maximization on [lo, hi] to argument tolerance tol."""
+def golden_max(f, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section maximization on [lo, hi] to argument tolerance 1e-12."""
     a, b = lo, hi
     c = b - _GR * (b - a)
     d = a + _GR * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > 1e-12:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _GR * (b - a)
@@ -192,32 +192,31 @@ def c_2p_direct(p: float) -> CNPResult:
     return CNPResult(val, "exact", "N=2-refined", optimizer_arg=M)
 
 
-def brute_force_cnp(params: Params, grid_size: int = 2000) -> float:
+def brute_force_cnp(params: Params) -> float:
     """Direct maximization of the mu functions; oracle for the tabulated values.
 
-    For p <= 2: dense grid plus golden-section polish locates
+    For p <= 2: a grid of 2000 steps plus golden-section polish locates
     M = max f(c) on [0, 1], then mu1 is maximized the same way; for p > 2,
     mu2 is maximized directly.  Returns (N-1)/p times the maximum.
     """
-    return (params.N - 1) / params.p * _mu_max(params, grid_size)
+    return (params.N - 1) / params.p * _mu_max(params)
 
 
-def _mu_max(params: Params, grid_size: int) -> float:
+def _mu_max(params: Params) -> float:
     """Maximum on [0, 1] of mu1 (M solved first) for p <= 2, of mu2 above."""
-    if grid_size < 1000:
-        raise ValueError("grid_size must be at least 1000")
     N, p = params.N, params.p
     if p <= 2.0:
-        M = _grid_golden_max(lambda c: f_small_p(c, N, p), grid_size)
-        return _grid_golden_max(lambda a: mu1(a, N, p, M), grid_size)
-    return _grid_golden_max(lambda a: mu2(a, N, p), grid_size)
+        M = _grid_golden_max(lambda c: f_small_p(c, N, p))
+        return _grid_golden_max(lambda a: mu1(a, N, p, M))
+    return _grid_golden_max(lambda a: mu2(a, N, p))
 
 
-def _grid_golden_max(f, grid_size: int) -> float:
+def _grid_golden_max(f) -> float:
     """Maximum of f on [0, 1]: the best grid point, polished by golden section."""
-    i = max(range(grid_size + 1), key=lambda j: f(j / grid_size))
-    lo = max(0.0, (i - 1) / grid_size)
-    hi = min(1.0, (i + 1) / grid_size)
+    n = 2000  # grid steps
+    i = max(range(n + 1), key=lambda j: f(j / n))
+    lo = max(0.0, (i - 1) / n)
+    hi = min(1.0, (i + 1) / n)
     _, val = golden_max(f, lo, hi)
     # the endpoints can carry the maximum when the polish window clips
-    return max(val, f(0.0), f(1.0), f(i / grid_size))
+    return max(val, f(0.0), f(1.0), f(i / n))

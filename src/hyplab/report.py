@@ -55,7 +55,6 @@ class ReportEnvelope:
     payload_kind: str
     payload: list[dict]
     seed: int | None = None
-    schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
         if self.payload_kind not in PAYLOAD_COLUMNS:
@@ -91,7 +90,7 @@ def _unsentinel(x):
 def _envelope_dict(env: ReportEnvelope) -> dict:
     cols = PAYLOAD_COLUMNS[env.payload_kind]
     return {
-        "schema_version": env.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "command": env.command,
         "params_echo": {k: _sentinel(v) for k, v in env.params_echo.items()},
         "seed": env.seed,

@@ -66,9 +66,8 @@ def _bisect_newton(
     df: Callable[[float], float],
     lo: float,
     hi: float,
-    bisect_width: float = 1e-6,
 ) -> tuple[float, int]:
-    """Bisection to ``bisect_width`` then Newton polish inside the bracket."""
+    """Bisection to a bracket of width 1e-6, then Newton polish inside it."""
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo, 0
@@ -77,7 +76,7 @@ def _bisect_newton(
     if flo * fhi > 0.0:
         raise HypothesisError(f"no sign change on [{lo}, {hi}]")
     it = 0
-    while hi - lo > bisect_width:
+    while hi - lo > 1e-6:
         it += 1
         mid = 0.5 * (lo + hi)
         fm = f(mid)
@@ -174,8 +173,13 @@ def max_admissible_p(N: int) -> float:
     return 0.5 * (1.0 + math.sqrt(4.0 * N - 3.0))
 
 
+def _h(params: Params, r: float) -> float:
+    """h(r) = -(N-1) r^2 + (p-1) sinh^2 r."""
+    return -(params.N - 1) * r * r + (params.p - 1.0) * math.sinh(r) ** 2
+
+
 def _implicit_dN(params: Params, rp: float) -> float:
-    h = -(params.N - 1) * rp * rp + (params.p - 1.0) * math.sinh(rp) ** 2
+    h = _h(params, rp)
     return -(params.p - 1.0) * rp * math.sinh(rp) ** 2 / ((params.N - 1) * h)
 
 
@@ -184,8 +188,7 @@ def _implicit_dp(params: Params, rp: float) -> float:
     # dr/dp = r sinh^2 r / h(r) (negative, since h(r_p) < 0); note the
     # often-quoted variant with an extra 1/(N-1) fails the finite
     # difference check by exactly that factor.
-    h = -(params.N - 1) * rp * rp + (params.p - 1.0) * math.sinh(rp) ** 2
-    return rp * math.sinh(rp) ** 2 / h
+    return rp * math.sinh(rp) ** 2 / _h(params, rp)
 
 
 def rp_scan_N(p: float, n_lo: int, n_hi: int) -> list[dict]:

@@ -64,7 +64,8 @@ class SupportViolation(ValueError):
 
 
 class InequalityKind(str, enum.Enum):
-    """Tags binding a fixed LHS/RHS recipe and a hypothesis predicate."""
+    """Tags of the supported inequalities; the recipe of each radial or 1D
+    kind is its entry in ``_RADIAL_RECIPES``."""
 
     PGAP = "pgap"                  # p-Poincare gap, sharp constant Lambda_p
     GREEN_WEIGHT = "green-weight"  # Green's-function weight W improvement
@@ -75,23 +76,6 @@ class InequalityKind(str, enum.Enum):
     MAZYA = "mazya"                # half-space Maz'ya form of BOUNDED_V
     BALL = "ball"                  # Hardy improvement on the critical ball
     HARDY1D = "hardy1d"            # sharp 1D weighted Hardy inequality
-
-    @property
-    def needs_hardy_hypothesis(self) -> bool:
-        return self in (
-            InequalityKind.HARDY,
-            InequalityKind.UNCERTAINTY,
-            InequalityKind.HP_WEIGHTED,
-            InequalityKind.BALL,
-        )
-
-    @property
-    def admissible_class(self) -> str:
-        if self in (InequalityKind.BOUNDED_V, InequalityKind.MAZYA):
-            return "halfspace"
-        if self is InequalityKind.HARDY1D:
-            return "profile-1d"
-        return "radial"
 
 
 @dataclass(frozen=True)
@@ -142,8 +126,17 @@ def ball_constants(params: Params) -> tuple[float, float]:
     return c_r, c_sinh
 
 
+# The kinds proved under p >= 2 and N >= 1 + p(p-1).
+_HARDY_HYPOTHESIS_KINDS = (
+    InequalityKind.HARDY,
+    InequalityKind.UNCERTAINTY,
+    InequalityKind.HP_WEIGHTED,
+    InequalityKind.BALL,
+)
+
+
 def _require_hypothesis(kind: InequalityKind, params: Params) -> None:
-    if kind.needs_hardy_hypothesis and not params.hardy_hypothesis:
+    if kind in _HARDY_HYPOTHESIS_KINDS and not params.hardy_hypothesis:
         raise HypothesisError(
             f"{kind.value} requires p >= 2 and N >= 1 + p(p-1); "
             f"got N={params.N}, p={params.p}"
@@ -165,7 +158,7 @@ def verify(
     to p).
     """
     kind = InequalityKind(kind)
-    if kind.admissible_class == "halfspace":
+    if kind not in _RADIAL_RECIPES:
         if not isinstance(u, HalfSpaceFunction):
             raise TypeError(f"{kind.value} needs a half-space test function")
         return _verify_halfspace(kind, params, u, tol)
@@ -182,42 +175,46 @@ def _report(kind, params, u, lhs, rhs, l=None) -> InequalityReport:
     )
 
 
-# The terms each radial kind's recipe reads.
-_RADIAL_TERMS = {
-    InequalityKind.PGAP: ("E", "M"),
-    InequalityKind.GREEN_WEIGHT: ("E", "M", "W"),
-    InequalityKind.HARDY: ("E", "M", "1/r^p"),
-    InequalityKind.UNCERTAINTY: ("E", "M", "r^pprime"),
-    InequalityKind.HP_WEIGHTED: ("E", "Hp", "1/r^p", "1/sinh^p"),
-    InequalityKind.BALL: ("E", "M", "1/r^p", "1/sinh^p"),
-    InequalityKind.HARDY1D: ("hardy1d_energy", "hardy1d_mass"),
-}
+def _gap(params, t, mass="M"):
+    """E - Lambda_p * mass, the gap above the sharp Poincare constant."""
+    return t["E"] - params.lambda_p * t[mass]
 
 
-def _radial_sides(kind, params, t, l):
-    """(lhs, rhs) of a radial or 1D kind from its battery terms ``t``;
-    ``l`` is the exponent of the 1D Hardy kind."""
-    lam, p = params.lambda_p, params.p
-    if kind is InequalityKind.HARDY1D:
-        return t["hardy1d_energy"], ((p - 1.0) / p) ** l * t["hardy1d_mass"]
-    E, M = t["E"], t.get("M")
-    if kind is InequalityKind.PGAP:
-        return E, lam * M
-    if kind is InequalityKind.GREEN_WEIGHT:
-        return E - lam * M, t["W"]
-    if kind is InequalityKind.HARDY:
-        return E - lam * M, hardy_constant(params) * t["1/r^p"]
-    if kind is InequalityKind.UNCERTAINTY:
-        # product form: (gap) * (r^{p'} mass)^(p/p') >= c * (mass)^p
-        return ((E - lam * M) * t["r^pprime"] ** (p / params.p_prime),
-                hardy_constant(params) * M**p)
+def _ball_rhs(params, t):
+    """c_r * (1/r^p mass) + c_sinh * (1/sinh^p mass), the two remainders."""
     c_r, c_sinh = ball_constants(params)
-    rhs = c_r * t["1/r^p"] + c_sinh * t["1/sinh^p"]
-    if kind is InequalityKind.HP_WEIGHTED:
-        return E - lam * t["Hp"], rhs
-    if kind is InequalityKind.BALL:
-        return E - lam * M, rhs
-    raise ValueError(f"unhandled radial kind {kind}")  # pragma: no cover
+    return c_r * t["1/r^p"] + c_sinh * t["1/sinh^p"]
+
+
+# The recipe of each radial or 1D kind: the battery terms it reads, and its
+# (lhs, rhs) from those terms t, where l is the exponent of the 1D Hardy
+# kind.  The half-space kinds are the kinds missing here.
+_RADIAL_RECIPES = {
+    InequalityKind.PGAP: (
+        ("E", "M"),
+        lambda params, t, l: (t["E"], params.lambda_p * t["M"])),
+    InequalityKind.GREEN_WEIGHT: (
+        ("E", "M", "W"),
+        lambda params, t, l: (_gap(params, t), t["W"])),
+    InequalityKind.HARDY: (
+        ("E", "M", "1/r^p"),
+        lambda params, t, l: (_gap(params, t), hardy_constant(params) * t["1/r^p"])),
+    # product form: (gap) * (r^{p'} mass)^(p/p') >= c * (mass)^p
+    InequalityKind.UNCERTAINTY: (
+        ("E", "M", "r^pprime"),
+        lambda params, t, l: (_gap(params, t) * t["r^pprime"] ** (params.p / params.p_prime),
+                              hardy_constant(params) * t["M"] ** params.p)),
+    InequalityKind.HP_WEIGHTED: (
+        ("E", "Hp", "1/r^p", "1/sinh^p"),
+        lambda params, t, l: (_gap(params, t, "Hp"), _ball_rhs(params, t))),
+    InequalityKind.BALL: (
+        ("E", "M", "1/r^p", "1/sinh^p"),
+        lambda params, t, l: (_gap(params, t), _ball_rhs(params, t))),
+    InequalityKind.HARDY1D: (
+        ("hardy1d_energy", "hardy1d_mass"),
+        lambda params, t, l: (t["hardy1d_energy"],
+                              ((params.p - 1.0) / params.p) ** l * t["hardy1d_mass"])),
+}
 
 
 def _ball_radius(kind: InequalityKind, params: Params) -> float | None:
@@ -259,7 +256,7 @@ def radial_reports(
     radius r_p of the ball kind if the caller has it.
     """
     kind = InequalityKind(kind)
-    if kind.admissible_class == "halfspace":
+    if kind not in _RADIAL_RECIPES:
         raise ValueError(f"{kind.value} is verified on half-space test functions")
     _require_hypothesis(kind, params)
     l = _hardy1d_exponent(params, l) if kind is InequalityKind.HARDY1D else None
@@ -267,8 +264,9 @@ def radial_reports(
         rp = _ball_radius(kind, params)
     for u in funcs:
         _check_ball_support(u, rp)
-    terms = radial_battery(params, funcs, _RADIAL_TERMS[kind], tol, l)
-    return [_report(kind, params, u, *_radial_sides(kind, params, t, l), l=l)
+    names, sides = _RADIAL_RECIPES[kind]
+    terms = radial_battery(params, funcs, names, tol, l)
+    return [_report(kind, params, u, *sides(params, t, l), l=l)
             for u, t in zip(funcs, terms)]
 
 
@@ -406,7 +404,8 @@ def sharpness_scan(
     """Quotients of the near-extremal families along a shrinking schedule.
 
     PGAP: for each eps, the hyperbolic p-energy / p-mass quotient of the
-    half-space family, bracketed by [Lambda_p, ((N-1+eps)/p)^p].
+    half-space family, bracketed by [Lambda_p, ((N-1+eps)/p)^p]; its rows
+    carry an empty delta.
     HARDY1D: for each (eps, delta), the weighted quotient of the
     four-piece profile, with the matching analytic upper bound
     ((p-1+delta)/p)^l (cosh eps)^(p-l) + c delta eps^(p-1) where c is the
@@ -424,6 +423,7 @@ def sharpness_scan(
             rows.append(
                 {
                     "eps": eps,
+                    "delta": "",
                     "quotient": q.value,
                     "quad_error": q.error_estimate,
                     "lower": params.lambda_p,
@@ -441,7 +441,7 @@ def sharpness_scan(
         ):
             raise ValueError("schedule must be strictly decreasing")
         funcs = [make_veps(p, eps, delta) for eps, delta in pairs]
-        terms = radial_battery(params, funcs, _RADIAL_TERMS[kind], tol, l_eff)
+        terms = radial_battery(params, funcs, _RADIAL_RECIPES[kind][0], tol, l_eff)
         c = _ramp_constant(p, l_eff)
         rows = []
         for (eps, delta), t in zip(pairs, terms):
@@ -611,16 +611,12 @@ def supersolution_residual(
 
 
 def random_bump(
-    rng: np.random.Generator,
-    r_min: float = 0.1,
-    r_max: float = 20.0,
-    allow_origin: bool = False,
+    rng: np.random.Generator, allow_origin: bool = False
 ) -> RadialTestFunction:
-    """Mollifier bump with support drawn log-uniformly inside [r_min, r_max]."""
-    lo_range = (math.log(r_min), math.log(r_max / 2.0))
-    r_lo = math.exp(rng.uniform(*lo_range))
-    width = math.exp(rng.uniform(math.log(0.2), math.log(min(10.0, r_max - r_lo))))
-    r_hi = min(r_lo + width, r_max)
+    """Mollifier bump with support drawn log-uniformly inside [0.1, 20]."""
+    r_lo = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
+    width = math.exp(rng.uniform(math.log(0.2), math.log(min(10.0, 20.0 - r_lo))))
+    r_hi = min(r_lo + width, 20.0)
     if allow_origin and rng.uniform() < 0.2:
         r_lo = 0.0
     return make_bump(r_lo, r_hi, "mollifier")
@@ -703,7 +699,7 @@ def batch_verify(
             "Green's-function weight battery"
         )
     grid = list(params_grid)
-    if kind.admissible_class == "halfspace":
+    if kind not in _RADIAL_RECIPES:
         return [
             verify(kind, params,
                    random_halfspace_product(np.random.default_rng([seed, i]), params.N),

@@ -127,10 +127,6 @@ class TestBruteForce:
             M = max(M, f_small_p(1.0, N, p))
             assert M <= 0.5 + 1e-12
 
-    def test_rejects_small_grid(self):
-        with pytest.raises(ValueError):
-            brute_force_cnp(Params(3, 3.0), grid_size=10)
-
 
 class TestN2Refinement:
     def test_tabulated_closed_forms(self):
