@@ -14,7 +14,8 @@ Subcommands:
               positivity profile, supersolution residuals)
 
 Exit code 0 when every check passes, 1 on a verification failure, 2 on
-hypothesis violations or invalid parameter combinations.
+hypothesis violations, invalid parameter combinations or an ``--output``
+path that cannot be written.
 """
 
 from __future__ import annotations
@@ -330,7 +331,11 @@ def main(argv=None) -> int:
         # only verify and proofcheck define --seed
         env = ReportEnvelope(args.command, echo, payload_kind, rows,
                              seed=getattr(args, "seed", None))
-        emit(env, args.format, sys.stdout if args.output == "-" else args.output)
+        try:
+            emit(env, args.format, sys.stdout if args.output == "-" else args.output)
+        except OSError as exc:
+            print(f"hyplab: cannot write report: {exc}", file=sys.stderr)
+            return 2
         return code
     except (HypothesisError, SupportViolation, ValueError) as exc:
         print(f"hyplab: parameter error: {exc}", file=sys.stderr)

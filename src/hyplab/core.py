@@ -171,6 +171,8 @@ _MEAN_TERM = 40.0
 # Series bands [r* 2^j, r* 2^(j+1)), the last one open; a band sums the
 # number of terms its lower end needs.
 _BANDS = 10
+# Elements of the largest temporary array in GreenWeight._series.
+_BLOCK = 2**14
 # Truncation bound of each series, relative to its sum.
 _TAIL = 2.0**-64
 # Relative tolerance of the integrals below r*.
@@ -257,9 +259,10 @@ class GreenWeight:
     the denominator is 2^{alpha-1} e^{-alpha r} J(alpha, alpha), and
     zeta = 2 J(alpha+1, alpha+2) / J(alpha, alpha).  Nothing underflows at
     large r, where the bare numerator decays like e^{-(alpha+2) r}.  From
-    r* = max(0.1, log(1 + alpha/40)/2) on, each series is summed by
-    Horner's rule to a number of terms fixed per band of radii; its error
-    bound adds the truncation and the rounding of the positive terms.
+    r* = max(0.1, log(1 + alpha/40)/2) on, each series is summed from its
+    highest power down, to a number of terms fixed per band of radii, all
+    of a band's radii in a few array passes; its error bound adds the
+    truncation and the rounding of the positive terms.
     Below r*, J(r) = e^{alpha (r-r*)} J(r*) plus the integral from r to r*,
     all of a call's radii in one lockstep pass of the adaptive engine; both
     tails are taken there times (1-x)^(alpha+1), which keeps them finite
@@ -286,28 +289,39 @@ class GreenWeight:
         steps = self._x_star * (self._beta + k[:-1]) / (k[:-1] + 1.0)
         terms = np.cumprod(np.vstack([np.ones((1, 2)), steps]), axis=0)
         self._coef = terms / (self._c + k)
+        # Both rows of J(r*), the start of every integral below r*
+        self._j_star, self._err_star = self._series(np.array([self.r_star]))
 
     # -- the two tail integrals ------------------------------------------
     def _series(self, r: np.ndarray):
         """Both rows of J and their error bounds at radii r >= r*.
 
-        Horner's rule in y = x/x* over the terms at r*.  Radius i takes the
-        count n_i of its band, and the loop runs over k = max n_i - 1, ..., 0
-        on the radii with n_i > k, a prefix once they are sorted by count,
-        so each sum is the one the radius gets alone.
+        The terms at r* times the powers of y = x/x*.  The radii of a band
+        share its count n; in blocks of at most _BLOCK elements one
+        multiply.accumulate forms 1, y, ..., y^(n-1), each term is its
+        coefficient times its power, and one add.accumulate sums the terms
+        from the highest power down, strictly in sequence.  Term k thus
+        takes k - 1 roundings in y^k, one in the product and k + 1 in the
+        sum, the 2k + 1 of Horner's rule, and each radius gets the sum it
+        gets alone, whatever block it shares.
         """
         x = np.exp(-2.0 * r)
-        n = self._terms[np.searchsorted(self._edges, r, side="right") - 1]
-        order = np.argsort(-n, kind="stable")
-        y = (x / self._x_star)[order, None]
-        live = np.searchsorted(-n[order], -np.arange(n.max(initial=0)), side="left")
-        acc = np.zeros((r.size, 2))
-        for k, m in reversed(list(enumerate(live.tolist()))):
-            head = acc[:m]
-            head *= y[:m]
-            head += self._coef[k]
+        y = x / self._x_star
+        band = np.searchsorted(self._edges, r, side="right") - 1
         s = np.empty((2, r.size))
-        s[:, order] = acc.T
+        for j in np.flatnonzero(np.bincount(band, minlength=_BANDS)).tolist():
+            n = int(self._terms[j])
+            coef = self._coef[n - 1::-1, :, None]
+            cols = np.flatnonzero(band == j)
+            width = max(1, _BLOCK // (2 * n))
+            for lo in range(0, cols.size, width):
+                block = cols[lo:lo + width]
+                powers = np.empty((n, block.size))
+                powers[0] = 1.0
+                powers[1:] = y[block]
+                np.multiply.accumulate(powers, axis=0, out=powers)
+                terms = coef * powers[::-1, None, :]
+                s[:, block] = np.add.accumulate(terms, axis=0, out=terms)[-1]
         # Term k of a sum carries a relative error below (8k + 4) eps, the
         # rounding of x^k included, and sum_k k t_k/(c+k) = sum_k t_k - c s,
         # where sum_k t_k <= (1-x)^-beta.
@@ -351,13 +365,12 @@ class GreenWeight:
         )
         vals = np.array([res.value for res in results]).reshape(2, m)
         errs = np.array([res.error_estimate for res in results]).reshape(2, m)
-        j_star, err_star = self._series(np.array([self.r_star]))
         # Every term of the exponent is negative, each to a few ulps of its
         # size, so the factor is good to (3 |expo| + 1) ulps.
         expo = (a + e) * log_1mx + a * (r - self.r_star)
-        lead = np.exp(expo) * j_star
+        lead = np.exp(expo) * self._j_star
         k = lead + vals
-        err = (np.exp(expo) * err_star + (3.0 * np.abs(expo) + 1.0) * _EPS * lead
+        err = (np.exp(expo) * self._err_star + (3.0 * np.abs(expo) + 1.0) * _EPS * lead
                + errs + (3.0 * np.abs(shift.reshape(2, m)) + 2.0) * _EPS * vals)
         return k, err + 2.0 * _EPS * k
 

@@ -142,11 +142,7 @@ def emit(env: ReportEnvelope, fmt: str, destination) -> None:
     if hasattr(destination, "write"):
         destination.write(text)
         return
-    path = Path(destination)
-    try:
-        path.write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"cannot write report to {path}: {exc}") from exc
+    Path(destination).write_text(text, encoding="utf-8")
 
 
 def parse(text: str, fmt: str = "json") -> dict:

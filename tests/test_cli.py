@@ -153,6 +153,17 @@ def test_overflowing_battery_is_a_verification_failure(tmp_path, capsys):
     assert "hyplab: verification failure:" in capsys.readouterr().err
 
 
+def test_unwritable_output_exit_2(tmp_path, capsys):
+    # one error line naming the path, not a traceback
+    out = tmp_path / "missing" / "x.csv"
+    rc = main(["rp", "--N", "13", "--p", "4", "--output", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hyplab: cannot write report: ") and str(out) in err
+    assert err.count("\n") == 1
+    assert not out.parent.exists()
+
+
 def test_invalid_dimension_exit_2(tmp_path):
     rc, _ = run_cli(["constants", "--N", "1", "--p", "3"], tmp_path)
     assert rc == 2

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyplab import core
 from hyplab.core import (
     GreenWeight,
     HalfSpacePoint,
@@ -209,6 +210,19 @@ class TestWeightW:
             assert ev.w_array([r, 0.07, 33.0])[0][0] == w0
             assert ev.w_array([0.07, r, 33.0])[1][1] == e0
 
+    @pytest.mark.parametrize("N,p", [(5, 2.0), (13, 4.0), (40, 1.1)])
+    def test_blocks_leave_each_radius_as_alone(self, monkeypatch, N, p):
+        # W stays a pure function of (N, p, r) when a band's 7 radii are
+        # split into blocks of 3, 3 and 1, each band in turn
+        ev = GreenWeight(Params(N, p))
+        radii = (ev.r_star * 2.0 ** np.arange(10)[:, None]
+                 * np.linspace(1.0, 1.99, 7)).ravel()
+        ref = [ev.w(r) for r in radii.tolist()]
+        for block in sorted({2 * int(n) * 3 for n in ev._terms}):
+            monkeypatch.setattr(core, "_BLOCK", block)
+            w, err = GreenWeight(Params(N, p)).w_array(radii)
+            assert list(zip(w.tolist(), err.tolist())) == ref
+
     def test_scalar_calls_equal_the_array_call(self):
         ev = GreenWeight(Params(5, 2.0))
         w_arr, _ = ev.w_array([0.5, 1.0, 2.0])
@@ -260,18 +274,27 @@ class TestWeightW:
                 ev.w_array([1.0, bad])
 
 
-def _w_hypergeometric(N, p, r):
-    """W(r) at 30 digits from mpmath's hyp2f1, apart from the program:
-    zeta = x 2a/(a+2) 2F1(a/2+1, a+1; a/2+2; x) / 2F1(a/2, a; a/2+1; x)
-    with a = (N-1)/(p-1) and x = e^{-2r}."""
+def _series_rows(N, p, r):
+    """The two rows of GreenWeight._series at 30 digits from mpmath's
+    hyp2f1, apart from the program: 2F1(a/2, a; a/2+1; x) / (a/2) and
+    x 2F1(a/2+1, a+1; a/2+2; x) / (a/2+1), with a = (N-1)/(p-1) and
+    x = e^{-2r}."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
         a = mp.mpf(N - 1) / (mp.mpf(p) - 1)
         x = mp.exp(-2 * mp.mpf(r))
-        zeta = (x * 2 * a / (a + 2)
-                * mp.hyp2f1(a / 2 + 1, a + 1, a / 2 + 2, x, maxterms=10**6)
-                / mp.hyp2f1(a / 2, a, a / 2 + 1, x, maxterms=10**6))
-        return (mp.mpf(N - 1) / p) ** p * mp.expm1(p * mp.log1p(zeta))
+        return (mp.hyp2f1(a / 2, a, a / 2 + 1, x, maxterms=10**6) / (a / 2),
+                x * mp.hyp2f1(a / 2 + 1, a + 1, a / 2 + 2, x, maxterms=10**6)
+                / (a / 2 + 1))
+
+
+def _w_hypergeometric(N, p, r):
+    """W(r) at 30 digits from the rows of :func:`_series_rows`, whose
+    ratio gives zeta = 2 row1 / row0."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        den, num = _series_rows(N, p, r)
+        return (mp.mpf(N - 1) / p) ** p * mp.expm1(p * mp.log1p(2 * num / den))
 
 
 def _w_quadrature(N, p, r):
@@ -293,24 +316,56 @@ def _w_quadrature(N, p, r):
 _ORACLE_RADII = (0.05, 0.1, 0.3, 1.0, 5.0, 40.0, 63.3, 100.0, 250.0)
 
 
+def _band_edges():
+    """r* 2^j and r* 2^(j+1) (1 - 1e-12) for j = 0..9: the first and the
+    last radius of each series band, where its term count is tightest."""
+    for N, p in [(2, 3.0), (3, 2.0), (13, 4.0), (4, 1.5), (40, 1.1)]:
+        r_star = GreenWeight(Params(N, p)).r_star
+        for j in range(10):
+            yield N, p, r_star * 2.0**j
+            yield N, p, r_star * 2.0 ** (j + 1) * (1.0 - 1e-12)
+
+
+def _assert_bounded(value, ref, bound):
+    """|value - ref| <= bound, or value 0 where ref is below the double
+    range: at (40, 1.1) the edges beyond r = 372, where x = e^{-2r}
+    underflows and W with it."""
+    if float(ref) == 0.0:
+        assert value == 0.0
+    else:
+        assert abs(value - ref) <= bound, (float(abs(value - ref) / bound), bound / value)
+
+
+_ORACLE_POINTS = [
+    (N, p, r)
+    for N, p in [(3, 2.0), (5, 2.0), (13, 4.0), (2, 3.0), (4, 1.5), (40, 2.0),
+                 (40, 1.1), (2, 1.01)]
+    for r in _ORACLE_RADII
+] + [
+    # large alpha at radii below r*, where the bare tails overflow
+    (40, 1.1, 0.01), (200, 2.0, 0.01), (2, 1.001, 0.01), (2, 1.001, 1.0),
+    (100, 1.01, 0.01), (100, 1.01, 1.5), (3, 1.0001, 0.01), (3, 1.0001, 1.0),
+    (3, 1.0001, 3.0),
+]
+
+
 class TestWeightWOracle:
     """|W - W_mpmath| <= W_err: the reported error is a bound."""
 
-    @pytest.mark.parametrize("N,p,r", [
-        (N, p, r)
-        for N, p in [(3, 2.0), (5, 2.0), (13, 4.0), (2, 3.0), (4, 1.5), (40, 2.0),
-                     (40, 1.1), (2, 1.01)]
-        for r in _ORACLE_RADII
-    ] + [
-        # large alpha at radii below r*, where the bare tails overflow
-        (40, 1.1, 0.01), (200, 2.0, 0.01), (2, 1.001, 0.01), (2, 1.001, 1.0),
-        (100, 1.01, 0.01), (100, 1.01, 1.5), (3, 1.0001, 0.01), (3, 1.0001, 1.0),
-        (3, 1.0001, 3.0),
-    ])
+    @pytest.mark.parametrize("N,p,r", _ORACLE_POINTS + [
+        edge for edge in _band_edges() if edge not in _ORACLE_POINTS])
     def test_error_bounds_the_error(self, N, p, r):
         w, err = GreenWeight(Params(N, p)).w(r)
-        ref = _w_hypergeometric(N, p, r)
-        assert abs(w - ref) <= err, (float(abs(w - ref) / err), err / w)
+        _assert_bounded(w, _w_hypergeometric(N, p, r), err)
+
+    @pytest.mark.parametrize("N,p,r", list(_band_edges()))
+    def test_series_rows_within_their_bounds(self, N, p, r):
+        # W is the ratio of the two rows, so errors of the two could cancel
+        # there; each row must lie within its own bound
+        rows, errs = GreenWeight(Params(N, p))._series(np.array([r]))
+        for row, ref, err in zip(rows[:, 0].tolist(), _series_rows(N, p, r),
+                                 errs[:, 0].tolist()):
+            _assert_bounded(row, ref, err)
 
     @pytest.mark.parametrize("N,p,r", [(5, 2.0, 0.05), (40, 1.1, 0.3), (2, 3.0, 63.3)])
     def test_oracles_agree(self, N, p, r):

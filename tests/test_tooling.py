@@ -152,3 +152,34 @@ def test_every_public_name_has_a_caller():
                   for q in uncalled.keys() - _UNCALLED_PUBLIC_NAMES.keys()) == []
     # an allowlisted name that gained a caller or went away leaves the list
     assert _UNCALLED_PUBLIC_NAMES.keys() - uncalled.keys() == set()
+
+
+def test_golden_diff_says_how_far_two_payloads_differ():
+    from hyplab.report import ReportEnvelope, dumps
+
+    spec = importlib.util.spec_from_file_location(
+        "golden_diff", ROOT / "tools" / "golden_diff.py")
+    golden_diff = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden_diff)
+
+    def report(lhs, passed, fmt):
+        rows = [{"kind": "pgap", "N": 3, "p": 2.0, "l": "", "test_function": f"bump{i}",
+                 "lhs": x, "rhs": 1.0, "slack": x - 1.0, "quad_error": 1e-12,
+                 "passed": ok} for i, (x, ok) in enumerate(zip(lhs, passed))]
+        return dumps(ReportEnvelope("verify", {"N": 3}, "inequality_reports", rows), fmt)
+
+    for fmt in ("csv", "json"):
+        def diff(lhs, passed):
+            return golden_diff.payload_difference(
+                report([1.5, 2.0], [True, True], fmt), report(lhs, passed, fmt), fmt)
+
+        assert diff([1.5, 2.0], [True, True]) == "payloads equal"
+        # two ulps of 2.0 in lhs and slack, one flag flipped
+        assert diff([1.5, 2.0 + 2 * 2.0**-51], [True, False]) == (
+            "largest relative difference: lhs 4.4e-16, slack 8.9e-16; "
+            "differing cells: passed 1")
+        assert diff([1.5, float("inf")], [True, True]) == (
+            "largest relative difference: lhs inf, slack inf")
+        assert diff([1.5], [True]) == "rows 2 -> 1"
+        # an error path writes no report
+        assert golden_diff.payload_difference("", report([1.5], [True], fmt), fmt) == ""
