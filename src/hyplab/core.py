@@ -178,11 +178,11 @@ _TAIL = 2.0**-64
 # Relative tolerance of the integrals below r*.
 _QUAD_TOL = 1e-13
 _EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).tiny)
-# Smallest radius whose tails are retaken with one factor (1-x) less when
-# the scaled denominator leaves the normal range (near r = 1e-154); that
-# integrand peaks near 1/r, which overflows below r = 5.6e-309.
-_R_LIFT = 1e-307
+# The least subnormal, which bounds the absolute rounding of a subnormal result.
+_ETA = 2.0**-1074
+# Smallest radius at which W is evaluated: the prefactor, up to 2/(1-x) ~ 1/r,
+# of the integrands below r* overflows below r = 5.6e-309.
+_R_MIN = 1e-308
 
 
 def _series_terms(beta: float, x: float) -> int:
@@ -215,14 +215,6 @@ def _series_terms(beta: float, x: float) -> int:
         else:
             lo = mid
     return hi
-
-
-def _log1m_exp2(r: np.ndarray) -> np.ndarray:
-    """log(1 - e^{-2r}) for r > 0, to a few ulps of its size."""
-    # the unused branch reads log1p(-1) = -inf below r ~ 1e-17
-    with np.errstate(divide="ignore"):
-        return np.where(r < 0.5 * math.log(2.0), np.log(-np.expm1(-2.0 * r)),
-                        np.log1p(-np.exp(-2.0 * r)))
 
 
 def _radii(radii) -> np.ndarray:
@@ -265,8 +257,9 @@ class GreenWeight:
     truncation and the rounding of the positive terms.
     Below r*, J(r) = e^{alpha (r-r*)} J(r*) plus the integral from r to r*,
     all of a call's radii in one lockstep pass of the adaptive engine; both
-    tails are taken there times (1-x)^(alpha+1), which keeps them finite
-    at small r and large alpha and leaves zeta as it is.
+    tails are taken there times (1-x)^kappa, kappa = max(alpha-1, 0), which
+    keeps them in the double range down to r = 1e-308 for every alpha and
+    leaves zeta as it is.
     Every value and error bound is thus a pure function of (N, p, r),
     bit for bit the same whatever other radii share the call.
     """
@@ -289,6 +282,9 @@ class GreenWeight:
         steps = self._x_star * (self._beta + k[:-1]) / (k[:-1] + 1.0)
         terms = np.cumprod(np.vstack([np.ones((1, 2)), steps]), axis=0)
         self._coef = terms / (self._c + k)
+        # Below r* both rows carry (1-x)^kappa, which cancels the growth of
+        # J ~ r^(1-alpha)/(alpha-1) as r -> 0; kappa - alpha is exact.
+        self._kappa = max(a - 1.0, 0.0)
         # Both rows of J(r*), the start of every integral below r*
         self._j_star, self._err_star = self._series(np.array([self.r_star]))
 
@@ -328,35 +324,41 @@ class GreenWeight:
         beta, c = self._beta[:, None], self._c[:, None]
         total = np.exp(-beta * np.log1p(-x))
         err = _EPS * (8.0 * (total - c * s) + 4.0 * s) + _TAIL * s
+        # Beyond r ~ 354, x and the second row are subnormal: each is off by
+        # up to 2^-1075 in absolute terms, which no relative term covers.
+        floor = _ETA * (s[1] + 1.0)
         s[1] *= x
-        err[1] = x * err[1] + 3.0 * _EPS * s[1]
+        err[1] = x * err[1] + 3.0 * _EPS * s[1] + floor
         return s, err
 
-    def _below(self, r: np.ndarray, lift: bool = False):
-        """Both rows of (1-x)^(alpha+1) J and their error bounds at radii r < r*.
+    def _below(self, r: np.ndarray):
+        """Both rows of (1-x)^kappa J and their error bounds at radii r < r*.
 
-        J itself passes 1e308 at small r and large alpha.  With x = e^{-2r}
-        and d = s - r, row (beta, gamma) is e^{alpha (r-r*)} (1-x)^(alpha+1)
-        J(r*) plus the integral from r to r* of 2 (1-x)^(alpha+1-beta)
-        e^{(alpha-gamma) r - gamma d} (1 + (1-e^{-2d})/(e^{2r}-1))^(-beta):
-        (1-x) or e^{-2r} times a function falling from 1.  With ``lift``
-        both rows carry (1-x)^alpha instead, one factor (1-x) ~ 2r less,
-        which keeps the first row normal where the scaled one underflows.
+        With x = e^{-2r} and d = s - r, row (beta, gamma) is e^{alpha (r-r*)}
+        (1-x)^kappa J(r*) plus the integral from r to r* of 2 (1-x)^(kappa-
+        alpha) e^{(alpha-gamma) r - gamma d} (1 + (1-e^{-2d})/(e^{2r}-1))^(-beta),
+        the second row's divided by (1-x) once more.  The prefactor is
+        2/(1-x) ~ 1/r for alpha >= 1, where both rows are about 1/alpha
+        before that division, and at most that for alpha < 1.
+        Bound: 1-x is 1 ulp off, so a direct power (1-x)^q is good to
+        |q| + 1 ulps; the lead term is good to 2 |alpha (r-r*)| + kappa + 4
+        ulps, the exponential and two products included, and the integrals
+        to 3 ulps (prefactor, product) and 2 more for the second division.
         """
         a, m = self.alpha, r.size
         beta = np.repeat(self._beta, m)
         gamma = np.repeat(2.0 * self._c, m)
-        log_1mx = _log1m_exp2(r)
-        e = 0.0 if lift else 1.0
-        shift = math.log(2.0) + np.concatenate([e * log_1mx,
-                                                (e - 1.0) * log_1mx - 2.0 * r])
+        one_mx = -np.expm1(-2.0 * r)
+        scale = np.tile(2.0 * one_mx ** (self._kappa - a), 2)
+        tilt = np.concatenate([np.zeros(m), -2.0 * r])
         lows = np.tile(r, 2)
         inv = np.tile(1.0 / np.expm1(2.0 * r), 2)
 
         def f(s, owner):
             d = s - lows[owner]
-            return np.exp(shift[owner] - gamma[owner] * d
-                          - beta[owner] * np.log1p(-np.expm1(-2.0 * d) * inv[owner]))
+            return scale[owner] * np.exp(
+                tilt[owner] - gamma[owner] * d
+                - beta[owner] * np.log1p(-np.expm1(-2.0 * d) * inv[owner]))
 
         results = integrate_intervals(
             f, lows.tolist(), [self.r_star] * lows.size, 0.0, rel_tol=_QUAD_TOL,
@@ -365,18 +367,20 @@ class GreenWeight:
         )
         vals = np.array([res.value for res in results]).reshape(2, m)
         errs = np.array([res.error_estimate for res in results]).reshape(2, m)
-        # Every term of the exponent is negative, each to a few ulps of its
-        # size, so the factor is good to (3 |expo| + 1) ulps.
-        expo = (a + e) * log_1mx + a * (r - self.r_star)
-        lead = np.exp(expo) * self._j_star
+        vals[1] /= one_mx
+        errs[1] /= one_mx
+        expo = a * (r - self.r_star)
+        factor = np.exp(expo) * one_mx ** self._kappa
+        lead = factor * self._j_star
         k = lead + vals
-        err = (np.exp(expo) * self._err_star + (3.0 * np.abs(expo) + 1.0) * _EPS * lead
-               + errs + (3.0 * np.abs(shift.reshape(2, m)) + 2.0) * _EPS * vals)
+        err = (factor * self._err_star
+               + (2.0 * np.abs(expo) + self._kappa + 4.0) * _EPS * lead
+               + errs + np.array([[3.0], [5.0]]) * _EPS * vals)
         return k, err + 2.0 * _EPS * k
 
     def _tails(self, r: np.ndarray):
         """Both rows of J and their error bounds at the radii r (see
-        :func:`_radii`), below r* times (1-x)^(alpha+1), which leaves their
+        :func:`_radii`), below r* times (1-x)^kappa, which leaves their
         ratio as it is."""
         j, err = np.empty((2, r.size)), np.empty((2, r.size))
         high = r >= self.r_star
@@ -386,25 +390,16 @@ class GreenWeight:
         return j, err
 
     def _zeta(self, radii) -> tuple[np.ndarray, np.ndarray]:
-        """zeta and its error bound at every radius.
-
-        Both are +inf below r = _R_LIFT and wherever the lifted denominator
-        (about r / alpha) underflows too.  zeta ~ 1/r, so W exceeds the
-        double range there, except for p below about 1.01, whose large
-        alpha makes a few radii below 1e-300 read +inf with W still finite.
-        """
+        """zeta and its error bound at every radius; both +inf below
+        r = _R_MIN, where zeta ~ 1/r exceeds the double range."""
         r = _radii(radii)
         z, dz = np.full(r.size, np.inf), np.full(r.size, np.inf)
-        live = np.flatnonzero(r >= _R_LIFT)
+        live = r >= _R_MIN
+        # the denominator is at least about 2/alpha above r* and about
+        # 1/alpha below it, so the ratio never divides by 0
         (den, num), (den_err, num_err) = self._tails(r[live])
-        low = den < _TINY
-        if low.any():
-            (den[low], num[low]), (den_err[low], num_err[low]) = self._below(
-                r[live[low]], lift=True)
-        ok = den >= _TINY
-        zk = 2.0 * num[ok] / den[ok]
-        z[live[ok]] = zk
-        dz[live[ok]] = (2.0 * num_err[ok] + zk * den_err[ok]) / den[ok] + 2.0 * _EPS * zk
+        z[live] = 2.0 * num / den
+        dz[live] = (2.0 * num_err + z[live] * den_err) / den + 2.0 * _EPS * z[live]
         return z, dz
 
     def green(self, r: float) -> tuple[float, float]:
@@ -415,15 +410,16 @@ class GreenWeight:
         """
         j, err = self._tails(_radii([r]))
         a = self.alpha
-        # the rows below r* carry the factor (1-x)^(alpha+1)
-        log_1mx = float(_log1m_exp2(np.array(r))) if r < self.r_star else 0.0
-        log_scale = (a - 1.0) * math.log(2.0) - a * r - (a + 1.0) * log_1mx
+        # the rows below r* carry the factor (1-x)^kappa
+        log_1mx = math.log(-math.expm1(-2.0 * r)) if r < self.r_star else 0.0
+        log_scale = (a - 1.0) * math.log(2.0) - a * r - self._kappa * log_1mx
         try:
             scale = math.exp(log_scale)
         except OverflowError:
             raise QuadratureError(f"G({r}) exceeds the double range") from None
         g = float(j[0, 0]) * scale
-        size = 2.0 + abs(a - 1.0) * math.log(2.0) + a * r - 3.0 * (a + 1.0) * log_1mx
+        size = (2.0 + abs(a - 1.0) * math.log(2.0) + a * r
+                + self._kappa * (2.0 - 3.0 * log_1mx))
         return g, float(err[0, 0]) * scale + _EPS * size * g
 
     def w(self, r: float) -> tuple[float, float]:
@@ -441,8 +437,9 @@ class GreenWeight:
         with np.errstate(over="ignore"):
             val = lam * np.expm1(y)
             # the error of zeta times dW/dzeta, plus the rounding of Lambda_p,
-            # log1p, expm1 and the products
-            err = lam * p * (1.0 + z) ** (p - 1.0) * dz + (5.0 + p + 2.0 * y) * _EPS * val
+            # log1p, expm1 and the products, where subnormal at most _ETA each
+            err = (lam * p * (1.0 + z) ** (p - 1.0) * dz + (5.0 + p + 2.0 * y) * _EPS * val
+                   + _ETA * (1.0 + lam * (1.0 + 3.0 * p)))
         return val, err
 
 

@@ -170,13 +170,14 @@ class TestWeightW:
         assert w[0] > 0.0 and w[1] >= 0.0
         assert np.all(np.isfinite(err))
 
-    @pytest.mark.parametrize("N,p", [(2, 1.5), (3, 2.0), (40, 1.1), (13, 4.0)])
+    @pytest.mark.parametrize("N,p", [(2, 1.5), (3, 2.0), (40, 1.1), (13, 4.0),
+                                     (2, 1.001)])
     def test_power_law_down_to_the_double_range(self, N, p):
         # W r^p -> ((N-p)/p)^p as r -> 0, exact to rounding below 1e-150;
-        # the scaled denominator underflows below r ~ 1e-154 and is
-        # retaken there, and where W exceeds the double range W and W_err
-        # read +inf, with no warning
-        radii = [1e-150, 1e-160, 1e-200, 1e-250, 1e-290, 1e-306, 1e-310, 5e-324]
+        # both tails stay in the double range down to r = 1e-308, and
+        # where W exceeds it W and W_err read +inf, with no warning
+        radii = [1e-150, 1e-160, 1e-200, 1e-250, 1e-290, 1e-306, 5e-308, 2e-308,
+                 1e-308, 1e-310, 5e-324]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             w, err = GreenWeight(Params(N, p)).w_array(radii)
@@ -192,7 +193,8 @@ class TestWeightW:
     def test_batched_fill_is_order_independent(self, N, p):
         # W and W_err are pure functions of (N, p, r): bit for bit the same
         # alone, in any batch, in any order and from any instance
-        radii = [0.003, 0.05, 0.0999, 0.1, 0.4, 0.41, 1.0, 2.5, 7.0, 19.0, 60.0]
+        radii = [1e-300, 1e-200, 1e-160, 0.003, 0.05, 0.0999, 0.1, 0.4, 0.41, 1.0,
+                 2.5, 7.0, 19.0, 60.0]
         one_by_one = GreenWeight(Params(N, p))
         ref = [one_by_one.w(r) for r in radii]
 
@@ -327,13 +329,8 @@ def _band_edges():
 
 
 def _assert_bounded(value, ref, bound):
-    """|value - ref| <= bound, or value 0 where ref is below the double
-    range: at (40, 1.1) the edges beyond r = 372, where x = e^{-2r}
-    underflows and W with it."""
-    if float(ref) == 0.0:
-        assert value == 0.0
-    else:
-        assert abs(value - ref) <= bound, (float(abs(value - ref) / bound), bound / value)
+    """|value - ref| <= bound, also where x = e^{-2r} is subnormal or 0."""
+    assert abs(value - ref) <= bound, (float(abs(value - ref) / bound), bound)
 
 
 _ORACLE_POINTS = [
@@ -346,7 +343,18 @@ _ORACLE_POINTS = [
     (40, 1.1, 0.01), (200, 2.0, 0.01), (2, 1.001, 0.01), (2, 1.001, 1.0),
     (100, 1.01, 0.01), (100, 1.01, 1.5), (3, 1.0001, 0.01), (3, 1.0001, 1.0),
     (3, 1.0001, 3.0),
+    # x = e^{-2r} subnormal, and 0 at r = 372
+    (40, 1.1, 355.0), (40, 1.1, 360.0), (40, 1.1, 372.0),
 ]
+# the seam between the integrals below r* and the series from it on; r*/2
+# is already a point where r* = 0.1
+_ORACLE_POINTS += [
+    seam for seam in (
+        (N, p, GreenWeight(Params(N, p)).r_star * f)
+        for N, p in [(2, 3.0), (3, 2.0), (13, 4.0), (4, 1.5), (40, 1.1), (2, 1.01),
+                     (200, 2.0)]
+        for f in (1.0 - 1e-12, 0.5, 0.1))
+    if seam not in _ORACLE_POINTS]
 
 
 class TestWeightWOracle:
