@@ -322,6 +322,11 @@ GOLDEN_RUNS["sharpness_hardy1d_N3_p2.5.json"] = [
     "--schedule", "0.1", "0.01", "0.001", "--delta", "0.01",
 ]
 GOLDEN_RUNS["weights_N13_p4.json"] = ["weights", "--N", "13", "--p", "4"]
+# p near 1 at the edge of the double range: W is finite down to r ~ 2e-308
+GOLDEN_RUNS["weights_N2_p1.001.json"] = [
+    "weights", "--N", "2", "--p", "1.001", "--r-min", "1e-308", "--r-max", "1e-300",
+    "--points", "5",
+]
 # The scalar commands, as the benchmark's radial workload runs them.
 GOLDEN_RUNS["constants_N13_p4.json"] = ["constants", "--N", "13", "--p", "4"]
 GOLDEN_RUNS["rp_N13_p4.json"] = ["rp", "--N", "13", "--p", "4"]
