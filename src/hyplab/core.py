@@ -391,7 +391,8 @@ class GreenWeight:
 
     def _zeta(self, radii) -> tuple[np.ndarray, np.ndarray]:
         """zeta and its error bound at every radius; both +inf below
-        r = _R_MIN, where zeta ~ 1/r exceeds the double range."""
+        r = _R_MIN, where W ~ ((N-p)/p)^p r^-p exceeds the double range
+        for all but p within about 1e-3 of 1."""
         r = _radii(radii)
         z, dz = np.full(r.size, np.inf), np.full(r.size, np.inf)
         live = r >= _R_MIN
