@@ -335,11 +335,12 @@ class GreenWeight:
         """Both rows of (1-x)^kappa J and their error bounds at radii r < r*.
 
         With x = e^{-2r} and d = s - r, row (beta, gamma) is e^{alpha (r-r*)}
-        (1-x)^kappa J(r*) plus the integral from r to r* of 2 (1-x)^(kappa-
-        alpha) e^{(alpha-gamma) r - gamma d} (1 + (1-e^{-2d})/(e^{2r}-1))^(-beta),
-        the second row's divided by (1-x) once more.  The prefactor is
-        2/(1-x) ~ 1/r for alpha >= 1, where both rows are about 1/alpha
-        before that division, and at most that for alpha < 1.
+        (1-x)^kappa J(r*) plus the integral from r to r* of 2 (1-x)^(kappa-alpha)
+        e^{(alpha-gamma) r - gamma d} (1 + (1-e^{-2d})/(e^{2r}-1))^(-beta), the
+        second row's integral divided by (1-x) once more.  The prefactor is
+        2/(1-x) ~ 1/r for alpha >= 1, where at small r both rows are about
+        1/alpha before that division, and less for alpha < 1, so nothing
+        leaves the double range for r >= _R_MIN.
         Bound: 1-x is 1 ulp off, so a direct power (1-x)^q is good to
         |q| + 1 ulps; the lead term is good to 2 |alpha (r-r*)| + kappa + 4
         ulps, the exponential and two products included, and the integrals
