@@ -343,7 +343,7 @@ _ORACLE_POINTS = [
     (40, 1.1, 0.01), (200, 2.0, 0.01), (2, 1.001, 0.01), (2, 1.001, 1.0),
     (100, 1.01, 0.01), (100, 1.01, 1.5), (3, 1.0001, 0.01), (3, 1.0001, 1.0),
     (3, 1.0001, 3.0),
-    # x = e^{-2r} subnormal, and 0 at r = 372
+    # x = e^{-2r} subnormal; W underflows to 0 at r = 372
     (40, 1.1, 355.0), (40, 1.1, 360.0), (40, 1.1, 372.0),
 ]
 # the seam between the integrals below r* and the series from it on; r*/2
