@@ -382,6 +382,29 @@ class TestBatch:
             tracemalloc.stop()
         assert peak <= 2**20
 
+    def test_engine_work_of_a_40_trial_battery(self, monkeypatch):
+        # Exact counts of the 1-D engine's work on one fixed battery: a
+        # change that makes a round cheaper must split the same panels.
+        integrals = importlib.import_module("hyplab.integrals")
+        intervals = integrals.integrate_intervals
+        nodes, panels = [], []
+
+        def counted(f, *args, **kwargs):
+            def g(x, owner):
+                nodes.append(x.size)
+                return f(x, owner)
+
+            results = intervals(g, *args, **kwargs)
+            panels.extend(res.subdivisions for res in results)
+            return results
+
+        monkeypatch.setattr(integrals, "integrate_intervals", counted)
+        reps = batch_verify(InequalityKind.HP_WEIGHTED, [Params(3, 2.0)], 40, seed=11,
+                            tol=1e-10, allow_origin=True)
+        assert all(r.passed for r in reps)
+        assert (len(nodes), sum(nodes), sum(panels)) == (56, 157_200, 10_480)
+        assert sum(nodes) == 15 * sum(panels)
+
 
 class TestSharpnessScan:
     def test_pgap_brackets_and_trend(self):
