@@ -112,19 +112,19 @@ def coth_minus_inv(r):
 
     Below r = 1e-3 the two O(1/r) terms agree to ~7 digits; the Taylor
     series r/3 - r^3/45 + 2 r^5/945 - r^7/4725 is exact to double
-    precision there.
+    precision there.  The series is evaluated on those nodes only.
     """
     r = np.asarray(r, dtype=float)
     small = np.abs(r) < 1e-3
-    rs = np.where(small, r, 1.0)
-    r2 = rs * rs
-    series = rs * (
-        _COTH_SERIES[0]
-        + r2 * (_COTH_SERIES[1] + r2 * (_COTH_SERIES[2] + r2 * _COTH_SERIES[3]))
-    )
     rb = np.where(small, 1.0, r)
-    direct = 1.0 / np.tanh(rb) - 1.0 / rb
-    out = np.where(small, series, direct)
+    out = 1.0 / np.tanh(rb) - 1.0 / rb
+    if small.any():
+        out, rs = np.asarray(out), r[small]
+        r2 = rs * rs
+        out[small] = rs * (
+            _COTH_SERIES[0]
+            + r2 * (_COTH_SERIES[1] + r2 * (_COTH_SERIES[2] + r2 * _COTH_SERIES[3]))
+        )
     return out if out.ndim else float(out)
 
 
@@ -132,21 +132,23 @@ def log_sinh(s):
     """log(sinh s) for s > 0, stable for both tiny and huge s."""
     s = np.asarray(s, dtype=float)
     small = s < 1e-2
-    ss = np.where(small, s, 1.0)
-    s2 = ss * ss
-    # log(sinh s / s) = log(1 + s^2/6 + s^4/120 + ...)
-    series = np.log(ss) + np.log1p(s2 / 6.0 * (1.0 + s2 / 20.0 * (1.0 + s2 / 42.0)))
     sb = np.where(small, 1.0, s)
-    direct = sb + np.log1p(-np.exp(-2.0 * sb)) - math.log(2.0)
-    out = np.where(small, series, direct)
+    out = sb + np.log1p(-np.exp(-2.0 * sb)) - math.log(2.0)
+    if small.any():
+        out, ss = np.asarray(out), s[small]
+        s2 = ss * ss
+        # log(sinh s / s) = log(1 + s^2/6 + s^4/120 + ...)
+        out[small] = np.log(ss) + np.log1p(s2 / 6.0 * (1.0 + s2 / 20.0 * (1.0 + s2 / 42.0)))
     return out if out.ndim else float(out)
 
 
 def sinh_pow(r, m: float):
     """(sinh r)**m evaluated in log space; series-based below r = 1e-3."""
     r = np.asarray(r, dtype=float)
-    out = np.exp(m * log_sinh(np.maximum(r, 5e-324)))
-    out = np.where(r == 0.0, 0.0 if m > 0 else np.inf, out)
+    positive = (r > 0.0).all()
+    out = np.exp(m * log_sinh(r if positive else np.maximum(r, 5e-324)))
+    if not positive:
+        out = np.where(r == 0.0, 0.0 if m > 0 else np.inf, out)
     return out if out.ndim else float(out)
 
 
@@ -295,8 +297,9 @@ class GreenWeight:
         The terms at r* times the powers of y = x/x*.  The radii of a band
         share its count n; in blocks of at most _BLOCK elements one
         multiply.accumulate forms 1, y, ..., y^(n-1), each term is its
-        coefficient times its power, and one add.accumulate sums the terms
-        from the highest power down, strictly in sequence.  Term k thus
+        coefficient times its power, and one add.reduce over the outer
+        axis, which numpy takes row by row, sums the terms from the
+        highest power down, strictly in sequence.  Term k thus
         takes k - 1 roundings in y^k, one in the product and k + 1 in the
         sum, the 2k + 1 of Horner's rule, and each radius gets the sum it
         gets alone, whatever block it shares.
@@ -317,7 +320,7 @@ class GreenWeight:
                 powers[1:] = y[block]
                 np.multiply.accumulate(powers, axis=0, out=powers)
                 terms = coef * powers[::-1, None, :]
-                s[:, block] = np.add.accumulate(terms, axis=0, out=terms)[-1]
+                s[:, block] = np.add.reduce(terms, axis=0)
         # Term k of a sum carries a relative error below (8k + 4) eps, the
         # rounding of x^k included, and sum_k k t_k/(c+k) = sum_k t_k - c s,
         # where sum_k t_k <= (1-x)^-beta.
@@ -431,17 +434,33 @@ class GreenWeight:
 
     def w_array(self, radii) -> tuple[np.ndarray, np.ndarray]:
         """W and its absolute error bound at every radius; both +inf where
-        W exceeds the double range."""
+        W exceeds the double range, and where zeta is +inf (r < _R_MIN),
+        where +inf means no finite bound."""
         z, dz = self._zeta(radii)
         lam = self.params.lambda_p
         p = self.params.p
         y = p * np.log1p(z)
-        with np.errstate(over="ignore"):
-            val = lam * np.expm1(y)
+        with np.errstate(over="ignore", invalid="ignore"):
+            grow = np.expm1(y)
+            val = lam * grow
             # the error of zeta times dW/dzeta, plus the rounding of Lambda_p,
             # log1p, expm1 and the products, where subnormal at most _ETA each
             err = (lam * p * (1.0 + z) ** (p - 1.0) * dz + (5.0 + p + 2.0 * y) * _EPS * val
                    + _ETA * (1.0 + lam * (1.0 + 3.0 * p)))
+            over = np.isinf(grow)
+            if over.any():
+                # expm1 overflows beyond y ~ 709.8, though a small Lambda_p
+                # may bring W back into range: there W = exp(y + log Lambda_p),
+                # short by Lambda_p.  Its error adds the absolute errors of y,
+                # log Lambda_p and the sum to the relative ones of exp and zeta.
+                log_lam = p * math.log((self.params.N - 1) / p)
+                zo, yo = z[over], y[over]
+                t = yo + log_lam
+                val[over] = np.exp(t)
+                err[over] = np.where(np.isinf(zo), np.inf, val[over] * (
+                    p * dz[over] / (1.0 + zo)
+                    + (2.0 + p + 2.0 * yo + 2.0 * abs(log_lam) + np.abs(t)) * _EPS)
+                    + lam + _ETA)
         return val, err
 
 

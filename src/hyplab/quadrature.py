@@ -166,7 +166,7 @@ def _seed_panels(
     interval length, per panel-seeding policy; genuinely hard power
     singularities must go through :func:`power_singular_integral` instead.
     """
-    pts = [a, b]
+    pts = [float(a), float(b)]
     for c in breakpoints:
         if a < c < b:
             pts.append(float(c))
@@ -255,6 +255,7 @@ def integrate_intervals(
     failures: dict[int, QuadratureError] = {}
     todo = []  # (integral, lower ends, upper ends) of the panels to evaluate
     started = live = 0
+    heappop, heappush = heapq.heappop, heapq.heappush
     while True:
         # Integrals start in order, at most _INTERVAL_WINDOW at a time.
         while live < _INTERVAL_WINDOW and started < K:
@@ -281,7 +282,17 @@ def integrate_intervals(
                         QuadResult(total, err, panels[k]),
                     )
                 else:
-                    lows, highs = _split_worst(heap)
+                    # split the up to 8 worst panels
+                    lows, highs = [], []
+                    for _ in range(min(8, len(heap))):
+                        _, lo, hi, v, e = heappop(heap)
+                        mid = 0.5 * (lo + hi)
+                        if mid <= lo or mid >= hi:
+                            # Width at rounding floor: keep the panel, accept its error.
+                            heappush(heap, (0.0, lo, hi, v, e))
+                            continue
+                        lows += (lo, mid)
+                        highs += (mid, hi)
                     if lows:
                         todo.append((k, lows, highs))
                         continue
@@ -309,26 +320,14 @@ def _per_run(calls, x, idx):
     return out
 
 
-def _split_worst(heap: list) -> tuple[list, list]:
-    """Children of the up to 8 worst panels, popped from the heap."""
-    lows, highs = [], []
-    for _ in range(min(8, len(heap))):
-        _, lo, hi, v, e = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            # Width at rounding floor: keep the panel, accept its error.
-            heapq.heappush(heap, (0.0, lo, hi, v, e))
-            continue
-        lows.extend([lo, mid])
-        highs.extend([mid, hi])
-    return lows, highs
-
-
 def _push_panels(f, todo, heaps, panels, failures) -> None:
     """Evaluate the listed panels of every integral and push them on its heap."""
-    counts = [len(lows) for _, lows, _ in todo]
-    lows = np.array([x for _, ls, _ in todo for x in ls])
-    highs = np.array([x for _, _, hs in todo for x in hs])
+    counts = [len(ls) for _, ls, _ in todo]
+    lo_list = [x for _, ls, _ in todo for x in ls]
+    hi_list = [x for _, _, hs in todo for x in hs]
+    lows, highs = np.array(lo_list), np.array(hi_list)
+    ends = list(itertools.accumulate(counts))
+    spans = [(k, start, end) for (k, _, _), start, end in zip(todo, [0] + ends, ends)]
     mids = 0.5 * (lows + highs)
     halfs = 0.5 * (highs - lows)
 
@@ -341,30 +340,31 @@ def _push_panels(f, todo, heaps, panels, failures) -> None:
     for s in range(0, len(lows), step):
         rows = slice(s, s + step)
         vals[rows] = f(nodes(rows), np.repeat(owner[rows], 15)).reshape(-1, 15)
-    ends = np.cumsum(counts).tolist()
-    spans = [(k, start, end) for (k, _, _), start, end in zip(todo, [0] + ends[:-1], ends)]
-    finite = np.isfinite(vals).all(axis=1)
-    if not finite.all():
+    # einsum without BLAS sums every row in one fixed order, so a panel's
+    # sums do not depend on the other rows (a failed integral's give NaN).
+    k15 = np.einsum("ij,j->i", vals, _WGK, optimize=False)
+    g7 = np.einsum("ij,j->i", vals, _WG, optimize=False)
+    if np.isfinite(k15).all():
+        values, errors = k15 * halfs, np.abs(k15 - g7) * halfs
+    else:
+        # Every Kronrod weight is positive, so a NaN or an infinity at any
+        # node makes its row's K15 sum non-finite.
+        finite = np.isfinite(vals).all(axis=1)
         for k, start, end in spans:
             if not finite[start:end].all():
                 rows = slice(start, end)
                 bad = nodes(rows)[~np.isfinite(vals[rows].ravel())][0]
                 failures[k] = QuadratureError(f"integrand not finite at x={bad!r}")
-        spans = [span for span in spans if span[0] not in failures]
-    # einsum without BLAS sums every row in one fixed order, so a panel's
-    # sums do not depend on the other rows (a failed integral's give NaN).
-    with np.errstate(invalid="ignore"):
-        k15 = np.einsum("ij,j->i", vals, _WGK, optimize=False)
-        g7 = np.einsum("ij,j->i", vals, _WG, optimize=False)
-        values = k15 * halfs
-        errors = np.abs(k15 - g7) * halfs
-    items = list(zip((-errors).tolist(), lows.tolist(), highs.tolist(),
-                     values.tolist(), errors.tolist()))
+        with np.errstate(invalid="ignore"):
+            values, errors = k15 * halfs, np.abs(k15 - g7) * halfs
+    items = list(zip((-errors).tolist(), lo_list, hi_list, values.tolist(),
+                     errors.tolist()))
     for k, start, end in spans:
-        heap = heaps[k]
-        for item in items[start:end]:
-            heapq.heappush(heap, item)
-        panels[k] += end - start
+        if k not in failures:
+            heap = heaps[k]
+            for i in range(start, end):
+                heapq.heappush(heap, items[i])
+            panels[k] += end - start
 
 
 def integrate_interval(

@@ -99,6 +99,8 @@ def mollifier_value(r, mid, half):
     r = np.asarray(r, dtype=float)
     t = (r - mid) / half
     inside = np.abs(t) < 1.0
+    if inside.all():
+        return np.asarray(np.exp(-1.0 / (1.0 - t * t)))
     ts = np.where(inside, t, 0.0)
     return np.where(inside, np.exp(-1.0 / (1.0 - ts * ts)), 0.0)
 
@@ -115,11 +117,14 @@ def mollifier_value_and_derivative(r, mid, half):
     r = np.asarray(r, dtype=float)
     t = (r - mid) / half
     inside = np.abs(t) < 1.0
-    ts = np.where(inside, t, 0.0)
+    whole = inside.all()
+    ts = t if whole else np.where(inside, t, 0.0)
     om = 1.0 - ts * ts
     e = np.exp(-1.0 / om)
-    return (np.where(inside, e, 0.0),
-            np.where(inside, e * (-2.0 * ts / om**2) / half, 0.0))
+    d = e * (-2.0 * ts / om**2) / half
+    if whole:
+        return np.asarray(e), np.asarray(d)
+    return np.where(inside, e, 0.0), np.where(inside, d, 0.0)
 
 
 def make_bump(r_lo: float, r_hi: float, shape: str = "mollifier") -> RadialTestFunction:

@@ -76,6 +76,26 @@ class TestStableHelpers:
         assert log_sinh(1e-4) == pytest.approx(math.log(math.sinh(1e-4)), rel=1e-13)
         assert log_sinh(300.0) == pytest.approx(300.0 - math.log(2.0), rel=1e-15)
 
+    @pytest.mark.parametrize("f", [log_sinh, coth_minus_inv,
+                                   lambda r: sinh_pow(r, 2.0),
+                                   lambda r: sinh_pow(r, -2.5)],
+                             ids=["log_sinh", "coth_minus_inv", "sinh_pow2", "sinh_pow-2.5"])
+    def test_elementwise(self, f):
+        # each node gets the same bits alone (a number, a 0-d array, a
+        # length-1 array) as in a mixed array, where nodes below the series
+        # cuts (1e-2, 1e-3) and r = 0 take the masked branch
+        nodes = [0.0, 1e-100, 1e-8, 5e-4, 9.99e-4, 1e-3, 5e-3, 9.99e-3, 1e-2,
+                 0.3, 2.0, 40.0, 200.0]
+        # log_sinh(0) = -inf, sinh_pow(0, -2.5) = +inf
+        with np.errstate(divide="ignore", over="ignore"):
+            mixed = f(np.array(nodes))
+            alone = [f(r) for r in nodes]
+            zero_d = [f(np.array(r)) for r in nodes]
+            length_1 = [f(np.array([r]))[0] for r in nodes]
+        for got in (alone, zero_d, length_1):
+            assert np.array(got).tobytes() == mixed.tobytes()
+        assert all(type(v) is float for v in alone + zero_d)
+
     def test_sinh_pow_series_region(self):
         # relative error of the series-evaluated volume weight < 1e-10
         for r in (1e-5, 5e-4, 1e-3):
@@ -189,6 +209,16 @@ class TestWeightW:
                 law = math.exp(log_w)
                 assert abs(wi - law) <= ei + 4e-16 * law and ei < 1e-12 * wi
 
+    def test_no_finite_bound_where_zeta_is_infinite(self):
+        # Lambda_p = 500^-500 underflows to 0.  At 1e-308 expm1 overflows
+        # and W, about e^-2397, reads 0; below _R_MIN zeta is +inf and W
+        # and W_err read +inf, no finite bound, rather than 0 * inf = NaN.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, err = GreenWeight(Params(2, 500.0)).w_array([1e-308, 5e-309])
+        assert w[0] == 0.0 and 0.0 < err[0] < 1e-300
+        assert w[1] == err[1] == math.inf
+
     @pytest.mark.parametrize("N,p", [(3, 2.0), (13, 4.0), (4, 1.5), (2, 3.0)])
     def test_batched_fill_is_order_independent(self, N, p):
         # W and W_err are pure functions of (N, p, r): bit for bit the same
@@ -276,13 +306,13 @@ class TestWeightW:
                 ev.w_array([1.0, bad])
 
 
-def _series_rows(N, p, r):
-    """The two rows of GreenWeight._series at 30 digits from mpmath's
+def _series_rows(N, p, r, dps=30):
+    """The two rows of GreenWeight._series at ``dps`` digits from mpmath's
     hyp2f1, apart from the program: 2F1(a/2, a; a/2+1; x) / (a/2) and
     x 2F1(a/2+1, a+1; a/2+2; x) / (a/2+1), with a = (N-1)/(p-1) and
     x = e^{-2r}."""
     mp = pytest.importorskip("mpmath")
-    with mp.workdps(30):
+    with mp.workdps(dps):
         a = mp.mpf(N - 1) / (mp.mpf(p) - 1)
         x = mp.exp(-2 * mp.mpf(r))
         return (mp.hyp2f1(a / 2, a, a / 2 + 1, x, maxterms=10**6) / (a / 2),
@@ -290,12 +320,12 @@ def _series_rows(N, p, r):
                 / (a / 2 + 1))
 
 
-def _w_hypergeometric(N, p, r):
-    """W(r) at 30 digits from the rows of :func:`_series_rows`, whose
+def _w_hypergeometric(N, p, r, dps=30):
+    """W(r) at ``dps`` digits from the rows of :func:`_series_rows`, whose
     ratio gives zeta = 2 row1 / row0."""
     mp = pytest.importorskip("mpmath")
-    with mp.workdps(30):
-        den, num = _series_rows(N, p, r)
+    with mp.workdps(dps):
+        den, num = _series_rows(N, p, r, dps)
         return (mp.mpf(N - 1) / p) ** p * mp.expm1(p * mp.log1p(2 * num / den))
 
 
@@ -365,6 +395,15 @@ class TestWeightWOracle:
     def test_error_bounds_the_error(self, N, p, r):
         w, err = GreenWeight(Params(N, p)).w(r)
         _assert_bounded(w, _w_hypergeometric(N, p, r), err)
+
+    @pytest.mark.parametrize("r", [1e-303, 1e-305])
+    def test_error_bounds_the_error_where_expm1_overflows(self, r):
+        # p log1p(zeta) is 711 and 716 at (2, 50), beyond expm1's range,
+        # while Lambda_p = 1.1e-85 keeps W near 1e224; 1 - x = 2r needs
+        # 30 digits past its leading 300 zeros
+        w, err = GreenWeight(Params(2, 50.0)).w(r)
+        assert math.isfinite(w)
+        _assert_bounded(w, _w_hypergeometric(2, 50.0, r, dps=340), err)
 
     @pytest.mark.parametrize("N,p,r", list(_band_edges()))
     def test_series_rows_within_their_bounds(self, N, p, r):

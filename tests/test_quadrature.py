@@ -239,6 +239,31 @@ class TestLockstep:
         with pytest.raises(ValueError, match="a < b"):
             integrate_intervals(f, [0.0, 1.0], [1.0, 1.0], 1e-12)
 
+        # integral 2 meets NaN, or +inf and -inf in one panel, whose K15 sum
+        # is then NaN; it fails alone, and its batch-mates refine to the
+        # end, on the nodes they take when it is finite
+        def counted(bad):
+            nodes = np.zeros(4, dtype=int)
+
+            def f(x, owner):
+                np.add.at(nodes, owner, 1)
+                out = np.exp(np.sin(9.0 * x))
+                return out if bad is None else np.where((owner == 2) & (x > 0.5),
+                                                        bad(x), out)
+
+            return f, nodes
+
+        f, clean = counted(None)
+        integrate_intervals(f, [0.0] * 4, [1.0] * 4, 1e-12)
+        assert clean.min() > 15
+        for bad in (lambda x: np.nan, lambda x: np.where(x < 0.75, np.inf, -np.inf)):
+            f, nodes = counted(bad)
+            with pytest.raises(QuadratureError, match="not finite") as exc:
+                integrate_intervals(f, [0.0] * 4, [1.0] * 4, 1e-12)
+            assert not isinstance(exc.value, ToleranceNotAchieved)
+            assert nodes[2] == 15
+            assert np.array_equal(np.delete(nodes, 2), np.delete(clean, 2))
+
 
 class TestPowerSingular:
     def test_pure_power_exact(self):

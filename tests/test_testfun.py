@@ -82,6 +82,30 @@ class TestMollifierBump:
         u = make_bump(0.5, 4.0, "mollifier")
         check_derivative(u, np.random.default_rng(42))
 
+    def test_elementwise(self):
+        # value and derivative give each node the same bits alone (a
+        # number, a 0-d array, a length-1 array) as in a mixed array, whose
+        # nodes outside the support take the masked branch; a 0-d input
+        # gives 0-d arrays, for scalar and per-node (mid, half)
+        r = np.array([0.5, 1.0, 1.0 + 1e-12, 1.3, 2.0, 2.7, 3.0 - 1e-12, 3.0, 3.5])
+        mids, halfs = np.full(r.shape, 2.0), np.linspace(0.9, 1.1, r.size)
+
+        def both(x, mid, half):
+            return (mollifier_value(x, mid, half),
+                    *mollifier_value_and_derivative(x, mid, half))
+
+        for mid, half in ((2.0, 1.0), (mids, halfs)):
+            mixed = both(r, mid, half)
+            for i, x in enumerate(r.tolist()):
+                m, h = (mid, half) if np.ndim(mid) == 0 else (mid[i], half[i])
+                for arg in (x, np.array(x), np.array([x])):
+                    got = both(arg, m, h)
+                    assert all(type(g) is np.ndarray and g.shape == np.shape(arg)
+                               for g in got)
+                    assert [g.item() for g in got] == [a[i] for a in mixed]
+                    assert [np.signbit(g).item() for g in got] == \
+                        [np.signbit(a[i]) for a in mixed]
+
     def test_value_and_derivative_in_one_pass(self):
         # inside the support, on its ends, one ulp either side of them and
         # outside, for scalar and per-node (mid, half)
