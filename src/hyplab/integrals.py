@@ -136,14 +136,14 @@ def radial_battery(
 
     out = [{} for _ in funcs]
     heads = {}  # (i, name) -> (g, power, b1) of the terms split at the origin
-    lows, highs, flags, bps, rel_tols, where = [], [], [], [], [], []
+    lows, highs, bps, rel_tols, where = [], [], [], [], []
     term_starts = []
     for name in terms:
         term_starts.append(len(where))
         for i, u in enumerate(funcs):
             lo, hi = _finite_support(u)
             b = _interior_breakpoints(u, lo, hi)
-            singular, power = _term_setup(params, name, u, lo, l)
+            power = _origin_power(params, name, u, lo, l)
             rel_tol = tol
             if power is not None:
                 if power <= -1.0:
@@ -154,10 +154,9 @@ def radial_battery(
                 heads[i, name] = (origin_factor(name, i, power), power, lo)
                 if lo >= hi:
                     continue
-                singular, rel_tol = False, tol / 2
+                rel_tol = tol / 2
             lows.append(lo)
             highs.append(hi)
-            flags.append(singular)
             bps.append(b)
             rel_tols.append(rel_tol)
             where.append((i, name))
@@ -188,8 +187,7 @@ def radial_battery(
         return vals
 
     results = integrate_intervals(
-        integrand, lows, highs, 0.0, singular_left=flags, breakpoints=bps,
-        rel_tol=rel_tols,
+        integrand, lows, highs, 0.0, breakpoints=bps, rel_tol=rel_tols,
     )
     for k, ((i, name), res) in enumerate(zip(where, results)):
         if max_rel[k] > 0.0:
@@ -238,32 +236,34 @@ def _weight_power(params: Params, tag: str) -> float:
             "Hp": -(p - 2.0), "W": 0.0}[tag]
 
 
-def _term_setup(params: Params, name: str, u: RadialTestFunction, lo: float,
-                l: float | None) -> tuple[bool, float | None]:
-    """(singular_left, origin power) of one term's integral on [lo, hi].
+def _origin_power(params: Params, name: str, u: RadialTestFunction, lo: float,
+                  l: float | None) -> float | None:
+    """Power at the origin of one term's integrand on [lo, hi], or None.
 
     The power is None unless the term is split at the origin (see
     :func:`radial_battery`), where it is the power of the whole integrand.
+    A profile that vanishes to all orders at 0 (mollifier-type) is not
+    split: its integrand is smooth there.
     """
     p, m = params.p, params.N - 1
     lam = u.origin_power if lo == 0.0 else None
     if name == "E":
         # |u'|^p ~ r^((lam-1)p); with the volume weight the total power at
         # the origin is (lam-1)p + N-1, possibly in (-1, 0)
-        return lo == 0.0, None if lam is None else (lam - 1.0) * p + m
+        return None if lam is None else (lam - 1.0) * p + m
     if name == "M":
-        return False, None if lam is None else lam * p + m
+        return None if lam is None else lam * p + m
     if name == "hardy1d_energy":
         if lam is None:
-            return lo == 0.0, None
-        return False, lam * (p - l) - (p - l) + (lam - 1.0) * l  # (r coth r)~1 at 0
+            return None
+        return lam * (p - l) - (p - l) + (lam - 1.0) * l  # (r coth r)~1 at 0
     if name == "W" and lo <= 0.0:
         raise NonIntegrableSingularity(
             "weight W on a support touching the origin is not handled; "
             "use supports with r_lo > 0"
         )
     if lo > 0.0:
-        return False, None
+        return None
     if lam is None and float(u.value(np.array([0.0]))[0]) != 0.0:
         if name == "hardy1d_mass":
             raise NonIntegrableSingularity(
@@ -271,11 +271,10 @@ def _term_setup(params: Params, name: str, u: RadialTestFunction, lo: float,
             )
         lam = 0.0
     if lam is None:
-        # u vanishes to all orders at 0 (mollifier-type): graded panels
-        return True, None
+        return None
     if name == "hardy1d_mass":
-        return False, lam * p - p
-    return False, lam * p + _weight_power(params, name) + m
+        return lam * p - p
+    return lam * p + _weight_power(params, name) + m
 
 
 def radial_energy(

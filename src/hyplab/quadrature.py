@@ -12,8 +12,8 @@ integrals carries its own error budget.
 Endpoint singularities of power type ``(r - a)**(delta - 1)`` are handled
 by an exact split: the pure power integrates in closed form and the
 remainder is integrated on a logarithmic axis, where it decays like
-``exp(-(1 + delta) t)``.  Geometric panel grading alone cannot do this:
-for delta = 1e-3 more than 97% of the singular mass sits below any
+``exp(-(1 + delta) t)``.  No panels in r can do this: for
+delta = 1e-3 more than 97% of the singular mass sits below any
 representable cutoff, so the substitution is mandatory, not cosmetic.
 
 Multidimensional integrals (dimension 2 or 3, used for the half-space
@@ -157,39 +157,11 @@ _WG = np.array(_WG_LEFT + _WG_LEFT[-2::-1])
 def _seed_panels(
     a: float,
     b: float,
-    singular_left: bool,
     breakpoints: Sequence[float],
 ) -> list[tuple[float, float]]:
-    """Initial panelization: split at breakpoints, grade toward a flagged left end.
-
-    Grading is geometric with ratio 1/2 down to a width of 1e-12 times the
-    interval length, per panel-seeding policy; genuinely hard power
-    singularities must go through :func:`power_singular_integral` instead.
-    """
-    pts = [float(a), float(b)]
-    for c in breakpoints:
-        if a < c < b:
-            pts.append(float(c))
-    pts = sorted(set(pts))
-    panels = []
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        if singular_left and lo == pts[0]:
-            panels.extend(_grade_left(lo, hi))
-        else:
-            panels.append((lo, hi))
-    return panels
-
-
-def _grade_left(lo: float, hi: float) -> list[tuple[float, float]]:
-    width = hi - lo
-    floor = max(width * 1e-12, 5e-324)
-    edges = [width]
-    w = width
-    while w > floor:
-        w *= 0.5
-        edges.append(w)
-    edges.append(0.0)
-    return [(lo + w_lo, lo + w_hi) for w_hi, w_lo in zip(edges[:-1], edges[1:])]
+    """Initial panelization: [a, b] split at the breakpoints inside it."""
+    pts = sorted({float(a), float(b)} | {float(c) for c in breakpoints if a < c < b})
+    return list(zip(pts[:-1], pts[1:]))
 
 
 # Nodes per integrand call of the 1-D engine (256 panels), so each
@@ -209,7 +181,6 @@ def integrate_intervals(
     a: Sequence[float],
     b: Sequence[float],
     tol: float | Sequence[float],
-    singular_left: Sequence[bool] | None = None,
     breakpoints: Sequence[Sequence[float]] | None = None,
     max_subdivisions: int = 4000,
     rel_tol: float | Sequence[float] = 0.0,
@@ -218,9 +189,9 @@ def integrate_intervals(
 
     ``f(x, owner)`` takes a 1-D node array and an equally long integer
     array that names the integral of each node, and returns the integrand
-    values.  A flagged singular left endpoint gets geometrically graded
-    seed panels (handles integrable power/log endpoints of moderate
-    strength); the panels also split at the breakpoints of their integral.
+    values.  Each integral's seed panels split its interval at its
+    breakpoints; an endpoint singularity of power type goes through
+    :func:`power_singular_integrals` instead.
 
     The integrals advance in lockstep rounds.  In each round every
     integral whose summed |K15 - G7| panel errors exceed
@@ -244,7 +215,6 @@ def integrate_intervals(
     K = len(a)
     tols = [tol] * K if np.ndim(tol) == 0 else list(tol)
     rel_tols = [rel_tol] * K if np.ndim(rel_tol) == 0 else list(rel_tol)
-    singular_left = [False] * K if singular_left is None else singular_left
     breakpoints = [()] * K if breakpoints is None else breakpoints
     for k in range(K):
         if not (a[k] < b[k]):
@@ -259,8 +229,7 @@ def integrate_intervals(
     while True:
         # Integrals start in order, at most _INTERVAL_WINDOW at a time.
         while live < _INTERVAL_WINDOW and started < K:
-            seed = _seed_panels(a[started], b[started], singular_left[started],
-                                breakpoints[started])
+            seed = _seed_panels(a[started], b[started], breakpoints[started])
             todo.append((started, [p[0] for p in seed], [p[1] for p in seed]))
             started += 1
             live += 1
@@ -372,7 +341,6 @@ def integrate_interval(
     a: float,
     b: float,
     tol: float,
-    singular_left: bool = False,
     breakpoints: Sequence[float] = (),
     max_subdivisions: int = 4000,
     rel_tol: float = 0.0,
@@ -384,7 +352,7 @@ def integrate_interval(
     the best result) if the subdivision budget runs out first.
     """
     return integrate_intervals(
-        lambda x, owner: f(x), [a], [b], tol, [singular_left], [breakpoints],
+        lambda x, owner: f(x), [a], [b], tol, [breakpoints],
         max_subdivisions, rel_tol,
     )[0]
 
@@ -403,8 +371,8 @@ def power_singular_integral(
     ``g(r) - g(0)``, mapped to the logarithmic axis ``r = b e^{-t}`` where
     the integrand is ``b**delta e^{-delta t}(g(b e^{-t}) - g(0))`` and
     decays at least one exponential order faster than the pure power.
-    Works uniformly down to delta ~ 1e-3 and far beyond, where graded
-    panels in r-space would silently drop nearly all of the mass.  The
+    Works uniformly down to delta ~ 1e-3 and far beyond, where panels
+    in r-space would silently drop nearly all of the mass.  The
     one-integral case of :func:`power_singular_integrals`.
     """
     return power_singular_integrals([g], [delta], [b], tol, [g_at_zero], rel_tol)[0]

@@ -55,10 +55,11 @@ def test_linearity_within_summed_errors():
 def test_refinement_tightens_toward_oracle():
     # halving the tolerance never worsens the error beyond the floating floor
     f = lambda x: np.sqrt(x) * np.exp(x)
-    oracle = integrate_interval(f, 0.0, 1.0, 1e-14, singular_left=True).value
+    # the exact split of x^(1.5-1) e^x, 1.8e-15 from mpmath
+    oracle = power_singular_integral(np.exp, 1.5, 1.0, 1e-14).value
     prev = None
     for tol in (1e-4, 1e-6, 1e-8, 1e-10):
-        r = integrate_interval(f, 0.0, 1.0, tol, singular_left=True)
+        r = integrate_interval(f, 0.0, 1.0, tol)
         err = abs(r.value - oracle)
         assert err <= r.error_estimate + 1e-14
         if prev is not None:
@@ -93,14 +94,13 @@ class TestLockstep:
 
     @staticmethod
     def _family(seed, K):
-        """K random integrands with supports, flags and breakpoints."""
+        """K random integrands with supports and breakpoints."""
         rng = np.random.default_rng(seed)
         lo = np.where(rng.uniform(size=K) < 0.3, 0.0, rng.uniform(0.0, 2.0, K))
         hi = lo + rng.uniform(0.1, 6.0, K)
         power = rng.uniform(0.2, 2.5, K)
         freq = rng.uniform(0.5, 9.0, K)
         scale = np.exp(rng.uniform(-20.0, 20.0, K))
-        singular = [bool(x == 0.0 and s) for x, s in zip(lo, rng.uniform(size=K) < 0.7)]
         bps = [tuple(np.sort(rng.uniform(a, b, rng.integers(0, 3))))
                for a, b in zip(lo, hi)]
 
@@ -109,13 +109,12 @@ class TestLockstep:
 
         def alone(k):
             return integrate_interval(lambda x: f(x, np.full(x.shape, k)),
-                                      lo[k], hi[k], 0.0, singular_left=singular[k],
-                                      breakpoints=bps[k], rel_tol=1e-11)
+                                      lo[k], hi[k], 0.0, breakpoints=bps[k],
+                                      rel_tol=1e-11)
 
         def together(ks):
             return integrate_intervals(
                 lambda x, owner: f(x, np.asarray(ks)[owner]), lo[ks], hi[ks], 0.0,
-                singular_left=[singular[k] for k in ks],
                 breakpoints=[bps[k] for k in ks], rel_tol=1e-11)
 
         return alone, together
@@ -207,9 +206,12 @@ class TestLockstep:
             sizes.append(x.size)
             return np.exp(-x) * (1.0 + owner)
 
+        # 16 seed panels per integral, so the first round of 32 integrals
+        # holds 512 panels, two full calls
         K = 64
         res = integrate_intervals(f, [0.0] * K, [1.0] * K, 0.0,
-                                  singular_left=[True] * K, rel_tol=1e-12)
+                                  breakpoints=[np.linspace(0.0, 1.0, 17)[1:-1]] * K,
+                                  rel_tol=1e-12)
         assert max(sizes) == quadrature._INTERVAL_CHUNK_NODES
         assert all(s % 15 == 0 for s in sizes)
         assert res[5].value == pytest.approx(6.0 * (1.0 - math.exp(-1.0)), rel=1e-13)
