@@ -159,11 +159,15 @@ class TestHardyBatteryPins:
 
     The supports are the draws of ``hyplab verify --kind hardy --N 3 --p 2
     --trials 12 --seed 7 --allow-origin``; three of them touch the origin,
-    where the energy runs on graded panels.  Each row is the support and
-    (value, error, subdivisions) of the energy, the mass and the 1/r^p
-    mass at tol 1e-10, taken before the battery's integrals shared one
-    pass and retaken, as the origin-split pins were, for the
-    row-independent panel contraction (errors moved by up to 0.8%).
+    where the bump vanishes to all orders and every term runs on plain
+    panels from r = 0.  Each row is the support and (value, error,
+    subdivisions) of the energy, the mass and the 1/r^p mass at tol
+    1e-10, taken before the battery's integrals shared one pass and
+    retaken, as the origin-split pins were, for the row-independent panel
+    contraction (errors moved by up to 0.8%).  The three origin rows were
+    retaken when the geometrically graded seed panels were dropped: E
+    went from 121 to 63 panels and 1/r^p from 105 to 47, each value by
+    at most 4.3e-16 relative.
     """
 
     P = Params(3, 2.0)
@@ -173,9 +177,9 @@ class TestHardyBatteryPins:
          (24825.031983078163, 1.4983271118420891e-07, 47),
          (544.2567221487934, 2.179267302193886e-09, 47)),
         ((0.0, 3.779498116991762),
-         (16.551538258763575, 2.644508834145447e-12, 121),
+         (16.551538258763582, 2.644688825943968e-12, 63),
          (5.719774202452553, 8.31163260358507e-12, 47),
-         (0.9955070143265592, 6.123234581045934e-13, 105)),
+         (0.995507014326559, 6.329850604941317e-13, 47)),
         ((0.3597001048292168, 1.5008213751390578),
          (1.196636972457757, 7.254651673616815e-14, 63),
          (0.0966130425794706, 2.7970274980634952e-14, 47),
@@ -201,17 +205,17 @@ class TestHardyBatteryPins:
          (0.0032035508795134576, 6.255233375736964e-16, 47),
          (0.022143083030660374, 3.721292802167514e-15, 47)),
         ((0.0, 4.620592889151479),
-         (58.1395559884751, 1.2108151087949972e-11, 121),
+         (58.13955598847512, 1.2109401552855763e-11, 63),
          (22.955390893526744, 5.2432125387103685e-11, 47),
-         (2.4059627657521316, 2.5840093256335356e-12, 105)),
+         (2.4059627657521316, 2.609150898138349e-12, 47)),
         ((3.526758640484116, 12.407667434991469),
          (62951852.44208699, 4.1787717208773096e-05, 63),
          (33021717.837134987, 0.00046562583839454086, 47),
          (299192.74720239657, 3.1493483042482683e-06, 47)),
         ((0.0, 5.336759196748777),
-         (175.20263794962935, 4.52649444087024e-11, 121),
+         (175.2026379496293, 4.526313166879526e-11, 63),
          (74.79806381797327, 2.445742307434357e-10, 47),
-         (5.440754924868559, 9.040377439646508e-12, 105)),
+         (5.4407549248685605, 9.06949868319228e-12, 47)),
         ((0.20773112199473528, 1.5802281734529628),
          (1.0493698317110158, 7.219585082775943e-14, 63),
          (0.11045010672565342, 3.85874660129349e-14, 47),
@@ -250,7 +254,7 @@ class TestRadialBattery:
 
     P = Params(10, 3.0)
     FUNCS = [
-        make_bump(0.0, 1.7),                # at the origin, graded panels
+        make_bump(0.0, 1.7),                # at the origin, no split
         make_veps(3.0, 0.1, 0.05),          # declared origin power: split
         make_bump(0.4, 2.5, "tent"),        # not a mollifier: called per run
         make_bump(2.0, 6.5),

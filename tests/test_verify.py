@@ -402,7 +402,7 @@ class TestBatch:
         reps = batch_verify(InequalityKind.HP_WEIGHTED, [Params(3, 2.0)], 40, seed=11,
                             tol=1e-10, allow_origin=True)
         assert all(r.passed for r in reps)
-        assert (len(nodes), sum(nodes), sum(panels)) == (56, 157_200, 10_480)
+        assert (len(nodes), sum(nodes), sum(panels)) == (43, 122_400, 8_160)
         assert sum(nodes) == 15 * sum(panels)
 
 
