@@ -405,6 +405,25 @@ class TestBatch:
         assert (len(nodes), sum(nodes), sum(panels)) == (43, 122_400, 8_160)
         assert sum(nodes) == 15 * sum(panels)
 
+    @pytest.mark.parametrize("kind, params", [
+        (InequalityKind.PGAP, Params(13, 4.0)),
+        (InequalityKind.HARDY, Params(13, 4.0)),
+        (InequalityKind.HP_WEIGHTED, Params(3, 2.0)),
+    ], ids=["pgap", "hardy", "hp-weighted"])
+    def test_origin_trials_within_quad_error(self, kind, params):
+        # A bump whose support starts at r = 0 runs on plain panels from
+        # the origin; its reports at the CLI default tol stay within their
+        # quad_error of a tol 1e-13 rerun (measured: at most 4.6e-4 of it).
+        trials, seed = 20, 23
+        origin = [i for i in range(trials)
+                  if _trial_function(kind, params, seed, i, True).support[0] == 0.0]
+        assert origin
+        reps = batch_verify(kind, [params], trials, seed, tol=1e-10, allow_origin=True)
+        refs = batch_verify(kind, [params], trials, seed, tol=1e-13, allow_origin=True)
+        for i in origin:
+            rep, ref = reps[i], refs[i]
+            assert abs(rep.lhs - ref.lhs) + abs(rep.rhs - ref.rhs) <= rep.quad_error
+
 
 class TestSharpnessScan:
     def test_pgap_brackets_and_trend(self):
