@@ -246,17 +246,6 @@ def _origin_power(params: Params, name: str, u: RadialTestFunction, lo: float,
     split: its integrand is smooth there.
     """
     p, m = params.p, params.N - 1
-    lam = u.origin_power if lo == 0.0 else None
-    if name == "E":
-        # |u'|^p ~ r^((lam-1)p); with the volume weight the total power at
-        # the origin is (lam-1)p + N-1, possibly in (-1, 0)
-        return None if lam is None else (lam - 1.0) * p + m
-    if name == "M":
-        return None if lam is None else lam * p + m
-    if name == "hardy1d_energy":
-        if lam is None:
-            return None
-        return lam * (p - l) - (p - l) + (lam - 1.0) * l  # (r coth r)~1 at 0
     if name == "W" and lo <= 0.0:
         raise NonIntegrableSingularity(
             "weight W on a support touching the origin is not handled; "
@@ -264,7 +253,10 @@ def _origin_power(params: Params, name: str, u: RadialTestFunction, lo: float,
         )
     if lo > 0.0:
         return None
-    if lam is None and float(u.value(np.array([0.0]))[0]) != 0.0:
+    lam = u.origin_power
+    # a mass of a profile with u(0) != 0 carries its weight's power
+    if (lam is None and name not in ("E", "M", "hardy1d_energy")
+            and float(u.value(np.array([0.0]))[0]) != 0.0):
         if name == "hardy1d_mass":
             raise NonIntegrableSingularity(
                 "1/r^p mass at the origin needs a declared origin power"
@@ -272,6 +264,14 @@ def _origin_power(params: Params, name: str, u: RadialTestFunction, lo: float,
         lam = 0.0
     if lam is None:
         return None
+    if name == "E":
+        # |u'|^p ~ r^((lam-1)p); with the volume weight the total power at
+        # the origin is (lam-1)p + N-1, possibly in (-1, 0)
+        return (lam - 1.0) * p + m
+    if name == "M":
+        return lam * p + m
+    if name == "hardy1d_energy":
+        return lam * (p - l) - (p - l) + (lam - 1.0) * l  # (r coth r)~1 at 0
     if name == "hardy1d_mass":
         return lam * p - p
     return lam * p + _weight_power(params, name) + m

@@ -102,6 +102,10 @@ class TestWeightedMass:
         )
         with pytest.raises(NonIntegrableSingularity):
             radial_weighted_mass(pr, const_at_zero, "1/r^p", 1e-9)
+        undeclared = type(u)(const_at_zero.value, const_at_zero.derivative,
+                             (0.0, 2.0), breakpoints=(2.0,))
+        with pytest.raises(NonIntegrableSingularity, match="declared origin power"):
+            hardy1d_mass(2.0, undeclared, 1e-9)
 
     def test_green_weight_mass_positive(self):
         pr = Params(5, 2.0)
@@ -164,10 +168,8 @@ class TestHardyBatteryPins:
     subdivisions) of the energy, the mass and the 1/r^p mass at tol
     1e-10, taken before the battery's integrals shared one pass and
     retaken, as the origin-split pins were, for the row-independent panel
-    contraction (errors moved by up to 0.8%).  The three origin rows were
-    retaken when the geometrically graded seed panels were dropped: E
-    went from 121 to 63 panels and 1/r^p from 105 to 47, each value by
-    at most 4.3e-16 relative.
+    contraction (errors moved by up to 0.8%), and the three origin rows
+    retaken when they moved onto plain panels.
     """
 
     P = Params(3, 2.0)
