@@ -216,6 +216,52 @@ class TestLockstep:
         assert all(s % 15 == 0 for s in sizes)
         assert res[5].value == pytest.approx(6.0 * (1.0 - math.exp(-1.0)), rel=1e-13)
 
+    def test_panels_at_the_width_floor_end_the_refinement(self):
+        # a jump on [1, 1 + 64 ulp] at tol 0: every panel is halved down to
+        # one ulp, where its midpoint rounds onto an end; it is kept, its
+        # error still counts, and the integral ends with nothing to split.
+        # Pinned, alone and in lockstep with two smooth integrals that are
+        # still refining when it reaches the floor.
+        ulp = math.ulp(1.0)
+        a, b, c = 1.0, 1.0 + 64 * ulp, 1.0 + 21 * ulp
+
+        def jump(x):
+            return np.where(x > c, 1.0, 0.0)
+
+        pin = QuadResult(9.547918011776321e-15, 3.392101892450351e-29, 97)
+        assert integrate_interval(jump, a, b, 0.0) == pin
+        owners = []
+
+        def f(x, owner):
+            owners.append(set(owner.tolist()))
+            return np.where(owner == 1, jump(x), np.exp(np.sin(9.0 * x)))
+
+        res = integrate_intervals(f, [0.0, a, 0.0], [3.0, b, 5.0], 0.0,
+                                  rel_tol=[1e-13, 0.0, 1e-13])
+        assert res[1] == pin
+        assert [r.subdivisions for r in res] == [63, 97, 111]
+        assert owners[-1] == {1, 2}
+
+    def test_every_call_sees_owner_nondecreasing(self, monkeypatch):
+        # radial_battery's integrand cuts a call into terms by
+        # np.searchsorted(owner, ...), so the engine promises owner sorted
+        # in every call: across chunk boundaries, rounds and a window that
+        # starts integrals as others finish
+        monkeypatch.setattr(quadrature, "_INTERVAL_CHUNK_NODES", 15 * 7)
+        monkeypatch.setattr(quadrature, "_INTERVAL_WINDOW", 3)
+        K = 12
+        freq = np.random.default_rng(6).uniform(0.5, 9.0, K)
+        owners = []
+
+        def f(x, owner):
+            owners.append(owner)
+            return np.exp(np.sin(freq[owner] * x))
+
+        integrate_intervals(f, [0.0] * K, [5.0] * K, 0.0, rel_tol=1e-12)
+        assert len(owners) > 20
+        assert sum(len(set(o.tolist())) > 1 for o in owners) > 10
+        assert all((np.diff(o) >= 0).all() for o in owners)
+
     def test_tolerance_not_achieved_carries_failing_integral(self):
         def pole(x):
             return 1.0 / np.sqrt(np.abs(x - 0.31831) + 1e-300)
