@@ -54,10 +54,6 @@ def _finite_support(u: RadialTestFunction) -> tuple[float, float]:
     return lo, hi
 
 
-def _interior_breakpoints(u: RadialTestFunction, lo: float, hi: float):
-    return tuple(b for b in u.breakpoints if lo < b < hi)
-
-
 # Term names of a radial battery: the p-energy E and p-mass M, one
 # weighted mass per weight tag, and the two 1D Hardy pieces.
 RADIAL_TERMS = ("E", "M") + WEIGHT_TAGS + ("hardy1d_energy", "hardy1d_mass")
@@ -142,7 +138,6 @@ def radial_battery(
         term_starts.append(len(where))
         for i, u in enumerate(funcs):
             lo, hi = _finite_support(u)
-            b = _interior_breakpoints(u, lo, hi)
             power = _origin_power(params, name, u, lo, l)
             rel_tol = tol
             if power is not None:
@@ -157,7 +152,7 @@ def radial_battery(
                 rel_tol = tol / 2
             lows.append(lo)
             highs.append(hi)
-            bps.append(b)
+            bps.append(u.breakpoints)
             rel_tols.append(rel_tol)
             where.append((i, name))
     term_starts.append(len(where))
