@@ -52,84 +52,91 @@ from .verify import (
 KIND_TAGS = [k.value for k in InequalityKind]
 
 
-def _add_common(sp, with_seed=False, with_trials=False):
+def _add_common(sp, batch):
     sp.add_argument("--N", type=int, required=True, help="dimension, integer >= 2")
     sp.add_argument("--p", type=float, required=True, help="exponent, real > 1")
     sp.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--output", default="-", help="output path or - for stdout")
-    if with_seed:
+    if batch:
         sp.add_argument("--seed", type=int, default=0, help="64-bit batch seed")
-    if with_trials:
         sp.add_argument("--trials", type=int, default=25)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each subcommand's help, whether it takes --seed and --trials, and its
+# own arguments after the common ones, in the order its help lists them.
+_SUBCOMMANDS = {
+    "constants": ("constant table for one (N, p)", False, []),
+    "weights": ("sample W, H_p, h, V over a radial grid", False, [
+        ("--r-min", dict(type=float, default=0.05)),
+        ("--r-max", dict(type=float, default=10.0)),
+        ("--points", dict(type=int, default=40)),
+    ]),
+    "rp": ("critical radii r0 and r_p", False, []),
+    "rp-scan": ("monotonicity scan of r_p", False, [
+        ("--scan-axis", dict(choices=("N", "p"), required=True)),
+        ("--N-max", dict(type=int, default=40)),
+        ("--p-values", dict(type=float, nargs="+", default=None,
+                            help="increasing p values for the p-scan")),
+    ]),
+    "verify": ("seeded batch of inequality reports", True, [
+        ("--kind", dict(choices=KIND_TAGS, required=True,
+                        help=f"inequality tag, one of: {', '.join(KIND_TAGS)}")),
+        ("--l", dict(type=float, default=None, help="1D Hardy mixed exponent")),
+        ("--allow-origin", dict(
+            action="store_true",
+            help="allow supports touching r = 0 (origin-integrable weights only)")),
+    ]),
+    "sharpness": ("near-extremal quotient schedules", False, [
+        ("--kind", dict(choices=("pgap", "hardy1d"), required=True)),
+        ("--schedule", dict(type=float, nargs="+", default=[1e-1, 1e-2, 1e-3])),
+        ("--delta", dict(type=float, default=1e-3, help="hardy1d delta")),
+        ("--l", dict(type=float, default=None)),
+    ]),
+    "figure1": ("H_p curve with r_p marker row", False, [
+        ("--r-max", dict(type=float, default=15.0)),
+        ("--points", dict(type=int, default=1500)),
+    ]),
+    "proofcheck": ("scalar proof-step checks", True, []),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone.
+
+    The one-command parser gives that command's help, usage and errors
+    byte for byte as the full parser does: its usage line still lists
+    every command.
+    """
     ap = argparse.ArgumentParser(
         prog="hyplab",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("constants", help="constant table for one (N, p)")
-    _add_common(sp)
-
-    sp = sub.add_parser("weights", help="sample W, H_p, h, V over a radial grid")
-    _add_common(sp)
-    sp.add_argument("--r-min", type=float, default=0.05)
-    sp.add_argument("--r-max", type=float, default=10.0)
-    sp.add_argument("--points", type=int, default=40)
-
-    sp = sub.add_parser("rp", help="critical radii r0 and r_p")
-    _add_common(sp)
-
-    sp = sub.add_parser("rp-scan", help="monotonicity scan of r_p")
-    _add_common(sp)
-    sp.add_argument("--scan-axis", choices=("N", "p"), required=True)
-    sp.add_argument("--N-max", type=int, default=40)
-    sp.add_argument(
-        "--p-values", type=float, nargs="+", default=None,
-        help="increasing p values for the p-scan",
-    )
-
-    sp = sub.add_parser("verify", help="seeded batch of inequality reports")
-    _add_common(sp, with_seed=True, with_trials=True)
-    sp.add_argument(
-        "--kind", choices=KIND_TAGS, required=True,
-        help=f"inequality tag, one of: {', '.join(KIND_TAGS)}",
-    )
-    sp.add_argument("--l", type=float, default=None, help="1D Hardy mixed exponent")
-    sp.add_argument(
-        "--allow-origin", action="store_true",
-        help="allow supports touching r = 0 (origin-integrable weights only)",
-    )
-
-    sp = sub.add_parser("sharpness", help="near-extremal quotient schedules")
-    _add_common(sp)
-    sp.add_argument("--kind", choices=("pgap", "hardy1d"), required=True)
-    sp.add_argument("--schedule", type=float, nargs="+", default=[1e-1, 1e-2, 1e-3])
-    sp.add_argument("--delta", type=float, default=1e-3, help="hardy1d delta")
-    sp.add_argument("--l", type=float, default=None)
-
-    sp = sub.add_parser("figure1", help="H_p curve with r_p marker row")
-    _add_common(sp)
-    sp.add_argument("--r-max", type=float, default=15.0)
-    sp.add_argument("--points", type=int, default=1500)
-
-    sp = sub.add_parser("proofcheck", help="scalar proof-step checks")
-    _add_common(sp, with_seed=True, with_trials=True)
+    names = list(_SUBCOMMANDS)
+    if command is None:
+        sub = ap.add_subparsers(dest="command", required=True)
+    else:
+        sub = ap.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(names) + "}")
+        names = [command]
+    for name in names:
+        help_text, batch, arguments = _SUBCOMMANDS[name]
+        sp = sub.add_parser(name, help=help_text)
+        _add_common(sp, batch)
+        for flag, kwargs in arguments:
+            sp.add_argument(flag, **kwargs)
     return ap
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of :func:`main`, built on its first call.
+def _parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of :func:`main` for ``command``, built on first use.
 
-    Parsing leaves the parser unchanged, so one parser serves every call
-    of a process; importing this module builds none.
+    Parsing leaves a parser unchanged, so one parser per command serves
+    every call of a process; importing this module builds none.
     """
-    return build_parser()
+    return build_parser(command)
 
 
 # Each command returns (payload kind, rows, params echo beyond N, p and tol,
@@ -324,7 +331,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # an argument list that names no command first gets the full parser,
+    # whose help lists every command and whose errors name them
+    args = _parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None).parse_args(argv)
     try:
         payload_kind, rows, extra, code = _COMMANDS[args.command](args)
         echo = {"N": args.N, "p": args.p, "tol": args.tol, **extra}

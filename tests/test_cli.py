@@ -277,6 +277,22 @@ def test_one_parser_serves_every_call(capsys):
     assert cli._parser().parse_args(commands[0]).schedule == [1e-1, 1e-2, 1e-3]
 
 
+def test_one_command_parser_prints_as_the_full_parser(capsys):
+    # main builds only the parser of the command it is given; that
+    # command's help and errors, its usage line of every command included,
+    # read as the full parser's
+    def printed(parse, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        return exc.value.code, capsys.readouterr()
+
+    full = build_parser()
+    for name in cli._COMMANDS:
+        for argv in ([name, "--help"], [name, "--N", "two", "--p", "2"],
+                     [name, "--N", "3", "--p", "2", "--bogus"]):
+            assert printed(main, argv) == printed(full.parse_args, argv)
+
+
 def test_help_and_argument_errors_exit_as_before(capsys):
     for _ in range(2):
         with pytest.raises(SystemExit) as exc:
