@@ -1,7 +1,7 @@
 """Adaptive quadrature engines.
 
 One dimensional integration uses a nested Gauss(7)/Kronrod(15) pair per
-panel with local error = |K15 - G7| and max-heap driven bisection.  Many
+panel with local error = |K15 - G7| and worst-panel-first bisection.  Many
 independent integrals advance in lockstep rounds, every round's new panels
 evaluated in one integrand call and contracted in one fixed-order sum per
 panel, and each integral refines exactly as it would alone.
@@ -32,7 +32,6 @@ import functools
 import heapq
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -154,26 +153,23 @@ _WGK = np.array(_WGK_LEFT + _WGK_LEFT[-2::-1])
 _WG = np.array(_WG_LEFT + _WG_LEFT[-2::-1])
 
 
-def _seed_panels(
+def _seed_points(
     a: float,
     b: float,
     breakpoints: Sequence[float],
-) -> list[tuple[float, float]]:
-    """Initial panelization: [a, b] split at the breakpoints inside it."""
-    pts = sorted({float(a), float(b)} | {float(c) for c in breakpoints if a < c < b})
-    return list(zip(pts[:-1], pts[1:]))
+) -> list[float]:
+    """Ends of the initial panels: [a, b] split at the breakpoints inside it."""
+    return sorted({float(a), float(b)} | {float(c) for c in breakpoints if a < c < b})
 
 
 # Nodes per integrand call of the 1-D engine (256 panels), so each
 # temporary array of a battery's integrand stays near 30 kB.
 _INTERVAL_CHUNK_NODES = 15 * 256
-# Integrals in flight at once.  Each holds a heap of its panels, so this
-# bounds the memory of a battery; 32 integrals split up to 256 panels a
-# round, one full integrand call.  A window of 64 ran no faster on a
-# radial battery and raised the peak resident memory by twice as much.
-_INTERVAL_WINDOW = 32
-_VALUE = operator.itemgetter(3)
-_ERROR = operator.itemgetter(4)
+# Integrals in flight at once.  Their panels share one array, so this
+# bounds the memory of a battery; 64 integrals split up to 512 panels a
+# round, two full integrand calls, which spreads the round's fixed cost
+# of a few dozen array operations over enough panels.
+_INTERVAL_WINDOW = 64
 
 
 def integrate_intervals(
@@ -189,20 +185,25 @@ def integrate_intervals(
 
     ``f(x, owner)`` takes a 1-D node array and an equally long integer
     array that names the integral of each node, and returns the integrand
-    values.  Each integral's seed panels split its interval at its
-    breakpoints; an endpoint singularity of power type goes through
+    values; in every call ``owner`` is nondecreasing.  Each integral's
+    seed panels split its interval at its breakpoints; an endpoint
+    singularity of power type goes through
     :func:`power_singular_integrals` instead.
 
     The integrals advance in lockstep rounds.  In each round every
     integral whose summed |K15 - G7| panel errors exceed
     ``tol + rel_tol * |integral|`` (``tol`` and ``rel_tol`` each one
     number for all, or one per integral) splits its up to 8 worst panels
-    (largest error first, ties by lower then upper end), and the children
-    of all integrals are evaluated together, in integrand calls of at most
+    (largest error first, ties by lower end), and the children of all
+    integrals are evaluated together, in integrand calls of at most
     ``_INTERVAL_CHUNK_NODES`` nodes; at most ``_INTERVAL_WINDOW``
-    integrals are in flight, the next starting as one finishes.  Each
-    integral keeps its own heap of panels and sums its values and errors
-    in heap order.  The GK15 sums of a round's panels come from one
+    integrals are in flight, the next starting as one finishes.  A panel
+    too narrow to split is kept, and its error still counts in the sum
+    but no longer in the choice, where it ranks as an error of 0; an
+    integral whose chosen panels are all that narrow ends there.  The panels of all integrals in flight are the
+    rows of one array, each integral's rows left to right, and each
+    integral sums its panels' values and errors over its own rows in
+    that order.  The GK15 sums of a round's panels come from one
     contraction that sums every panel in one fixed order, whatever the
     other panels, so every result is bit for bit the one the integral
     gets alone.
@@ -213,62 +214,99 @@ def integrate_intervals(
     run on, and then the failure of the first failing integral is raised.
     """
     K = len(a)
-    tols = [tol] * K if np.ndim(tol) == 0 else list(tol)
-    rel_tols = [rel_tol] * K if np.ndim(rel_tol) == 0 else list(rel_tol)
+    tols = np.broadcast_to(np.asarray(tol, dtype=float), (K,))
+    rel_tols = np.broadcast_to(np.asarray(rel_tol, dtype=float), (K,))
     breakpoints = [()] * K if breakpoints is None else breakpoints
     for k in range(K):
         if not (a[k] < b[k]):
             raise ValueError(f"need a < b, got [{a[k]}, {b[k]}]")
-    heaps: list[list | None] = [[] for _ in range(K)]
-    panels = [0] * K
     results: list[QuadResult | None] = [None] * K
     failures: dict[int, QuadratureError] = {}
-    todo = []  # (integral, lower ends, upper ends) of the panels to evaluate
-    started = live = 0
-    heappop, heappush = heapq.heappop, heapq.heappush
+    # One row per panel of the integrals in flight: lo, hi, value, error;
+    # grouped by integral in index order, left to right within each.  A
+    # panel's key orders the choice of panels to split: its error, or 0
+    # once it is too narrow to split.
+    rows, keys = np.empty((0, 4)), np.empty(0)
+    # the integrals in flight, their rows and their panels evaluated
+    ids = counts = panels = np.empty(0, dtype=np.intp)
+    fresh = ids  # the rows to evaluate
+    started = 0
     while True:
         # Integrals start in order, at most _INTERVAL_WINDOW at a time.
-        while live < _INTERVAL_WINDOW and started < K:
-            seed = _seed_panels(a[started], b[started], breakpoints[started])
-            todo.append((started, [p[0] for p in seed], [p[1] for p in seed]))
-            started += 1
-            live += 1
-        if not todo:
+        if len(ids) < _INTERVAL_WINDOW and started < K:
+            new = range(started, min(K, started + _INTERVAL_WINDOW - len(ids)))
+            ends = [_seed_points(a[k], b[k], breakpoints[k]) for k in new]
+            seeds = np.array([(lo, hi, 0.0, 0.0) for pts in ends
+                              for lo, hi in zip(pts[:-1], pts[1:])])
+            n_seed = [len(pts) - 1 for pts in ends]
+            fresh = np.concatenate((fresh, np.arange(len(rows), len(rows) + len(seeds))))
+            rows = np.concatenate((rows, seeds))
+            keys = np.concatenate((keys, seeds[:, 3]))
+            ids = np.concatenate((ids, new))
+            counts = np.concatenate((counts, n_seed))
+            panels = np.concatenate((panels, n_seed))
+            started = new.stop
+        if not len(ids):
             break
-        _push_panels(f, todo, heaps, panels, failures)
-        done = [k for k, _, _ in todo]
-        todo = []
-        for k in done:
-            if k not in failures:
-                heap = heaps[k]
-                total, err = sum(map(_VALUE, heap)), sum(map(_ERROR, heap))
-                if err <= tols[k] + rel_tols[k] * abs(total):
-                    results[k] = QuadResult(total, err, panels[k])
-                elif panels[k] >= max_subdivisions:
-                    failures[k] = ToleranceNotAchieved(
-                        f"error estimate {err:.3e} > tol {tols[k]:.3e} "
-                        f"after {panels[k]} panels on [{a[k]}, {b[k]}]",
-                        QuadResult(total, err, panels[k]),
-                    )
-                else:
-                    # split the up to 8 worst panels
-                    lows, highs = [], []
-                    for _ in range(min(8, len(heap))):
-                        _, lo, hi, v, e = heappop(heap)
-                        mid = 0.5 * (lo + hi)
-                        if mid <= lo or mid >= hi:
-                            # Width at rounding floor: keep the panel, accept its error.
-                            heappush(heap, (0.0, lo, hi, v, e))
-                            continue
-                        lows += (lo, mid)
-                        highs += (mid, hi)
-                    if lows:
-                        todo.append((k, lows, highs))
-                        continue
-                    results[k] = QuadResult(sum(map(_VALUE, heap)),
-                                            sum(map(_ERROR, heap)), panels[k])
-            heaps[k] = None
-            live -= 1
+        grp = np.arange(len(ids)).repeat(counts)  # each row's integral
+        lo, hi, value, error = rows.T
+        values, errors, bad = _panel_sums(f, lo[fresh], hi[fresh], ids[grp[fresh]])
+        value[fresh] = values
+        error[fresh] = keys[fresh] = errors
+        # each integral sums its panels in row order, left to right
+        total = np.bincount(grp, value)
+        err = np.bincount(grp, error)
+        with np.errstate(invalid="ignore"):  # 0 * inf where a sum is infinite
+            met = err <= tols[ids] + rel_tols[ids] * np.abs(total)
+        ends_here = met | (panels >= max_subdivisions)
+        if bad is not None:
+            failing = ~np.isnan(bad)
+            for g, x in zip(grp[fresh][failing].tolist(), bad[failing].tolist()):
+                if int(ids[g]) not in failures:
+                    failures[int(ids[g])] = QuadratureError(
+                        f"integrand not finite at x={x!r}")
+                ends_here[g] = True
+        # each refining integral's up to 8 worst panels, ties by lower end
+        first = counts.cumsum() - counts
+        order = np.lexsort((-keys, grp))
+        worst = order[np.arange(len(rows)) < (first + 8 * ~ends_here)[grp]]
+        worst.sort()
+        lows, highs = lo[worst], hi[worst]
+        mids = 0.5 * (lows + highs)
+        narrow = (mids <= lows) | (mids >= highs)
+        if np.count_nonzero(narrow):
+            # Width at rounding floor: keep the panel, count its error.
+            keys[worst[narrow]] = 0.0
+            worst, mids = worst[~narrow], mids[~narrow]
+        splits = np.bincount(grp[worst], minlength=len(ids))
+        ends_here |= splits == 0  # nothing left to split
+        ended = ends_here.nonzero()[0].tolist()
+        for g in ended:
+            k = int(ids[g])
+            if k in failures:
+                continue
+            res = QuadResult(float(total[g]), float(err[g]), int(panels[g]))
+            if met[g] or panels[g] < max_subdivisions:
+                results[k] = res
+            else:
+                failures[k] = ToleranceNotAchieved(
+                    f"error estimate {res.error_estimate:.3e} > tol {tols[k]:.3e} "
+                    f"after {res.subdivisions} panels on [{a[k]}, {b[k]}]", res)
+        # Split in place: each chosen panel becomes its two halves, and the
+        # rows of the integrals that end here go.
+        split = np.zeros(len(rows), dtype=bool)
+        split[worst] = True
+        live = ~ends_here
+        copies = live.view(np.int8)[grp] + split
+        rows = rows.repeat(copies, axis=0)
+        keys = keys.repeat(copies)
+        fresh = split.repeat(copies).nonzero()[0]
+        rows[:, 1][fresh[0::2]] = mids
+        rows[:, 0][fresh[1::2]] = mids
+        counts += splits
+        panels += 2 * splits
+        if ended:
+            ids, counts, panels = ids[live], counts[live], panels[live]
     if failures:
         raise failures[min(failures)]
     return results
@@ -289,21 +327,21 @@ def _per_run(calls, x, idx):
     return out
 
 
-def _push_panels(f, todo, heaps, panels, failures) -> None:
-    """Evaluate the listed panels of every integral and push them on its heap."""
-    counts = [len(ls) for _, ls, _ in todo]
-    lo_list = [x for _, ls, _ in todo for x in ls]
-    hi_list = [x for _, _, hs in todo for x in hs]
-    lows, highs = np.array(lo_list), np.array(hi_list)
-    ends = list(itertools.accumulate(counts))
-    spans = [(k, start, end) for (k, _, _), start, end in zip(todo, [0] + ends, ends)]
+def _panel_sums(f, lows, highs, owner):
+    """GK15 values and |K15 - G7| errors of the panels [lows[i], highs[i]]
+    of the integrals owner[i], in integrand calls of at most
+    ``_INTERVAL_CHUNK_NODES`` nodes.
+
+    Returns (values, errors, bad): bad is None where the integrand is
+    finite at every node, else per panel its first node where it is not,
+    and NaN for the panels finite throughout.
+    """
     mids = 0.5 * (lows + highs)
     halfs = 0.5 * (highs - lows)
 
     def nodes(rows):
         return (mids[rows, None] + halfs[rows, None] * _XGK[None, :]).ravel()
 
-    owner = np.repeat([k for k, _, _ in todo], counts)
     vals = np.empty((len(lows), 15))
     step = _INTERVAL_CHUNK_NODES // 15
     for s in range(0, len(lows), step):
@@ -314,26 +352,14 @@ def _push_panels(f, todo, heaps, panels, failures) -> None:
     k15 = np.einsum("ij,j->i", vals, _WGK, optimize=False)
     g7 = np.einsum("ij,j->i", vals, _WG, optimize=False)
     if np.isfinite(k15).all():
-        values, errors = k15 * halfs, np.abs(k15 - g7) * halfs
-    else:
-        # Every Kronrod weight is positive, so a NaN or an infinity at any
-        # node makes its row's K15 sum non-finite.
-        finite = np.isfinite(vals).all(axis=1)
-        for k, start, end in spans:
-            if not finite[start:end].all():
-                rows = slice(start, end)
-                bad = nodes(rows)[~np.isfinite(vals[rows].ravel())][0]
-                failures[k] = QuadratureError(f"integrand not finite at x={bad!r}")
-        with np.errstate(invalid="ignore"):
-            values, errors = k15 * halfs, np.abs(k15 - g7) * halfs
-    items = list(zip((-errors).tolist(), lo_list, hi_list, values.tolist(),
-                     errors.tolist()))
-    for k, start, end in spans:
-        if k not in failures:
-            heap = heaps[k]
-            for i in range(start, end):
-                heapq.heappush(heap, items[i])
-            panels[k] += end - start
+        return k15 * halfs, np.abs(k15 - g7) * halfs, None
+    # Every Kronrod weight is positive, so a NaN or an infinity at any
+    # node makes its row's K15 sum non-finite.
+    finite = np.isfinite(vals)
+    first = nodes(slice(None)).reshape(-1, 15)[np.arange(len(lows)), finite.argmin(axis=1)]
+    bad = np.where(finite.all(axis=1), np.nan, first)
+    with np.errstate(invalid="ignore"):
+        return k15 * halfs, np.abs(k15 - g7) * halfs, bad
 
 
 def integrate_interval(

@@ -172,9 +172,9 @@ class TestLockstep:
             integrate_intervals(f, [0.0] * K, [5.0] * K, 0.0, rel_tol=[rel_tols[0]] * K)
 
     def test_panel_sums_do_not_depend_on_the_round(self):
-        # each panel's (value, error), pushed alone as its own integral and
-        # in one round with the panels of 29 other integrals, one of which
-        # is not finite; the scales span e^-20 to e^20
+        # each panel's (value, error), evaluated alone as its own integral
+        # and in one round with the panels of 29 other integrals, one of
+        # which is not finite; the scales span e^-20 to e^20
         rng = np.random.default_rng(4)
         K, bad = 30, 7
         scale = np.exp(rng.uniform(-20.0, 20.0, K))
@@ -186,18 +186,20 @@ class TestLockstep:
             out = scale[owner] * np.exp(np.sin(freq[owner] * x)) * (1.5 + np.cos(x))
             return np.where((owner == bad) & (x > 0.0), np.inf, out)
 
-        def push(f, todo):
-            heaps, failures = [[] for _ in todo], {}
-            quadrature._push_panels(f, todo, heaps, [0] * len(todo), failures)
-            return heaps, failures
-
-        heaps, failures = push(f, [(k, lows[k].tolist(), highs[k].tolist())
-                                   for k in range(K)])
-        assert list(failures) == [bad]
+        owner = np.repeat(np.arange(K), [lo.size for lo in lows])
+        values, errors, bad_x = quadrature._panel_sums(
+            f, np.concatenate(lows), np.concatenate(highs), owner)
+        failing = ~np.isnan(bad_x)
+        assert set(owner[failing].tolist()) == {bad}
+        assert (bad_x[failing] > 0.0).all()
         for k in set(range(K)) - {bad}:
-            alone = [push(lambda x, owner: f(x, owner + k), [(0, [lo], [hi])])[0][0][0]
+            alone = [quadrature._panel_sums(lambda x, owner: f(x, owner + k),
+                                            np.array([lo]), np.array([hi]),
+                                            np.zeros(1, dtype=int))[:2]
                      for lo, hi in zip(lows[k].tolist(), highs[k].tolist())]
-            assert sorted(heaps[k]) == sorted(alone)
+            mine = owner == k
+            assert list(zip(values[mine].tolist(), errors[mine].tolist())) == [
+                (v[0], e[0]) for v, e in alone]
 
     def test_calls_are_chunked_to_the_node_cap(self):
         sizes = []
@@ -206,8 +208,8 @@ class TestLockstep:
             sizes.append(x.size)
             return np.exp(-x) * (1.0 + owner)
 
-        # 16 seed panels per integral, so the first round of 32 integrals
-        # holds 512 panels, two full calls
+        # 16 seed panels per integral, so the first round of 64 integrals
+        # holds 1,024 panels, four full calls
         K = 64
         res = integrate_intervals(f, [0.0] * K, [1.0] * K, 0.0,
                                   breakpoints=[np.linspace(0.0, 1.0, 17)[1:-1]] * K,
