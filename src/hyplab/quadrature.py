@@ -200,10 +200,10 @@ def integrate_intervals(
     integrals are in flight, the next starting as one finishes.  A panel
     too narrow to split is kept, and its error still counts in the sum
     but no longer in the choice, where it ranks as an error of 0; an
-    integral whose chosen panels are all that narrow ends there.  The panels of all integrals in flight are the
-    rows of one array, each integral's rows left to right, and each
-    integral sums its panels' values and errors over its own rows in
-    that order.  The GK15 sums of a round's panels come from one
+    integral whose chosen panels are all that narrow ends there.  The
+    panels of all integrals in flight are the rows of one array, each
+    integral's rows left to right, and each integral sums its panels'
+    values and errors over its own rows in that order.  The GK15 sums of a round's panels come from one
     contraction that sums every panel in one fixed order, whatever the
     other panels, so every result is bit for bit the one the integral
     gets alone.
@@ -214,8 +214,8 @@ def integrate_intervals(
     run on, and then the failure of the first failing integral is raised.
     """
     K = len(a)
-    tols = np.broadcast_to(np.asarray(tol, dtype=float), (K,))
-    rel_tols = np.broadcast_to(np.asarray(rel_tol, dtype=float), (K,))
+    tols, rel_tols = np.empty(K), np.empty(K)
+    tols[:], rel_tols[:] = tol, rel_tol
     breakpoints = [()] * K if breakpoints is None else breakpoints
     for k in range(K):
         if not (a[k] < b[k]):
@@ -227,9 +227,14 @@ def integrate_intervals(
     # panel's key orders the choice of panels to split: its error, or 0
     # once it is too narrow to split.
     rows, keys = np.empty((0, 4)), np.empty(0)
-    # the integrals in flight, their rows and their panels evaluated
-    ids = counts = panels = np.empty(0, dtype=np.intp)
-    fresh = ids  # the rows to evaluate
+    # Per integral in flight: its index and its rows (brought up to date
+    # when the integrals in flight change), and as floats its panels
+    # evaluated, tol and rel_tol.  Only floats are compared or added:
+    # numpy's integer arithmetic and comparison loops, which a short run
+    # may touch nowhere else, would each fault in 64 or 128 kB of code.
+    ids = counts = fresh = np.empty(0, dtype=np.intp)  # fresh: the rows to evaluate
+    state = np.empty((0, 3))
+    budget = np.full(_INTERVAL_WINDOW, float(max_subdivisions))
     started = 0
     while True:
         # Integrals start in order, at most _INTERVAL_WINDOW at a time.
@@ -244,42 +249,56 @@ def integrate_intervals(
             keys = np.concatenate((keys, seeds[:, 3]))
             ids = np.concatenate((ids, new))
             counts = np.concatenate((counts, n_seed))
-            panels = np.concatenate((panels, n_seed))
+            state = np.concatenate((state, [(n, tols[k], rel_tols[k])
+                                            for n, k in zip(n_seed, new)]))
+            grp = None
             started = new.stop
         if not len(ids):
             break
-        grp = np.arange(len(ids)).repeat(counts)  # each row's integral
-        lo, hi, value, error = rows.T
-        values, errors, bad = _panel_sums(f, lo[fresh], hi[fresh], ids[grp[fresh]])
+        if grp is None:
+            grp = np.arange(len(ids)).repeat(counts)  # each row's integral
+            place = np.arange(len(ids), dtype=float).repeat(counts)  # grp, as floats
+        panels, tol_of, rel_of = state.T  # views: panels is updated in place
+        values, errors, bad = _panel_sums(f, rows[:, 0][fresh], rows[:, 1][fresh],
+                                          ids[grp[fresh]])
+        if bad is not None:
+            # an integral with a panel that is not finite fails and ends here
+            failing = ~np.isnan(bad)
+            failed = grp[fresh][failing]
+            for g, x in zip(failed.tolist(), bad[failing].tolist()):
+                failures.setdefault(int(ids[g]),
+                                    QuadratureError(f"integrand not finite at x={x!r}"))
+        value, error = rows[:, 2], rows[:, 3]
         value[fresh] = values
         error[fresh] = keys[fresh] = errors
         # each integral sums its panels in row order, left to right
         total = np.bincount(grp, value)
         err = np.bincount(grp, error)
         with np.errstate(invalid="ignore"):  # 0 * inf where a sum is infinite
-            met = err <= tols[ids] + rel_tols[ids] * np.abs(total)
-        ends_here = met | (panels >= max_subdivisions)
+            met = err <= tol_of + rel_of * np.abs(total)
+        ends_here = met | (budget[:len(ids)] <= panels)
         if bad is not None:
-            failing = ~np.isnan(bad)
-            for g, x in zip(grp[fresh][failing].tolist(), bad[failing].tolist()):
-                if int(ids[g]) not in failures:
-                    failures[int(ids[g])] = QuadratureError(
-                        f"integrand not finite at x={x!r}")
-                ends_here[g] = True
-        # each refining integral's up to 8 worst panels, ties by lower end
-        first = counts.cumsum() - counts
+            ends_here[failed] = True
+        # each refining integral's up to 8 worst panels, ties by lower end:
+        # the sort keeps each integral's rows where they are, so its first
+        # 8 places are those whose row 8 places back is another integral's
         order = np.lexsort((-keys, grp))
-        worst = order[np.arange(len(rows)) < (first + 8 * ~ends_here)[grp]]
-        worst.sort()
-        lows, highs = lo[worst], hi[worst]
+        first8 = np.ones(len(rows), dtype=bool)
+        first8[8:] = place[8:] != place[:-8]
+        live = ~ends_here[grp]
+        split = np.zeros(len(rows), dtype=bool)
+        split[order[first8 & live]] = True
+        lows, highs = rows[:, 0][split], rows[:, 1][split]
         mids = 0.5 * (lows + highs)
         narrow = (mids <= lows) | (mids >= highs)
         if np.count_nonzero(narrow):
             # Width at rounding floor: keep the panel, count its error.
-            keys[worst[narrow]] = 0.0
-            worst, mids = worst[~narrow], mids[~narrow]
-        splits = np.bincount(grp[worst], minlength=len(ids))
-        ends_here |= splits == 0  # nothing left to split
+            at_floor = split.nonzero()[0][narrow]
+            keys[at_floor] = 0.0
+            split[at_floor] = False
+            mids = mids[~narrow]
+            ends_here[np.bincount(grp, split) == 0] = True  # nothing left to split
+            live = ~ends_here[grp]
         ended = ends_here.nonzero()[0].tolist()
         for g in ended:
             k = int(ids[g])
@@ -294,19 +313,20 @@ def integrate_intervals(
                     f"after {res.subdivisions} panels on [{a[k]}, {b[k]}]", res)
         # Split in place: each chosen panel becomes its two halves, and the
         # rows of the integrals that end here go.
-        split = np.zeros(len(rows), dtype=bool)
-        split[worst] = True
-        live = ~ends_here
-        copies = live.view(np.int8)[grp] + split
+        copies = np.where(split, 2, live)
         rows = rows.repeat(copies, axis=0)
         keys = keys.repeat(copies)
         fresh = split.repeat(copies).nonzero()[0]
         rows[:, 1][fresh[0::2]] = mids
         rows[:, 0][fresh[1::2]] = mids
-        counts += splits
-        panels += 2 * splits
+        panels += 2 * np.bincount(grp, split)
         if ended:
-            ids, counts, panels = ids[live], counts[live], panels[live]
+            counts = np.bincount(grp.repeat(copies), minlength=len(ids))
+            keep = ~ends_here
+            ids, counts, state = ids[keep], counts[keep], state[keep]
+            grp = None
+        else:
+            grp, place = grp.repeat(copies), place.repeat(copies)
     if failures:
         raise failures[min(failures)]
     return results
@@ -340,13 +360,13 @@ def _panel_sums(f, lows, highs, owner):
     halfs = 0.5 * (highs - lows)
 
     def nodes(rows):
-        return (mids[rows, None] + halfs[rows, None] * _XGK[None, :]).ravel()
+        return (mids[rows, None] + halfs[rows, None] * _XGK).ravel()
 
     vals = np.empty((len(lows), 15))
     step = _INTERVAL_CHUNK_NODES // 15
     for s in range(0, len(lows), step):
         rows = slice(s, s + step)
-        vals[rows] = f(nodes(rows), np.repeat(owner[rows], 15)).reshape(-1, 15)
+        vals[rows] = f(nodes(rows), owner[rows].repeat(15)).reshape(-1, 15)
     # einsum without BLAS sums every row in one fixed order, so a panel's
     # sums do not depend on the other rows (a failed integral's give NaN).
     k15 = np.einsum("ij,j->i", vals, _WGK, optimize=False)
