@@ -151,6 +151,8 @@ _WG_LEFT = [0.0, 0.129484966168870, 0.0, 0.279705391489277, 0.0,
 _XGK = np.array(_XGK_LEFT + [0.0] + [-x for x in reversed(_XGK_LEFT)])
 _WGK = np.array(_WGK_LEFT + _WGK_LEFT[-2::-1])
 _WG = np.array(_WG_LEFT + _WG_LEFT[-2::-1])
+# Kronrod and Gauss weights as rows, for one contraction of a batch
+_WKG = np.array([_WGK, _WG])
 
 
 def _seed_points(
@@ -241,16 +243,19 @@ def integrate_intervals(
         if len(ids) < _INTERVAL_WINDOW and started < K:
             new = range(started, min(K, started + _INTERVAL_WINDOW - len(ids)))
             ends = [_seed_points(a[k], b[k], breakpoints[k]) for k in new]
-            seeds = np.array([(lo, hi, 0.0, 0.0) for pts in ends
-                              for lo, hi in zip(pts[:-1], pts[1:])])
             n_seed = [len(pts) - 1 for pts in ends]
+            seeds = np.zeros((sum(n_seed), 4))
+            seeds[:, 0] = [x for pts in ends for x in pts[:-1]]
+            seeds[:, 1] = [x for pts in ends for x in pts[1:]]
+            added = np.empty((len(new), 3))
+            added[:, 0] = n_seed
+            added[:, 1], added[:, 2] = tols[new.start:new.stop], rel_tols[new.start:new.stop]
             fresh = np.concatenate((fresh, np.arange(len(rows), len(rows) + len(seeds))))
             rows = np.concatenate((rows, seeds))
             keys = np.concatenate((keys, seeds[:, 3]))
             ids = np.concatenate((ids, new))
             counts = np.concatenate((counts, n_seed))
-            state = np.concatenate((state, [(n, tols[k], rel_tols[k])
-                                            for n, k in zip(n_seed, new)]))
+            state = np.concatenate((state, added))
             grp = None
             started = new.stop
         if not len(ids):
@@ -283,7 +288,8 @@ def integrate_intervals(
         # the sort keeps each integral's rows where they are, so its first
         # 8 places are those whose row 8 places back is another integral's
         order = np.lexsort((-keys, grp))
-        first8 = np.ones(len(rows), dtype=bool)
+        first8 = np.empty(len(rows), dtype=bool)
+        first8[:8] = True
         first8[8:] = place[8:] != place[:-8]
         live = ~ends_here[grp]
         split = np.zeros(len(rows), dtype=bool)
@@ -341,7 +347,7 @@ def _per_run(calls, x, idx):
     alone, bit for bit.
     """
     out = np.empty_like(x)
-    cuts = (np.flatnonzero(np.diff(idx)) + 1).tolist()
+    cuts = ((idx[1:] - idx[:-1]).nonzero()[0] + 1).tolist()
     for s, e in zip([0] + cuts, cuts + [len(x)]):
         out[s:e] = calls[idx[s]](x[s:e])
     return out
@@ -369,8 +375,7 @@ def _panel_sums(f, lows, highs, owner):
         vals[rows] = f(nodes(rows), owner[rows].repeat(15)).reshape(-1, 15)
     # einsum without BLAS sums every row in one fixed order, so a panel's
     # sums do not depend on the other rows (a failed integral's give NaN).
-    k15 = np.einsum("ij,j->i", vals, _WGK, optimize=False)
-    g7 = np.einsum("ij,j->i", vals, _WG, optimize=False)
+    k15, g7 = np.einsum("ij,kj->ki", vals, _WKG, optimize=False)
     if np.isfinite(k15).all():
         return k15 * halfs, np.abs(k15 - g7) * halfs, None
     # Every Kronrod weight is positive, so a NaN or an infinity at any
