@@ -334,7 +334,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # an argument list that names no command first gets the full parser,
     # whose help lists every command and whose errors name them
-    args = _parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None).parse_args(argv)
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = _parser(command).parse_args(argv)
     try:
         payload_kind, rows, extra, code = _COMMANDS[args.command](args)
         echo = {"N": args.N, "p": args.p, "tol": args.tol, **extra}

@@ -205,10 +205,10 @@ def integrate_intervals(
     integral whose chosen panels are all that narrow ends there.  The
     panels of all integrals in flight are the rows of one array, each
     integral's rows left to right, and each integral sums its panels'
-    values and errors over its own rows in that order.  The GK15 sums of a round's panels come from one
-    contraction that sums every panel in one fixed order, whatever the
-    other panels, so every result is bit for bit the one the integral
-    gets alone.
+    values and errors over its own rows in that order.  The GK15 sums of
+    a round's panels come from one contraction that sums every panel in
+    one fixed order, whatever the other panels, so every result is bit
+    for bit the one the integral gets alone.
 
     An integral that exhausts ``max_subdivisions`` panels fails with
     :class:`ToleranceNotAchieved` (carrying its best result), one whose
@@ -249,7 +249,8 @@ def integrate_intervals(
             seeds[:, 1] = [x for pts in ends for x in pts[1:]]
             added = np.empty((len(new), 3))
             added[:, 0] = n_seed
-            added[:, 1], added[:, 2] = tols[new.start:new.stop], rel_tols[new.start:new.stop]
+            added[:, 1] = tols[new.start:new.stop]
+            added[:, 2] = rel_tols[new.start:new.stop]
             fresh = np.concatenate((fresh, np.arange(len(rows), len(rows) + len(seeds))))
             rows = np.concatenate((rows, seeds))
             keys = np.concatenate((keys, seeds[:, 3]))
