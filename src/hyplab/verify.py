@@ -73,7 +73,7 @@ class InequalityKind(str, enum.Enum):
     HARDY = "hardy"                # Hardy 1/r^p improvement
     UNCERTAINTY = "uncertainty"    # uncertainty principle for the shifted form
     HP_WEIGHTED = "hp-weighted"    # H_p-weighted form with two remainders
-    MAZYA = "mazya"                # half-space Maz'ya form of BOUNDED_V
+    MAZYA = "mazya"                # BOUNDED_V in Euclidean terms, weighted by y^(p-N)
     BALL = "ball"                  # Hardy improvement on the critical ball
     HARDY1D = "hardy1d"            # sharp 1D weighted Hardy inequality
 
@@ -161,7 +161,7 @@ def verify(
     if kind not in _RADIAL_RECIPES:
         if not isinstance(u, HalfSpaceFunction):
             raise TypeError(f"{kind.value} needs a half-space test function")
-        return _verify_halfspace(kind, params, u, tol)
+        return _report(kind, params, u, *_halfspace_sides(params, u, tol))
     if not isinstance(u, RadialTestFunction):
         raise TypeError(f"{kind.value} needs a radial test function")
     return radial_reports(kind, params, [u], tol, l)[0]
@@ -270,18 +270,23 @@ def radial_reports(
             for u, t in zip(funcs, terms)]
 
 
-def _verify_halfspace(
-    kind: InequalityKind, params: Params, u: HalfSpaceFunction, tol: float
-) -> InequalityReport:
+def _halfspace_sides(params: Params, u: HalfSpaceFunction, tol: float):
+    """(lhs, rhs) of a half-space kind: the energy gap above Lambda_p and
+    ((N-1)/p)^(p-2) C(N, p) times the V-mass."""
     N, p = params.N, params.p
     const = ((N - 1) / p) ** (p - 2.0) * c_np(params).value
-    energy, mass, v_mass = _halfspace_terms(kind, params, u, tol)
-    return _report(kind, params, u, energy - params.lambda_p * mass, const * v_mass)
+    energy, mass, v_mass = _halfspace_terms(params, u, tol)
+    return energy - params.lambda_p * mass, const * v_mass
 
 
-def _halfspace_terms(kind, params, u, tol):
-    """(energy, mass, V-mass) of the product u = phi(x1) psi(rho) chi(y) in
-    the kind's assembly, each to the relative ``tol``.
+def _halfspace_terms(params, u, tol):
+    """(energy, mass, V-mass) of the product u = phi(x1) psi(rho) chi(y),
+    each to the relative ``tol``.
+
+    Both half-space kinds read these three integrals.  With
+    |grad_H u| = y |grad u| and dv = y^-N dx they are the energy
+    int |grad u|^p y^(p-N), the mass int |u|^p y^-N and the V-mass
+    int |u|^p y^(1-N) / |(x1, y)| over the box.
 
     The mass is a product of 1-D integrals, one per factor, the V-mass an
     (x1, y) integral times the rho factor, and at p = 2 the energy is a sum
@@ -294,61 +299,28 @@ def _halfspace_terms(kind, params, u, tol):
     stays within tol.  Only the energy at p != 2 is a cubature over the
     whole box, to tol; its integrand takes |grad u|^2 from the same three
     terms, each factor's value and derivative evaluated once per axis.
-
-    Each form declares only chi's squares (chi^2, chi'^2 and its weight),
-    chi's mass integrand and the (x1, y) V integrand; chi's two energy
-    factors at p = 2 are the first and second square times the weight.
     """
     N, p = params.N, params.p
     phi, psi, chi = u.phi, u.psi, u.chi
 
-    if kind is InequalityKind.BOUNDED_V:
-        # hyperbolic assembly: |grad_H u|^p dv and |u|^p dv, with
-        # |grad_H u| = y |grad u| and dv = y^-N dx
-        def chi_squares(y):  # (y chi)^2, (y chi')^2 and the weight
-            py, dy = chi.value_and_derivative(y)
-            return (y * py) ** 2, (y * dy) ** 2, y ** (-N)
-
-        def chi_mass(y):
-            return np.abs(chi.value(y)) ** p * y ** (-N)
-
-        def v_f(x1, y):
-            v = y / np.sqrt(y * y + x1 * x1)
-            return v * np.abs(phi.value(x1)) ** p * chi_mass(y)
-
-    else:  # Maz'ya-form assembly
-        def chi_squares(y):
-            py, dy = chi.value_and_derivative(y)
-            return py * py, dy * dy, y ** (p - N)
-
-        def chi_mass(y):
-            return np.abs(chi.value(y)) ** p / y**N
-
-        def v_f(x1, y):
-            return (np.abs(phi.value(x1)) ** p
-                    * (np.abs(chi.value(y)) ** p / y ** (N - 1))
-                    / np.sqrt(y * y + x1 * x1))
+    def v_f(x1, y):
+        return (np.abs(phi.value(x1)) ** p
+                * (np.abs(chi.value(y)) ** p / y ** (N - 1))
+                / np.sqrt(y * y + x1 * x1))
 
     factors = {
         "phi": (phi.support, lambda x1: np.abs(phi.value(x1)) ** p),
-        "chi": (chi.support, chi_mass),
+        "chi": (chi.support, lambda y: np.abs(chi.value(y)) ** p / y**N),
     }
     if psi is not None:
         area = sphere_area(N - 3)
         factors["psi"] = (psi.support,
                           lambda rho: area * rho ** (N - 3) * np.abs(psi.value(rho)) ** p)
     if p == 2.0:
-        def chi_e(y):  # y factor of the phi' and psi' terms
-            c2, _, weight = chi_squares(y)
-            return c2 * weight
-
-        def dchi_e(y):
-            _, dc2, weight = chi_squares(y)
-            return dc2 * weight
-
         factors["dphi"] = (phi.support, lambda x1: phi.derivative(x1) ** 2)
-        factors["chi_e"] = (chi.support, chi_e)
-        factors["dchi_e"] = (chi.support, dchi_e)
+        # chi_e is the y factor of the phi' and psi' terms
+        factors["chi_e"] = (chi.support, lambda y: chi.value(y) ** 2 * y ** (p - N))
+        factors["dchi_e"] = (chi.support, lambda y: chi.derivative(y) ** 2 * y ** (p - N))
         if psi is not None:
             factors["dpsi"] = (psi.support,
                                lambda rho: area * rho ** (N - 3) * psi.derivative(rho) ** 2)
@@ -378,11 +350,11 @@ def _halfspace_terms(kind, params, u, tol):
                 pr, dr = psi.value_and_derivative(rho)
                 pr2 = pr * pr
                 a, b = dx2 * pr2 + px2 * (dr * dr), px2 * pr2
-            c2, dc2, weight = chi_squares(y)
-            s = a * c2
-            s += b * dc2
+            py, dy = chi.value_and_derivative(y)
+            s = a * (py * py)
+            s += b * (dy * dy)
             s **= 0.5 * p
-            s *= weight
+            s *= y ** (p - N)
             return s
 
         energy = halfspace_integral(params, e_f, u.support, tol)
@@ -417,20 +389,9 @@ def sharpness_scan(
         if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
             raise ValueError("schedule must be strictly decreasing")
         terms = ueps_energy_masses(params, eps_list, tol)
-        rows = []
-        for eps, (energy, mass) in zip(eps_list, terms):
-            q = energy / mass
-            rows.append(
-                {
-                    "eps": eps,
-                    "delta": "",
-                    "quotient": q.value,
-                    "quad_error": q.error_estimate,
-                    "lower": params.lambda_p,
-                    "upper": ((params.N - 1 + eps) / params.p) ** params.p,
-                }
-            )
-        return rows
+        return [_scan_row(eps, "", energy / mass, params.lambda_p,
+                          ((params.N - 1 + eps) / params.p) ** params.p)
+                for eps, (energy, mass) in zip(eps_list, terms)]
     if kind is InequalityKind.HARDY1D:
         p = params.p
         l_eff = _hardy1d_exponent(params, l)
@@ -443,22 +404,18 @@ def sharpness_scan(
         funcs = [make_veps(p, eps, delta) for eps, delta in pairs]
         terms = radial_battery(params, funcs, _RADIAL_RECIPES[kind][0], tol, l_eff)
         c = _ramp_constant(p, l_eff)
-        rows = []
-        for (eps, delta), t in zip(pairs, terms):
-            q = t["hardy1d_energy"] / t["hardy1d_mass"]
-            rows.append(
-                {
-                    "eps": eps,
-                    "delta": delta,
-                    "quotient": q.value,
-                    "quad_error": q.error_estimate,
-                    "lower": ((p - 1.0) / p) ** l_eff,
-                    "upper": (((p - 1.0 + delta) / p) ** l_eff * math.cosh(eps) ** (p - l_eff)
-                              + c * delta * eps ** (p - 1.0)),
-                }
-            )
-        return rows
+        return [_scan_row(eps, delta, t["hardy1d_energy"] / t["hardy1d_mass"],
+                          ((p - 1.0) / p) ** l_eff,
+                          (((p - 1.0 + delta) / p) ** l_eff * math.cosh(eps) ** (p - l_eff)
+                           + c * delta * eps ** (p - 1.0)))
+                for (eps, delta), t in zip(pairs, terms)]
     raise ValueError(f"sharpness scans exist for pgap and hardy1d, not {kind.value}")
+
+
+def _scan_row(eps, delta, q: QuadResult, lower: float, upper: float) -> dict:
+    """Row of a sharpness scan: the quotient q with its error and bracket."""
+    return {"eps": eps, "delta": delta, "quotient": q.value,
+            "quad_error": q.error_estimate, "lower": lower, "upper": upper}
 
 
 def _ramp_constant(p: float, l: float) -> float:

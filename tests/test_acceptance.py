@@ -27,6 +27,7 @@ import pytest
 from hyplab.cli import main as cli_main
 from hyplab.constants import brute_force_cnp, c_2p, c_np, check_ni
 from hyplab.core import GreenWeight, Params, weight_hp
+from hyplab.integrals import halfspace_integral
 from hyplab.report import parse
 from hyplab.rp import rp_scan_N, rp_scan_p, solve_r0, solve_rp
 from hyplab.verify import (
@@ -34,6 +35,7 @@ from hyplab.verify import (
     batch_verify,
     check_ftilde,
     check_pconvexity,
+    random_halfspace_product,
     sharpness_scan,
     supersolution_residual,
 )
@@ -121,20 +123,53 @@ def test_c3_hardy1d_battery():
 
 
 # ---------------------------------------------------------------------------
-# Criterion 4: half-space battery, both formulations agree.
+# Criterion 4: half-space battery, checked against whole-box cubatures.
 # ---------------------------------------------------------------------------
 
 
+def _c4_box_sides(params, u, tol):
+    """(lhs, rhs) of the half-space inequality from whole-box cubatures of
+    its hyperbolic integrands, built from u.value and u.gradient_norm alone:
+    |grad_H u|^p = (y |grad u|)^p, |u|^p and V |u|^p against dv = y^-N dx."""
+    N, p = params.N, params.p
+
+    def box(f):
+        return halfspace_integral(params, f, u.support, tol)
+
+    def mass(x1, rho, y):
+        return np.abs(u.value(x1, rho, y)) ** p * y ** (-N)
+
+    energy = box(lambda x1, rho, y: (y * u.gradient_norm(x1, rho, y)) ** p * y ** (-N))
+    v_mass = box(lambda x1, rho, y: y / np.hypot(x1, y) * mass(x1, rho, y))
+    const = ((N - 1) / p) ** (p - 2.0) * c_np(params).value
+    return energy - params.lambda_p * box(mass), const * v_mass
+
+
 def test_c4_halfspace_battery():
+    # Both kinds read one assembly of the energy, mass and V-mass, from the
+    # factors of the product u.  Each report's lhs and rhs are checked
+    # against the same sides from independent whole-box cubatures, within
+    # the sum of both error estimates.  At p != 2 the assembly's energy is
+    # itself a whole-box cubature that refines the same cells as the
+    # reference, and at N = 2 so is the V-mass's (x1, y) cubature; there
+    # the check tests the integrand, not the engine.
     t0 = time.time()
     for N in (2, 3):
         for p in (1.5, 2.0, 3.0):
-            hyp, maz = (batch_verify(kind, [Params(N, p)], 25, seed=99, tol=1e-6)
+            params = Params(N, p)
+            hyp, maz = (batch_verify(kind, [params], 25, seed=99, tol=1e-6)
                         for kind in (InequalityKind.BOUNDED_V, InequalityKind.MAZYA))
-            for r_hyp, r_maz in zip(hyp, maz):
+            for i, (r_hyp, r_maz) in enumerate(zip(hyp, maz)):
                 assert r_hyp.passed and r_maz.passed, (N, p)
-                assert abs(r_hyp.lhs - r_maz.lhs) <= 1e-6 * abs(r_hyp.lhs)
-                assert abs(r_hyp.rhs - r_maz.rhs) <= 1e-6 * abs(r_hyp.rhs)
+                # trial i of the battery draws u from default_rng([seed, i])
+                u = random_halfspace_product(np.random.default_rng([99, i]), N)
+                lhs, rhs = _c4_box_sides(params, u, 1e-6)
+                for rep in (r_hyp, r_maz):
+                    assert rep.test_function == u.label
+                    assert abs(rep.lhs - lhs.value) <= (
+                        rep.quad_error + lhs.error_estimate), (N, p, i)
+                    assert abs(rep.rhs - rhs.value) <= (
+                        rep.quad_error + rhs.error_estimate), (N, p, i)
     assert time.time() - t0 <= 300.0
 
 
