@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import HypothesisError, Params, coth_minus_inv
+from .core import HypothesisError, Params, coth_minus_inv, h_func
 
 __all__ = [
     "RootResult",
@@ -173,13 +173,8 @@ def max_admissible_p(N: int) -> float:
     return 0.5 * (1.0 + math.sqrt(4.0 * N - 3.0))
 
 
-def _h(params: Params, r: float) -> float:
-    """h(r) = -(N-1) r^2 + (p-1) sinh^2 r."""
-    return -(params.N - 1) * r * r + (params.p - 1.0) * math.sinh(r) ** 2
-
-
 def _implicit_dN(params: Params, rp: float) -> float:
-    h = _h(params, rp)
+    h = h_func(params, rp)
     return -(params.p - 1.0) * rp * math.sinh(rp) ** 2 / ((params.N - 1) * h)
 
 
@@ -188,7 +183,7 @@ def _implicit_dp(params: Params, rp: float) -> float:
     # dr/dp = r sinh^2 r / h(r) (negative, since h(r_p) < 0); note the
     # often-quoted variant with an extra 1/(N-1) fails the finite
     # difference check by exactly that factor.
-    return rp * math.sinh(rp) ** 2 / _h(params, rp)
+    return rp * math.sinh(rp) ** 2 / h_func(params, rp)
 
 
 def rp_scan_N(p: float, n_lo: int, n_hi: int) -> list[dict]:
