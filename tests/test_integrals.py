@@ -307,6 +307,60 @@ class TestRadialBattery:
             radial_battery(self.P, self.FUNCS, ("W",), 1e-10)
 
 
+class TestRadialOracle:
+    """Every radial battery term of a mollifier bump against an mpmath
+    quadrature at 30 digits: |value - oracle| <= error_estimate."""
+
+    # (N, p, lo, hi): p near 1 at small r, a support at the origin with
+    # H_p defined, large N at the origin, and a wide support
+    CASES = [
+        (2, 1.1, 0.1, 0.6),
+        (13, 4.0, 0.0, 2.0),
+        (40, 1.5, 0.0, 2.0),
+        (3, 2.0, 1.0, 15.0),
+    ]
+
+    @staticmethod
+    def _oracle(params, lo, hi, name):
+        """The term ``name`` of the bump on [lo, hi], split at its midpoint."""
+        mp = pytest.importorskip("mpmath")
+        N = params.N
+        with mp.workdps(30):
+            p = mp.mpf(params.p)
+            mid, half = (mp.mpf(lo) + hi) / 2, (mp.mpf(hi) - lo) / 2
+            weights = {
+                "M": lambda r: 1,
+                "1/r^p": lambda r: r ** -p,
+                "1/sinh^p": lambda r: mp.sinh(r) ** -p,
+                "r^pprime": lambda r: r ** mp.mpf(params.p_prime),
+                "Hp": lambda r: (mp.coth(r) - (p - 1) / ((N - 1) * r)) ** (p - 2),
+            }
+
+            def f(r):
+                t = (r - mid) / half
+                s = 1 - t * t
+                u = mp.exp(-1 / s)
+                if name == "E":  # u' = -2t / (1 - t^2)^2 u / half
+                    return abs(2 * t / (s * s) * u / half) ** p * mp.sinh(r) ** (N - 1)
+                return u ** p * weights[name](r) * mp.sinh(r) ** (N - 1)
+
+            return mp.quad(f, [lo, mid, hi])
+
+    @pytest.mark.parametrize("N, p, lo, hi", CASES)
+    def test_error_bounds_the_error(self, N, p, lo, hi):
+        params = Params(N, p)
+        names = ("E", "M", "1/r^p", "1/sinh^p", "r^pprime")
+        if 2.0 <= p <= N:  # where H_p is defined
+            names += ("Hp",)
+        oracle = {name: self._oracle(params, lo, hi, name) for name in names}
+        for tol in (1e-6, 1e-10):
+            terms = radial_battery(params, [make_bump(lo, hi)], names, tol)[0]
+            for name in names:
+                term = terms[name]
+                assert abs(term.value - float(oracle[name])) <= term.error_estimate, (
+                    name, tol)
+
+
 class TestHardy1D:
     def test_profile_mass_exact_first_piece(self):
         # int_0^eps r^{delta-1} dr = eps^delta/delta dominates for small eps
