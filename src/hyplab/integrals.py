@@ -55,8 +55,10 @@ def _finite_support(u: RadialTestFunction) -> tuple[float, float]:
 
 
 # Term names of a radial battery: the p-energy E and p-mass M, one
-# weighted mass per weight tag, and the two 1D Hardy pieces.
-RADIAL_TERMS = ("E", "M") + WEIGHT_TAGS + ("hardy1d_energy", "hardy1d_mass")
+# weighted mass per weight tag, and the two 1D Hardy pieces, the only
+# terms without the volume element.
+_HARDY1D_TERMS = ("hardy1d_energy", "hardy1d_mass")
+RADIAL_TERMS = ("E", "M") + WEIGHT_TAGS + _HARDY1D_TERMS
 
 
 def radial_battery(
@@ -74,14 +76,18 @@ def radial_battery(
     :func:`hardy1d_energy` and :func:`hardy1d_mass`; those two read only
     p of ``params``.  Each integral is set up, integrated and refined as
     the one-profile function sets it up, and gives the same result bit for
-    bit.  A term whose support starts at 0 and whose profile declares an
-    origin power f ~ C r^s is split at b1, the profile's smallest
-    breakpoint: on [0, b1] the pure power is split off analytically, with
-    C taken at r = 1e-8, and the rest runs on the ordinary panels of
-    [b1, hi]; each piece gets half of ``tol``.  The heads of all such
-    terms are one :func:`~hyplab.quadrature.power_singular_integrals`
-    call; every other integral, tails included, is one integral of a
-    single :func:`~hyplab.quadrature.integrate_intervals` pass.  There the
+    bit.  One table declares each term: its integrand and its power at
+    r = 0, both before the volume element (sinh r)^(N-1), which is
+    multiplied in, and its power added, in one place for every term but
+    the 1D pieces.  A term whose support starts at 0 and whose profile
+    declares an origin power f ~ C r^s is split at b1, the profile's
+    smallest breakpoint: on [0, b1] the pure power is split off
+    analytically, with C taken at r = 1e-8, and the rest runs on the
+    ordinary panels of [b1, hi]; each piece gets half of ``tol``.  The
+    heads of all such terms are one
+    :func:`~hyplab.quadrature.power_singular_integrals` call; every other
+    integral, tails included, is one integral of a single
+    :func:`~hyplab.quadrature.integrate_intervals` pass.  There the
     integrals run term by term, so each term's nodes form one slice of
     every integrand call, and the volume element and each weight are
     evaluated once per call.  ``tol`` is relative.  Returns one dict per
@@ -95,38 +101,55 @@ def radial_battery(
         raise ValueError(f"need 1 < l <= p, got l={l}, p={p}")
     value, derivative = _profile_evaluators(funcs)
     w_eval = GreenWeight(params) if "W" in terms else None
-    radial = any(name not in ("hardy1d_energy", "hardy1d_mass") for name in terms)
+    radial = any(name not in _HARDY1D_TERMS for name in terms)
 
-    def term_values(name, r, idx, vol, owner=None, max_rel=None):
-        """Integrand of term ``name`` at nodes r of the profiles idx."""
-        if name == "E":
-            return np.abs(derivative(r, idx)) ** p * vol
-        if name == "hardy1d_energy":
-            dv = np.abs(derivative(r, idx))
-            # (|v| coth r)^(p-l) |v'|^l with 0^0 := 1 when l == p
-            if l == p:
-                return dv**p
-            vv = np.abs(value(r, idx))
-            return (vv * coth(np.maximum(r, 5e-324))) ** (p - l) * dv**l
-        up = np.abs(value(r, idx)) ** p
-        if name == "M":
-            return up * vol
-        if name == "hardy1d_mass":
-            return up * r ** (-p)
-        if name == "W":
-            w, errs = w_eval.w_array(r)
-            np.maximum.at(max_rel, owner, errs / np.maximum(w, 5e-324))
-        else:
-            w = _weight(params, name, r)
-        return up * w * vol
+    def mass(weight, weight_power):
+        """|u|^p times ``weight``(r, owner), whose power at 0 is ``weight_power``."""
+        return (lambda r, idx, owner: np.abs(value(r, idx)) ** p * weight(r, owner),
+                lambda lam: lam * p + weight_power)
+
+    def green(r, owner):
+        w, errs = w_eval.w_array(r)
+        np.maximum.at(max_rel, owner, errs / np.maximum(w, 5e-324))
+        return w
+
+    def hardy1d_energy(r, idx, owner):
+        dv = np.abs(derivative(r, idx))
+        # (|v| coth r)^(p-l) |v'|^l with 0^0 := 1 when l == p
+        if l == p:
+            return dv**p
+        vv = np.abs(value(r, idx))
+        return (vv * coth(np.maximum(r, 5e-324))) ** (p - l) * dv**l
+
+    # Each term's integrand at nodes r of the profiles idx (owner names the
+    # integral of each node in the battery's pass), and that integrand's
+    # power at r = 0 for a profile ~ r^lam.  Both are taken before the
+    # volume element (sinh r)^m, which every term but the 1D pieces carries.
+    table = {
+        "E": (lambda r, idx, owner: np.abs(derivative(r, idx)) ** p,
+              lambda lam: (lam - 1.0) * p),
+        "M": (lambda r, idx, owner: np.abs(value(r, idx)) ** p, lambda lam: lam * p),
+        "1/r^p": mass(lambda r, owner: r ** (-p), -p),
+        "1/sinh^p": mass(lambda r, owner: sinh_pow(r, -p), -p),
+        "W": mass(green, 0.0),
+        "Hp": mass(lambda r, owner: weight_hp(params, r), -(p - 2.0)),
+        "r^pprime": mass(lambda r, owner: r ** params.p_prime, params.p_prime),
+        # (r coth r) ~ 1 at 0
+        "hardy1d_energy": (hardy1d_energy,
+                           lambda lam: lam * (p - l) - (p - l) + (lam - 1.0) * l),
+        "hardy1d_mass": mass(lambda r, owner: r ** (-p), -p),
+    }
 
     def origin_factor(name, i, power):
         """r^-power times the integrand of term ``name`` of profile i."""
+        f = table[name][0]
 
         def g(r):
-            vol = sinh_pow(r, m) if radial else None
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                return term_values(name, r, np.full(np.shape(r), i), vol) * r ** (-power)
+                vals = f(r, np.full(np.shape(r), i), None)
+                if name not in _HARDY1D_TERMS:
+                    vals = vals * sinh_pow(r, m)
+                return vals * r ** (-power)
 
         return g
 
@@ -138,9 +161,12 @@ def radial_battery(
         term_starts.append(len(where))
         for i, u in enumerate(funcs):
             lo, hi = _finite_support(u)
-            power = _origin_power(params, name, u, lo, l)
+            lam = _origin_power(name, u, lo)
             rel_tol = tol
-            if power is not None:
+            if lam is not None:
+                power = table[name][1](lam)
+                if name not in _HARDY1D_TERMS:
+                    power = power + m
                 if power <= -1.0:
                     raise NonIntegrableSingularity(
                         f"integrand power {power} at the origin is not integrable"
@@ -175,10 +201,9 @@ def radial_battery(
         cuts = np.searchsorted(owner, term_starts).tolist()
         for name, s, e in zip(terms, cuts[:-1], cuts[1:]):
             if s < e:
-                vals[s:e] = term_values(
-                    name, x[s:e], fn_of[owner[s:e]],
-                    None if vol is None else vol[s:e], owner[s:e], max_rel,
-                )
+                vals[s:e] = table[name][0](x[s:e], fn_of[owner[s:e]], owner[s:e])
+                if name not in _HARDY1D_TERMS:
+                    vals[s:e] *= vol[s:e]
         return vals
 
     results = integrate_intervals(
@@ -212,35 +237,14 @@ def _profile_evaluators(funcs):
             lambda r, idx: _per_run(derivatives, r, idx))
 
 
-def _weight(params: Params, tag: str, r):
-    """The weight ``tag`` of :data:`WEIGHT_TAGS` other than W, at r."""
-    p = params.p
-    if tag == "1/r^p":
-        return r ** (-p)
-    if tag == "1/sinh^p":
-        return sinh_pow(r, -p)
-    if tag == "r^pprime":
-        return r ** params.p_prime
-    return weight_hp(params, r)
+def _origin_power(name: str, u: RadialTestFunction, lo: float) -> float | None:
+    """The power lam of a profile u ~ C r^lam that term ``name`` splits off
+    at the origin on [lo, hi], or None where it is not split.
 
-
-def _weight_power(params: Params, tag: str) -> float:
-    """Power of the weight ``tag`` at the origin."""
-    p = params.p
-    return {"1/r^p": -p, "1/sinh^p": -p, "r^pprime": params.p_prime,
-            "Hp": -(p - 2.0), "W": 0.0}[tag]
-
-
-def _origin_power(params: Params, name: str, u: RadialTestFunction, lo: float,
-                  l: float | None) -> float | None:
-    """Power at the origin of one term's integrand on [lo, hi], or None.
-
-    The power is None unless the term is split at the origin (see
-    :func:`radial_battery`), where it is the power of the whole integrand.
+    Only a support that starts at 0 is split (see :func:`radial_battery`).
     A profile that vanishes to all orders at 0 (mollifier-type) is not
     split: its integrand is smooth there.
     """
-    p, m = params.p, params.N - 1
     if name == "W" and lo <= 0.0:
         raise NonIntegrableSingularity(
             "weight W on a support touching the origin is not handled; "
@@ -257,19 +261,7 @@ def _origin_power(params: Params, name: str, u: RadialTestFunction, lo: float,
                 "1/r^p mass at the origin needs a declared origin power"
             )
         lam = 0.0
-    if lam is None:
-        return None
-    if name == "E":
-        # |u'|^p ~ r^((lam-1)p); with the volume weight the total power at
-        # the origin is (lam-1)p + N-1, possibly in (-1, 0)
-        return (lam - 1.0) * p + m
-    if name == "M":
-        return lam * p + m
-    if name == "hardy1d_energy":
-        return lam * (p - l) - (p - l) + (lam - 1.0) * l  # (r coth r)~1 at 0
-    if name == "hardy1d_mass":
-        return lam * p - p
-    return lam * p + _weight_power(params, name) + m
+    return lam
 
 
 def radial_energy(
