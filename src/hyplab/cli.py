@@ -63,44 +63,6 @@ def _add_common(sp, batch):
         sp.add_argument("--trials", type=int, default=25)
 
 
-# Each subcommand's help, whether it takes --seed and --trials, and its
-# own arguments after the common ones, in the order its help lists them.
-_SUBCOMMANDS = {
-    "constants": ("constant table for one (N, p)", False, []),
-    "weights": ("sample W, H_p, h, V over a radial grid", False, [
-        ("--r-min", dict(type=float, default=0.05)),
-        ("--r-max", dict(type=float, default=10.0)),
-        ("--points", dict(type=int, default=40)),
-    ]),
-    "rp": ("critical radii r0 and r_p", False, []),
-    "rp-scan": ("monotonicity scan of r_p", False, [
-        ("--scan-axis", dict(choices=("N", "p"), required=True)),
-        ("--N-max", dict(type=int, default=40)),
-        ("--p-values", dict(type=float, nargs="+", default=None,
-                            help="increasing p values for the p-scan")),
-    ]),
-    "verify": ("seeded batch of inequality reports", True, [
-        ("--kind", dict(choices=KIND_TAGS, required=True,
-                        help=f"inequality tag, one of: {', '.join(KIND_TAGS)}")),
-        ("--l", dict(type=float, default=None, help="1D Hardy mixed exponent")),
-        ("--allow-origin", dict(
-            action="store_true",
-            help="allow supports touching r = 0 (origin-integrable weights only)")),
-    ]),
-    "sharpness": ("near-extremal quotient schedules", False, [
-        ("--kind", dict(choices=("pgap", "hardy1d"), required=True)),
-        ("--schedule", dict(type=float, nargs="+", default=[1e-1, 1e-2, 1e-3])),
-        ("--delta", dict(type=float, default=1e-3, help="hardy1d delta")),
-        ("--l", dict(type=float, default=None)),
-    ]),
-    "figure1": ("H_p curve with r_p marker row", False, [
-        ("--r-max", dict(type=float, default=15.0)),
-        ("--points", dict(type=int, default=1500)),
-    ]),
-    "proofcheck": ("scalar proof-step checks", True, []),
-}
-
-
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every subcommand, or of ``command`` alone.
 
@@ -113,7 +75,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    names = list(_SUBCOMMANDS)
+    names = list(_COMMANDS)
     if command is None:
         sub = ap.add_subparsers(dest="command", required=True)
     else:
@@ -121,7 +83,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                                 metavar="{" + ",".join(names) + "}")
         names = [command]
     for name in names:
-        help_text, batch, arguments = _SUBCOMMANDS[name]
+        _, help_text, batch, arguments = _COMMANDS[name]
         sp = sub.add_parser(name, help=help_text)
         _add_common(sp, batch)
         for flag, kwargs in arguments:
@@ -318,15 +280,42 @@ def cmd_proofcheck(args):
     return "proofcheck_rows", rows, {}, 0 if all(r["passed"] for r in rows) else 1
 
 
+# Each subcommand's function, its help, whether it takes --seed and
+# --trials, and its own arguments after the common ones, in the order its
+# help lists them.
 _COMMANDS = {
-    "constants": cmd_constants,
-    "weights": cmd_weights,
-    "rp": cmd_rp,
-    "rp-scan": cmd_rp_scan,
-    "verify": cmd_verify,
-    "sharpness": cmd_sharpness,
-    "figure1": cmd_figure1,
-    "proofcheck": cmd_proofcheck,
+    "constants": (cmd_constants, "constant table for one (N, p)", False, []),
+    "weights": (cmd_weights, "sample W, H_p, h, V over a radial grid", False, [
+        ("--r-min", dict(type=float, default=0.05)),
+        ("--r-max", dict(type=float, default=10.0)),
+        ("--points", dict(type=int, default=40)),
+    ]),
+    "rp": (cmd_rp, "critical radii r0 and r_p", False, []),
+    "rp-scan": (cmd_rp_scan, "monotonicity scan of r_p", False, [
+        ("--scan-axis", dict(choices=("N", "p"), required=True)),
+        ("--N-max", dict(type=int, default=40)),
+        ("--p-values", dict(type=float, nargs="+", default=None,
+                            help="increasing p values for the p-scan")),
+    ]),
+    "verify": (cmd_verify, "seeded batch of inequality reports", True, [
+        ("--kind", dict(choices=KIND_TAGS, required=True,
+                        help=f"inequality tag, one of: {', '.join(KIND_TAGS)}")),
+        ("--l", dict(type=float, default=None, help="1D Hardy mixed exponent")),
+        ("--allow-origin", dict(
+            action="store_true",
+            help="allow supports touching r = 0 (origin-integrable weights only)")),
+    ]),
+    "sharpness": (cmd_sharpness, "near-extremal quotient schedules", False, [
+        ("--kind", dict(choices=("pgap", "hardy1d"), required=True)),
+        ("--schedule", dict(type=float, nargs="+", default=[1e-1, 1e-2, 1e-3])),
+        ("--delta", dict(type=float, default=1e-3, help="hardy1d delta")),
+        ("--l", dict(type=float, default=None)),
+    ]),
+    "figure1": (cmd_figure1, "H_p curve with r_p marker row", False, [
+        ("--r-max", dict(type=float, default=15.0)),
+        ("--points", dict(type=int, default=1500)),
+    ]),
+    "proofcheck": (cmd_proofcheck, "scalar proof-step checks", True, []),
 }
 
 
@@ -334,10 +323,10 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # an argument list that names no command first gets the full parser,
     # whose help lists every command and whose errors name them
-    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = _parser(command).parse_args(argv)
     try:
-        payload_kind, rows, extra, code = _COMMANDS[args.command](args)
+        payload_kind, rows, extra, code = _COMMANDS[args.command][0](args)
         echo = {"N": args.N, "p": args.p, "tol": args.tol, **extra}
         # only verify and proofcheck define --seed
         env = ReportEnvelope(args.command, echo, payload_kind, rows,
