@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .core import GreenWeight, Params, coth, sinh_pow, weight_hp
+from .core import GreenWeight, Params, coth, log_sinh, sinh_pow, weight_hp
 from .quadrature import (
     NonIntegrableSingularity,
     QuadResult,
@@ -141,15 +141,18 @@ def radial_battery(
     }
 
     def origin_factor(name, i, power):
-        """r^-power times the integrand of term ``name`` of profile i."""
+        """The integrand of term ``name`` of profile i over r^power, with
+        ``power`` taken before the volume element, which enters as
+        (sinh r / r)^m: near r = b1 e^-45, (sinh r)^m alone underflows
+        where r^-power overflows."""
         f = table[name][0]
 
         def g(r):
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                vals = f(r, np.full(np.shape(r), i), None)
+                vals = f(r, np.full(np.shape(r), i), None) * r ** (-power)
                 if name not in _HARDY1D_TERMS:
-                    vals = vals * sinh_pow(r, m)
-                return vals * r ** (-power)
+                    vals = vals * np.exp(m * (log_sinh(r) - np.log(r)))
+                return vals
 
         return g
 
@@ -165,14 +168,13 @@ def radial_battery(
             rel_tol = tol
             if lam is not None:
                 power = table[name][1](lam)
-                if name not in _HARDY1D_TERMS:
-                    power = power + m
-                if power <= -1.0:
+                whole = power + m if name not in _HARDY1D_TERMS else power
+                if whole <= -1.0:
                     raise NonIntegrableSingularity(
-                        f"integrand power {power} at the origin is not integrable"
+                        f"integrand power {whole} at the origin is not integrable"
                     )
                 lo = min(u.breakpoints) if u.breakpoints else hi
-                heads[i, name] = (origin_factor(name, i, power), power, lo)
+                heads[i, name] = (origin_factor(name, i, power), whole, lo)
                 if lo >= hi:
                     continue
                 rel_tol = tol / 2
