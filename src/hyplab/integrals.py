@@ -157,7 +157,7 @@ def radial_battery(
         return g
 
     out = [{} for _ in funcs]
-    heads = {}  # (i, name) -> (g, power, b1) of the terms split at the origin
+    heads = {}  # (i, name) -> (g, whole power, b1) of the terms split at the origin
     lows, highs, bps, rel_tols, where = [], [], [], [], []
     term_starts = []
     for name in terms:

@@ -94,7 +94,7 @@ def test_no_unreferenced_private_names():
 # Public names kept without a caller in src/hyplab, each for its reason.
 _UNCALLED_PUBLIC_NAMES = {
     "GreenWeight.green": "acceptance criterion c6 reads G_p",
-    "geodesic_distance": "reference of the half-space family test (ROADMAP item 9)",
+    "geodesic_distance": "reference of the half-space family test (ROADMAP item 11)",
     "compare_golden": "the golden tests' comparison",
     "HalfSpaceFunction.gradient_norm": "reference integrand of the half-space tests",
     "GreenWeight.w": "acceptance criterion c6 reads W(r)",
