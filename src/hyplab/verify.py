@@ -15,7 +15,6 @@ sharpness scans driving the near-extremal families.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -31,7 +30,7 @@ from .integrals import (
     sphere_area,
     ueps_energy_masses,
 )
-from .quadrature import QuadResult, integrate_cells, integrate_interval
+from .quadrature import QuadResult, integrate_cells, integrate_intervals
 from .rp import solve_rp
 from .testfun import (
     HalfSpaceFunction,
@@ -53,7 +52,7 @@ __all__ = [
     "check_ftilde",
     "supersolution_residual",
     "batch_verify",
-    "radial_reports",
+    "reports",
     "random_bump",
     "random_halfspace_product",
 ]
@@ -64,8 +63,8 @@ class SupportViolation(ValueError):
 
 
 class InequalityKind(str, enum.Enum):
-    """Tags of the supported inequalities; the recipe of each radial or 1D
-    kind is its entry in ``_RADIAL_RECIPES``."""
+    """Tags of the supported inequalities; the recipe of each kind is its
+    entry in ``_RECIPES``."""
 
     PGAP = "pgap"                  # p-Poincare gap, sharp constant Lambda_p
     GREEN_WEIGHT = "green-weight"  # Green's-function weight W improvement
@@ -150,21 +149,9 @@ def verify(
     tol: float = 1e-9,
     l: float | None = None,
 ) -> InequalityReport:
-    """Assemble and check one inequality instance.
-
-    ``u`` is a :class:`RadialTestFunction` for the radial kinds and the 1D
-    Hardy kind, a :class:`HalfSpaceFunction` for the half-space kinds.
-    ``l`` selects the mixed exponent of the 1D Hardy inequality (defaults
-    to p).
-    """
-    kind = InequalityKind(kind)
-    if kind not in _RADIAL_RECIPES:
-        if not isinstance(u, HalfSpaceFunction):
-            raise TypeError(f"{kind.value} needs a half-space test function")
-        return _report(kind, params, u, *_halfspace_sides(params, u, tol))
-    if not isinstance(u, RadialTestFunction):
-        raise TypeError(f"{kind.value} needs a radial test function")
-    return radial_reports(kind, params, [u], tol, l)[0]
+    """Assemble and check one inequality instance: :func:`reports` on the
+    one test function ``u``."""
+    return reports(kind, params, [u], tol, l)[0]
 
 
 def _report(kind, params, u, lhs, rhs, l=None) -> InequalityReport:
@@ -186,10 +173,19 @@ def _ball_rhs(params, t):
     return c_r * t["1/r^p"] + c_sinh * t["1/sinh^p"]
 
 
-# The recipe of each radial or 1D kind: the battery terms it reads, and its
-# (lhs, rhs) from those terms t, where l is the exponent of the 1D Hardy
-# kind.  The half-space kinds are the kinds missing here.
-_RADIAL_RECIPES = {
+# The lhs and rhs of the half-space kinds, which differ only in their tag:
+# the energy gap above Lambda_p and ((N-1)/p)^(p-2) C(N, p) times the V-mass.
+_HALFSPACE_RECIPE = (
+    ("E", "M", "V"),
+    lambda params, t, l: (_gap(params, t),
+                          ((params.N - 1) / params.p) ** (params.p - 2.0)
+                          * c_np(params).value * t["V"]))
+
+# The recipe of each kind: the terms it reads, and its (lhs, rhs) from those
+# terms t, where l is the exponent of the 1D Hardy kind.  A half-space
+# kind's terms are the energy, mass and V-mass of :func:`_halfspace_terms`,
+# every other kind's are radial battery terms.
+_RECIPES = {
     InequalityKind.PGAP: (
         ("E", "M"),
         lambda params, t, l: (t["E"], params.lambda_p * t["M"])),
@@ -214,7 +210,10 @@ _RADIAL_RECIPES = {
         ("hardy1d_energy", "hardy1d_mass"),
         lambda params, t, l: (t["hardy1d_energy"],
                               ((params.p - 1.0) / params.p) ** l * t["hardy1d_mass"])),
+    InequalityKind.BOUNDED_V: _HALFSPACE_RECIPE,
+    InequalityKind.MAZYA: _HALFSPACE_RECIPE,
 }
+_HALFSPACE_KINDS = (InequalityKind.BOUNDED_V, InequalityKind.MAZYA)
 
 
 def _ball_radius(kind: InequalityKind, params: Params) -> float | None:
@@ -239,7 +238,7 @@ def _hardy1d_exponent(params: Params, l: float | None) -> float:
     return l_eff
 
 
-def radial_reports(
+def reports(
     kind: InequalityKind,
     params: Params,
     funcs,
@@ -247,43 +246,44 @@ def radial_reports(
     l: float | None = None,
     rp: float | None = None,
 ) -> list[InequalityReport]:
-    """Reports of one radial or 1D kind for many profiles, in one pass.
+    """Reports of one kind for many test functions, each from the kind's
+    entry in ``_RECIPES``.
 
-    Every term the kind's recipe reads, for every profile, comes from one
-    :func:`~hyplab.integrals.radial_battery` call; :func:`verify` is this
-    call on one profile.  ``l`` is the exponent of the 1D Hardy kind
-    (defaults to p; ignored by the other kinds).  ``rp`` is the critical
-    radius r_p of the ball kind if the caller has it.
+    The test functions are :class:`RadialTestFunction` profiles for the
+    radial kinds and the 1D Hardy kind, whose terms all come from one
+    :func:`~hyplab.integrals.radial_battery` call, and
+    :class:`HalfSpaceFunction` products for the half-space kinds, whose
+    terms come from one :func:`_halfspace_terms` call per product.
+    ``l`` is the exponent of the 1D Hardy kind (defaults to p; ignored by
+    the other kinds).  ``rp`` is the critical radius r_p of the ball kind
+    if the caller has it.
     """
     kind = InequalityKind(kind)
-    if kind not in _RADIAL_RECIPES:
-        raise ValueError(f"{kind.value} is verified on half-space test functions")
+    family, cls = (("half-space", HalfSpaceFunction) if kind in _HALFSPACE_KINDS
+                   else ("radial", RadialTestFunction))
+    if not all(isinstance(u, cls) for u in funcs):
+        raise TypeError(f"{kind.value} needs a {family} test function")
     _require_hypothesis(kind, params)
     l = _hardy1d_exponent(params, l) if kind is InequalityKind.HARDY1D else None
     if rp is None:
         rp = _ball_radius(kind, params)
     for u in funcs:
         _check_ball_support(u, rp)
-    names, sides = _RADIAL_RECIPES[kind]
-    terms = radial_battery(params, funcs, names, tol, l)
+    names, sides = _RECIPES[kind]
+    if cls is HalfSpaceFunction:
+        terms = [dict(zip(names, _halfspace_terms(params, u, tol))) for u in funcs]
+    else:
+        terms = radial_battery(params, funcs, names, tol, l)
     return [_report(kind, params, u, *sides(params, t, l), l=l)
             for u, t in zip(funcs, terms)]
-
-
-def _halfspace_sides(params: Params, u: HalfSpaceFunction, tol: float):
-    """(lhs, rhs) of a half-space kind: the energy gap above Lambda_p and
-    ((N-1)/p)^(p-2) C(N, p) times the V-mass."""
-    N, p = params.N, params.p
-    const = ((N - 1) / p) ** (p - 2.0) * c_np(params).value
-    energy, mass, v_mass = _halfspace_terms(params, u, tol)
-    return energy - params.lambda_p * mass, const * v_mass
 
 
 def _halfspace_terms(params, u, tol):
     """(energy, mass, V-mass) of the product u = phi(x1) psi(rho) chi(y),
     each to the relative ``tol``.
 
-    Both half-space kinds read these three integrals.  With
+    Both half-space kinds read these three integrals, as the terms "E",
+    "M" and "V" of their recipe.  With
     |grad_H u| = y |grad u| and dv = y^-N dx they are the energy
     int |grad u|^p y^(p-N), the mass int |u|^p y^-N and the V-mass
     int |u|^p y^(1-N) / |(x1, y)| over the box.
@@ -402,7 +402,7 @@ def sharpness_scan(
         ):
             raise ValueError("schedule must be strictly decreasing")
         funcs = [make_veps(p, eps, delta) for eps, delta in pairs]
-        terms = radial_battery(params, funcs, _RADIAL_RECIPES[kind][0], tol, l_eff)
+        terms = radial_battery(params, funcs, _RECIPES[kind][0], tol, l_eff)
         c = _ramp_constant(p, l_eff)
         return [_scan_row(eps, delta, t["hardy1d_energy"] / t["hardy1d_mass"],
                           ((p - 1.0) / p) ** l_eff,
@@ -426,7 +426,7 @@ def _ramp_constant(p: float, l: float) -> float:
             return np.ones_like(r)
         return (2.0 - r) ** (p - l) * coth(r) ** (p - l)
 
-    return integrate_interval(ramp, 1.0, 2.0, 1e-12).value
+    return integrate_intervals(lambda r, owner: ramp(r), [1.0], [2.0], 1e-12)[0].value
 
 
 # ---------------------------------------------------------------------------
@@ -616,10 +616,13 @@ def _trial_function(
     index: int,
     allow_origin: bool = False,
     rp: float | None = None,
-) -> RadialTestFunction:
-    """Test function of trial ``index``; ``rp`` is r_p for the ball kind
-    (solved here when not given)."""
+) -> RadialTestFunction | HalfSpaceFunction:
+    """Test function of trial ``index``: a half-space product for the
+    half-space kinds, else a radial profile; ``rp`` is r_p for the ball
+    kind (solved here when not given)."""
     rng = np.random.default_rng([seed, index])
+    if kind in _HALFSPACE_KINDS:
+        return random_halfspace_product(rng, params.N)
     if kind is InequalityKind.BALL and params.p > 2.0:
         if rp is None:
             rp = solve_rp(params).root
@@ -642,10 +645,9 @@ def batch_verify(
     """Seeded battery of verifications, ordered by trial index.
 
     Trials round-robin over ``params_grid``, and trial ``index`` draws its
-    test function from default_rng([seed, index]).  The radial and 1D
-    trials of one grid point run as one :func:`radial_reports` pass; the
-    half-space trials run one :func:`verify` each.
-    ``allow_origin`` lets a fraction of supports touch r = 0; it is
+    test function from default_rng([seed, index]).  The trials of one
+    grid point run as one :func:`reports` call.
+    ``allow_origin`` lets a fraction of radial supports touch r = 0; it is
     rejected for the Green's-function weight, whose node evaluation needs
     r_lo > 0.
     """
@@ -656,14 +658,7 @@ def batch_verify(
             "Green's-function weight battery"
         )
     grid = list(params_grid)
-    if kind not in _RADIAL_RECIPES:
-        return [
-            verify(kind, params,
-                   random_halfspace_product(np.random.default_rng([seed, i]), params.N),
-                   tol)
-            for i, params in zip(range(trials), itertools.cycle(grid))
-        ]
-    reports = [None] * trials
+    out = [None] * trials
     for g, params in enumerate(grid):
         indices = range(g, trials, len(grid))
         if not indices:
@@ -672,5 +667,5 @@ def batch_verify(
         rp = _ball_radius(kind, params)
         funcs = [_trial_function(kind, params, seed, i, allow_origin, rp)
                  for i in indices]
-        reports[g::len(grid)] = radial_reports(kind, params, funcs, tol, l=l, rp=rp)
-    return reports
+        out[g::len(grid)] = reports(kind, params, funcs, tol, l=l, rp=rp)
+    return out

@@ -36,16 +36,32 @@ def test_tracing_entry_points_resolve():
     assert entry_points and missing == []
 
 
-def test_every_command_has_a_golden():
-    # a command without a golden report can change its output unnoticed
-    from hyplab.cli import _COMMANDS
-
+def _golden_runs() -> dict[str, list[str]]:
+    """GOLDEN_RUNS of tests/test_cli.py, by golden file name."""
     spec = importlib.util.spec_from_file_location(
         "golden_runs", Path(__file__).with_name("test_cli.py"))
     test_cli = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(test_cli)
-    covered = {argv[0] for argv in test_cli.GOLDEN_RUNS.values()}
+    return test_cli.GOLDEN_RUNS
+
+
+def test_every_command_has_a_golden():
+    # a command without a golden report can change its output unnoticed
+    from hyplab.cli import _COMMANDS
+
+    covered = {argv[0] for argv in _golden_runs().values()}
     assert set(_COMMANDS) - covered == set()
+
+
+def test_every_kind_has_a_recipe_and_a_golden():
+    # a kind outside the recipe table, or without a golden verify report,
+    # could be assembled or change its output unnoticed
+    verify = importlib.import_module("hyplab.verify")
+    kinds = set(verify.InequalityKind)
+    assert set(verify._RECIPES) == kinds
+    verified = {argv[argv.index("--kind") + 1]
+                for argv in _golden_runs().values() if argv[0] == "verify"}
+    assert {kind.value for kind in kinds} - verified == set()
 
 
 def _defined_names(node) -> list[str]:

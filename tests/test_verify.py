@@ -21,8 +21,8 @@ from hyplab.verify import (
     check_ftilde,
     check_pconvexity,
     hardy_constant,
-    radial_reports,
     random_halfspace_product,
+    reports,
     sharpness_scan,
     supersolution_residual,
     verify,
@@ -348,7 +348,7 @@ class TestBatch:
             reps = batch_verify(kind, [params], 5, seed=2, tol=1e-10)
             funcs = [_trial_function(kind, params, 2, i) for i in range(5)]
             assert [verify(kind, params, u, 1e-10) for u in funcs] == reps
-            assert radial_reports(kind, params, funcs, 1e-10) == reps
+            assert reports(kind, params, funcs, 1e-10) == reps
 
     def test_ball_radius_solved_once_per_battery(self, monkeypatch):
         verify_module = importlib.import_module("hyplab.verify")
@@ -483,7 +483,7 @@ class TestSharpnessScan:
             calls.append(len(a))
             return intervals(f, a, *args, **kwargs)
 
-        for module in (quadrature, integrals):
+        for module in (quadrature, integrals, verify_module):
             monkeypatch.setattr(module, "integrate_intervals", counted)
         rows = sharpness_scan(InequalityKind.HARDY1D, Params(13, 4.0), schedule, 1e-10)
         assert len(rows) == len(schedule)
