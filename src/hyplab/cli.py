@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 import numpy as np
@@ -52,15 +53,33 @@ from .verify import (
 KIND_TAGS = [k.value for k in InequalityKind]
 
 
+def _checked(convert, ok, rule):
+    """An argparse type: ``convert``, then refuse a value that is not ``ok``,
+    so that argparse names the argument and exits 2."""
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+
+    # argparse names the type of a value convert refuses by this name
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_TOLERANCE = _checked(float, lambda x: 0.0 < x < math.inf, "finite and > 0")
+_COUNT = _checked(int, lambda n: n >= 1, ">= 1")
+
+
 def _add_common(sp, batch):
     sp.add_argument("--N", type=int, required=True, help="dimension, integer >= 2")
     sp.add_argument("--p", type=float, required=True, help="exponent, real > 1")
-    sp.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
+    sp.add_argument("--tol", type=_TOLERANCE, default=1e-10, help="quadrature tolerance")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--output", default="-", help="output path or - for stdout")
     if batch:
         sp.add_argument("--seed", type=int, default=0, help="64-bit batch seed")
-        sp.add_argument("--trials", type=int, default=25)
+        sp.add_argument("--trials", type=_COUNT, default=25)
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -288,7 +307,7 @@ _COMMANDS = {
     "weights": (cmd_weights, "sample W, H_p, h, V over a radial grid", False, [
         ("--r-min", dict(type=float, default=0.05)),
         ("--r-max", dict(type=float, default=10.0)),
-        ("--points", dict(type=int, default=40)),
+        ("--points", dict(type=_COUNT, default=40)),
     ]),
     "rp": (cmd_rp, "critical radii r0 and r_p", False, []),
     "rp-scan": (cmd_rp_scan, "monotonicity scan of r_p", False, [
@@ -313,7 +332,7 @@ _COMMANDS = {
     ]),
     "figure1": (cmd_figure1, "H_p curve with r_p marker row", False, [
         ("--r-max", dict(type=float, default=15.0)),
-        ("--points", dict(type=int, default=1500)),
+        ("--points", dict(type=_COUNT, default=1500)),
     ]),
     "proofcheck": (cmd_proofcheck, "scalar proof-step checks", True, []),
 }

@@ -310,6 +310,32 @@ def test_help_and_argument_errors_exit_as_before(capsys):
     assert main(["rp", "--N", "8", "--p", "2.5"]) == 0
 
 
+_VERIFY = ["verify", "--kind", "pgap", "--N", "3", "--p", "2"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    # figure1 divides by --points
+    (["figure1", "--N", "13", "--p", "4", "--points", "0"], "--points: must be >= 1"),
+    (["weights", "--N", "13", "--p", "4", "--points", "0"], "--points: must be >= 1"),
+    # no refinement meets a tol <= 0 or nan, and the seed panels alone
+    # meet inf
+    (_VERIFY + ["--trials", "2", "--tol", "0"], "--tol: must be finite and > 0"),
+    (_VERIFY + ["--trials", "2", "--tol", "-1"], "--tol: must be finite and > 0"),
+    (_VERIFY + ["--trials", "2", "--tol", "nan"], "--tol: must be finite and > 0"),
+    (_VERIFY + ["--trials", "2", "--tol", "inf"], "--tol: must be finite and > 0"),
+    (_VERIFY + ["--trials", "0"], "--trials: must be >= 1"),
+    (["proofcheck", "--N", "13", "--p", "4", "--trials", "0"], "--trials: must be >= 1"),
+], ids=["figure1-points", "weights-points", "tol-0", "tol-negative", "tol-nan",
+        "tol-inf", "verify-trials", "proofcheck-trials"])
+def test_bad_numeric_arguments_exit_2(argv, message, capsys):
+    # argparse names the argument and exits 2, as for any argument error;
+    # nothing raises past main
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"error: argument {message}" in capsys.readouterr().err
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 # Generated with this file's commands; see CHANGES.md for the commit.
