@@ -104,9 +104,10 @@ def radial_battery(
     radial = any(name not in _HARDY1D_TERMS for name in terms)
 
     def mass(weight, weight_power):
-        """|u|^p times ``weight``(r, owner), whose power at 0 is ``weight_power``."""
+        """|u|^p times ``weight``(r, owner), whose power at 0 is
+        ``weight_power``(p, p')."""
         return (lambda r, idx, owner: np.abs(value(r, idx)) ** p * weight(r, owner),
-                lambda lam: lam * p + weight_power)
+                lambda lam, p, l, q: lam * p + weight_power(p, q))
 
     def green(r, owner):
         w, errs = w_eval.w_array(r)
@@ -123,21 +124,24 @@ def radial_battery(
 
     # Each term's integrand at nodes r of the profiles idx (owner names the
     # integral of each node in the battery's pass), and that integrand's
-    # power at r = 0 for a profile ~ r^lam.  Both are taken before the
-    # volume element (sinh r)^m, which every term but the 1D pieces carries.
+    # power at r = 0 for a profile ~ r^lam, as a function of (lam, p, l, p')
+    # that takes doubles or exact Fractions alike.  Both are taken before
+    # the volume element (sinh r)^m, which every term but the 1D pieces
+    # carries.
     table = {
         "E": (lambda r, idx, owner: np.abs(derivative(r, idx)) ** p,
-              lambda lam: (lam - 1.0) * p),
-        "M": (lambda r, idx, owner: np.abs(value(r, idx)) ** p, lambda lam: lam * p),
-        "1/r^p": mass(lambda r, owner: r ** (-p), -p),
-        "1/sinh^p": mass(lambda r, owner: sinh_pow(r, -p), -p),
-        "W": mass(green, 0.0),
-        "Hp": mass(lambda r, owner: weight_hp(params, r), -(p - 2.0)),
-        "r^pprime": mass(lambda r, owner: r ** params.p_prime, params.p_prime),
+              lambda lam, p, l, q: (lam - 1) * p),
+        "M": (lambda r, idx, owner: np.abs(value(r, idx)) ** p,
+              lambda lam, p, l, q: lam * p),
+        "1/r^p": mass(lambda r, owner: r ** (-p), lambda p, q: -p),
+        "1/sinh^p": mass(lambda r, owner: sinh_pow(r, -p), lambda p, q: -p),
+        "W": mass(green, lambda p, q: 0),
+        "Hp": mass(lambda r, owner: weight_hp(params, r), lambda p, q: -(p - 2)),
+        "r^pprime": mass(lambda r, owner: r ** params.p_prime, lambda p, q: q),
         # (r coth r) ~ 1 at 0
         "hardy1d_energy": (hardy1d_energy,
-                           lambda lam: lam * (p - l) - (p - l) + (lam - 1.0) * l),
-        "hardy1d_mass": mass(lambda r, owner: r ** (-p), -p),
+                           lambda lam, p, l, q: lam * (p - l) - (p - l) + (lam - 1) * l),
+        "hardy1d_mass": mass(lambda r, owner: r ** (-p), lambda p, q: -p),
     }
 
     def origin_factor(name, i, power):
@@ -157,7 +161,7 @@ def radial_battery(
         return g
 
     out = [{} for _ in funcs]
-    heads = {}  # (i, name) -> (g, whole power, b1) of the terms split at the origin
+    heads = {}  # (i, name) -> (g, whole power + 1, b1) of the terms split at the origin
     lows, highs, bps, rel_tols, where = [], [], [], [], []
     term_starts = []
     for name in terms:
@@ -167,14 +171,23 @@ def radial_battery(
             lam = _origin_power(name, u, lo)
             rel_tol = tol
             if lam is not None:
-                power = table[name][1](lam)
-                whole = power + m if name not in _HARDY1D_TERMS else power
-                if whole <= -1.0:
+                args = (lam, p, l, params.p_prime)
+                power = table[name][1](*args)
+                # the whole power, exact for the doubles it is formed from:
+                # in doubles its sum cancels, as a p - p + 1 does for
+                # a = (p - 1 + delta) / p and small delta.  Imported here:
+                # fractions loads decimal, which only origin heads need
+                from fractions import Fraction
+
+                whole = table[name][1](*(None if x is None else Fraction(x) for x in args))
+                if name not in _HARDY1D_TERMS:
+                    whole += m
+                if whole <= -1:
                     raise NonIntegrableSingularity(
-                        f"integrand power {whole} at the origin is not integrable"
+                        f"integrand power {float(whole)} at the origin is not integrable"
                     )
                 lo = min(u.breakpoints) if u.breakpoints else hi
-                heads[i, name] = (origin_factor(name, i, power), whole, lo)
+                heads[i, name] = (origin_factor(name, i, power), float(whole + 1), lo)
                 if lo >= hi:
                     continue
                 rel_tol = tol / 2
@@ -185,9 +198,9 @@ def radial_battery(
             where.append((i, name))
     term_starts.append(len(where))
     if heads:
-        gs, powers, b1s = zip(*heads.values())
+        gs, deltas, b1s = zip(*heads.values())
         firsts = power_singular_integrals(
-            gs, [s + 1.0 for s in powers], b1s, 0.0,
+            gs, deltas, b1s, 0.0,
             [float(g(np.array([1e-8]))[0]) for g in gs], rel_tol=tol / 2,
         )
         for (i, name), first in zip(heads, firsts):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -130,7 +131,9 @@ class TestOriginSplit:
     most one ulp, the errors by up to 0.4%, no panel count changed.  The
     errors of the four radial pins were retaken again when the heads came
     to take the volume element as (sinh r / r)^m: they moved by up to
-    2.5%, and no value or panel count moved.
+    2.5%, and no value or panel count moved.  The hardy1d mass was retaken
+    when the heads' exponent came to be formed exactly: its value moved
+    by 2.5e-15 relative, its error and panel count held.
     """
 
     P = Params(4, 3.0)
@@ -158,7 +161,7 @@ class TestOriginSplit:
         self._pinned(hardy1d_energy(3.0, 2.0, self.V, 1e-10),
                      8.329179372148165, 1.6453819843852392e-13, 37)
         self._pinned(hardy1d_mass(3.0, self.V, 1e-10),
-                     18.267604024022194, 2.0245546368206147e-12, 47)
+                     18.26760402402224, 2.0245546368206147e-12, 47)
 
 
 class TestHardyBatteryPins:
@@ -409,9 +412,9 @@ class TestRadialOracle:
         """Every volume term of make_veps, split at the origin.
 
         The two 1D Hardy pieces are left out: their heads' error estimates
-        count neither the rounding of the head exponent nor a truncation
-        tail where the profile's C r^lam is not exact near 0 (ROADMAP item
-        4), so they can fall below the true error.
+        count neither rounding nor a truncation tail where the profile's
+        C r^lam is not exact near 0 (ROADMAP item 4), so they can fall
+        below the true error.
         """
         params = Params(N, p)
         names = ("E", "M", "1/r^p", "1/sinh^p", "r^pprime")
@@ -440,6 +443,26 @@ class TestHardy1D:
         ramp_bound = eps ** (a * p) / (p + 1.0)
         assert rhs.value > first
         assert first + middle <= rhs.value <= first + middle + ramp_bound + 1e-9
+
+    def test_mass_head_exponent_is_exact(self):
+        # the head of r^a on [0, eps] is eps^s / s with s = a p - p + 1 for
+        # the double a; formed in doubles, s cancels, and at delta = 1e-3
+        # its rounding alone puts the mass 1.1e-13 relative off.  The
+        # error estimate counts no rounding, so only the distance is
+        # checked (ROADMAP item 4)
+        mp = pytest.importorskip("mpmath")
+        p, eps, delta = 3.0, 1e-3, 1e-3
+        got = radial_battery(Params(2, p), [make_veps(p, eps, delta)], ("hardy1d_mass",),
+                             1e-10)[0]["hardy1d_mass"].value
+        a = (p - 1.0 + delta) / p  # the profile's exponent as built
+        s = Fraction(a) * Fraction(p) - Fraction(p) + 1
+        with mp.workdps(40):
+            s = mp.mpf(s.numerator) / s.denominator
+            P, cap = mp.mpf(p), mp.mpf(eps**a)
+            ref = (mp.mpf(eps) ** s / s
+                   + cap**P * (mp.mpf(eps) ** (1 - P) - 1) / (P - 1)
+                   + cap**P * mp.quad(lambda r: (2 - r) ** P / r**P, [1, 2]))
+            assert abs(got - ref) <= 1e-14 * ref
 
     def test_l_equals_p_is_plain_derivative_energy(self):
         p = 3.0
