@@ -16,6 +16,7 @@ meaningless.  Reported error estimates remain absolute bounds.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -175,10 +176,7 @@ def radial_battery(
                 power = table[name][1](*args)
                 # the whole power, exact for the doubles it is formed from:
                 # in doubles its sum cancels, as a p - p + 1 does for
-                # a = (p - 1 + delta) / p and small delta.  Imported here:
-                # fractions loads decimal, which only origin heads need
-                from fractions import Fraction
-
+                # a = (p - 1 + delta) / p and small delta
                 whole = table[name][1](*(None if x is None else Fraction(x) for x in args))
                 if name not in _HARDY1D_TERMS:
                     whole += m
