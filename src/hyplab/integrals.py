@@ -83,10 +83,10 @@ def radial_battery(
     the 1D pieces.  A term whose support starts at 0 and whose profile
     declares an origin power f ~ C r^s is split at b1, the profile's
     smallest breakpoint: on [0, b1] the pure power is split off
-    analytically, with C taken at r = 1e-8, and the rest runs on the
-    ordinary panels of [b1, hi]; each piece gets half of ``tol``.  The
-    heads of all such terms are one
-    :func:`~hyplab.quadrature.power_singular_integrals` call; every other
+    analytically, and the rest runs on the ordinary panels of [b1, hi];
+    each piece gets half of ``tol``.  The heads of all such terms are one
+    :func:`~hyplab.quadrature.power_singular_integrals` call, which takes
+    each head's C and rejects a power that is not integrable; every other
     integral, tails included, is one integral of a single
     :func:`~hyplab.quadrature.integrate_intervals` pass.  There the
     integrals run term by term, so each term's nodes form one slice of
@@ -180,10 +180,6 @@ def radial_battery(
                 whole = table[name][1](*(None if x is None else Fraction(x) for x in args))
                 if name not in _HARDY1D_TERMS:
                     whole += m
-                if whole <= -1:
-                    raise NonIntegrableSingularity(
-                        f"integrand power {float(whole)} at the origin is not integrable"
-                    )
                 lo = min(u.breakpoints) if u.breakpoints else hi
                 heads[i, name] = (origin_factor(name, i, power), float(whole + 1), lo)
                 if lo >= hi:
@@ -197,10 +193,7 @@ def radial_battery(
     term_starts.append(len(where))
     if heads:
         gs, deltas, b1s = zip(*heads.values())
-        firsts = power_singular_integrals(
-            gs, deltas, b1s, 0.0,
-            [float(g(np.array([1e-8]))[0]) for g in gs], rel_tol=tol / 2,
-        )
+        firsts = power_singular_integrals(gs, deltas, b1s, 0.0, rel_tol=tol / 2)
         for (i, name), first in zip(heads, firsts):
             out[i][name] = first
     if not where:
@@ -433,8 +426,7 @@ def ueps_energy_masses(
             consts.append(const)
             gs.append(lambda s, _a=a: (1.0 - s) ** (_a - 1.0))
             deltas.append(eps)
-    betas = power_singular_integrals(gs, deltas, [1.0] * len(gs), 0.0,
-                                     [1.0] * len(gs), rel_tol=tol)
+    betas = power_singular_integrals(gs, deltas, [1.0] * len(gs), 0.0, rel_tol=tol)
     terms = []
     for const, b in zip(consts, betas):
         res = const * b

@@ -414,20 +414,19 @@ def power_singular_integral(
     delta: float,
     b: float,
     tol: float,
-    g_at_zero: float | None = None,
     rel_tol: float = 0.0,
 ) -> QuadResult:
-    """Compute ``int_0^b r**(delta-1) g(r) dr`` for 0 < delta, g continuous at 0.
+    """Compute ``int_0^b r**(delta-1) g(r) dr`` for 0 < delta, g with a limit C at 0.
 
-    Exact split: ``g(0) b**delta / delta`` plus the remainder with
-    ``g(r) - g(0)``, mapped to the logarithmic axis ``r = b e^{-t}`` where
-    the integrand is ``b**delta e^{-delta t}(g(b e^{-t}) - g(0))`` and
+    Exact split: ``C b**delta / delta`` plus the remainder with
+    ``g(r) - C``, mapped to the logarithmic axis ``r = b e^{-t}`` where
+    the integrand is ``b**delta e^{-delta t}(g(b e^{-t}) - C)`` and
     decays at least one exponential order faster than the pure power.
     Works uniformly down to delta ~ 1e-3 and far beyond, where panels
     in r-space would silently drop nearly all of the mass.  The
     one-integral case of :func:`power_singular_integrals`.
     """
-    return power_singular_integrals([g], [delta], [b], tol, [g_at_zero], rel_tol)[0]
+    return power_singular_integrals([g], [delta], [b], tol, rel_tol)[0]
 
 
 def power_singular_integrals(
@@ -435,37 +434,38 @@ def power_singular_integrals(
     deltas: Sequence[float],
     bs: Sequence[float],
     tol: float,
-    g_at_zero: Sequence[float | None] | None = None,
     rel_tol: float = 0.0,
 ) -> list[QuadResult]:
     """``int_0^b r**(delta-1) g(r) dr`` for every (g, delta, b) of the
     sequences, as :func:`power_singular_integral` computes each one, in
     one :func:`integrate_intervals` pass.
 
-    Each remainder's tolerance is ``tol + rel_tol * |g(0) b**delta / delta|``
-    of its own lead term.  Every integrand call evaluates each g once, on
-    its own nodes and with its own scalars, so each result is bit for bit
-    the one-integral result.
+    Each C is 2 g(h) - g(2h) at h = 1e-8 b, exact to O(h**2) for smooth g
+    and never reading g(0), which a profile may mask.  Each remainder's
+    tolerance is ``tol + rel_tol * |C b**delta / delta|`` of its own lead
+    term.  Every integrand call evaluates each g once, on its own nodes
+    and with its own scalars, so each result is bit for bit the
+    one-integral result.
     """
     K = len(gs)
-    g0s = [None] * K if g_at_zero is None else list(g_at_zero)
+    cs = []
     for k in range(K):
         if deltas[k] <= 0:
             raise NonIntegrableSingularity(
                 f"power exponent delta={deltas[k]} must be > 0")
         if bs[k] <= 0:
             raise ValueError("b must be positive")
-        if g0s[k] is None:
-            g0s[k] = float(gs[k](np.array([0.0]))[0])
-    leads = [g0 * b**delta / delta for g0, b, delta in zip(g0s, bs, deltas)]
+        g_h, g_2h = gs[k](np.array([1e-8, 2e-8]) * bs[k])
+        cs.append(float(2.0 * g_h - g_2h))
+    leads = [c * b**delta / delta for c, b, delta in zip(cs, bs, deltas)]
 
     def remainder(k: int, t: np.ndarray) -> np.ndarray:
         b, delta = bs[k], deltas[k]
         r = b * np.exp(-t)
-        return b**delta * np.exp(-delta * t) * (gs[k](r) - g0s[k])
+        return b**delta * np.exp(-delta * t) * (gs[k](r) - cs[k])
 
     remainders = [functools.partial(remainder, k) for k in range(K)]
-    # g(r)-g(0) ~ g'(0) r, so the t-integrand decays like e^{-(1+delta)t}:
+    # g(r)-C ~ g'(0) r, so the t-integrand decays like e^{-(1+delta)t}:
     # at T=45 the remainder is below 1e-19 of the local scale.
     T = 45.0
     rests = integrate_intervals(
@@ -582,8 +582,10 @@ def integrate_cells(
     cells only while no child's error exceeds a cell still queued and
     while the goal stays fixed: with ``rel_tol > 0`` a |value| that grows
     within the round lowers the excess, so the one-at-a-time loop could
-    stop sooner and make fewer cells.  The stop test reads exact sums in
-    units of 2**-1074, rounded once.
+    stop sooner and make fewer cells.  A cell too narrow to split on its
+    worst axis keeps its error in the sum and leaves the choice; with no
+    cell left to split, the result is returned as it stands.  The stop
+    test reads exact sums in units of 2**-1074, rounded once.
     """
     d = len(box)
     if d < 1 or d > 3:
@@ -608,31 +610,30 @@ def integrate_cells(
             total += fv
             err += fe
         n_cells += len(values)
+        value, error = total / _FIXED_ONE, err / _FIXED_ONE
+        goal = tol + rel_tol * abs(value)
+        if error <= goal:
+            return QuadResult(value, error, n_cells)
+        if n_cells >= max_cells:
+            best = QuadResult(value, error, n_cells)
+            raise ToleranceNotAchieved(
+                f"cell budget exhausted: error {error:.3e} > tol {tol:.3e}", best
+            )
         split = []  # (los, his, worst axis, midpoint) of the cells to split
-        while not split:
-            value, error = total / _FIXED_ONE, err / _FIXED_ONE
-            goal = tol + rel_tol * abs(value)
-            if error <= goal:
-                return QuadResult(value, error, n_cells)
-            if n_cells >= max_cells:
-                best = QuadResult(value, error, n_cells)
-                raise ToleranceNotAchieved(
-                    f"cell budget exhausted: error {error:.3e} > tol {tol:.3e}", best
-                )
-            # err drops the error of each cell as it is taken, so it is the
-            # error of the cells not taken
-            while (err / _FIXED_ONE > goal and len(split) < per_round
-                   and n_cells + 2 * len(split) < max_cells):
-                _, serial, lo_t, hi_t, fv, fe, ax = heapq.heappop(heap)
-                err -= fe
-                lo, hi = lo_t[ax], hi_t[ax]
-                mid = 0.5 * (lo + hi)
-                if mid <= lo or mid >= hi:
-                    # Width at rounding floor: keep the cell, drop its error.
-                    heapq.heappush(heap, (0.0, serial, lo_t, hi_t, fv, 0, ax))
-                    continue
-                total -= fv
-                split.append((lo_t, hi_t, ax, mid))
+        # err drops the error of each cell as it is split, so it is the
+        # error of the cells not split
+        while (heap and err / _FIXED_ONE > goal and len(split) < per_round
+               and n_cells + 2 * len(split) < max_cells):
+            _, _, lo_t, hi_t, fv, fe, ax = heapq.heappop(heap)
+            lo, hi = lo_t[ax], hi_t[ax]
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                continue  # width at rounding floor: keep the cell and its error
+            err -= fe
+            total -= fv
+            split.append((lo_t, hi_t, ax, mid))
+        if not split:  # nothing left that can be split
+            return QuadResult(value, error, n_cells)
         lo_ts, hi_ts, axes, mids = zip(*split)
         rows = 2 * np.arange(len(split))
         los = np.repeat(np.array(lo_ts), 2, axis=0)

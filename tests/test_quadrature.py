@@ -336,13 +336,15 @@ class TestPowerSingular:
             power_singular_integral(np.exp, -0.2, 1.0, 1e-8)
 
     @staticmethod
-    def _split_alone(g, delta, b, tol, g0, rel_tol):
-        # the exact split of power_singular_integral through integrate_interval
-        g0 = float(g(np.array([0.0]))[0]) if g0 is None else g0
-        lead = g0 * b**delta / delta
+    def _split_alone(g, delta, b, tol, rel_tol):
+        # the exact split of power_singular_integral through integrate_interval,
+        # with C = 2 g(h) - g(2h) at h = 1e-8 b
+        g_h, g_2h = g(np.array([1e-8, 2e-8]) * b)
+        c = float(2.0 * g_h - g_2h)
+        lead = c * b**delta / delta
 
         def rest(t):
-            return b**delta * np.exp(-delta * t) * (g(b * np.exp(-t)) - g0)
+            return b**delta * np.exp(-delta * t) * (g(b * np.exp(-t)) - c)
 
         r = integrate_interval(rest, 0.0, 45.0, tol + rel_tol * abs(lead),
                                rel_tol=rel_tol)
@@ -353,18 +355,17 @@ class TestPowerSingular:
         # scalar exponents 0.5 and 2 take numpy's sqrt and square paths,
         # which a batch keeps by calling each g on its own nodes
         cases = [
-            (lambda s: (1.0 - s) ** 0.5, 0.1, 1.0, 1.0),
-            (lambda s: (1.0 - s) ** 2.0, 1e-3, 1.0, 1.0),
-            (np.exp, 0.3, 2.0, None),
-            (lambda s: np.cos(s) ** 1.5, 0.7, 0.5, None),
+            (lambda s: (1.0 - s) ** 0.5, 0.1, 1.0),
+            (lambda s: (1.0 - s) ** 2.0, 1e-3, 1.0),
+            (np.exp, 0.3, 2.0),
+            (lambda s: np.cos(s) ** 1.5, 0.7, 0.5),
         ]
-        gs, deltas, bs, g0s = map(list, zip(*cases))
+        gs, deltas, bs = map(list, zip(*cases))
         for tol, rel_tol in ((0.0, 1e-11), (1e-9, 0.0), (1e-6, 1e-6)):
-            singles = [self._split_alone(g, d, b, tol, g0, rel_tol)
-                       for g, d, b, g0 in cases]
-            assert [power_singular_integral(g, d, b, tol, g0, rel_tol)
-                    for g, d, b, g0 in cases] == singles
-            assert power_singular_integrals(gs, deltas, bs, tol, g0s, rel_tol) == singles
+            singles = [self._split_alone(g, d, b, tol, rel_tol) for g, d, b in cases]
+            assert [power_singular_integral(g, d, b, tol, rel_tol)
+                    for g, d, b in cases] == singles
+            assert power_singular_integrals(gs, deltas, bs, tol, rel_tol) == singles
 
     def test_graded_panels_cannot_do_this(self):
         # documents why the substitution exists: with delta = 1e-3 the
@@ -526,13 +527,14 @@ class TestCells:
 
     def test_cells_at_the_width_floor_end_the_refinement(self):
         # x spans one ulp, so no split on it moves its midpoint off an end:
-        # the box keeps its value and drops its error
+        # the box keeps its value and its error, and with nothing left to
+        # split the result is returned as it stands
         box = [(1.0, math.nextafter(1.0, 2.0)), (0.0, 1.0)]
         step = lambda x, y: np.where(x >= 1.0, 1.0 + y * y, y * y)
         seed = integrate_cells(step, box, math.inf)
         assert seed.error_estimate > 0.0
         r = integrate_cells(step, box, 0.0)
-        assert r == QuadResult(seed.value, 0.0, 1)
+        assert r == seed
 
     def test_refinement_cell_counts(self):
         # pinned: a change in the split order or the stop rule moves them
