@@ -1,10 +1,13 @@
 """Repository tooling: the benchmark tracer (bench/tracing.py) wraps hyplab
-entry points by name, every command has a golden, no private name is dead
-and every public name has a caller."""
+entry points by name, every command has a golden, no private name is dead,
+every public name has a caller and the runtime imports no test oracle."""
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -199,3 +202,15 @@ def test_golden_diff_says_how_far_two_payloads_differ():
         assert diff([1.5], [True]) == "rows 2 -> 1"
         # an error path writes no report
         assert golden_diff.payload_difference("", report([1.5], [True], fmt), fmt) == ""
+
+
+def test_runtime_imports_no_test_oracle():
+    # pyproject.toml declares numpy as the one runtime dependency; the
+    # scipy and mpmath oracles of the tests and tools stay out of it
+    code = ("import sys, hyplab.cli; "
+            "print(sorted({m.partition('.')[0] for m in sys.modules} "
+            "& {'scipy', 'mpmath', 'hypothesis', 'pytest'}))")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, text=True, check=False)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
