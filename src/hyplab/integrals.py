@@ -1,6 +1,6 @@
 """Assembly of the concrete integrals: radial energies and weighted
 masses against the hyperbolic volume element, 1D Hardy quotient pieces,
-and reduced half-space integrals.
+and the half-space terms of separable products.
 
 Radial integrals carry the volume element (sinh r)^(N-1) but never the
 surface-area constant |S^{N-1}|: every inequality verified here is
@@ -38,7 +38,7 @@ __all__ = [
     "radial_weighted_mass",
     "hardy1d_energy",
     "hardy1d_mass",
-    "factor_integrals",
+    "halfspace_battery",
     "halfspace_integral",
     "ueps_energy_mass",
     "ueps_energy_masses",
@@ -320,6 +320,17 @@ def hardy1d_mass(p: float, v: RadialTestFunction, tol: float = 1e-10) -> QuadRes
     return radial_battery(Params(2, p), [v], ("hardy1d_mass",), tol)[0]["hardy1d_mass"]
 
 
+def _ramp_constant(p: float, l: float) -> float:
+    """c(p, l) = int_1^2 ((2 - r) coth r)^(p-l) dr of the ramp piece."""
+
+    def ramp(r):
+        if l == p:
+            return np.ones_like(r)
+        return (2.0 - r) ** (p - l) * coth(r) ** (p - l)
+
+    return integrate_intervals(lambda r, owner: ramp(r), [1.0], [2.0], 1e-12)[0].value
+
+
 # ---------------------------------------------------------------------------
 # Half-space integrals reduced to (x1, rho, y).
 # ---------------------------------------------------------------------------
@@ -330,18 +341,99 @@ def sphere_area(k: int) -> float:
     return 2.0 * math.pi ** ((k + 1) / 2.0) / math.gamma((k + 1) / 2.0)
 
 
-def factor_integrals(funcs, supports, tol: float = 1e-8) -> list[QuadResult]:
-    """int f over [lo, hi] for each f of ``funcs`` and (lo, hi) of
-    ``supports``, to the relative ``tol``, in one lockstep
-    :func:`~hyplab.quadrature.integrate_intervals` pass.
+def _rho_measure(N: int, rho):
+    """omega_{N-3} rho^(N-3), the measure of the rho axis (2 at N = 3)."""
+    return sphere_area(N - 3) * rho ** (N - 3)
 
-    These are the 1-D factors of separable half-space integrals: each f
-    is elementwise, and every integrand call evaluates each f once, on
-    its own nodes.
+
+def halfspace_battery(params: Params, funcs, tol: float) -> list[dict[str, QuadResult]]:
+    """The energy "E", mass "M" and V-mass "V" of every product
+    u = phi(x1) psi(rho) chi(y) of ``funcs``, each to the relative ``tol``.
+
+    Both half-space kinds read these terms: with |grad_H u| = y |grad u|
+    and dv = y^-N dx, the energy int |grad u|^p y^(p-N), the mass
+    int |u|^p y^-N and the V-mass int |u|^p y^(1-N) / |(x1, y)| over the
+    box.  The mass is a product of 1-D integrals, one per factor, the
+    V-mass an (x1, y) integral times the rho factor, and at p = 2 the
+    energy a sum of three such products, one per term of |grad u|^2.  The
+    1-D factors of all products run in one lockstep pass, each refined as
+    it is alone, to tol / n with n the factors of its product (2 without
+    psi), and the (x1, y) integral stands for two of them, so a term's
+    relative error, the sum of its factors', stays within tol.  Only the
+    energy at p != 2 is a cubature of the whole box (:func:`halfspace_integral`).
     """
-    lows, highs = zip(*supports)
-    return integrate_intervals(lambda x, owner: _per_run(funcs, x, owner),
-                               lows, highs, 0.0, rel_tol=tol)
+    products = [_product(params, u, tol) for u in funcs]
+    pieces = [(f, lo, hi, factor_tol) for factors, factor_tol, _ in products
+              for (lo, hi), f in factors.values()]
+    calls, lows, highs, rel_tols = zip(*pieces) if pieces else [()] * 4
+    results = iter(integrate_intervals(lambda x, owner: _per_run(calls, x, owner),
+                                       lows, highs, 0.0, rel_tol=rel_tols))
+    # zip takes each product's names first, so it draws only their results
+    return [terms(dict(zip(factors, results))) for factors, _, terms in products]
+
+
+def _product(params: Params, u, tol: float):
+    """(factors, factor_tol, terms) of the product u: its 1-D factors by
+    name, each its support and integrand, their relative tolerance, and the
+    function that makes its terms from their integrals."""
+    N, p = params.N, params.p
+    phi, psi, chi = u.phi, u.psi, u.chi
+    factor_tol = tol / (2 if psi is None else 3)
+    factors = {
+        "phi": (phi.support, lambda x1: np.abs(phi.value(x1)) ** p),
+        "chi": (chi.support, lambda y: np.abs(chi.value(y)) ** p / y**N),
+    }
+    if psi is not None:
+        factors["psi"] = (psi.support,
+                          lambda rho: _rho_measure(N, rho) * np.abs(psi.value(rho)) ** p)
+    if p == 2.0:
+        factors["dphi"] = (phi.support, lambda x1: phi.derivative(x1) ** 2)
+        # chi_e is the y factor of the phi' and psi' terms
+        factors["chi_e"] = (chi.support, lambda y: chi.value(y) ** 2 * y ** (p - N))
+        factors["dchi_e"] = (chi.support, lambda y: chi.derivative(y) ** 2 * y ** (p - N))
+        if psi is not None:
+            factors["dpsi"] = (psi.support,
+                               lambda rho: _rho_measure(N, rho) * psi.derivative(rho) ** 2)
+
+    def v_f(x1, y):
+        return (np.abs(phi.value(x1)) ** p
+                * (np.abs(chi.value(y)) ** p / y ** (N - 1))
+                / np.sqrt(y * y + x1 * x1))
+
+    def e_f(x1, rho, y):
+        # |grad u|^2 = (phi'^2 psi^2 + phi^2 psi'^2) chi^2 + phi^2 psi^2 chi'^2
+        # from each factor's squares on its own axis; only the last two
+        # products, the sum, the power and the weight run on every node
+        px, dx = phi.value_and_derivative(x1)
+        px2, dx2 = px * px, dx * dx
+        if psi is None:
+            a, b = dx2, px2
+        else:
+            pr, dr = psi.value_and_derivative(rho)
+            pr2 = pr * pr
+            a, b = dx2 * pr2 + px2 * (dr * dr), px2 * pr2
+        py, dy = chi.value_and_derivative(y)
+        s = a * (py * py)
+        s += b * (dy * dy)
+        s **= 0.5 * p
+        s *= y ** (p - N)
+        return s
+
+    def terms(t):
+        # without psi its factor is exactly 1 and its derivative's exactly 0
+        t.setdefault("psi", QuadResult(1.0, 0.0, 0))
+        t.setdefault("dpsi", QuadResult(0.0, 0.0, 0))
+        mass = t["phi"] * t["psi"] * t["chi"]
+        v_plane = integrate_cells(v_f, [phi.support, chi.support], 0.0,
+                                  rel_tol=2.0 * factor_tol)
+        if p == 2.0:
+            energy = (t["dphi"] * t["psi"] * t["chi_e"] + t["phi"] * t["dpsi"] * t["chi_e"]
+                      + t["phi"] * t["psi"] * t["dchi_e"])
+        else:
+            energy = halfspace_integral(params, e_f, u.support, tol)
+        return {"E": energy, "M": mass, "V": v_plane * t["psi"]}
+
+    return factors, factor_tol, terms
 
 
 def halfspace_integral(
@@ -354,9 +446,8 @@ def halfspace_integral(
     arrays that broadcast against each other, not on full grids, and
     takes anything that broadcasts to their common shape.  ``support`` is
     the compact box ((x1_lo, x1_hi), (rho_lo, rho_hi), (y_lo, y_hi)).
-    For N = 2 the rho dimension is absent; for N = 3 the rho integral runs
-    over the two half-lines (factor omega_0 = 2).  The decaying
-    near-extremal family is integrated by :func:`ueps_energy_mass`.
+    For N = 2 the rho dimension is absent.  The decaying near-extremal
+    family is integrated by :func:`ueps_energy_mass`.
     """
     (x1l, x1h), (rl, rh), (yl, yh) = support
     if yl <= 0.0:
@@ -366,7 +457,6 @@ def halfspace_integral(
         box = [(x1l, x1h), (yl, yh)]
     else:
         box = [(x1l, x1h), (max(rl, 0.0), rh), (yl, yh)]
-        area = sphere_area(N - 3)
 
     def g(*axes):
         if N == 2:
@@ -374,7 +464,7 @@ def halfspace_integral(
             return f(x1, np.zeros_like(x1), y)
         x1, rho, y = axes
         # one multiply of f's result, which may be shared or read-only
-        return f(x1, rho, y) * (area * rho ** (N - 3) if N > 3 else area)
+        return f(x1, rho, y) * _rho_measure(N, rho)
 
     return integrate_cells(g, box, 0.0, max_cells=6000 if N == 2 else 20000,
                            rel_tol=tol)

@@ -22,15 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import c_np
-from .core import HypothesisError, Params, coth, log_sinh
-from .integrals import (
-    factor_integrals,
-    halfspace_integral,
-    radial_battery,
-    sphere_area,
-    ueps_energy_masses,
-)
-from .quadrature import QuadResult, integrate_cells, integrate_intervals
+from .core import HypothesisError, Params, log_sinh
+from .integrals import _ramp_constant, halfspace_battery, radial_battery, ueps_energy_masses
+from .quadrature import QuadResult
 from .rp import solve_rp
 from .testfun import (
     HalfSpaceFunction,
@@ -183,8 +177,9 @@ _HALFSPACE_RECIPE = (
 
 # The recipe of each kind: the terms it reads, and its (lhs, rhs) from those
 # terms t, where l is the exponent of the 1D Hardy kind.  A half-space
-# kind's terms are the energy, mass and V-mass of :func:`_halfspace_terms`,
-# every other kind's are radial battery terms.
+# kind's terms are the energy, mass and V-mass of
+# :func:`~hyplab.integrals.halfspace_battery`, every other kind's are radial
+# battery terms.
 _RECIPES = {
     InequalityKind.PGAP: (
         ("E", "M"),
@@ -253,10 +248,10 @@ def reports(
     radial kinds and the 1D Hardy kind, whose terms all come from one
     :func:`~hyplab.integrals.radial_battery` call, and
     :class:`HalfSpaceFunction` products for the half-space kinds, whose
-    terms come from one :func:`_halfspace_terms` call per product.
-    ``l`` is the exponent of the 1D Hardy kind (defaults to p; ignored by
-    the other kinds).  ``rp`` is the critical radius r_p of the ball kind
-    if the caller has it.
+    terms all come from one :func:`~hyplab.integrals.halfspace_battery`
+    call.  ``l`` is the exponent of the 1D Hardy kind (defaults to p;
+    ignored by the other kinds).  ``rp`` is the critical radius r_p of the
+    ball kind if the caller has it.
     """
     kind = InequalityKind(kind)
     family, cls = (("half-space", HalfSpaceFunction) if kind in _HALFSPACE_KINDS
@@ -271,94 +266,11 @@ def reports(
         _check_ball_support(u, rp)
     names, sides = _RECIPES[kind]
     if cls is HalfSpaceFunction:
-        terms = [dict(zip(names, _halfspace_terms(params, u, tol))) for u in funcs]
+        terms = halfspace_battery(params, funcs, tol)
     else:
         terms = radial_battery(params, funcs, names, tol, l)
     return [_report(kind, params, u, *sides(params, t, l), l=l)
             for u, t in zip(funcs, terms)]
-
-
-def _halfspace_terms(params, u, tol):
-    """(energy, mass, V-mass) of the product u = phi(x1) psi(rho) chi(y),
-    each to the relative ``tol``.
-
-    Both half-space kinds read these three integrals, as the terms "E",
-    "M" and "V" of their recipe.  With
-    |grad_H u| = y |grad u| and dv = y^-N dx they are the energy
-    int |grad u|^p y^(p-N), the mass int |u|^p y^-N and the V-mass
-    int |u|^p y^(1-N) / |(x1, y)| over the box.
-
-    The mass is a product of 1-D integrals, one per factor, the V-mass an
-    (x1, y) integral times the rho factor, and at p = 2 the energy is a sum
-    of three such products, since |grad u|^2 = phi'^2 psi^2 chi^2
-    + phi^2 psi'^2 chi^2 + phi^2 psi^2 chi'^2.  All 1-D factors come from
-    one :func:`~hyplab.integrals.factor_integrals` pass, each to tol / n
-    with n the number of factors of a product (2 when psi is absent); the
-    (x1, y) integral stands for two of them and gets 2 tol / n.  A
-    product's relative error is the sum of its factors', so every term
-    stays within tol.  Only the energy at p != 2 is a cubature over the
-    whole box, to tol; its integrand takes |grad u|^2 from the same three
-    terms, each factor's value and derivative evaluated once per axis.
-    """
-    N, p = params.N, params.p
-    phi, psi, chi = u.phi, u.psi, u.chi
-
-    def v_f(x1, y):
-        return (np.abs(phi.value(x1)) ** p
-                * (np.abs(chi.value(y)) ** p / y ** (N - 1))
-                / np.sqrt(y * y + x1 * x1))
-
-    factors = {
-        "phi": (phi.support, lambda x1: np.abs(phi.value(x1)) ** p),
-        "chi": (chi.support, lambda y: np.abs(chi.value(y)) ** p / y**N),
-    }
-    if psi is not None:
-        area = sphere_area(N - 3)
-        factors["psi"] = (psi.support,
-                          lambda rho: area * rho ** (N - 3) * np.abs(psi.value(rho)) ** p)
-    if p == 2.0:
-        factors["dphi"] = (phi.support, lambda x1: phi.derivative(x1) ** 2)
-        # chi_e is the y factor of the phi' and psi' terms
-        factors["chi_e"] = (chi.support, lambda y: chi.value(y) ** 2 * y ** (p - N))
-        factors["dchi_e"] = (chi.support, lambda y: chi.derivative(y) ** 2 * y ** (p - N))
-        if psi is not None:
-            factors["dpsi"] = (psi.support,
-                               lambda rho: area * rho ** (N - 3) * psi.derivative(rho) ** 2)
-    n = 2 if psi is None else 3
-    supports, funcs = zip(*factors.values())
-    t = dict(zip(factors, factor_integrals(funcs, supports, tol / n)))
-    # without psi its factor is exactly 1 and its derivative's exactly 0
-    t.setdefault("psi", QuadResult(1.0, 0.0, 0))
-    t.setdefault("dpsi", QuadResult(0.0, 0.0, 0))
-
-    mass = t["phi"] * t["psi"] * t["chi"]
-    v_plane = integrate_cells(v_f, [phi.support, chi.support], 0.0,
-                              rel_tol=2.0 * tol / n)
-    if p == 2.0:
-        energy = (t["dphi"] * t["psi"] * t["chi_e"] + t["phi"] * t["dpsi"] * t["chi_e"]
-                  + t["phi"] * t["psi"] * t["dchi_e"])
-    else:
-        def e_f(x1, rho, y):
-            # |grad u|^2 = (phi'^2 psi^2 + phi^2 psi'^2) chi^2 + phi^2 psi^2 chi'^2
-            # from each factor's squares on its own axis; only the last two
-            # products, the sum, the power and the weight run on every node
-            px, dx = phi.value_and_derivative(x1)
-            px2, dx2 = px * px, dx * dx
-            if psi is None:
-                a, b = dx2, px2
-            else:
-                pr, dr = psi.value_and_derivative(rho)
-                pr2 = pr * pr
-                a, b = dx2 * pr2 + px2 * (dr * dr), px2 * pr2
-            py, dy = chi.value_and_derivative(y)
-            s = a * (py * py)
-            s += b * (dy * dy)
-            s **= 0.5 * p
-            s *= y ** (p - N)
-            return s
-
-        energy = halfspace_integral(params, e_f, u.support, tol)
-    return energy, mass, v_plane * t["psi"]
 
 
 # ---------------------------------------------------------------------------
@@ -416,17 +328,6 @@ def _scan_row(eps, delta, q: QuadResult, lower: float, upper: float) -> dict:
     """Row of a sharpness scan: the quotient q with its error and bracket."""
     return {"eps": eps, "delta": delta, "quotient": q.value,
             "quad_error": q.error_estimate, "lower": lower, "upper": upper}
-
-
-def _ramp_constant(p: float, l: float) -> float:
-    """c(p, l) = int_1^2 ((2 - r) coth r)^(p-l) dr of the ramp piece."""
-
-    def ramp(r):
-        if l == p:
-            return np.ones_like(r)
-        return (2.0 - r) ** (p - l) * coth(r) ** (p - l)
-
-    return integrate_intervals(lambda r, owner: ramp(r), [1.0], [2.0], 1e-12)[0].value
 
 
 # ---------------------------------------------------------------------------

@@ -214,3 +214,17 @@ def test_runtime_imports_no_test_oracle():
                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
                           capture_output=True, text=True, check=False)
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
+def test_verify_takes_every_integral_from_integrals():
+    # verify holds the recipes, scans and checkers; every integral it reads
+    # comes from hyplab.integrals, so of the engines it names only QuadResult
+    tree = ast.parse((ROOT / "src" / "hyplab" / "verify.py").read_text())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("quadrature"):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            # the module itself, as in "from . import quadrature"
+            names += [alias.name for alias in node.names if alias.name.endswith("quadrature")]
+    assert names == ["QuadResult"]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyplab.core import HypothesisError, Params
-from hyplab.integrals import halfspace_integral
+from hyplab.integrals import halfspace_battery, halfspace_integral
 from hyplab.quadrature import QuadResult
 from hyplab.testfun import make_bump
 from hyplab.verify import (
@@ -194,8 +194,9 @@ class TestVerifyHalfSpace:
     # (N, p): the dimension of each of a report's cell calls: the V-mass's
     # (x1, y) pass, then the energy's box cubature at p != 2
     CELL_CALLS = {(2, 2.0): [2], (3, 2.0): [2], (2, 3.0): [2, 2], (3, 3.0): [2, 3]}
-    # 1-D factors of a report's one interval pass: phi, chi's mass factor
-    # and psi for N = 3; at p = 2 also phi', chi's two energy factors and psi'
+    # 1-D factors of a report, all of a battery's in one interval pass: phi,
+    # chi's mass factor and psi for N = 3; at p = 2 also phi', chi's two
+    # energy factors and psi'
     FACTORS = {(2, 2.0): 5, (3, 2.0): 7, (2, 3.0): 2, (3, 3.0): 3}
 
     @pytest.mark.parametrize("N, p", list(CELL_CALLS))
@@ -215,13 +216,12 @@ class TestVerifyHalfSpace:
             passes.append(len(a))
             return intervals(f, a, *args, **kwargs)
 
-        for module in (integrals, verify_module):
-            monkeypatch.setattr(module, "integrate_cells", counted_cells)
+        monkeypatch.setattr(integrals, "integrate_cells", counted_cells)
         monkeypatch.setattr(integrals, "integrate_intervals", counted_intervals)
         reps = batch_verify(kind, [Params(N, p)], 3, seed=5, tol=1e-6)
         assert all(r.passed for r in reps)
         assert [d for d, _ in cells] == self.CELL_CALLS[(N, p)] * 3
-        assert passes == [self.FACTORS[(N, p)]] * 3
+        assert passes == [3 * self.FACTORS[(N, p)]]
         if (N, p) == (3, 3.0):
             # the energy's cells, as in the former pass of all three terms
             assert [n for d, n in cells if d == 3] == [229, 241, 257]
@@ -264,7 +264,8 @@ class TestVerifyHalfSpace:
 
         funcs = [mass, v_mass] + ([energy] if p == 2.0 else [])
         box = [halfspace_integral(params, f, u.support, 1e-7) for f in funcs]
-        e, m, v = verify_module._halfspace_terms(params, u, 1e-7)
+        t = halfspace_battery(params, [u], 1e-7)[0]
+        e, m, v = t["E"], t["M"], t["V"]
         for ref, term in zip(box, (m, v, e)):
             assert abs(term.value - ref.value) <= (
                 term.error_estimate + ref.error_estimate)
@@ -285,7 +286,7 @@ class TestVerifyHalfSpace:
         # either form's gradient_norm integrand; they differ only by rounding
         params = Params(N, p)
         u = random_halfspace_product(np.random.default_rng([16, N]), N)
-        energy = verify_module._halfspace_terms(params, u, 1e-6)[0]
+        energy = halfspace_battery(params, [u], 1e-6)[0]["E"]
         for e_f in self._energy_forms(u, N, p):
             ref = halfspace_integral(params, e_f, u.support, 1e-6)
             assert energy.subdivisions == ref.subdivisions
@@ -303,9 +304,9 @@ class TestVerifyHalfSpace:
         rng = np.random.default_rng([N, int(2 * p)])
         x1, rho, y = (rng.uniform(lo, hi, 40) for lo, hi in u.support)
         seen = []
-        monkeypatch.setattr(verify_module, "halfspace_integral",
+        monkeypatch.setattr(importlib.import_module("hyplab.integrals"), "halfspace_integral",
                             lambda params, f, support, tol: seen.append(f))
-        verify_module._halfspace_terms(params, u, 1e-6)
+        halfspace_battery(params, [u], 1e-6)
         got = seen[0](x1[:, None, None], rho[None, :, None], y[None, None, :])
         for e_f in self._energy_forms(u, N, p):
             ref = e_f(x1[:, None, None], rho[None, :, None], y[None, None, :])
@@ -316,17 +317,19 @@ class TestVerifyHalfSpace:
 
 class TestBatch:
     def test_halfspace_battery_equals_one_trial_verify(self):
-        grid = [Params(3, 2.0), Params(2, 3.0)]
+        # two products per grid point share each battery's one 1-D pass;
+        # (4, 3) adds the rho^(N-3) weight and the p != 2 cubature
+        grid = [Params(3, 2.0), Params(2, 3.0), Params(4, 3.0)]
         for kind in (InequalityKind.BOUNDED_V, InequalityKind.MAZYA):
-            reps = batch_verify(kind, grid, 4, seed=9, tol=1e-6)
+            reps = batch_verify(kind, grid, 6, seed=9, tol=1e-6)
             expected = [
-                verify(kind, grid[i % 2],
+                verify(kind, grid[i % 3],
                        random_halfspace_product(np.random.default_rng([9, i]),
-                                                grid[i % 2].N),
+                                                grid[i % 3].N),
                        1e-6)
-                for i in range(4)
+                for i in range(6)
             ]
-            assert [r.N for r in reps] == [3, 2, 3, 2]
+            assert [r.N for r in reps] == [3, 2, 4, 3, 2, 4]
             assert reps == expected
 
     def test_deterministic_under_seed(self):
@@ -483,7 +486,7 @@ class TestSharpnessScan:
             calls.append(len(a))
             return intervals(f, a, *args, **kwargs)
 
-        for module in (quadrature, integrals, verify_module):
+        for module in (quadrature, integrals):
             monkeypatch.setattr(module, "integrate_intervals", counted)
         rows = sharpness_scan(InequalityKind.HARDY1D, Params(13, 4.0), schedule, 1e-10)
         assert len(rows) == len(schedule)
