@@ -441,22 +441,25 @@ def power_singular_integrals(
     one :func:`integrate_intervals` pass.
 
     Each C is 2 g(h) - g(2h) at h = 1e-8 b, exact to O(h**2) for smooth g
-    and never reading g(0), which a profile may mask.  Each remainder's
-    tolerance is ``tol + rel_tol * |C b**delta / delta|`` of its own lead
-    term.  Every integrand call evaluates each g once, on its own nodes
-    and with its own scalars, so each result is bit for bit the
+    and never reading g(0), which a profile may mask; the estimate adds its
+    error |2 g(h) - 3 g(2h) + g(4h)| / 3 times b**delta / delta.  Each
+    remainder's tolerance is ``tol + rel_tol * |C b**delta / delta|`` of
+    its own lead term.  Every integrand call evaluates each g once, on its
+    own nodes and with its own scalars, so each result is bit for bit the
     one-integral result.
     """
     K = len(gs)
-    cs = []
+    cs, c_errs = [], []
     for k in range(K):
         if deltas[k] <= 0:
             raise NonIntegrableSingularity(
                 f"power exponent delta={deltas[k]} must be > 0")
         if bs[k] <= 0:
             raise ValueError("b must be positive")
-        g_h, g_2h = gs[k](np.array([1e-8, 2e-8]) * bs[k])
+        g_h, g_2h, g_4h = gs[k](np.array([1e-8, 2e-8, 4e-8]) * bs[k])
         cs.append(float(2.0 * g_h - g_2h))
+        c_errs.append(float(abs(2.0 * g_h - 3.0 * g_2h + g_4h)) / 3.0
+                      * bs[k]**deltas[k] / deltas[k])
     leads = [c * b**delta / delta for c, b, delta in zip(cs, bs, deltas)]
 
     def remainder(k: int, t: np.ndarray) -> np.ndarray:
@@ -473,9 +476,9 @@ def power_singular_integrals(
         [tol + rel_tol * abs(lead) for lead in leads], rel_tol=rel_tol,
     )
     out = []
-    for rem, delta, lead, rest in zip(remainders, deltas, leads, rests):
+    for rem, delta, lead, c_err, rest in zip(remainders, deltas, leads, c_errs, rests):
         tail = abs(float(rem(np.array([T]))[0])) / (1.0 + delta)
-        out.append(QuadResult(lead + rest.value, rest.error_estimate + tail,
+        out.append(QuadResult(lead + rest.value, rest.error_estimate + tail + c_err,
                               rest.subdivisions))
     return out
 

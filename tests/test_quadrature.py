@@ -338,9 +338,11 @@ class TestPowerSingular:
     @staticmethod
     def _split_alone(g, delta, b, tol, rel_tol):
         # the exact split of power_singular_integral through integrate_interval,
-        # with C = 2 g(h) - g(2h) at h = 1e-8 b
-        g_h, g_2h = g(np.array([1e-8, 2e-8]) * b)
+        # with C = 2 g(h) - g(2h) at h = 1e-8 b, whose error
+        # |2 g(h) - 3 g(2h) + g(4h)| / 3 the estimate counts b^delta / delta times
+        g_h, g_2h, g_4h = g(np.array([1e-8, 2e-8, 4e-8]) * b)
         c = float(2.0 * g_h - g_2h)
+        c_err = float(abs(2.0 * g_h - 3.0 * g_2h + g_4h)) / 3.0
         lead = c * b**delta / delta
 
         def rest(t):
@@ -349,7 +351,8 @@ class TestPowerSingular:
         r = integrate_interval(rest, 0.0, 45.0, tol + rel_tol * abs(lead),
                                rel_tol=rel_tol)
         tail = abs(float(rest(np.array([45.0]))[0])) / (1.0 + delta)
-        return QuadResult(lead + r.value, r.error_estimate + tail, r.subdivisions)
+        return QuadResult(lead + r.value, r.error_estimate + tail + c_err * b**delta / delta,
+                          r.subdivisions)
 
     def test_batch_equals_single_calls(self):
         # scalar exponents 0.5 and 2 take numpy's sqrt and square paths,
