@@ -67,14 +67,14 @@ def _checked(convert, ok, rule):
     return parse
 
 
-_TOLERANCE = _checked(float, lambda x: 0.0 < x < math.inf, "finite and > 0")
+_FINITE_POSITIVE = _checked(float, lambda x: 0.0 < x < math.inf, "finite and > 0")
 _COUNT = _checked(int, lambda n: n >= 1, ">= 1")
 
 
 def _add_common(sp, batch):
     sp.add_argument("--N", type=int, required=True, help="dimension, integer >= 2")
     sp.add_argument("--p", type=float, required=True, help="exponent, real > 1")
-    sp.add_argument("--tol", type=_TOLERANCE, default=1e-10, help="quadrature tolerance")
+    sp.add_argument("--tol", type=_FINITE_POSITIVE, default=1e-10, help="quadrature tolerance")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--output", default="-", help="output path or - for stdout")
     if batch:
@@ -305,8 +305,8 @@ def cmd_proofcheck(args):
 _COMMANDS = {
     "constants": (cmd_constants, "constant table for one (N, p)", False, []),
     "weights": (cmd_weights, "sample W, H_p, h, V over a radial grid", False, [
-        ("--r-min", dict(type=float, default=0.05)),
-        ("--r-max", dict(type=float, default=10.0)),
+        ("--r-min", dict(type=_FINITE_POSITIVE, default=0.05)),
+        ("--r-max", dict(type=_FINITE_POSITIVE, default=10.0)),
         ("--points", dict(type=_COUNT, default=40)),
     ]),
     "rp": (cmd_rp, "critical radii r0 and r_p", False, []),
@@ -331,7 +331,7 @@ _COMMANDS = {
         ("--l", dict(type=float, default=None)),
     ]),
     "figure1": (cmd_figure1, "H_p curve with r_p marker row", False, [
-        ("--r-max", dict(type=float, default=15.0)),
+        ("--r-max", dict(type=_FINITE_POSITIVE, default=15.0)),
         ("--points", dict(type=_COUNT, default=1500)),
     ]),
     "proofcheck": (cmd_proofcheck, "scalar proof-step checks", True, []),

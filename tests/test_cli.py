@@ -325,8 +325,17 @@ _VERIFY = ["verify", "--kind", "pgap", "--N", "3", "--p", "2"]
     (_VERIFY + ["--trials", "2", "--tol", "inf"], "--tol: must be finite and > 0"),
     (_VERIFY + ["--trials", "0"], "--trials: must be >= 1"),
     (["proofcheck", "--N", "13", "--p", "4", "--trials", "0"], "--trials: must be >= 1"),
+    # the radial grid's ends: geomspace refuses 0 and overflows on inf, and
+    # H_p needs r > 0
+    (["weights", "--N", "13", "--p", "4", "--r-max", "1e400"],
+     "--r-max: must be finite and > 0"),
+    (["weights", "--N", "13", "--p", "4", "--r-min", "0"], "--r-min: must be finite and > 0"),
+    (["figure1", "--N", "13", "--p", "4", "--r-max", "0"], "--r-max: must be finite and > 0"),
+    (["figure1", "--N", "13", "--p", "4", "--r-max", "nan"],
+     "--r-max: must be finite and > 0"),
 ], ids=["figure1-points", "weights-points", "tol-0", "tol-negative", "tol-nan",
-        "tol-inf", "verify-trials", "proofcheck-trials"])
+        "tol-inf", "verify-trials", "proofcheck-trials", "weights-r-max-inf",
+        "weights-r-min-0", "figure1-r-max-0", "figure1-r-max-nan"])
 def test_bad_numeric_arguments_exit_2(argv, message, capsys):
     # argparse names the argument and exits 2, as for any argument error;
     # nothing raises past main
