@@ -8,15 +8,7 @@ instance by adaptive quadrature with explicit error accounting.
 """
 
 from .constants import CNPResult, brute_force_cnp, c_2p, c_2p_direct, c_np, check_ni, q_b
-from .core import (
-    HalfSpacePoint,
-    HypothesisError,
-    Params,
-    geodesic_distance,
-    h_func,
-    weight_hp,
-    weight_v,
-)
+from .core import HypothesisError, Params, geodesic_distance, h_func, weight_hp, weight_v
 from .integrals import halfspace_integral, radial_energy, radial_weighted_mass
 from .quadrature import (
     NonIntegrableSingularity,

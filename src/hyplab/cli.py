@@ -28,15 +28,7 @@ import sys
 import numpy as np
 
 from .constants import brute_force_cnp, c_2p, c_2p_direct, c_np, check_ni
-from .core import (
-    GreenWeight,
-    HalfSpacePoint,
-    HypothesisError,
-    Params,
-    h_func,
-    weight_hp,
-    weight_v,
-)
+from .core import GreenWeight, HypothesisError, Params, h_func, weight_hp, weight_v
 from .quadrature import QuadratureError
 from .report import ReportEnvelope, emit
 from .rp import RootResult, rp_scan_N, rp_scan_p, solve_r0, solve_rp
@@ -170,7 +162,7 @@ def cmd_weights(args):
         ys = (1.0 / np.cosh(radii)).tolist()
     rows = [
         {"r": r, "W": w, "W_err": werr, "Hp": hp, "h": h,
-         "V_geodesic": weight_v(HalfSpacePoint(x1, 0.0, y)) if y > 0.0 else 0.0}
+         "V_geodesic": weight_v(x1, y) if y > 0.0 else 0.0}
         for r, w, werr, hp, h, x1, y in zip(
             radii.tolist(), w_vals.tolist(), w_errs.tolist(), hp_col, h_col, x1s, ys)
     ]
@@ -291,7 +283,7 @@ def cmd_proofcheck(args):
     radii = rng.uniform(0.1, 10.0, 16)
     worst = 0.0
     for r in radii:
-        ident, deriv = supersolution_residual(params, float(r), 1e-5)
+        ident, deriv = supersolution_residual(params, float(r))
         worst = max(worst, ident, deriv)
     rows.append({"check": "supersolution_residuals", "detail": "16 radii",
                  "value": worst, "threshold": 1e-6, "passed": worst < 1e-6})
@@ -326,8 +318,8 @@ _COMMANDS = {
     ]),
     "sharpness": (cmd_sharpness, "near-extremal quotient schedules", False, [
         ("--kind", dict(choices=("pgap", "hardy1d"), required=True)),
-        ("--schedule", dict(type=float, nargs="+", default=[1e-1, 1e-2, 1e-3])),
-        ("--delta", dict(type=float, default=1e-3, help="hardy1d delta")),
+        ("--schedule", dict(type=_FINITE_POSITIVE, nargs="+", default=[1e-1, 1e-2, 1e-3])),
+        ("--delta", dict(type=_FINITE_POSITIVE, default=1e-3, help="hardy1d delta")),
         ("--l", dict(type=float, default=None)),
     ]),
     "figure1": (cmd_figure1, "H_p curve with r_p marker row", False, [

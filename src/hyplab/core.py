@@ -19,7 +19,6 @@ from .quadrature import QuadratureError, geometric_splits, integrate_intervals
 __all__ = [
     "HypothesisError",
     "Params",
-    "HalfSpacePoint",
     "GreenWeight",
     "weight_hp",
     "hp_base",
@@ -72,25 +71,6 @@ class Params:
     def sinh_exponent(self) -> float:
         """Green's function integrand exponent (N-1)/(p-1)."""
         return (self.N - 1) / (self.p - 1.0)
-
-
-@dataclass(frozen=True)
-class HalfSpacePoint:
-    """Point of the upper half-space reduced to (x1, rho, y).
-
-    ``rho`` is the radius of the horizontal coordinates orthogonal to x1;
-    it is identically 0 when N = 2.
-    """
-
-    x1: float
-    rho: float = 0.0
-    y: float = 1.0
-
-    def __post_init__(self):
-        if not (self.y > 0.0):
-            raise ValueError(f"y must be positive, got {self.y}")
-        if self.rho < 0.0:
-            raise ValueError(f"rho must be nonnegative, got {self.rho}")
 
 
 # ---------------------------------------------------------------------------
@@ -523,16 +503,25 @@ def h_func(params: Params, r):
 # ---------------------------------------------------------------------------
 
 
-def weight_v(pt: HalfSpacePoint) -> float:
-    """Bounded weight y / sqrt(y^2 + x1^2) in (0, 1]; equals 1 iff x1 = 0."""
-    return pt.y / math.hypot(pt.y, pt.x1)
+def weight_v(x1: float, y: float) -> float:
+    """Bounded weight y / sqrt(y^2 + x1^2) in (0, 1] at the point (x1, y);
+    equals 1 iff x1 = 0."""
+    if not (y > 0.0):
+        raise ValueError(f"y must be positive, got {y}")
+    # not np.hypot, which differs from it in the last bit at some points
+    return y / math.hypot(y, x1)
 
 
-def geodesic_distance(pt: HalfSpacePoint) -> float:
-    """Geodesic distance to the base point (x=0, y=1).
+def geodesic_distance(x1: float, rho: float, y: float) -> float:
+    """Geodesic distance from the point (x1, rho, y) to the base point
+    (x=0, y=1).
 
     cosh(r) = 1 + ((y-1)^2 + x1^2 + rho^2) / (2y); evaluated through
     arcosh(1 + z) = log1p(z + sqrt(z(z+2))) for accuracy near the pole.
     """
-    z = ((pt.y - 1.0) ** 2 + pt.x1 ** 2 + pt.rho ** 2) / (2.0 * pt.y)
+    if not (y > 0.0):
+        raise ValueError(f"y must be positive, got {y}")
+    if rho < 0.0:
+        raise ValueError(f"rho must be nonnegative, got {rho}")
+    z = ((y - 1.0) ** 2 + x1 ** 2 + rho ** 2) / (2.0 * y)
     return acosh1p(z)

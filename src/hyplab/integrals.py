@@ -16,6 +16,7 @@ meaningless.  Reported error estimates remain absolute bounds.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -193,7 +194,7 @@ def radial_battery(
     term_starts.append(len(where))
     if heads:
         gs, deltas, b1s = zip(*heads.values())
-        firsts = power_singular_integrals(gs, deltas, b1s, 0.0, rel_tol=tol / 2)
+        firsts = power_singular_integrals(gs, deltas, b1s, tol / 2)
         for (i, name), first in zip(heads, firsts):
             out[i][name] = first
     if not where:
@@ -466,8 +467,7 @@ def halfspace_integral(
         # one multiply of f's result, which may be shared or read-only
         return f(x1, rho, y) * _rho_measure(N, rho)
 
-    return integrate_cells(g, box, 0.0, max_cells=6000 if N == 2 else 20000,
-                           rel_tol=tol)
+    return integrate_cells(g, box, 0.0, rel_tol=tol)
 
 
 # Relative rounding of the family's closed-form parts, which no quadrature
@@ -490,7 +490,9 @@ def ueps_energy_mass(
     Each B is one power-singular integral in s = 1 - t, which splits the
     s^(eps-1) endpoint off exactly, so eps down to 1e-3 and below costs no
     truncation.  ``tol`` is relative, and each error estimate adds
-    :data:`_FAMILY_ROUNDING` relative.  The one-eps case of
+    :data:`_FAMILY_ROUNDING` relative.  An eps whose constant c or c k^p
+    leaves the range of normal doubles (large eps, or N above about 340)
+    raises ValueError.  The one-eps case of
     :func:`ueps_energy_masses`.
     """
     return ueps_energy_masses(params, [eps], tol)[0]
@@ -511,12 +513,18 @@ def ueps_energy_masses(
             raise ValueError(f"need eps > 0, got {eps}")
         k = (N - 1 + eps) / p
         sigma = N - 1 + eps
-        c = sphere_area(N - 1) * 2.0 ** (N - 1 - 2 * sigma)
-        for const, a in ((c * k**p, (N + p) / 2.0), (c, N / 2.0)):
+        try:
+            c = sphere_area(N - 1) * 2.0 ** (N - 1 - 2 * sigma)
+            c_energy = c * k**p
+        except OverflowError:  # from the Gamma function or from k**p
+            c = c_energy = math.inf
+        if not (sys.float_info.min <= min(c, c_energy) and max(c, c_energy) < math.inf):
+            raise ValueError(f"eps={eps}: the family's constant leaves the double range")
+        for const, a in ((c_energy, (N + p) / 2.0), (c, N / 2.0)):
             consts.append(const)
             gs.append(lambda s, _a=a: (1.0 - s) ** (_a - 1.0))
             deltas.append(eps)
-    betas = power_singular_integrals(gs, deltas, [1.0] * len(gs), 0.0, rel_tol=tol)
+    betas = power_singular_integrals(gs, deltas, [1.0] * len(gs), tol)
     terms = []
     for const, b in zip(consts, betas):
         res = const * b

@@ -172,6 +172,8 @@ _INTERVAL_CHUNK_NODES = 15 * 256
 # round, two full integrand calls, which spreads the round's fixed cost
 # of a few dozen array operations over enough panels.
 _INTERVAL_WINDOW = 64
+# Panels one integral may make before it fails with ToleranceNotAchieved.
+_MAX_PANELS = 4000
 
 
 def integrate_intervals(
@@ -180,7 +182,6 @@ def integrate_intervals(
     b: Sequence[float],
     tol: float | Sequence[float],
     breakpoints: Sequence[Sequence[float]] | None = None,
-    max_subdivisions: int = 4000,
     rel_tol: float | Sequence[float] = 0.0,
 ) -> list[QuadResult]:
     """K independent adaptive integrals, integral k of ``f`` on [a[k], b[k]].
@@ -210,7 +211,7 @@ def integrate_intervals(
     one fixed order, whatever the other panels, so every result is bit
     for bit the one the integral gets alone.
 
-    An integral that exhausts ``max_subdivisions`` panels fails with
+    An integral that exhausts ``_MAX_PANELS`` panels fails with
     :class:`ToleranceNotAchieved` (carrying its best result), one whose
     integrand is not finite with :class:`QuadratureError`; the others
     run on, and then the failure of the first failing integral is raised.
@@ -236,7 +237,7 @@ def integrate_intervals(
     # may touch nowhere else, would each fault in 64 or 128 kB of code.
     ids = counts = fresh = np.empty(0, dtype=np.intp)  # fresh: the rows to evaluate
     state = np.empty((0, 3))
-    budget = np.full(_INTERVAL_WINDOW, float(max_subdivisions))
+    budget = np.full(_INTERVAL_WINDOW, float(_MAX_PANELS))
     started = 0
     while True:
         # Integrals start in order, at most _INTERVAL_WINDOW at a time.
@@ -312,7 +313,7 @@ def integrate_intervals(
             if k in failures:
                 continue
             res = QuadResult(float(total[g]), float(err[g]), int(panels[g]))
-            if met[g] or panels[g] < max_subdivisions:
+            if met[g] or panels[g] < _MAX_PANELS:
                 results[k] = res
             else:
                 failures[k] = ToleranceNotAchieved(
@@ -394,18 +395,16 @@ def integrate_interval(
     b: float,
     tol: float,
     breakpoints: Sequence[float] = (),
-    max_subdivisions: int = 4000,
     rel_tol: float = 0.0,
 ) -> QuadResult:
     """Adaptive integral of ``f`` on the finite interval [a, b].
 
     The single-integral case of :func:`integrate_intervals`: ``f`` takes
     the node array alone.  Raises :class:`ToleranceNotAchieved` (carrying
-    the best result) if the subdivision budget runs out first.
+    the best result) if the panel budget runs out first.
     """
     return integrate_intervals(
-        lambda x, owner: f(x), [a], [b], tol, [breakpoints],
-        max_subdivisions, rel_tol,
+        lambda x, owner: f(x), [a], [b], tol, [breakpoints], rel_tol,
     )[0]
 
 
@@ -413,8 +412,7 @@ def power_singular_integral(
     g: Callable,
     delta: float,
     b: float,
-    tol: float,
-    rel_tol: float = 0.0,
+    rel_tol: float,
 ) -> QuadResult:
     """Compute ``int_0^b r**(delta-1) g(r) dr`` for 0 < delta, g with a limit C at 0.
 
@@ -426,15 +424,14 @@ def power_singular_integral(
     in r-space would silently drop nearly all of the mass.  The
     one-integral case of :func:`power_singular_integrals`.
     """
-    return power_singular_integrals([g], [delta], [b], tol, rel_tol)[0]
+    return power_singular_integrals([g], [delta], [b], rel_tol)[0]
 
 
 def power_singular_integrals(
     gs: Sequence[Callable],
     deltas: Sequence[float],
     bs: Sequence[float],
-    tol: float,
-    rel_tol: float = 0.0,
+    rel_tol: float,
 ) -> list[QuadResult]:
     """``int_0^b r**(delta-1) g(r) dr`` for every (g, delta, b) of the
     sequences, as :func:`power_singular_integral` computes each one, in
@@ -443,9 +440,9 @@ def power_singular_integrals(
     Each C is 2 g(h) - g(2h) at h = 1e-8 b, exact to O(h**2) for smooth g
     and never reading g(0), which a profile may mask; the estimate adds its
     error |2 g(h) - 3 g(2h) + g(4h)| / 3 times b**delta / delta.  Each
-    remainder's tolerance is ``tol + rel_tol * |C b**delta / delta|`` of
-    its own lead term.  Every integrand call evaluates each g once, on its
-    own nodes and with its own scalars, so each result is bit for bit the
+    remainder's tolerance is ``rel_tol * |C b**delta / delta|`` of its own
+    lead term.  Every integrand call evaluates each g once, on its own
+    nodes and with its own scalars, so each result is bit for bit the
     one-integral result.
     """
     K = len(gs)
@@ -473,7 +470,7 @@ def power_singular_integrals(
     T = 45.0
     rests = integrate_intervals(
         lambda t, owner: _per_run(remainders, t, owner), [0.0] * K, [T] * K,
-        [tol + rel_tol * abs(lead) for lead in leads], rel_tol=rel_tol,
+        [rel_tol * abs(lead) for lead in leads], rel_tol=rel_tol,
     )
     out = []
     for rem, delta, lead, c_err, rest in zip(remainders, deltas, leads, c_errs, rests):
@@ -489,8 +486,8 @@ def power_singular_integrals(
 
 
 # Tensor nodes per integrand call: a round of refinement evaluates at most
-# one chunk of children (4 splits in 3-D, 72 in 2-D, 1092 in 1-D), so the
-# arrays of one batch stay near 256 kB.
+# one chunk of children (4 splits in 3-D, 72 in 2-D), so the arrays of one
+# batch stay near 256 kB.
 _CELL_CHUNK_NODES = 2**15
 # glibc serves each block above its mmap threshold (128 kB at start) with a
 # fresh mapping, which every integrand call then page-faults in; freeing a
@@ -503,6 +500,8 @@ np.empty(2**16)
 # Every finite double is an integer multiple of 2**-1074, so running sums
 # kept as integers in that unit are exact.
 _FIXED_ONE = 1 << 1074
+# Cells one integral may make, by dimension, before ToleranceNotAchieved.
+_MAX_CELLS = {2: 6000, 3: 20000}
 
 
 def _fixed(x: float) -> int:
@@ -561,10 +560,9 @@ def integrate_cells(
     f: Callable,
     box: Sequence[tuple[float, float]],
     tol: float,
-    max_cells: int = 6000,
     rel_tol: float = 0.0,
 ) -> QuadResult:
-    """Adaptive tensor-product integration over a d-dimensional box.
+    """Adaptive tensor-product integration over a box of dimension 2 or 3.
 
     ``f`` is called on batches of cells with d per-axis node arrays that
     broadcast against each other (see :func:`_cell_rule`); it must return
@@ -572,8 +570,8 @@ def integrate_cells(
     depends on one axis only costs 15 evaluations per cell on that axis.
     The box is the one seed cell.  Refinement runs until
     error <= tol + rel_tol * |integral| and raises
-    :class:`ToleranceNotAchieved` (carrying the best result) once
-    ``max_cells`` cells are made first.
+    :class:`ToleranceNotAchieved` (carrying the best result) once the
+    dimension's budget of ``_MAX_CELLS`` cells is made first.
 
     Cells are taken in order of error, largest first, ties by serial
     number (the box first, then children in order of creation).  Each
@@ -591,8 +589,9 @@ def integrate_cells(
     test reads exact sums in units of 2**-1074, rounded once.
     """
     d = len(box)
-    if d < 1 or d > 3:
-        raise ValueError("integrate_cells supports dimensions 1..3")
+    if d not in _MAX_CELLS:
+        raise ValueError(f"integrate_cells supports dimensions 2 and 3, got {d}")
+    budget = _MAX_CELLS[d]
     for i, (lo, hi) in enumerate(box):
         if not lo < hi:
             raise ValueError(f"axis {i}: need lo < hi, got ({lo}, {hi})")
@@ -617,7 +616,7 @@ def integrate_cells(
         goal = tol + rel_tol * abs(value)
         if error <= goal:
             return QuadResult(value, error, n_cells)
-        if n_cells >= max_cells:
+        if n_cells >= budget:
             best = QuadResult(value, error, n_cells)
             raise ToleranceNotAchieved(
                 f"cell budget exhausted: error {error:.3e} > tol {tol:.3e}", best
@@ -626,7 +625,7 @@ def integrate_cells(
         # err drops the error of each cell as it is split, so it is the
         # error of the cells not split
         while (heap and err / _FIXED_ONE > goal and len(split) < per_round
-               and n_cells + 2 * len(split) < max_cells):
+               and n_cells + 2 * len(split) < budget):
             _, _, lo_t, hi_t, fv, fe, ax = heapq.heappop(heap)
             lo, hi = lo_t[ax], hi_t[ax]
             mid = 0.5 * (lo + hi)

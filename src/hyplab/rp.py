@@ -199,6 +199,8 @@ def rp_scan_N(p: float, n_lo: int, n_hi: int) -> list[dict]:
         raise HypothesisError(
             f"N range must start at >= 1 + p(p-1) = {1 + p * (p - 1.0):g}"
         )
+    if n_hi < n_lo:
+        raise ValueError(f"N range is empty: the last N, {n_hi}, is below the first, {n_lo}")
     rows = []
     prev = None
     for N in range(n_lo, n_hi + 1):

@@ -127,44 +127,24 @@ def mollifier_value_and_derivative(r, mid, half):
     return np.where(inside, e, 0.0), np.where(inside, d, 0.0)
 
 
-def make_bump(r_lo: float, r_hi: float, shape: str = "mollifier") -> RadialTestFunction:
-    """Radial bump supported on [r_lo, r_hi].
+def make_bump(r_lo: float, r_hi: float) -> RadialTestFunction:
+    """Mollifier bump supported on [r_lo, r_hi].
 
-    shape="mollifier": exp(-1/(1-t^2)) in the normalized coordinate
+    exp(-1/(1-t^2)) in the normalized coordinate
     t = (2r - (r_lo + r_hi)) / (r_hi - r_lo), a C-infinity function whose
-    center value is exp(-1).  shape="tent": the piecewise-linear hat.
+    center value is exp(-1).
     """
     if not (0.0 <= r_lo < r_hi < math.inf):
         raise ValueError(f"need 0 <= r_lo < r_hi < inf, got [{r_lo}, {r_hi}]")
     mid = 0.5 * (r_lo + r_hi)
     half = 0.5 * (r_hi - r_lo)
-
-    if shape == "mollifier":
-        return RadialTestFunction(
-            lambda r: mollifier_value(r, mid, half),
-            lambda r: mollifier_derivative(r, mid, half),
-            (r_lo, r_hi), breakpoints=(r_lo, r_hi),
-            label=f"mollifier[{r_lo:g},{r_hi:g}]", bump=(mid, half),
-            value_and_derivative=lambda r: mollifier_value_and_derivative(r, mid, half),
-        )
-
-    if shape == "tent":
-
-        def value(r):
-            r = np.asarray(r, dtype=float)
-            return np.maximum(0.0, 1.0 - np.abs(r - mid) / half)
-
-        def derivative(r):
-            r = np.asarray(r, dtype=float)
-            inside = np.abs(r - mid) < half
-            return np.where(inside, -np.sign(r - mid) / half, 0.0)
-
-        return RadialTestFunction(
-            value, derivative, (r_lo, r_hi),
-            breakpoints=(r_lo, mid, r_hi), label=f"tent[{r_lo:g},{r_hi:g}]",
-        )
-
-    raise ValueError(f"unknown bump shape {shape!r}")
+    return RadialTestFunction(
+        lambda r: mollifier_value(r, mid, half),
+        lambda r: mollifier_derivative(r, mid, half),
+        (r_lo, r_hi), breakpoints=(r_lo, r_hi),
+        label=f"mollifier[{r_lo:g},{r_hi:g}]", bump=(mid, half),
+        value_and_derivative=lambda r: mollifier_value_and_derivative(r, mid, half),
+    )
 
 
 def make_veps(p: float, eps: float, delta: float) -> RadialTestFunction:

@@ -420,20 +420,22 @@ def _lp_rhs_closed(params: Params, r: float) -> float:
     return -bracket * g
 
 
-def supersolution_residual(
-    params: Params, r: float, fd_step: float = 1e-5
-) -> tuple[float, float]:
+_FD_STEP = 1e-5  # step of the supersolution check's first differences
+
+
+def supersolution_residual(params: Params, r: float) -> tuple[float, float]:
     """(identity_residual, derivative_residual) of the supersolution profile.
 
     The profile (r/sinh r)^((N-1)/p) r^((p-N)/p) satisfies a first-order
     closed form for its derivative and a closed form for its radial
     p-Laplacian precursor L g = (p-1) g'' + (N-1) coth r g'.  Both are
-    checked against Richardson-extrapolated central differences; relative
-    residuals are returned.  Warns if halving the step moves the FD value
-    by more than 10x the expected truncation tolerance.
+    checked against Richardson-extrapolated central differences of step
+    ``_FD_STEP``; relative residuals are returned.  Warns if halving the
+    step moves the FD value by more than 10x the expected truncation
+    tolerance.
     """
-    if not (r > 0.0) or not (fd_step > 0.0) or fd_step >= 0.25 * r:
-        raise ValueError("need 0 < fd_step << r")
+    if not (_FD_STEP < 0.25 * r):
+        raise ValueError(f"need r > 4 * {_FD_STEP:g} for the finite differences, got r={r}")
     g = lambda x: float(_gtilde(params, x))
 
     def d1(h):
@@ -442,11 +444,11 @@ def supersolution_residual(
     def d2(h):
         return (g(r + h) - 2.0 * g(r) + g(r - h)) / (h * h)
 
-    h = fd_step
+    h = _FD_STEP
     d1_r = (4.0 * d1(h / 2.0) - d1(h)) / 3.0
     # second differences divide rounding error by h^2; eps^(1/6) r is the
     # optimal step for the Richardson-extrapolated rule
-    h2 = max(fd_step, 2.5e-3 * r)
+    h2 = max(h, 2.5e-3 * r)
     d2_r = (4.0 * d2(h2 / 2.0) - d2(h2)) / 3.0
     if abs(d1(h) - d1(h / 2.0)) > 10.0 * 1e-6 * max(1.0, abs(d1_r)):
         warnings.warn(
@@ -477,7 +479,7 @@ def random_bump(
     r_hi = min(r_lo + width, 20.0)
     if allow_origin and rng.uniform() < 0.2:
         r_lo = 0.0
-    return make_bump(r_lo, r_hi, "mollifier")
+    return make_bump(r_lo, r_hi)
 
 
 def random_halfspace_product(
@@ -489,8 +491,8 @@ def random_halfspace_product(
     y_lo = rng.uniform(0.25, 1.2)
     y_hi = y_lo + rng.uniform(0.6, 2.5)
     rho_hi = rng.uniform(0.8, 2.5) if N >= 3 else 1.0
-    bump = make_bump(0.0, x_hi - x_lo, "mollifier")
-    chi = make_bump(y_lo, y_hi, "mollifier")
+    bump = make_bump(0.0, x_hi - x_lo)
+    chi = make_bump(y_lo, y_hi)
     # phi is the bump on [0, x_hi - x_lo] moved to [x_lo, x_hi]; psi is
     # even, so its factor runs over rho >= 0; for N = 2 there is no rho
     phi = RadialTestFunction(
@@ -530,7 +532,7 @@ def _trial_function(
         r_lo = rng.uniform(0.03, 0.4) * rp
         r_hi = r_lo + rng.uniform(0.1, 0.55) * rp
         r_hi = min(r_hi, 0.98 * rp)
-        return make_bump(r_lo, r_hi, "mollifier")
+        return make_bump(r_lo, r_hi)
     return random_bump(rng, allow_origin=allow_origin)
 
 

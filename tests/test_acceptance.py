@@ -344,7 +344,7 @@ def test_c8_proof_steps():
     assert check_ftilde(Params(6, 3.0), grid) < 0.0
 
     for r in np.random.default_rng(55).uniform(0.1, 10.0, 16):
-        ident, deriv = supersolution_residual(Params(13, 4.0), float(r), 1e-5)
+        ident, deriv = supersolution_residual(Params(13, 4.0), float(r))
         assert ident < 1e-6 and deriv < 1e-6
     assert time.time() - t0 <= 30.0
 

@@ -14,7 +14,7 @@ import pytest
 import hyplab
 from hyplab import cli
 from hyplab.cli import build_parser, main
-from hyplab.core import HalfSpacePoint, weight_v
+from hyplab.core import weight_v
 from hyplab.report import ReportEnvelope, compare_golden, parse
 from hyplab.verify import InequalityKind
 
@@ -212,7 +212,7 @@ def test_weights_beyond_cosh_overflow(capsys):
     for row, r in zip(rows, radii):
         v = 0.0
         if r <= 710.0:
-            v = weight_v(HalfSpacePoint(float(np.tanh(r)), 0.0, float(1.0 / np.cosh(r))))
+            v = weight_v(float(np.tanh(r)), float(1.0 / np.cosh(r)))
         assert row[v_col] == repr(v)
 
 
@@ -311,6 +311,8 @@ def test_help_and_argument_errors_exit_as_before(capsys):
 
 
 _VERIFY = ["verify", "--kind", "pgap", "--N", "3", "--p", "2"]
+_PGAP = ["sharpness", "--kind", "pgap", "--N", "3", "--p", "2"]
+_HARDY1D = ["sharpness", "--kind", "hardy1d", "--N", "3", "--p", "3"]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -333,9 +335,17 @@ _VERIFY = ["verify", "--kind", "pgap", "--N", "3", "--p", "2"]
     (["figure1", "--N", "13", "--p", "4", "--r-max", "0"], "--r-max: must be finite and > 0"),
     (["figure1", "--N", "13", "--p", "4", "--r-max", "nan"],
      "--r-max: must be finite and > 0"),
+    # an eps or delta of inf or nan has no exact Fraction and no finite
+    # family, and 0 none at all
+    (_HARDY1D + ["--schedule", "0.5", "--delta", "inf"], "--delta: must be finite and > 0"),
+    (_HARDY1D + ["--schedule", "0.5", "--delta", "0"], "--delta: must be finite and > 0"),
+    (_HARDY1D + ["--schedule", "0.5", "nan"], "--schedule: must be finite and > 0"),
+    (_PGAP + ["--schedule", "inf"], "--schedule: must be finite and > 0"),
+    (_PGAP + ["--schedule", "0.1", "-0.01"], "--schedule: must be finite and > 0"),
 ], ids=["figure1-points", "weights-points", "tol-0", "tol-negative", "tol-nan",
         "tol-inf", "verify-trials", "proofcheck-trials", "weights-r-max-inf",
-        "weights-r-min-0", "figure1-r-max-0", "figure1-r-max-nan"])
+        "weights-r-min-0", "figure1-r-max-0", "figure1-r-max-nan", "delta-inf",
+        "delta-0", "schedule-nan", "schedule-inf", "schedule-negative"])
 def test_bad_numeric_arguments_exit_2(argv, message, capsys):
     # argparse names the argument and exits 2, as for any argument error;
     # nothing raises past main
@@ -343,6 +353,22 @@ def test_bad_numeric_arguments_exit_2(argv, message, capsys):
         main(argv)
     assert exc.value.code == 2
     assert f"error: argument {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    # c k^p of the pgap family overflows, where it raised OverflowError
+    (_PGAP + ["--schedule", "1e300"], "eps=1e+300: the family's constant leaves"),
+    (["rp-scan", "--N", "13", "--p", "4", "--scan-axis", "N", "--N-max", "10"],
+     "the last N, 10, is below the first, 13"),
+], ids=["pgap-eps-1e300", "rp-scan-empty-N-range"])
+def test_bad_parameter_combinations_exit_2(argv, message, capsys):
+    # a value argparse accepts but the command cannot use is named in a
+    # parameter error, and no report is written
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("hyplab: parameter error: ")
+    assert message in captured.err
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from hyplab import core
 from hyplab.core import (
     GreenWeight,
-    HalfSpacePoint,
     HypothesisError,
     Params,
     coth_minus_inv,
@@ -451,8 +450,8 @@ class TestWeightHp:
 
 class TestWeightV:
     def test_examples(self):
-        assert weight_v(HalfSpacePoint(0.0, 0.0, 1.0)) == 1.0
-        assert weight_v(HalfSpacePoint(2.0, 0.0, 2.0)) == pytest.approx(
+        assert weight_v(0.0, 1.0) == 1.0
+        assert weight_v(2.0, 2.0) == pytest.approx(
             1.0 / math.sqrt(2.0), rel=1e-15
         )
 
@@ -461,7 +460,7 @@ class TestWeightV:
         st.floats(min_value=1e-3, max_value=50),
     )
     def test_range(self, x1, y):
-        v = weight_v(HalfSpacePoint(x1, 0.0, y))
+        v = weight_v(x1, y)
         assert 0.0 < v <= 1.0
         if abs(x1) > 1e-6 * y:
             assert v < 1.0
@@ -470,33 +469,43 @@ class TestWeightV:
         # on x1 = k y the value is 1/sqrt(1+k^2), independent of y
         for alpha in (0.3, 0.8, 1.0):
             k = math.sqrt((1 - alpha**2) / alpha**2) if alpha < 1 else 0.0
-            vals = [weight_v(HalfSpacePoint(k * y, 0.0, y)) for y in (0.5, 3.0, 40.0)]
+            vals = [weight_v(k * y, y) for y in (0.5, 3.0, 40.0)]
             assert all(v == pytest.approx(alpha, rel=1e-12) for v in vals)
 
     def test_exponential_decay_constant_along_horizontal_lines(self):
         # V e^{r/2} -> sqrt(beta) along y = beta (e^r ~ 2 cosh r; the
         # commonly quoted sqrt(beta/2) corresponds to e^r ~ cosh r)
         for beta in (0.5, 2.0):
-            pt = HalfSpacePoint(1e8, 0.0, beta)
-            r = geodesic_distance(pt)
-            assert weight_v(pt) * math.exp(r / 2.0) == pytest.approx(
+            r = geodesic_distance(1e8, 0.0, beta)
+            assert weight_v(1e8, beta) * math.exp(r / 2.0) == pytest.approx(
                 math.sqrt(beta), rel=1e-6
             )
 
+    def test_rejects_points_off_the_half_space(self):
+        for y in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="y must be positive"):
+                weight_v(1.0, y)
+
 
 class TestGeodesicDistance:
+    def test_rejects_points_off_the_half_space(self):
+        for y in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="y must be positive"):
+                geodesic_distance(1.0, 0.5, y)
+        with pytest.raises(ValueError, match="rho must be nonnegative"):
+            geodesic_distance(1.0, -0.5, 1.0)
+
     def test_base_point(self):
-        assert geodesic_distance(HalfSpacePoint(0.0, 0.0, 1.0)) == 0.0
+        assert geodesic_distance(0.0, 0.0, 1.0) == 0.0
 
     def test_vertical_unit_distance(self):
-        assert geodesic_distance(HalfSpacePoint(0.0, 0.0, math.e)) == pytest.approx(
+        assert geodesic_distance(0.0, 0.0, math.e) == pytest.approx(
             1.0, rel=1e-14
         )
 
     def test_small_distance_accuracy(self):
         # arcosh(1+z) loses half the digits if assembled naively
-        pt = HalfSpacePoint(1e-8, 0.0, 1.0)
-        assert geodesic_distance(pt) == pytest.approx(1e-8, rel=1e-6)
+        assert geodesic_distance(1e-8, 0.0, 1.0) == pytest.approx(1e-8, rel=1e-6)
 
     @given(
         st.floats(min_value=-20, max_value=20),
@@ -505,7 +514,7 @@ class TestGeodesicDistance:
     )
     @settings(max_examples=200)
     def test_nonnegative(self, x1, rho, y):
-        assert geodesic_distance(HalfSpacePoint(x1, rho, y)) >= 0.0
+        assert geodesic_distance(x1, rho, y) >= 0.0
 
 
 class TestShapeFunction:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,17 @@ from hyplab.quadrature import (
     power_singular_integrals,
 )
 from hyplab.testfun import RadialTestFunction, make_bump, make_veps
+
+
+def _tent(r_lo, r_hi):
+    """The piecewise-linear hat on [r_lo, r_hi] with peak 1, kinked at
+    its ends and its middle."""
+    mid, half = 0.5 * (r_lo + r_hi), 0.5 * (r_hi - r_lo)
+    return RadialTestFunction(
+        lambda r: np.maximum(0.0, 1.0 - np.abs(r - mid) / half),
+        lambda r: np.where(np.abs(r - mid) < half, -np.sign(r - mid) / half, 0.0),
+        (r_lo, r_hi), breakpoints=(r_lo, mid, r_hi), label=f"tent[{r_lo:g},{r_hi:g}]",
+    )
 
 
 class TestRadialEnergy:
@@ -58,7 +70,7 @@ class TestRadialEnergy:
         # N = 2, p = 2, tent on [1, 3]:
         # int_1^3 (1-|r-2|)^2 sinh r dr = 2 cosh 3 - 4 sinh 2 - 2 cosh 1
         pr = Params(2, 2.0)
-        u = make_bump(1.0, 3.0, "tent")
+        u = _tent(1.0, 3.0)
         _, mp = radial_energy(pr, u, 1e-12)
         exact = 2 * math.cosh(3.0) - 4 * math.sinh(2.0) - 2 * math.cosh(1.0)
         assert mp.value == pytest.approx(exact, rel=1e-11)
@@ -277,7 +289,7 @@ class TestRadialBattery:
     FUNCS = [
         make_bump(0.0, 1.7),                # at the origin, no split
         make_veps(3.0, 0.1, 0.05),          # declared origin power: split
-        make_bump(0.4, 2.5, "tent"),        # not a mollifier: called per run
+        _tent(0.4, 2.5),                    # not a mollifier: called per run
         make_bump(2.0, 6.5),
         make_bump(0.3, 0.9),
     ]
@@ -521,8 +533,7 @@ class TestHardy1D:
         a = (p - 1.0 + delta) / p
         s = float(3 * (Fraction(a) - 1) + 1)
         res = power_singular_integral(
-            lambda r: np.abs(v.derivative(r)) ** 3 * r ** (-3.0 * (a - 1.0)), s, eps, 0.0,
-            rel_tol=1e-10)
+            lambda r: np.abs(v.derivative(r)) ** 3 * r ** (-3.0 * (a - 1.0)), s, eps, 1e-10)
         exact = a**3 * eps**s / s
         assert abs(res.value - exact) <= 1e-14 * exact
 
@@ -639,3 +650,11 @@ class TestHalfSpace:
                 math.lgamma((N + p) / 2) + math.lgamma(N / 2 + eps)
                 - math.lgamma(N / 2) - math.lgamma((N + p) / 2 + eps))
             assert abs(q.value - exact) <= q.error_estimate, (N, p, eps, tol)
+
+    @pytest.mark.parametrize("N, eps", [(3, 1e300), (3, 600.0), (400, 0.1)])
+    def test_rejects_eps_whose_constant_leaves_the_double_range(self, N, eps):
+        # c k^p overflows at eps = 1e300, c = omega 2^(N-1-2 sigma)
+        # underflows at eps = 600, and omega_399's Gamma(200) overflows;
+        # each ended in an OverflowError or a 0/0 quotient
+        with pytest.raises(ValueError, match=re.escape(f"eps={eps}: ")):
+            ueps_energy_masses(Params(N, 2.0), [eps], 1e-5)

@@ -74,10 +74,11 @@ def test_error_estimate_bounds_true_error():
     assert abs(r.value - exact.value) <= r.error_estimate + 1e-13
 
 
-def test_budget_exhaustion_carries_best_value():
+def test_budget_exhaustion_carries_best_value(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 40)
     f = lambda x: 1.0 / np.sqrt(np.abs(x - 0.31831) + 1e-300)
     with pytest.raises(ToleranceNotAchieved) as exc:
-        integrate_interval(f, 0.0, 1.0, 1e-13, max_subdivisions=40)
+        integrate_interval(f, 0.0, 1.0, 1e-13)
     best = exc.value.result
     assert best.error_estimate > 1e-13
     assert best.value > 0
@@ -87,6 +88,23 @@ def test_breakpoints_split_kinks_exactly():
     f = lambda x: np.abs(x - 0.5)
     r = integrate_interval(f, 0.0, 1.0, 1e-14, breakpoints=[0.5])
     assert abs(r.value - 0.25) < 1e-14
+
+
+@pytest.mark.parametrize("weights, degree, bound", [
+    (quadrature._WGK, 22, 1e-14),  # K15: 6.0e-15 at k = 0
+    (quadrature._WG, 13, 2e-15),   # G7: 1.15e-15 at k = 12
+], ids=["K15", "G7"])
+def test_gk15_table_integrates_monomials(weights, degree, bound):
+    # the literal 15-digit table at 40 digits: each rule integrates x^k on
+    # [-1, 1] exactly up to its degree, so what is left is the table's
+    # rounding
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        nodes = [mp.mpf(x) for x in quadrature._XGK.tolist()]
+        for k in range(degree + 1):
+            exact = mp.mpf(2) / (k + 1) if k % 2 == 0 else mp.mpf(0)
+            rule = mp.fsum(mp.mpf(w) * x**k for w, x in zip(weights.tolist(), nodes))
+            assert abs(rule - exact) <= bound, k
 
 
 class TestLockstep:
@@ -264,7 +282,9 @@ class TestLockstep:
         assert sum(len(set(o.tolist())) > 1 for o in owners) > 10
         assert all((np.diff(o) >= 0).all() for o in owners)
 
-    def test_tolerance_not_achieved_carries_failing_integral(self):
+    def test_tolerance_not_achieved_carries_failing_integral(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 40)
+
         def pole(x):
             return 1.0 / np.sqrt(np.abs(x - 0.31831) + 1e-300)
 
@@ -272,9 +292,9 @@ class TestLockstep:
             return np.where(owner % 2 == 1, pole(x), np.exp(x))
 
         with pytest.raises(ToleranceNotAchieved) as alone:
-            integrate_interval(pole, 0.0, 1.0, 1e-13, max_subdivisions=40)
+            integrate_interval(pole, 0.0, 1.0, 1e-13)
         with pytest.raises(ToleranceNotAchieved) as together:
-            integrate_intervals(f, [0.0] * 4, [1.0] * 4, 1e-13, max_subdivisions=40)
+            integrate_intervals(f, [0.0] * 4, [1.0] * 4, 1e-13)
         # the first failing integral is reported: index 1 of 1 and 3
         assert together.value.result == alone.value.result
         assert str(together.value) == str(alone.value)
@@ -319,16 +339,14 @@ class TestPowerSingular:
     def test_pure_power_exact(self):
         # int_0^1 r^(delta-1) dr = 1/delta, for delta down to 1e-3
         for delta in (0.5, 0.05, 1e-3):
-            r = power_singular_integral(
-                lambda x: np.ones_like(x), delta, 1.0, 0.0, rel_tol=1e-12,
-            )
+            r = power_singular_integral(lambda x: np.ones_like(x), delta, 1.0, 1e-12)
             assert r.value == pytest.approx(1.0 / delta, rel=1e-11)
 
     def test_power_times_smooth(self):
         # int_0^1 r^(delta-1) e^r dr via series oracle sum 1/(k!(delta+k))
         delta = 1e-3
         oracle = sum(1.0 / (math.factorial(k) * (delta + k)) for k in range(40))
-        r = power_singular_integral(np.exp, delta, 1.0, 0.0, rel_tol=1e-12)
+        r = power_singular_integral(np.exp, delta, 1.0, 1e-12)
         assert r.value == pytest.approx(oracle, rel=1e-10)
 
     def test_rejects_nonintegrable(self):
@@ -336,7 +354,7 @@ class TestPowerSingular:
             power_singular_integral(np.exp, -0.2, 1.0, 1e-8)
 
     @staticmethod
-    def _split_alone(g, delta, b, tol, rel_tol):
+    def _split_alone(g, delta, b, rel_tol):
         # the exact split of power_singular_integral through integrate_interval,
         # with C = 2 g(h) - g(2h) at h = 1e-8 b, whose error
         # |2 g(h) - 3 g(2h) + g(4h)| / 3 the estimate counts b^delta / delta times
@@ -348,8 +366,7 @@ class TestPowerSingular:
         def rest(t):
             return b**delta * np.exp(-delta * t) * (g(b * np.exp(-t)) - c)
 
-        r = integrate_interval(rest, 0.0, 45.0, tol + rel_tol * abs(lead),
-                               rel_tol=rel_tol)
+        r = integrate_interval(rest, 0.0, 45.0, rel_tol * abs(lead), rel_tol=rel_tol)
         tail = abs(float(rest(np.array([45.0]))[0])) / (1.0 + delta)
         return QuadResult(lead + r.value, r.error_estimate + tail + c_err * b**delta / delta,
                           r.subdivisions)
@@ -364,11 +381,11 @@ class TestPowerSingular:
             (lambda s: np.cos(s) ** 1.5, 0.7, 0.5),
         ]
         gs, deltas, bs = map(list, zip(*cases))
-        for tol, rel_tol in ((0.0, 1e-11), (1e-9, 0.0), (1e-6, 1e-6)):
-            singles = [self._split_alone(g, d, b, tol, rel_tol) for g, d, b in cases]
-            assert [power_singular_integral(g, d, b, tol, rel_tol)
+        for rel_tol in (1e-11, 1e-9, 1e-6):
+            singles = [self._split_alone(g, d, b, rel_tol) for g, d, b in cases]
+            assert [power_singular_integral(g, d, b, rel_tol)
                     for g, d, b in cases] == singles
-            assert power_singular_integrals(gs, deltas, bs, tol, rel_tol) == singles
+            assert power_singular_integrals(gs, deltas, bs, rel_tol) == singles
 
     def test_graded_panels_cannot_do_this(self):
         # documents why the substitution exists: with delta = 1e-3 the
@@ -426,6 +443,12 @@ class TestCells:
         with pytest.raises(ValueError):
             integrate_cells(lambda x, y: x + y, [(0.0, 1.0), (2.0, 2.0)], 1e-8)
 
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_rejects_dimensions_other_than_2_and_3(self, d):
+        # one axis has the 1-D engine; four have no budget
+        with pytest.raises(ValueError, match=f"dimensions 2 and 3, got {d}"):
+            integrate_cells(lambda *xs: 1.0, [(0.0, 1.0)] * d, 1e-8)
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_batched_rule_matches_per_cell_reference(self, d):
         rng = np.random.default_rng(d)
@@ -475,10 +498,11 @@ class TestCells:
         with pytest.raises(QuadratureError, match="not finite"):
             integrate_cells(lambda x, y: fx(x) * fy(y), [(0.0, 1.0), (0.0, 1.0)], 1e-8)
 
-    def test_budget_exhaustion_carries_best_value(self):
+    def test_budget_exhaustion_carries_best_value(self, monkeypatch):
+        monkeypatch.setitem(quadrature._MAX_CELLS, 2, 30)
         f = lambda x, y: 1.0 / np.sqrt(np.abs(x - 0.31831) + np.abs(y - 0.4142) + 1e-300)
         with pytest.raises(ToleranceNotAchieved) as exc:
-            integrate_cells(f, [(0.0, 1.0), (0.0, 1.0)], 1e-13, max_cells=30)
+            integrate_cells(f, [(0.0, 1.0), (0.0, 1.0)], 1e-13)
         best = exc.value.result
         assert best.subdivisions >= 30
         assert best.error_estimate > 1e-13
@@ -495,7 +519,7 @@ class TestCells:
         return 1.0 / (0.02 + (x - 0.3) ** 2 + (y - 1.0) ** 2 + z * z)
 
     @pytest.mark.parametrize("d, chunk_nodes", [
-        (3, quadrature._CELL_CHUNK_NODES), (2, 11 * 15**2), (1, 7 * 15),
+        (3, quadrature._CELL_CHUNK_NODES), (2, 11 * 15**2),
     ])
     def test_rounds_fill_at_most_one_chunk(self, monkeypatch, d, chunk_nodes):
         monkeypatch.setattr(quadrature, "_CELL_CHUNK_NODES", chunk_nodes)
@@ -516,15 +540,16 @@ class TestCells:
         # one chunk holds, never more
         assert max(sizes) == 2 * (chunk // 2)
 
-    @pytest.mark.parametrize("max_cells", [30, 31, 101, 400])
-    def test_budget_bounds_every_round(self, max_cells):
+    @pytest.mark.parametrize("budget", [30, 31, 101, 400])
+    def test_budget_bounds_every_round(self, monkeypatch, budget):
+        monkeypatch.setitem(quadrature._MAX_CELLS, 2, budget)
         f = lambda x, y: 1.0 / np.sqrt(np.abs(x - 0.31831) + np.abs(y - 0.4142) + 1e-300)
         with pytest.raises(ToleranceNotAchieved) as exc:
-            integrate_cells(f, [(0.0, 1.0), (0.0, 1.0)], 1e-13, max_cells=max_cells)
+            integrate_cells(f, [(0.0, 1.0), (0.0, 1.0)], 1e-13)
         best = exc.value.result
         # one seed cell, two children per split: the budget is met or
         # passed by one, never by a whole round
-        assert max_cells <= best.subdivisions <= max_cells + 1
+        assert budget <= best.subdivisions <= budget + 1
         assert best.subdivisions % 2 == 1
         assert math.isfinite(best.value) and best.error_estimate > 1e-13
 
@@ -563,18 +588,21 @@ class TestCells:
 
         def recording(f, los, his):
             out = rule(f, los, his)
-            cells.extend(zip(los[:, 0].tolist(), his[:, 0].tolist(),
+            cells.extend(zip(map(tuple, los.tolist()), map(tuple, his.tolist()),
                              out[0].tolist(), out[1].tolist()))
             return out
 
         monkeypatch.setattr(quadrature, "_cell_rule", recording)
-        wave = lambda x: 1e20 * np.sin(400.0 * np.pi * x) + x
+        monkeypatch.setitem(quadrature._MAX_CELLS, 2, 1001)
+        # constant in y, so a cell may also be split on y
+        wave = lambda x, y: 1e20 * np.sin(400.0 * np.pi * x) + x
         with pytest.raises(ToleranceNotAchieved) as exc:
-            integrate_cells(wave, [(0.0, 1.0)], 0.0, max_cells=1001)
+            integrate_cells(wave, [(0.0, 1.0), (0.0, 1.0)], 0.0)
         r = exc.value.result
         split = {(lo, hi) for lo, hi, _, _ in cells
                  for lo2, hi2, _, _ in cells
-                 if (lo2, hi2) != (lo, hi) and lo <= lo2 and hi2 <= hi}
+                 if (lo2, hi2) != (lo, hi)
+                 and all(a <= a2 and b2 <= b for a, b, a2, b2 in zip(lo, hi, lo2, hi2))}
         leaves = [c for c in cells if c[:2] not in split]
         # every cell made is counted, and each split makes two
         assert len(cells) == r.subdivisions == 2 * len(leaves) - 1
@@ -585,14 +613,14 @@ class TestCells:
         monkeypatch.undo()
         # a tolerance equal to the box's error stops on the box; the next
         # double below it splits
+        monkeypatch.setitem(quadrature._MAX_CELLS, 3, 3)
         for f in (self._smooth, self._peaked):
             seed = integrate_cells(f, self._BOX, math.inf)
             assert seed.subdivisions == 1
             assert integrate_cells(f, self._BOX, seed.error_estimate) == seed
             try:
                 refined = integrate_cells(
-                    f, self._BOX, math.nextafter(seed.error_estimate, 0.0),
-                    max_cells=3)
+                    f, self._BOX, math.nextafter(seed.error_estimate, 0.0))
             except ToleranceNotAchieved as exc:
                 refined = exc.result
             assert refined.subdivisions == 3

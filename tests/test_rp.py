@@ -110,6 +110,11 @@ class TestScans:
         with pytest.raises(HypothesisError):
             rp_scan_N(4.0, 12, 20)
 
+    def test_scan_N_rejects_empty_range(self):
+        # an empty table used to fail later, as "payload must be non-empty"
+        with pytest.raises(ValueError, match="the last N, 10, is below the first, 13"):
+            rp_scan_N(4.0, 13, 10)
+
     def test_scan_p_strictly_decreasing(self):
         rows = rp_scan_p(13, [2.5, 3.0, 3.5, 4.0])
         vals = [r["r_p"] for r in rows]

@@ -173,6 +173,88 @@ def test_every_public_name_has_a_caller():
     assert _UNCALLED_PUBLIC_NAMES.keys() - uncalled.keys() == set()
 
 
+# Defaulted parameters that no call in src/hyplab sets, each for its reason.
+_DEFAULT_ONLY_PARAMETERS = {
+    "main(argv)": "the console entry point calls main() and reads sys.argv",
+    "compare_golden(rel_tol)": "the golden tests' comparison; no program path calls it",
+}
+
+
+def _literal(node):
+    """The value of a literal expression with its type, or None if the
+    expression is not a literal."""
+    try:
+        value = ast.literal_eval(node)
+    except (ValueError, TypeError):
+        return None
+    return type(value), value
+
+
+def _callee(call: ast.Call) -> str | None:
+    """The called name of f(...) or x.f(...)."""
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def _default_only_parameters(sources, wrappers) -> list[str]:
+    """"name(parameter)" of each defaulted parameter of a public function
+    or method of the ``sources`` that no call in them passes anything but
+    its default literal.  Calls made inside the functions named in
+    ``wrappers`` do not count, and their own parameters are not listed."""
+    trees = [ast.parse(path.read_text()) for path in sources]
+    defaults = {}  # (qualname, parameter) -> (name, position or None, default)
+    inside_wrappers = set()  # ids of the nodes of the wrappers' definitions
+    for tree in trees:
+        for qualname, name, node in _public_definitions(tree):
+            if qualname in wrappers:
+                inside_wrappers.update(id(n) for n in ast.walk(node))
+            if qualname in wrappers or not isinstance(node, ast.FunctionDef):
+                continue
+            positional = node.args.posonlyargs + node.args.args
+            if "." in qualname and positional and positional[0].arg in ("self", "cls"):
+                positional = positional[1:]
+            pairs = list(zip(positional[len(positional) - len(node.args.defaults):],
+                             node.args.defaults))
+            pairs += [(arg, d) for arg, d in zip(node.args.kwonlyargs,
+                                                 node.args.kw_defaults) if d is not None]
+            for arg, default in pairs:
+                index = positional.index(arg) if arg in positional else None
+                defaults[qualname, arg.arg] = (name, index, _literal(default))
+    overridden = set()
+    for tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call) or id(call) in inside_wrappers:
+                continue
+            # an unpacked argument may set any parameter
+            unpacked = any(isinstance(a, ast.Starred) for a in call.args) or any(
+                k.arg is None for k in call.keywords)
+            for key, (name, index, default) in defaults.items():
+                if name != _callee(call):
+                    continue
+                given = [k.value for k in call.keywords if k.arg == key[1]]
+                if index is not None and index < len(call.args):
+                    given.append(call.args[index])
+                if unpacked or any(_literal(a) is None or _literal(a) != default
+                                   for a in given):
+                    overridden.add(key)
+    return sorted(f"{q}({p})" for q, p in defaults.keys() - overridden)
+
+
+def test_every_default_is_overridden_somewhere():
+    # a parameter every caller leaves at its default is a constant that
+    # tests must still cover; the one-call wrappers that only the tracer
+    # names neither count as callers nor need callers of their own
+    sources = [path for path in sorted((ROOT / "src" / "hyplab").glob("*.py"))
+               if path.name != "__init__.py"]
+    called = {_callee(n) for path in sources for n in ast.walk(ast.parse(path.read_text()))
+              if isinstance(n, ast.Call)}
+    wrappers = {q for _m, q, _span in _entry_points() if q.rsplit(".", 1)[-1] not in called}
+    unset = _default_only_parameters(sources, wrappers)
+    assert sorted(set(unset) - _DEFAULT_ONLY_PARAMETERS.keys()) == []
+    # an allowlisted parameter that gained a setting call or went away
+    # leaves the list
+    assert _DEFAULT_ONLY_PARAMETERS.keys() - set(unset) == set()
+
+
 def test_golden_diff_says_how_far_two_payloads_differ():
     from hyplab.report import ReportEnvelope, dumps
 

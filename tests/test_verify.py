@@ -555,14 +555,14 @@ class TestPositivityProfile:
 
 class TestSupersolution:
     def test_derivative_residual_example(self):
-        ident, deriv = supersolution_residual(Params(13, 4.0), 1.0, 1e-5)
+        ident, deriv = supersolution_residual(Params(13, 4.0), 1.0)
         assert deriv < 1e-8
         assert ident < 1e-6
 
     def test_sixteen_random_radii(self):
         rng = np.random.default_rng(123)
         for r in rng.uniform(0.1, 10.0, 16):
-            ident, deriv = supersolution_residual(Params(13, 4.0), float(r), 1e-5)
+            ident, deriv = supersolution_residual(Params(13, 4.0), float(r))
             assert ident < 1e-6 and deriv < 1e-6
 
     def test_p2_reduction_structure(self):
@@ -578,5 +578,7 @@ class TestSupersolution:
         assert _lp_rhs_closed(pr, r) == pytest.approx(expected, rel=1e-13)
 
     def test_step_validation(self):
-        with pytest.raises(ValueError):
-            supersolution_residual(Params(13, 4.0), 1.0, 0.5)
+        # the step, 1e-5, must stay below r / 4
+        for r in (4e-5, 1e-6, 0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="finite differences"):
+                supersolution_residual(Params(13, 4.0), r)
