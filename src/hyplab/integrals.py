@@ -23,6 +23,7 @@ import numpy as np
 
 from .core import GreenWeight, Params, coth, log_sinh, sinh_pow, weight_hp
 from .quadrature import (
+    _HEAD_T,
     NonIntegrableSingularity,
     QuadResult,
     _per_run,
@@ -87,8 +88,10 @@ def radial_battery(
     analytically, and the rest runs on the ordinary panels of [b1, hi];
     each piece gets half of ``tol``.  The heads of all such terms are one
     :func:`~hyplab.quadrature.power_singular_integrals` call, which takes
-    each head's C and rejects a power that is not integrable; every other
-    integral, tails included, is one integral of a single
+    each head's C and rejects a power that is not integrable; a head whose
+    r^-power leaves the double range on that call's log axis raises
+    ValueError before any integral runs.  Every other integral, tails
+    included, is one integral of a single
     :func:`~hyplab.quadrature.integrate_intervals` pass.  There the
     integrals run term by term, so each term's nodes form one slice of
     every integrand call, and the volume element and each weight are
@@ -182,6 +185,12 @@ def radial_battery(
                 if name not in _HARDY1D_TERMS:
                     whole += m
                 lo = min(u.breakpoints) if u.breakpoints else hi
+                # the head reads r^-power down to r = lo e^-_HEAD_T
+                if abs(power) * (_HEAD_T - math.log(lo)) > math.log(sys.float_info.max):
+                    raise ValueError(
+                        f"term {name!r}: origin power {power:g} is too large for "
+                        f"the head on [0, {lo:g}]: r**{-power:g} leaves the double "
+                        f"range on its axis down to r = {lo:g} e^-{_HEAD_T:g}")
                 heads[i, name] = (origin_factor(name, i, power), float(whole + 1), lo)
                 if lo >= hi:
                     continue
@@ -362,7 +371,16 @@ def halfspace_battery(params: Params, funcs, tol: float) -> list[dict[str, QuadR
     psi), and the (x1, y) integral stands for two of them, so a term's
     relative error, the sum of its factors', stays within tol.  Only the
     energy at p != 2 is a cubature of the whole box (:func:`halfspace_integral`).
+    An N whose rho axis measure omega_(N-3) cannot be formed in doubles
+    (N >= 346) raises ValueError.
     """
+    if params.N > 2:
+        try:
+            sphere_area(params.N - 3)
+        except OverflowError:  # from the Gamma function
+            raise ValueError(f"N={params.N}: the rho axis measure omega_(N-3) needs "
+                             f"Gamma({(params.N - 2) / 2:g}), beyond the double "
+                             f"range") from None
     products = [_product(params, u, tol) for u in funcs]
     pieces = [(f, lo, hi, factor_tol) for factors, factor_tol, _ in products
               for (lo, hi), f in factors.values()]

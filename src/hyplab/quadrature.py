@@ -174,6 +174,10 @@ _INTERVAL_CHUNK_NODES = 15 * 256
 _INTERVAL_WINDOW = 64
 # Panels one integral may make before it fails with ToleranceNotAchieved.
 _MAX_PANELS = 4000
+# End of a head remainder's logarithmic axis, which reaches r = b e^-45:
+# g(r)-C ~ g'(0) r, so the t-integrand decays like e^{-(1+delta)t}, and
+# at t = 45 the remainder is below 1e-19 of the local scale.
+_HEAD_T = 45.0
 
 
 def integrate_intervals(
@@ -204,12 +208,14 @@ def integrate_intervals(
     too narrow to split is kept, and its error still counts in the sum
     but no longer in the choice, where it ranks as an error of 0; an
     integral whose chosen panels are all that narrow ends there.  The
-    panels of all integrals in flight are the rows of one array, each
-    integral's rows left to right, and each integral sums its panels'
-    values and errors over its own rows in that order.  The GK15 sums of
-    a round's panels come from one contraction that sums every panel in
-    one fixed order, whatever the other panels, so every result is bit
-    for bit the one the integral gets alone.
+    panels of all integrals in flight are the rows of one array, sorted
+    by integral and left to right within each, and each row names its
+    integral k.  Integral k sums its panels' values and errors over its
+    own rows in that order into entry k of per-integral arrays, which
+    also hold its panel count, its tolerances and whether it is in
+    flight.  The GK15 sums of a round's panels come from one contraction
+    that sums every panel in one fixed order, whatever the other panels,
+    so every result is bit for bit the one the integral gets alone.
 
     An integral that exhausts ``_MAX_PANELS`` panels fails with
     :class:`ToleranceNotAchieved` (carrying its best result), one whose
@@ -228,64 +234,62 @@ def integrate_intervals(
     # One row per panel of the integrals in flight: lo, hi, value, error;
     # grouped by integral in index order, left to right within each.  A
     # panel's key orders the choice of panels to split: its error, or 0
-    # once it is too narrow to split.
-    rows, keys = np.empty((0, 4)), np.empty(0)
-    # Per integral in flight: its index and its rows (brought up to date
-    # when the integrals in flight change), and as floats its panels
-    # evaluated, tol and rel_tol.  Only floats are compared or added:
-    # numpy's integer arithmetic and comparison loops, which a short run
-    # may touch nowhere else, would each fault in 64 or 128 kB of code.
-    ids = counts = fresh = np.empty(0, dtype=np.intp)  # fresh: the rows to evaluate
-    state = np.empty((0, 3))
-    budget = np.full(_INTERVAL_WINDOW, float(_MAX_PANELS))
-    started = 0
+    # once it is too narrow to split.  grp names each row's integral,
+    # place holds the same as floats, and fresh lists the rows to evaluate.
+    rows, keys, place = np.empty((0, 4)), np.empty(0), np.empty(0)
+    grp = fresh = np.empty(0, dtype=np.intp)
+    # Per integral: whether it is in flight, and as floats its panels
+    # evaluated and its panel budget.  Only arrays of floats are compared or
+    # added: numpy's integer loops and its comparison of an array with a
+    # scalar, which a short run may touch nowhere else, each fault in 64 kB
+    # or more of code (an array-scalar budget test raised the `halfspace`
+    # benchmark's peak RSS by about 0.12 MB).
+    flying = np.zeros(K, dtype=bool)
+    panels, max_panels = np.zeros(K), np.full(K, float(_MAX_PANELS))
+    started = in_flight = 0
     while True:
         # Integrals start in order, at most _INTERVAL_WINDOW at a time.
-        if len(ids) < _INTERVAL_WINDOW and started < K:
-            new = range(started, min(K, started + _INTERVAL_WINDOW - len(ids)))
-            ends = [_seed_points(a[k], b[k], breakpoints[k]) for k in new]
+        if in_flight < _INTERVAL_WINDOW and started < K:
+            stop = min(K, started + _INTERVAL_WINDOW - in_flight)
+            ends = [_seed_points(a[k], b[k], breakpoints[k]) for k in range(started, stop)]
             n_seed = [len(pts) - 1 for pts in ends]
             seeds = np.zeros((sum(n_seed), 4))
             seeds[:, 0] = [x for pts in ends for x in pts[:-1]]
             seeds[:, 1] = [x for pts in ends for x in pts[1:]]
-            added = np.empty((len(new), 3))
-            added[:, 0] = n_seed
-            added[:, 1] = tols[new.start:new.stop]
-            added[:, 2] = rel_tols[new.start:new.stop]
             fresh = np.concatenate((fresh, np.arange(len(rows), len(rows) + len(seeds))))
             rows = np.concatenate((rows, seeds))
             keys = np.concatenate((keys, seeds[:, 3]))
-            ids = np.concatenate((ids, new))
-            counts = np.concatenate((counts, n_seed))
-            state = np.concatenate((state, added))
-            grp = None
-            started = new.stop
-        if not len(ids):
+            grp = np.concatenate((grp, np.arange(started, stop).repeat(n_seed)))
+            place = np.concatenate(
+                (place, np.arange(started, stop, dtype=float).repeat(n_seed)))
+            flying[started:stop] = True
+            panels[started:stop] = n_seed
+            in_flight += stop - started
+            started = stop
+        if not in_flight:
             break
-        if grp is None:
-            grp = np.arange(len(ids)).repeat(counts)  # each row's integral
-            place = np.arange(len(ids), dtype=float).repeat(counts)  # grp, as floats
-        panels, tol_of, rel_of = state.T  # views: panels is updated in place
         values, errors, bad = _panel_sums(f, rows[:, 0][fresh], rows[:, 1][fresh],
-                                          ids[grp[fresh]])
+                                          grp[fresh])
+        value, error = rows[:, 2], rows[:, 3]
+        value[fresh] = values
+        error[fresh] = keys[fresh] = errors
+        # Each integral sums its panels in row order, left to right.  The
+        # rows are sorted by integral, so all in flight lie in the span
+        # grp[0] to started - 1, and per-integral work covers that span.
+        span = slice(int(grp[0]), started)
+        total = np.bincount(grp, value, minlength=started)
+        err = np.bincount(grp, error, minlength=started)
+        with np.errstate(invalid="ignore"):  # 0 * inf where a sum is infinite
+            met = err[span] <= tols[span] + rel_tols[span] * np.abs(total[span])
+        ending = np.zeros(started, dtype=bool)
+        ending[span] = flying[span] & (met | (panels[span] >= max_panels[span]))
         if bad is not None:
             # an integral with a panel that is not finite fails and ends here
             failing = ~np.isnan(bad)
             failed = grp[fresh][failing]
-            for g, x in zip(failed.tolist(), bad[failing].tolist()):
-                failures.setdefault(int(ids[g]),
-                                    QuadratureError(f"integrand not finite at x={x!r}"))
-        value, error = rows[:, 2], rows[:, 3]
-        value[fresh] = values
-        error[fresh] = keys[fresh] = errors
-        # each integral sums its panels in row order, left to right
-        total = np.bincount(grp, value)
-        err = np.bincount(grp, error)
-        with np.errstate(invalid="ignore"):  # 0 * inf where a sum is infinite
-            met = err <= tol_of + rel_of * np.abs(total)
-        ends_here = met | (budget[:len(ids)] <= panels)
-        if bad is not None:
-            ends_here[failed] = True
+            for k, x in zip(failed.tolist(), bad[failing].tolist()):
+                failures.setdefault(k, QuadratureError(f"integrand not finite at x={x!r}"))
+            ending[failed] = True
         # each refining integral's up to 8 worst panels, ties by lower end:
         # the sort keeps each integral's rows where they are, so its first
         # 8 places are those whose row 8 places back is another integral's
@@ -293,7 +297,7 @@ def integrate_intervals(
         first8 = np.empty(len(rows), dtype=bool)
         first8[:8] = True
         first8[8:] = place[8:] != place[:-8]
-        live = ~ends_here[grp]
+        live = ~ending[grp]
         split = np.zeros(len(rows), dtype=bool)
         split[order[first8 & live]] = True
         lows, highs = rows[:, 0][split], rows[:, 1][split]
@@ -305,36 +309,32 @@ def integrate_intervals(
             keys[at_floor] = 0.0
             split[at_floor] = False
             mids = mids[~narrow]
-            ends_here[np.bincount(grp, split) == 0] = True  # nothing left to split
-            live = ~ends_here[grp]
-        ended = ends_here.nonzero()[0].tolist()
-        for g in ended:
-            k = int(ids[g])
+            unsplit = np.bincount(grp, split, minlength=started)[span] == 0
+            ending[span] |= flying[span] & unsplit  # nothing left to split
+            live = ~ending[grp]
+        ended = ending.nonzero()[0]
+        for k in ended.tolist():
             if k in failures:
                 continue
-            res = QuadResult(float(total[g]), float(err[g]), int(panels[g]))
-            if met[g] or panels[g] < _MAX_PANELS:
+            res = QuadResult(float(total[k]), float(err[k]), int(panels[k]))
+            if met[k - span.start] or panels[k] < _MAX_PANELS:
                 results[k] = res
             else:
                 failures[k] = ToleranceNotAchieved(
                     f"error estimate {res.error_estimate:.3e} > tol {tols[k]:.3e} "
                     f"after {res.subdivisions} panels on [{a[k]}, {b[k]}]", res)
+        flying[ended] = False
+        in_flight -= len(ended)
         # Split in place: each chosen panel becomes its two halves, and the
         # rows of the integrals that end here go.
+        panels[span] += 2 * np.bincount(grp, split, minlength=started)[span]
         copies = np.where(split, 2, live)
         rows = rows.repeat(copies, axis=0)
         keys = keys.repeat(copies)
+        grp, place = grp.repeat(copies), place.repeat(copies)
         fresh = split.repeat(copies).nonzero()[0]
         rows[:, 1][fresh[0::2]] = mids
         rows[:, 0][fresh[1::2]] = mids
-        panels += 2 * np.bincount(grp, split)
-        if ended:
-            counts = np.bincount(grp.repeat(copies), minlength=len(ids))
-            keep = ~ends_here
-            ids, counts, state = ids[keep], counts[keep], state[keep]
-            grp = None
-        else:
-            grp, place = grp.repeat(copies), place.repeat(copies)
     if failures:
         raise failures[min(failures)]
     return results
@@ -465,16 +465,13 @@ def power_singular_integrals(
         return b**delta * np.exp(-delta * t) * (gs[k](r) - cs[k])
 
     remainders = [functools.partial(remainder, k) for k in range(K)]
-    # g(r)-C ~ g'(0) r, so the t-integrand decays like e^{-(1+delta)t}:
-    # at T=45 the remainder is below 1e-19 of the local scale.
-    T = 45.0
     rests = integrate_intervals(
-        lambda t, owner: _per_run(remainders, t, owner), [0.0] * K, [T] * K,
+        lambda t, owner: _per_run(remainders, t, owner), [0.0] * K, [_HEAD_T] * K,
         [rel_tol * abs(lead) for lead in leads], rel_tol=rel_tol,
     )
     out = []
     for rem, delta, lead, c_err, rest in zip(remainders, deltas, leads, c_errs, rests):
-        tail = abs(float(rem(np.array([T]))[0])) / (1.0 + delta)
+        tail = abs(float(rem(np.array([_HEAD_T]))[0])) / (1.0 + delta)
         out.append(QuadResult(lead + rest.value, rest.error_estimate + tail + c_err,
                               rest.subdivisions))
     return out

@@ -360,7 +360,22 @@ def test_bad_numeric_arguments_exit_2(argv, message, capsys):
     (_PGAP + ["--schedule", "1e300"], "eps=1e+300: the family's constant leaves"),
     (["rp-scan", "--N", "13", "--p", "4", "--scan-axis", "N", "--N-max", "10"],
      "the last N, 10, is below the first, 13"),
-], ids=["pgap-eps-1e300", "rp-scan-empty-N-range"])
+    # the origin head of power delta - 1 reads r^(1 - delta) down to
+    # r = eps e^-45, which overflows from delta = 16.6 at eps = 0.5
+    (_HARDY1D + ["--schedule", "0.5", "--delta", "16.6"], "origin power 15.6 is too large"),
+    (_HARDY1D + ["--schedule", "0.5", "--delta", "20"], "origin power 19 is too large"),
+    (_HARDY1D + ["--schedule", "0.5", "--delta", "50"], "origin power 49 is too large"),
+    (_HARDY1D + ["--schedule", "0.5", "--delta", "1e300"],
+     "origin power 1e+300 is too large"),
+    # omega_(N-3) of the rho axis divides by Gamma((N-2)/2), which
+    # overflows from N = 346
+    (["verify", "--kind", "bounded-v", "--N", "400", "--p", "2", "--trials", "1"],
+     "N=400: the rho axis measure"),
+    (["verify", "--kind", "mazya", "--N", "346", "--p", "2", "--trials", "1"],
+     "N=346: the rho axis measure"),
+], ids=["pgap-eps-1e300", "rp-scan-empty-N-range", "hardy1d-delta-16.6",
+        "hardy1d-delta-20", "hardy1d-delta-50", "hardy1d-delta-1e300",
+        "bounded-v-N-400", "mazya-N-346"])
 def test_bad_parameter_combinations_exit_2(argv, message, capsys):
     # a value argparse accepts but the command cannot use is named in a
     # parameter error, and no report is written
@@ -369,6 +384,16 @@ def test_bad_parameter_combinations_exit_2(argv, message, capsys):
     assert captured.out == ""
     assert captured.err.startswith("hyplab: parameter error: ")
     assert message in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    _HARDY1D + ["--schedule", "0.5", "--delta", "16.4"],
+    ["verify", "--kind", "mazya", "--N", "345", "--p", "2", "--trials", "1"],
+], ids=["hardy1d-delta-16.4", "mazya-N-345"])
+def test_largest_accepted_parameters_run(argv, capsys):
+    # the last values below each refusal above still give a report
+    assert main(argv) == 0
+    assert capsys.readouterr().out.count("\n") == 2
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -334,6 +334,43 @@ class TestLockstep:
             assert nodes[2] == 15
             assert np.array_equal(np.delete(nodes, 2), np.delete(clean, 2))
 
+    def test_window_is_refilled_after_failures(self, monkeypatch):
+        # two integrals in flight of 7: integral 1 meets NaN after a few
+        # rounds and integral 4 exhausts the panel budget, and the integrals
+        # that start in their place refine as in a clean run
+        monkeypatch.setattr(quadrature, "_INTERVAL_WINDOW", 2)
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 40)
+        K = 7
+        freq = 1.0 + np.arange(K)
+
+        def counted(broken):
+            nodes = np.zeros(K, dtype=int)
+
+            def f(x, owner):
+                np.add.at(nodes, owner, 1)
+                out = np.exp(np.sin(freq[owner] * x))
+                if broken:
+                    # a kink at 0.5 draws the refinement to it
+                    kink = np.sqrt(np.abs(x - 0.5))
+                    hole = (owner == 1) & (x > 0.5) & (x < 0.501)
+                    out = np.where((owner == 1) | (owner == 4), kink, out)
+                    out[hole] = np.nan
+                return out
+
+            return f, nodes
+
+        f, clean = counted(False)
+        integrate_intervals(f, [0.0] * K, [1.0] * K, 1e-12)
+        f, nodes = counted(True)
+        with pytest.raises(QuadratureError, match="not finite") as exc:
+            integrate_intervals(f, [0.0] * K, [1.0] * K, 1e-12)
+        assert not isinstance(exc.value, ToleranceNotAchieved)
+        assert nodes[1] > 15
+        assert nodes[4] >= 15 * 40
+        others = [0, 2, 3, 5, 6]
+        assert np.array_equal(nodes[others], clean[others])
+        assert integrate_intervals(f, [], [], 1e-12) == []
+
 
 class TestPowerSingular:
     def test_pure_power_exact(self):

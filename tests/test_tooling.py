@@ -195,13 +195,18 @@ def _callee(call: ast.Call) -> str | None:
     return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
 
 
-def _default_only_parameters(sources, wrappers) -> list[str]:
-    """"name(parameter)" of each defaulted parameter of a public function
-    or method of the ``sources`` that no call in them passes anything but
-    its default literal.  Calls made inside the functions named in
+_REQUIRED = object()  # the "default" of a parameter without one
+
+
+def _parameter_settings(sources, wrappers) -> dict:
+    """"name(parameter)" -> (default, passed) for each parameter of a public
+    function or method of the ``sources``: its default literal, or
+    _REQUIRED, and the list of literals the calls in them pass it, where
+    an argument that is not a literal, or a call that unpacks its
+    arguments, adds None.  Calls made inside the functions named in
     ``wrappers`` do not count, and their own parameters are not listed."""
     trees = [ast.parse(path.read_text()) for path in sources]
-    defaults = {}  # (qualname, parameter) -> (name, position or None, default)
+    params = {}  # "qualname(parameter)" -> (name, parameter, position or None, default)
     inside_wrappers = set()  # ids of the nodes of the wrappers' definitions
     for tree in trees:
         for qualname, name, node in _public_definitions(tree):
@@ -212,14 +217,15 @@ def _default_only_parameters(sources, wrappers) -> list[str]:
             positional = node.args.posonlyargs + node.args.args
             if "." in qualname and positional and positional[0].arg in ("self", "cls"):
                 positional = positional[1:]
-            pairs = list(zip(positional[len(positional) - len(node.args.defaults):],
-                             node.args.defaults))
-            pairs += [(arg, d) for arg, d in zip(node.args.kwonlyargs,
-                                                 node.args.kw_defaults) if d is not None]
+            defaults = [_REQUIRED] * (len(positional) - len(node.args.defaults))
+            defaults += [_literal(d) for d in node.args.defaults]
+            pairs = list(zip(positional, defaults))
+            pairs += [(arg, _REQUIRED if d is None else _literal(d))
+                      for arg, d in zip(node.args.kwonlyargs, node.args.kw_defaults)]
             for arg, default in pairs:
                 index = positional.index(arg) if arg in positional else None
-                defaults[qualname, arg.arg] = (name, index, _literal(default))
-    overridden = set()
+                params[f"{qualname}({arg.arg})"] = (name, arg.arg, index, default)
+    passed = {key: [] for key in params}
     for tree in trees:
         for call in ast.walk(tree):
             if not isinstance(call, ast.Call) or id(call) in inside_wrappers:
@@ -227,32 +233,69 @@ def _default_only_parameters(sources, wrappers) -> list[str]:
             # an unpacked argument may set any parameter
             unpacked = any(isinstance(a, ast.Starred) for a in call.args) or any(
                 k.arg is None for k in call.keywords)
-            for key, (name, index, default) in defaults.items():
+            for key, (name, arg, index, _default) in params.items():
                 if name != _callee(call):
                     continue
-                given = [k.value for k in call.keywords if k.arg == key[1]]
+                given = [k.value for k in call.keywords if k.arg == arg]
                 if index is not None and index < len(call.args):
                     given.append(call.args[index])
-                if unpacked or any(_literal(a) is None or _literal(a) != default
-                                   for a in given):
-                    overridden.add(key)
-    return sorted(f"{q}({p})" for q, p in defaults.keys() - overridden)
+                passed[key] += [None] if unpacked else [_literal(a) for a in given]
+    return {key: (params[key][3], passed[key]) for key in params}
 
 
-def test_every_default_is_overridden_somewhere():
-    # a parameter every caller leaves at its default is a constant that
-    # tests must still cover; the one-call wrappers that only the tracer
-    # names neither count as callers nor need callers of their own
+def _default_only_parameters(sources, wrappers) -> list[str]:
+    """"name(parameter)" of each defaulted parameter that no call in the
+    ``sources`` passes anything but its default literal."""
+    return sorted(key for key, (default, passed) in _parameter_settings(sources, wrappers).items()
+                  if default is not _REQUIRED
+                  and all(x is not None and x == default for x in passed))
+
+
+def _one_value_parameters(sources, wrappers) -> list[str]:
+    """"name(parameter)" of each parameter without a default that every
+    call in the ``sources`` passes one and the same literal."""
+    return sorted(key for key, (default, passed) in _parameter_settings(sources, wrappers).items()
+                  if default is _REQUIRED and passed and passed[0] is not None
+                  and all(x == passed[0] for x in passed))
+
+
+def _program_sources_and_wrappers():
+    """The modules of src/hyplab, and the one-call wrappers that only the
+    benchmark's tracer names, which neither count as callers nor need
+    callers of their own."""
     sources = [path for path in sorted((ROOT / "src" / "hyplab").glob("*.py"))
                if path.name != "__init__.py"]
     called = {_callee(n) for path in sources for n in ast.walk(ast.parse(path.read_text()))
               if isinstance(n, ast.Call)}
     wrappers = {q for _m, q, _span in _entry_points() if q.rsplit(".", 1)[-1] not in called}
-    unset = _default_only_parameters(sources, wrappers)
+    return sources, wrappers
+
+
+def test_every_default_is_overridden_somewhere():
+    # a parameter every caller leaves at its default is a constant that
+    # tests must still cover
+    unset = _default_only_parameters(*_program_sources_and_wrappers())
     assert sorted(set(unset) - _DEFAULT_ONLY_PARAMETERS.keys()) == []
     # an allowlisted parameter that gained a setting call or went away
     # leaves the list
     assert _DEFAULT_ONLY_PARAMETERS.keys() - set(unset) == set()
+
+
+# Parameters without a default that every call in src/hyplab passes one
+# literal, each for its reason.
+_ONE_VALUE_PARAMETERS = {
+    "integrate_cells(tol)": "tests set the absolute goal: the seed stop at tol=math.inf "
+                            "and the exact boundary of "
+                            "test_seed_stop_agrees_with_exact_integer_sum",
+}
+
+
+def test_no_parameter_takes_one_value_from_every_call():
+    # a required parameter that every caller passes one literal is a
+    # constant in disguise, like a default no caller overrides
+    fixed = _one_value_parameters(*_program_sources_and_wrappers())
+    assert sorted(set(fixed) - _ONE_VALUE_PARAMETERS.keys()) == []
+    assert _ONE_VALUE_PARAMETERS.keys() - set(fixed) == set()
 
 
 def test_golden_diff_says_how_far_two_payloads_differ():
