@@ -1,6 +1,7 @@
 """Quadrature engine tests against closed-form oracles."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -609,15 +610,58 @@ class TestCells:
                             [(-5.5, 5.5)] * 3, 1e-9)
         assert r.subdivisions == 395
 
+    # (integrand, box, tol, rel_tol, value, error, cells), value and error
+    # as float.hex: the engine's results bit for bit, as the sums of the
+    # tensor rule's matmul give them on the host that pinned them (see
+    # ROADMAP item 12); a change in the split order, the stop rule or the
+    # sums moves them
+    _PINNED = {
+        "2d tol": (lambda x, y: 1.0 / (0.01 + (x - 0.3) ** 2 + (y - 0.7) ** 2),
+                   [(0.0, 1.0), (0.0, 1.0)], 1e-9, 0.0,
+                   "0x1.42c67c1272379p+3", "0x1.f63b460000000p-31", 67),
+        "2d rel_tol": (lambda x, y: np.cos(7.0 * x) * np.exp(y) + x * y,
+                       [(-1.0, 2.0), (0.5, 1.5)], 0.0, 1e-11,
+                       "0x1.15599c96f13a1p+1", "0x1.5e80000000000p-42", 15),
+        "3d tol": (lambda x, y, z: 1.0 / (0.02 + (x - 0.3) ** 2 + (y - 1.0) ** 2 + z * z),
+                   [(0.0, 1.0), (0.0, 2.0), (-1.0, 1.0)], 1e-9, 0.0,
+                   "0x1.14a545150165ap+3", "0x1.0cac380000000p-30", 235),
+        "3d rel_tol": (lambda x, y, z: (np.exp(-x * x - 2.0 * y * y - z * z)
+                                        * (1.0 + 0.5 * np.sin(3.0 * z))),
+                       [(-5.5, 5.5)] * 3, 0.0, 1e-8,
+                       "0x1.f7fccdff343dbp+1", "0x1.484e88434779ap-25", 269),
+        # x spans one ulp: the cells split on y until each one's worst axis
+        # is x, at the width floor, and the result is returned as it stands
+        "width floor": (lambda x, y: (np.where(x >= 1.0, 1.0 + y * y, y * y)
+                                      + 1e3 / (0.01 + (y - 0.4) ** 2)),
+                        [(1.0, math.nextafter(1.0, 2.0)), (0.0, 1.0)], 0.0, 1e-6,
+                        "0x1.aacef1e541eccp-38", "0x1.76ebb33958000p-57", 9),
+    }
+
+    @pytest.mark.parametrize("case", list(_PINNED))
+    def test_pinned_results(self, case):
+        f, box, tol, rel_tol, value, error, cells = self._PINNED[case]
+        r = integrate_cells(f, box, tol, rel_tol)
+        assert (r.value.hex(), r.error_estimate.hex(), r.subdivisions) == (
+            value, error, cells)
+
+    def test_pinned_tolerance_not_achieved(self, monkeypatch):
+        monkeypatch.setitem(quadrature._MAX_CELLS, 2, 400)
+        f = lambda x, y: 1.0 / np.sqrt(np.abs(x - 0.31831) + np.abs(y - 0.4142) + 1e-300)
+        with pytest.raises(ToleranceNotAchieved) as exc:
+            integrate_cells(f, [(0.0, 1.0), (0.0, 1.0)], 1e-13)
+        best = exc.value.result
+        assert (best.value.hex(), best.error_estimate.hex(), best.subdivisions) == (
+            "0x1.8733da5e12d6fp+0", "0x1.d8e3c7b0ab8fcp-15", 401)
+
     def test_seed_stop_agrees_with_exact_integer_sum(self, monkeypatch):
-        # the stop test reads the exact sum in units of 2**-1074, divided
-        # once; fsum is correctly rounded too, so it gives the same double
-        # even with heavy cancellation
+        # the stop test reads the exact sum, rounded once; the reference is
+        # the exact rational sum, rounded once by Fraction's float(), and
+        # fsum is correctly rounded too, so both give the same double even
+        # with heavy cancellation
         rng = np.random.default_rng(5)
         xs = rng.standard_normal(400) * 10.0 ** rng.integers(-300, 300, 400)
         xs = np.concatenate([xs, -xs[:200], [1e-300, 5e-324]])
-        exact = sum(quadrature._fixed(x) for x in xs.tolist())
-        assert math.fsum(xs) == exact / quadrature._FIXED_ONE
+        assert math.fsum(xs) == float(sum(map(Fraction, xs.tolist())))
         # cell values of both signs, up to 1.5e17, that nearly cancel: the
         # result is the exact sum over the unsplit cells, rounded once
         cells = []
@@ -644,8 +688,7 @@ class TestCells:
         # every cell made is counted, and each split makes two
         assert len(cells) == r.subdivisions == 2 * len(leaves) - 1
         for got, k in ((r.value, 2), (r.error_estimate, 3)):
-            exact = sum(quadrature._fixed(c[k]) for c in leaves)
-            assert got == exact / quadrature._FIXED_ONE
+            assert got == float(sum(Fraction(c[k]) for c in leaves))
         assert abs(r.value - 0.5) <= r.error_estimate
         monkeypatch.undo()
         # a tolerance equal to the box's error stops on the box; the next
