@@ -352,8 +352,10 @@ def sphere_area(k: int) -> float:
 
 
 def _rho_measure(N: int, rho):
-    """omega_{N-3} rho^(N-3), the measure of the rho axis (2 at N = 3)."""
-    return sphere_area(N - 3) * rho ** (N - 3)
+    """omega_{N-3} rho^(N-3), the measure of the rho axis: at N = 3 the
+    number omega_0 = 2, which scales an integrand in one pass without
+    broadcasting."""
+    return sphere_area(0) if N == 3 else sphere_area(N - 3) * rho ** (N - 3)
 
 
 def halfspace_battery(params: Params, funcs, tol: float) -> list[dict[str, QuadResult]]:
@@ -420,9 +422,16 @@ def _product(params: Params, u, tol: float):
                 / np.sqrt(y * y + x1 * x1))
 
     def e_f(x1, rho, y):
-        # |grad u|^2 = (phi'^2 psi^2 + phi^2 psi'^2) chi^2 + phi^2 psi^2 chi'^2
-        # from each factor's squares on its own axis; only the last two
-        # products, the sum, the power and the weight run on every node
+        """|grad u|^p y^(p-N) on the grid of the node arrays, in the layout
+        of :func:`halfspace_integral`: every axis but the last forms the
+        rows, y is the last axis, and axis 0 broadcasts as the batch.
+
+        |grad u|^2 y^(2(p-N)/p) = a Y + b Y' on each row and y, with the
+        (x1, rho) pair a = phi'^2 psi^2 + phi^2 psi'^2, b = phi^2 psi^2
+        and the y pair Y = chi^2 y^(2(p-N)/p), Y' = chi'^2 y^(2(p-N)/p).
+        One stacked matmul of each batch's (rows, 2) pairs by its (2, y)
+        pairs forms the grid, and the power p/2 is the only pass over it.
+        """
         px, dx = phi.value_and_derivative(x1)
         px2, dx2 = px * px, dx * dx
         if psi is None:
@@ -432,11 +441,13 @@ def _product(params: Params, u, tol: float):
             pr2 = pr * pr
             a, b = dx2 * pr2 + px2 * (dr * dr), px2 * pr2
         py, dy = chi.value_and_derivative(y)
-        s = a * (py * py)
-        s += b * (dy * dy)
+        w = y ** (2.0 * (p - N) / p)
+        rows = np.concatenate((a[..., None], b[..., None]), axis=-1)
+        ys = np.concatenate(((py * py * w)[..., None, :], (dy * dy * w)[..., None, :]),
+                            axis=-2)
+        s = rows.reshape(len(rows), -1, 2) @ ys.reshape(len(ys), 2, -1)
         s **= 0.5 * p
-        s *= y ** (p - N)
-        return s
+        return s.reshape(s.shape[:1] + rows.shape[1:-2] + y.shape[-1:])
 
     def terms(t):
         # without psi its factor is exactly 1 and its derivative's exactly 0
@@ -463,9 +474,14 @@ def halfspace_integral(
 
     ``f`` must be elementwise: the cubature calls it on per-axis node
     arrays that broadcast against each other, not on full grids, and
-    takes anything that broadcasts to their common shape.  ``support`` is
-    the compact box ((x1_lo, x1_hi), (rho_lo, rho_hi), (y_lo, y_hi)).
-    For N = 2 the rho dimension is absent.  The decaying near-extremal
+    takes anything that broadcasts to their common shape.  The arrays
+    share one layout: every axis but the last forms the rows, y is the
+    last axis, and axis 0 broadcasts as the batch of cells.  So x1, rho
+    and y have shapes (k, 15, 1, 1), (k, 1, 15, 1) and (k, 1, 1, 15), and
+    at N = 2 x1 and y have shapes (k, 15, 1) and (k, 1, 15), with rho
+    zeros of x1's shape.  ``support`` is the compact box
+    ((x1_lo, x1_hi), (rho_lo, rho_hi), (y_lo, y_hi)).  For N = 2 the rho
+    dimension is absent.  The decaying near-extremal
     family is integrated by :func:`ueps_energy_mass`.
     """
     (x1l, x1h), (rl, rh), (yl, yh) = support

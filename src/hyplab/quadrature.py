@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -502,8 +501,26 @@ _MAX_CELLS = {2: 6000, 3: 20000}
 
 
 def _fixed(x: float) -> int:
+    """x as an integer in units of 2**-1074: x = num / 2**j with j <= 1074,
+    so the shift multiplies num by 2**(1074 - j) exactly."""
     num, den = x.as_integer_ratio()
-    return num * (_FIXED_ONE // den)
+    return num << (1075 - den.bit_length())
+
+
+def _least_above(goal: float) -> int | float:
+    """The least sum, in units of 2**-1074, whose nearest double exceeds
+    ``goal``; math.inf where no finite sum's does.
+
+    A sum s has s / _FIXED_ONE > goal exactly when s >= this bound, so the
+    refinement loop compares integers where it would divide on every pop.
+    Sums below the midpoint of goal and the next double round to at most
+    goal and those above it to more; the midpoint itself rounds to even.
+    """
+    up = math.nextafter(goal, math.inf)
+    if not up < math.inf:
+        return math.inf
+    mid = (_fixed(goal) + _fixed(up)) >> 1
+    return mid if mid / _FIXED_ONE > goal else mid + 1
 
 
 @functools.lru_cache(maxsize=3)
@@ -527,30 +544,24 @@ def _cell_rule(f: Callable, los: np.ndarray, his: np.ndarray):
     with the 15 nodes in position j+1, and its result is broadcast to
     (k, 15, ..., 15).  A box's error is the sum over axes of
     |Gauss-on-that-axis - K15|; its worst axis is the largest term.
-    Returns three arrays with one entry per box.
+    Returns three arrays with one entry per box; a value is not finite
+    where the integrand is not finite at some node of its box (every
+    Kronrod tensor weight is positive).
     """
     k, d = los.shape
     mids = 0.5 * (los + his)
     halfs = 0.5 * (his - los)
     nodes = mids[:, :, None] + halfs[:, :, None] * _XGK
-    axes = []
-    for j in range(d):
-        shape = [k] + [1] * d
-        shape[j + 1] = 15
-        axes.append(nodes[:, j].reshape(shape))
+    vals = np.asarray(f(*[nodes[:, j].reshape((k,) + (1,) * j + (15,) + (1,) * (d - 1 - j))
+                          for j in range(d)]), dtype=float)
     full = (k,) + (15,) * d
-    vals = np.asarray(f(*axes), dtype=float)
     if vals.shape != full:
         vals = np.broadcast_to(vals, full)
-    scale = np.prod(halfs, axis=1)[:, None]
-    # Every Kronrod tensor weight is positive, so a NaN or an infinity at
-    # any node makes that cell's K15 sum non-finite.
     with np.errstate(invalid="ignore"):
-        sums = (vals.reshape(k, -1) @ _cell_weights(d)) * scale
-    if not np.isfinite(sums[:, 0]).all():
-        raise QuadratureError("integrand not finite inside a cell")
-    errs = np.abs(sums[:, 1:] - sums[:, :1])
-    return sums[:, 0], errs.sum(axis=1), errs.argmax(axis=1)
+        sums = (vals.reshape(k, -1) @ _cell_weights(d)) * np.multiply.reduce(
+            halfs, axis=1)[:, None]
+        errs = np.abs(sums[:, 1:] - sums[:, :1])
+    return sums[:, 0], np.add.reduce(errs, axis=1), errs.argmax(axis=1)
 
 
 def integrate_cells(
@@ -584,6 +595,13 @@ def integrate_cells(
     worst axis keeps its error in the sum and leaves the choice; with no
     cell left to split, the result is returned as it stands.  The stop
     test reads exact sums in units of 2**-1074, rounded once.
+
+    The bookkeeping is a few list and heap operations per cell: row i of
+    one array holds cell i's lower then upper ends, three lists its value
+    and error in units of 2**-1074 and its worst axis, and the heap
+    (-error, i) of the cells that may still be split.  Within a round the
+    stop test compares the integer error sum with the least sum whose
+    double exceeds the goal (:func:`_least_above`).
     """
     d = len(box)
     if d not in _MAX_CELLS:
@@ -593,22 +611,30 @@ def integrate_cells(
         if not lo < hi:
             raise ValueError(f"axis {i}: need lo < hi, got ({lo}, {hi})")
     per_round = max(1, _CELL_CHUNK_NODES // 15**d // 2)
-    # (-error, serial, los, his, value, error, worst axis), value and error
-    # in units of 2**-1074, so a split subtracts what was added
-    heap: list = []
-    serials = itertools.count()
-    total = err = n_cells = 0
-    los = np.array([[lo for lo, _ in box]], dtype=float)
-    his = np.array([[hi for _, hi in box]], dtype=float)
+    bounds = np.empty((64, 2 * d))
+    bounds[0] = [lo for lo, _ in box] + [hi for _, hi in box]
+    new = bounds[:1]
+    fvs: list[int] = []
+    fes: list[int] = []
+    axes: list[int] = []
+    heap: list[tuple[float, int]] = []
+    total = err = 0
     while True:
-        values, errors, worst = _cell_rule(f, los, his)
-        for lo, hi, v, e, ax in zip(los.tolist(), his.tolist(), values.tolist(),
-                                    errors.tolist(), worst.tolist()):
-            fv, fe = _fixed(v), _fixed(e)
-            heapq.heappush(heap, (-e, next(serials), tuple(lo), tuple(hi), fv, fe, ax))
-            total += fv
-            err += fe
-        n_cells += len(values)
+        values, errors, worst = _cell_rule(f, new[:, :d], new[:, d:])
+        errors = errors.tolist()
+        try:
+            fv = [_fixed(v) for v in values.tolist()]
+            fe = [_fixed(e) for e in errors]
+        except (OverflowError, ValueError):  # from a value that is not finite
+            raise QuadratureError("integrand not finite inside a cell") from None
+        for item in zip([-e for e in errors], range(len(fvs), len(fvs) + len(fv))):
+            heapq.heappush(heap, item)
+        fvs += fv
+        fes += fe
+        axes += worst.tolist()
+        total += sum(fv)
+        err += sum(fe)
+        n_cells = len(fvs)
         value, error = total / _FIXED_ONE, err / _FIXED_ONE
         goal = tol + rel_tol * abs(value)
         if error <= goal:
@@ -618,27 +644,34 @@ def integrate_cells(
             raise ToleranceNotAchieved(
                 f"cell budget exhausted: error {error:.3e} > tol {tol:.3e}", best
             )
-        split = []  # (los, his, worst axis, midpoint) of the cells to split
         # err drops the error of each cell as it is split, so it is the
-        # error of the cells not split
-        while (heap and err / _FIXED_ONE > goal and len(split) < per_round
-               and n_cells + 2 * len(split) < budget):
-            _, _, lo_t, hi_t, fv, fe, ax = heapq.heappop(heap)
-            lo, hi = lo_t[ax], hi_t[ax]
+        # error of the cells not split; the children stay within budget
+        above = _least_above(goal)
+        room = min(per_round, (budget - n_cells + 1) // 2)
+        # each split cell's two copies become its children, rows n_cells on
+        # of bounds: the first ends at mid on axis ax, the second starts there
+        parents, at, mids = [], [], []
+        while heap and err >= above and len(parents) < 2 * room:
+            i = heapq.heappop(heap)[1]
+            ax = axes[i]
+            lo, hi = bounds.item(i, ax), bounds.item(i, d + ax)
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:
                 continue  # width at rounding floor: keep the cell and its error
-            err -= fe
-            total -= fv
-            split.append((lo_t, hi_t, ax, mid))
-        if not split:  # nothing left that can be split
+            err -= fes[i]
+            total -= fvs[i]
+            row = 2 * d * (n_cells + len(parents))
+            parents += (i, i)
+            at += (row + d + ax, row + 2 * d + ax)
+            mids += (mid, mid)
+        if not parents:  # nothing left that can be split
             return QuadResult(value, error, n_cells)
-        lo_ts, hi_ts, axes, mids = zip(*split)
-        rows = 2 * np.arange(len(split))
-        los = np.repeat(np.array(lo_ts), 2, axis=0)
-        his = np.repeat(np.array(hi_ts), 2, axis=0)
-        his[rows, axes] = mids
-        los[rows + 1, axes] = mids
+        end = n_cells + len(parents)
+        if end > len(bounds):
+            bounds = np.concatenate((bounds, np.empty((end, 2 * d))))
+        bounds[n_cells:end] = bounds.take(parents, axis=0)
+        bounds.put(at, mids)
+        new = bounds[n_cells:end]
 
 
 def geometric_splits(lo: float, hi: float, scale: float) -> list[float]:
