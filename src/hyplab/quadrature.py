@@ -536,6 +536,12 @@ def _cell_weights(d: int) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+# Index of axis j's node array in the (k, d, 15) table of a batch's nodes:
+# the batch first and the 15 nodes in position j+1.
+_AXIS_INDEX = {d: [(slice(None), j) + (None,) * j + (slice(None),) + (None,) * (d - 1 - j)
+                   for j in range(d)] for d in (1, 2, 3)}
+
+
 def _cell_rule(f: Callable, los: np.ndarray, his: np.ndarray):
     """Tensor GK15 values, embedded errors and worst axes of k boxes.
 
@@ -552,8 +558,7 @@ def _cell_rule(f: Callable, los: np.ndarray, his: np.ndarray):
     mids = 0.5 * (los + his)
     halfs = 0.5 * (his - los)
     nodes = mids[:, :, None] + halfs[:, :, None] * _XGK
-    vals = np.asarray(f(*[nodes[:, j].reshape((k,) + (1,) * j + (15,) + (1,) * (d - 1 - j))
-                          for j in range(d)]), dtype=float)
+    vals = np.asarray(f(*[nodes[index] for index in _AXIS_INDEX[d]]), dtype=float)
     full = (k,) + (15,) * d
     if vals.shape != full:
         vals = np.broadcast_to(vals, full)
@@ -621,19 +626,19 @@ def integrate_cells(
     total = err = 0
     while True:
         values, errors, worst = _cell_rule(f, new[:, :d], new[:, d:])
-        errors = errors.tolist()
+        first = len(fvs)
         try:
-            fv = [_fixed(v) for v in values.tolist()]
-            fe = [_fixed(e) for e in errors]
+            for i, v, e in zip(range(first, first + len(values)), values.tolist(),
+                               errors.tolist()):
+                fv, fe = _fixed(v), _fixed(e)
+                fvs.append(fv)
+                fes.append(fe)
+                total += fv
+                err += fe
+                heapq.heappush(heap, (-e, i))
         except (OverflowError, ValueError):  # from a value that is not finite
             raise QuadratureError("integrand not finite inside a cell") from None
-        for item in zip([-e for e in errors], range(len(fvs), len(fvs) + len(fv))):
-            heapq.heappush(heap, item)
-        fvs += fv
-        fes += fe
         axes += worst.tolist()
-        total += sum(fv)
-        err += sum(fe)
         n_cells = len(fvs)
         value, error = total / _FIXED_ONE, err / _FIXED_ONE
         goal = tol + rel_tol * abs(value)
