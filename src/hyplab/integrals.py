@@ -439,10 +439,10 @@ def _product(params: Params, u, tol: float):
             pr2 = pr * pr
             a, b = dx2 * pr2 + px2 * (dr * dr), px2 * pr2
         py, dy = chi.value_and_derivative(y)
-        w = y ** (2.0 * (p - N) / p)
+        ys = np.concatenate((py[..., None, :], dy[..., None, :]), axis=-2)
+        ys *= ys
+        ys *= y[..., None, :] ** (2.0 * (p - N) / p)
         rows = np.concatenate((a[..., None], b[..., None]), axis=-1)
-        ys = np.concatenate(((py * py * w)[..., None, :], (dy * dy * w)[..., None, :]),
-                            axis=-2)
         s = rows.reshape(len(rows), -1, 2) @ ys.reshape(len(ys), 2, -1)
         s **= 0.5 * p
         return s.reshape(s.shape[:1] + rows.shape[1:-2] + y.shape[-1:])
