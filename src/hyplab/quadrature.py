@@ -507,22 +507,6 @@ def _fixed(x: float) -> int:
     return num << (1075 - den.bit_length())
 
 
-def _least_above(goal: float) -> int | float:
-    """The least sum, in units of 2**-1074, whose nearest double exceeds
-    ``goal``; math.inf where no finite sum's does.
-
-    A sum s has s / _FIXED_ONE > goal exactly when s >= this bound, so the
-    refinement loop compares integers where it would divide on every pop.
-    Sums below the midpoint of goal and the next double round to at most
-    goal and those above it to more; the midpoint itself rounds to even.
-    """
-    up = math.nextafter(goal, math.inf)
-    if not up < math.inf:
-        return math.inf
-    mid = (_fixed(goal) + _fixed(up)) >> 1
-    return mid if mid / _FIXED_ONE > goal else mid + 1
-
-
 @functools.lru_cache(maxsize=3)
 def _cell_weights(d: int) -> np.ndarray:
     """(15^d, d+1) tensor weights: column 0 is Kronrod on every axis,
@@ -534,12 +518,6 @@ def _cell_weights(d: int) -> np.ndarray:
             w = np.multiply.outer(w, _WG if j == gauss_axis else _WGK)
         cols.append(w.ravel())
     return np.stack(cols, axis=1)
-
-
-# Index of axis j's node array in the (k, d, 15) table of a batch's nodes:
-# the batch first and the 15 nodes in position j+1.
-_AXIS_INDEX = {d: [(slice(None), j) + (None,) * j + (slice(None),) + (None,) * (d - 1 - j)
-                   for j in range(d)] for d in (1, 2, 3)}
 
 
 def _cell_rule(f: Callable, los: np.ndarray, his: np.ndarray):
@@ -558,7 +536,8 @@ def _cell_rule(f: Callable, los: np.ndarray, his: np.ndarray):
     mids = 0.5 * (los + his)
     halfs = 0.5 * (his - los)
     nodes = mids[:, :, None] + halfs[:, :, None] * _XGK
-    vals = np.asarray(f(*[nodes[index] for index in _AXIS_INDEX[d]]), dtype=float)
+    vals = np.asarray(f(*[nodes[:, j].reshape((k,) + (1,) * j + (15,) + (1,) * (d - 1 - j))
+                          for j in range(d)]), dtype=float)
     full = (k,) + (15,) * d
     if vals.shape != full:
         vals = np.broadcast_to(vals, full)
@@ -604,9 +583,7 @@ def integrate_cells(
     The bookkeeping is a few list and heap operations per cell: row i of
     one array holds cell i's lower then upper ends, three lists its value
     and error in units of 2**-1074 and its worst axis, and the heap
-    (-error, i) of the cells that may still be split.  Within a round the
-    stop test compares the integer error sum with the least sum whose
-    double exceeds the goal (:func:`_least_above`).
+    (-error, i) of the cells that may still be split.
     """
     d = len(box)
     if d not in _MAX_CELLS:
@@ -616,26 +593,18 @@ def integrate_cells(
         if not lo < hi:
             raise ValueError(f"axis {i}: need lo < hi, got ({lo}, {hi})")
     per_round = max(1, _CELL_CHUNK_NODES // 15**d // 2)
-    bounds = np.empty((64, 2 * d))
-    bounds[0] = [lo for lo, _ in box] + [hi for _, hi in box]
-    new = bounds[:1]
-    fvs: list[int] = []
-    fes: list[int] = []
-    axes: list[int] = []
-    heap: list[tuple[float, int]] = []
+    new = bounds = np.array([[lo for lo, _ in box] + [hi for _, hi in box]])
+    fvs, fes, axes, heap = [], [], [], []
     total = err = 0
     while True:
         values, errors, worst = _cell_rule(f, new[:, :d], new[:, d:])
-        first = len(fvs)
         try:
-            for i, v, e in zip(range(first, first + len(values)), values.tolist(),
-                               errors.tolist()):
-                fv, fe = _fixed(v), _fixed(e)
-                fvs.append(fv)
-                fes.append(fe)
-                total += fv
-                err += fe
-                heapq.heappush(heap, (-e, i))
+            for v, e in zip(values.tolist(), errors.tolist()):
+                heapq.heappush(heap, (-e, len(fvs)))
+                fvs.append(_fixed(v))
+                fes.append(_fixed(e))
+                total += fvs[-1]
+                err += fes[-1]
         except (OverflowError, ValueError):  # from a value that is not finite
             raise QuadratureError("integrand not finite inside a cell") from None
         axes += worst.tolist()
@@ -651,12 +620,11 @@ def integrate_cells(
             )
         # err drops the error of each cell as it is split, so it is the
         # error of the cells not split; the children stay within budget
-        above = _least_above(goal)
         room = min(per_round, (budget - n_cells + 1) // 2)
         # each split cell's two copies become its children, rows n_cells on
         # of bounds: the first ends at mid on axis ax, the second starts there
         parents, at, mids = [], [], []
-        while heap and err >= above and len(parents) < 2 * room:
+        while heap and err / _FIXED_ONE > goal and len(parents) < 2 * room:
             i = heapq.heappop(heap)[1]
             ax = axes[i]
             lo, hi = bounds.item(i, ax), bounds.item(i, d + ax)
