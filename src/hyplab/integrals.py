@@ -479,8 +479,8 @@ def halfspace_integral(
     at N = 2 x1 and y have shapes (k, 15, 1) and (k, 1, 15), with rho
     zeros of x1's shape.  ``support`` is the compact box
     ((x1_lo, x1_hi), (rho_lo, rho_hi), (y_lo, y_hi)).  For N = 2 the rho
-    dimension is absent.  The decaying near-extremal
-    family is integrated by :func:`ueps_energy_mass`.
+    dimension is absent.  The decaying near-extremal family is integrated
+    by :func:`ueps_energy_mass`.
     """
     (x1l, x1h), (rl, rh), (yl, yh) = support
     if yl <= 0.0:
