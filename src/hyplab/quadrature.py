@@ -593,7 +593,7 @@ def integrate_cells(
         if not lo < hi:
             raise ValueError(f"axis {i}: need lo < hi, got ({lo}, {hi})")
     per_round = max(1, _CELL_CHUNK_NODES // 15**d // 2)
-    new = bounds = np.array([[lo for lo, _ in box] + [hi for _, hi in box]])
+    new = bounds = np.array([[lo for lo, _ in box] + [hi for _, hi in box]], dtype=float)
     fvs, fes, axes, heap = [], [], [], []
     total = err = 0
     while True:
